@@ -160,6 +160,16 @@ class UTBPoint:
         return complex(self.x, self.y)
 
 
+def point_xy(z):
+    """(x, y) of a UTBPoint or of a complex number in the upper half plane."""
+    if isinstance(z, UTBPoint):
+        return z.x, z.y
+    zz = complex(z)
+    if not zz.imag > 0:
+        raise ValueError("evaluation point needs positive imaginary part")
+    return zz.real, zz.imag
+
+
 @dataclass(frozen=True)
 class IwasawaCoords:
     x: float

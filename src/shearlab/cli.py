@@ -17,7 +17,8 @@ holding the resolved configuration, package version, and wall time.
 Identical configuration and seed give byte-identical CSV output; only
 the manifest timestamp and wall time vary.  Exit codes: 0 success, 2 bad
 configuration (nothing written), 3 budget or tolerance exhausted
-(partial files are written).
+(manifest flagged partial; a run stopped by the error lists no outputs
+and records the error text).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,21 +37,20 @@ from . import __version__
 from .algebra import (INT_S, INT_T, FormVector, UTBPoint, iwasawa_decompose,
                       iwasawa_recompose, spin_cover)
 from .counting import (FIT_MODELS, CountResult, InsufficientDataError,
-                       OrbitQuery, count_orbit, fit_counting_law)
+                       OrbitQuery, StabilizerError, count_orbit,
+                       fit_counting_law)
 from .eisenstein import (ConvergenceError, EisensteinEvaluator,
                          eisenstein_sample, regularized_E1)
-from .groups import PSL2Z, THIN4, GroupSpec, WordBudget
+from .groups import BUILTINS, PSL2Z, BudgetExceeded, GroupSpec, WordBudget
 from .measures import make_lattice_bump, make_thin_bump, mu_T, mu_T_strip
-from .modforms import (delta_qexp, form_observable, kronecker_check,
-                       petersson_norm, second_moment_lhs,
-                       second_moment_prediction, sym2_L)
+from .modforms import (InsufficientConvergenceError, delta_qexp,
+                       form_observable, kronecker_check, petersson_norm,
+                       second_moment_lhs, second_moment_prediction, sym2_L)
 from .specfun import zeta
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-
-BUILTIN_GROUPS = {"psl2z": PSL2Z, "thin4": THIN4}
 
 
 class ConfigError(ValueError):
@@ -95,8 +94,8 @@ def _x0(text: str) -> FormVector:
 
 
 def _group(name: str) -> GroupSpec:
-    if name in BUILTIN_GROUPS:
-        return BUILTIN_GROUPS[name]
+    if name in BUILTINS:
+        return BUILTINS[name]
     if os.path.isfile(name):
         try:
             return GroupSpec.from_json(open(name).read())
@@ -144,25 +143,6 @@ def _write_manifest(out_path: str, cfg: dict, columns: dict, wall: float,
     with open(stem + ".manifest.json", "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _threads(ns) -> int:
-    if ns.threads is not None:
-        n = ns.threads
-    else:
-        n = int(os.environ.get("SHEARLAB_THREADS", "1"))
-    if n < 1:
-        raise ConfigError("--threads must be >= 1")
-    ns.threads = n  # manifest records the effective cap
-    return n
-
-
-def _grid_map(fn, items, n_threads):
-    # order-preserving, so output files do not depend on scheduling
-    if n_threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- subcommand runners ------------------------------------------------------
@@ -258,18 +238,12 @@ def _cmd_fit(ns) -> int:
 def _cmd_shear(ns) -> int:
     psi = _psi(ns.psi)
     t_list = _floats(ns.T)
-    n_threads = _threads(ns)
     t0 = time.perf_counter()
-
-    def one(t):
-        sample = mu_T(psi, t, tol=ns.tol)
-        strip = mu_T_strip(psi, t, tol=min(ns.tol, 1e-8))
-        return sample, strip
-
-    results = _grid_map(one, t_list, n_threads)
     rows = []
     partial = False
-    for t, (sample, strip) in zip(t_list, results):
+    for t in t_list:
+        sample = mu_T(psi, t, tol=ns.tol)
+        strip = mu_T_strip(psi, t, tol=min(ns.tol, 1e-8))
         rows.append([t, sample.value, strip, abs(sample.value - strip),
                      sample.est_error, sample.route])
         partial = partial or not sample.tol_met
@@ -326,12 +300,11 @@ def _cmd_moment(ns) -> int:
     t_list = _floats(ns.T)
     if any(t <= 1.0 for t in t_list):
         raise ConfigError("moment grid needs T > 1")
-    f = delta_qexp(ns.qexp_n)
-    n_threads = _threads(ns)
     t0 = time.perf_counter()
-    lhs_vals = _grid_map(lambda t: second_moment_lhs(f, t), t_list, n_threads)
+    f = delta_qexp(ns.qexp_n)
     rows = []
-    for t, lhs in zip(t_list, lhs_vals):
+    for t in t_list:
+        lhs = second_moment_lhs(f, t)
         pred = second_moment_prediction(f, t)
         rows.append([t, lhs, pred, abs(lhs - pred),
                      abs(lhs - pred) / abs(lhs)])
@@ -453,6 +426,7 @@ def _cmd_selftest(ns) -> int:
     rng = np.random.default_rng(ns.seed)
     failures = 0
     report = {}
+    t_all = time.perf_counter()
     for name, suite in SELFTEST_SUITES:
         t0 = time.perf_counter()
         try:
@@ -470,8 +444,8 @@ def _cmd_selftest(ns) -> int:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
         _write_manifest(ns.out, _echo(ns),
-                        {k: "suite outcome" for k in report}, 0.0,
-                        failures > 0)
+                        {k: "suite outcome" for k in report},
+                        time.perf_counter() - t_all, failures > 0)
     return EXIT_OK if failures == 0 else 1
 
 
@@ -521,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON file of flag defaults")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (env SHEARLAB_THREADS)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized sampling")
         p.add_argument("--out", default=None, help="output path")
@@ -604,15 +576,20 @@ def _echo(ns) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
         _resolve(ns)
         return RUNNERS[ns.cmd](ns)
-    except ConfigError as e:
+    except (ValueError, StabilizerError) as e:
+        # bad configuration: ConfigError is a ValueError; a stabilizer of x0
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as e:
+    except (BudgetExceeded, InsufficientConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        if ns.out:
+            _write_manifest(ns.out, _echo(ns), {}, time.perf_counter() - t0,
+                            True, {"error": str(e), "outputs": []})
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -27,10 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import UTBPoint, mobius_act
+from .algebra import UTBPoint, mobius_act, point_xy
 from .groups import (GroupSpec, PSL2Z, WordBudget, bottom_rows,
                      cusp_normalizer, enumerate_words)
-from .quadrature import adaptive, gl_nodes
+from .quadrature import gl_nodes, integrate_fd, refine
 from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
                       log_abs_eta, log_abs_eta_arr, zeta, zeta_prime)
 
@@ -116,15 +116,6 @@ class EisensteinSample:
     est_error: float
 
 
-def _point_xy(z):
-    if isinstance(z, UTBPoint):
-        return z.x, z.y
-    zz = complex(z)
-    if not zz.imag > 0:
-        raise ValueError("evaluation point needs positive imaginary part")
-    return zz.real, zz.imag
-
-
 def _at_cusp(e: EisensteinEvaluator, x: float, y: float):
     """Working spec, moved point, and width for the selected cusp."""
     omega = e.spec.cusps[e.cusp_index].width
@@ -141,7 +132,7 @@ def eisenstein_value(e: EisensteinEvaluator, z, s: float) -> float:
 
 
 def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
-    x, y = _point_xy(z)
+    x, y = point_xy(z)
     route = e.route
     if route == "auto":
         route = "fourier" if e.spec.lattice else "coset"
@@ -261,7 +252,7 @@ def _thin_coset_value(wspec, x, y, s, omega, max_height):
 def regularized_E1(z) -> float:
     """Value at s = 1 after removing the (3/pi)/(s-1) pole, full modular
     group: (3/pi) (2 gamma - 2 zeta'(2)/zeta(2) - log(4 y |eta(z)|^4))."""
-    x, y = _point_xy(z)
+    x, y = point_xy(z)
     const = 2.0 * EULER_GAMMA - 2.0 * zeta_prime(2.0) / zeta(2.0)
     return (3.0 / math.pi) * (const - math.log(4.0 * y)
                               - 4.0 * log_abs_eta(x, y))
@@ -332,30 +323,17 @@ def _pair_box_lattice(psi):
         core = vals * _regularized_E1_arr(X, Y) / Y ** 2
         return sx * sy * float(wx @ core @ wy)
 
-    v1, v2 = run(64), run(96)
-    if abs(v2 - v1) > 1e-9 * (1.0 + abs(v2)):
-        v2 = run(144)
-    return v2
+    return refine(run, (64, 96, 144), abs_tol=1e-9, rel_tol=1e-9)[0]
 
 
 def _pair_fd_lattice(psi):
-    # standard fundamental domain, x in [-1/2, 1/2] above the unit circle
     y_top = max(6.0, (3.0 * psi.c_psi * 1e12) ** (1.0 / psi.alpha_psi))
-    gx, wx = gl_nodes(64)
-    xs = 0.5 * gx
-    total = 0.0
-    for xv, wv in zip(xs, wx):
-        y0 = math.sqrt(max(1.0 - xv * xv, 0.0))
 
-        def column(ys):
-            ys = np.asarray(ys, float)
-            return (psi.batch(np.full(ys.shape, xv), ys)
-                    * _regularized_E1_arr(np.full(ys.shape, xv), ys) / ys ** 2)
+    def f(xa, ys):
+        return psi.batch(xa, ys) * _regularized_E1_arr(xa, ys) / ys ** 2
 
-        res = adaptive(column, y0, y_top, abs_tol=1e-12, rel_tol=1e-10,
-                       initial_edges=list(np.geomspace(y0, y_top, 40)))
-        total += 0.5 * wv * res.value
-    return total
+    return integrate_fd(f, y_top, nx=64, n_edges=40, abs_tol=1e-12,
+                        rel_tol=1e-10)
 
 
 def _pair_box_thin(psi):
@@ -390,12 +368,7 @@ def _pair_box_thin(psi):
         cum = np.cumsum(per_row)
         idx = np.searchsorted(n2, [h * h for h in heights], side="right") - 1
         partial = [float(cum[i]) if i >= 0 else 0.0 for i in idx]
-        lo = _geometric_limit(*partial[:3])
-        hi = _geometric_limit(*partial[1:])
-        return hi, abs(hi - lo)
+        return _geometric_limit(*partial[1:])
 
-    v1, _ = run(60)
-    v2, _ = run(90)
-    if abs(v2 - v1) > 1e-8 * (1.0 + abs(v2)):
-        v2, _ = run(135)
-    return v2 / psi.omega
+    v = refine(run, (60, 90, 135), abs_tol=1e-8, rel_tol=1e-8)[0]
+    return v / psi.omega

@@ -96,15 +96,15 @@ PSL2Z = GroupSpec("psl2z", (INT_T, INT_S), True, (Cusp(INF, 1.0),))
 THIN4 = GroupSpec("thin4", (IntGroupElement(1, 4, 0, 1), INT_S), False,
                   (Cusp(INF, 4.0), Cusp(0.0, 4.0)))
 
-_BUILTINS = {"psl2z": PSL2Z, "thin4": THIN4}
+BUILTINS = {"psl2z": PSL2Z, "thin4": THIN4}
 
 
 def builtin(name: str) -> GroupSpec:
     try:
-        return _BUILTINS[name]
+        return BUILTINS[name]
     except KeyError:
         raise KeyError(f"no built-in group named {name!r}; "
-                       f"choose from {sorted(_BUILTINS)}") from None
+                       f"choose from {sorted(BUILTINS)}") from None
 
 
 @dataclass(frozen=True)
@@ -218,30 +218,24 @@ def reduce_to_fundamental_domain(p: UTBPoint, max_steps: int = 10000):
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
-def reduce_points(x, y, max_steps: int = 200, want_j: bool = False):
+def reduce_points(x, y, max_steps: int = 200):
     """Vectorized translate/invert reduction for point arrays.
 
     Boundary points may land on either representative; automorphic
-    integrands do not care.  With want_j the cumulative cocycle cz+d is
-    returned as a complex array, so weight-k evaluators can undo it.
+    integrands do not care.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
-    j = np.ones_like(x, dtype=complex) if want_j else None
     for _ in range(max_steps):
         np.subtract(x, np.floor(x + 0.5), out=x)
         r2 = x * x + y * y
         mask = r2 < 1.0 - 1e-15
         if not np.any(mask):
             break
-        if want_j:
-            j[mask] *= x[mask] + 1j * y[mask]
         inv = 1.0 / r2[mask]
         x[mask] = -x[mask] * inv
         y[mask] = y[mask] * inv
     np.subtract(x, np.floor(x + 0.5), out=x)
-    if want_j:
-        return x, y, j
     return x, y
 
 
@@ -275,10 +269,6 @@ class CosetLabel:
                 (c * e + d * g) % q, (c * f + d * h) % q)
         minus = tuple((-v) % q for v in prod)
         return CosetLabel(q, min(prod, minus))
-
-
-def coset_label(g: IntGroupElement, q: int) -> CosetLabel:
-    return CosetLabel.of(g, q)
 
 
 @lru_cache(maxsize=32)

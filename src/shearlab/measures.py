@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .algebra import UTBPoint, mobius_act
 from .groups import PSL2Z, THIN4, GroupSpec, bottom_rows, reduce_points
-from .quadrature import adaptive, gl_nodes
+from .quadrature import adaptive, gl_nodes, refine
 
 __all__ = [
     "TestFunction", "ShearSample", "RegistrationError", "bump_profile",
@@ -71,7 +70,6 @@ class TestFunction:
     alpha_psi: float = 2.0
     support: Optional[tuple] = None
     profiles: Optional[tuple] = None
-    smoothness: str = "smooth"
     omega: float = 1.0
     peak: float = 1.0
 
@@ -128,7 +126,6 @@ def _box_profiles(box):
     return px, py
 
 
-@lru_cache(maxsize=8)
 def _thin_table(min_height: float) -> np.ndarray:
     # quantized heights so different radii share one cached word search
     for h in (32, 64, 128, 256, 512, 1024, 2048, 4096):
@@ -374,10 +371,11 @@ def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
     sp = np.array(spikes) if spikes else np.zeros((0, 4))
     tra = np.array(tr) if tr else np.zeros((0, 3))
 
+    nodes = [0]         # summed over every grid that refine runs
+
     def total(n):
         xg, wg = gl_nodes(n)
         acc = 0.0
-        nodes = 0
         if len(sp):
             ua, ub, kk = sp[:, 0], sp[:, 1], sp[:, 2]
             r = sp[:, 3].astype(int)
@@ -388,24 +386,17 @@ def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
             D = (A * U + B) * U + C
             xr = ac - (c * U * T + d) / (c * D) - kk[:, None]
             acc += float(np.sum(W * px(xr) * py(U / D) / U))
-            nodes += U.size
+            nodes[0] += U.size
         if len(tra):
             ua, ub, kk = tra[:, 0], tra[:, 1], tra[:, 2]
             U = (0.5 * (ua + ub))[:, None] + (0.5 * (ub - ua))[:, None] * xg
             W = (0.5 * (ub - ua))[:, None] * wg
             acc += float(np.sum(W * px(U * T - kk[:, None]) * py(U) / U))
-            nodes += U.size
-        return acc, nodes
+            nodes[0] += U.size
+        return acc
 
-    v1, n1 = total(14)
-    v2, n2 = total(22)
-    err = abs(v2 - v1)
-    if err > tol:
-        v3, n3 = total(34)
-        err = abs(v3 - v2)
-        return ShearSample(T, v3, max(err, 1e-16), n1 + n2 + n3, err <= tol,
-                           "unfolded")
-    return ShearSample(T, v2, max(err, 1e-16), n1 + n2, True, "unfolded")
+    val, err, ok = refine(total, (14, 22, 34), abs_tol=tol)
+    return ShearSample(T, val, max(err, 1e-16), nodes[0], ok, "unfolded")
 
 
 def _emit_spikes(out, ridx, p, q, c, d, ac, A, B, C, T, omega, x_lo, x_hi):
@@ -522,9 +513,9 @@ def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
     omega = psi.omega
     rows = _strip_rows(psi, T)
 
-    def run(ny, nx):
+    def run(ny):
         yg, wy = gl_nodes(ny)
-        xg, wx = gl_nodes(nx)
+        xg, wx = gl_nodes(ny // 2)
         ym = 0.5 * (y_lo + y_hi) + 0.5 * (y_hi - y_lo) * yg
         wym = 0.5 * (y_hi - y_lo) * wy
         xm = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * xg
@@ -555,13 +546,9 @@ def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
             total += float(np.sum(wya * py(ya) / (ya * ya) * inner))
         return total / omega
 
-    v1 = run(48, 24)
-    v2 = run(96, 48)
     # the per-row x-windows move with y, so the y-integrand has kinks;
     # grid doubling is the error handle
-    if abs(v2 - v1) > max(tol, 1e-12):
-        v2 = run(192, 96)
-    return v2
+    return refine(run, (48, 96, 192), abs_tol=max(tol, 1e-12))[0]
 
 
 # -- horocycle data ----------------------------------------------------------
@@ -576,15 +563,14 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
     right-K-invariant and ignore it.
     """
     omega = psi.omega
-    n, prev, cur = 1024, None, 0.0 + 0.0j
-    while n <= (1 << 21):
+
+    def run(n):
         xs = (np.arange(n) + 0.5) * (omega / n)
         vals = psi.batch(xs, np.full(n, float(y)))
-        cur = complex(np.mean(vals * np.exp((-2j * np.pi * m / omega) * xs)))
-        if prev is not None and abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            break
-        prev = cur
-        n *= 2
+        return complex(np.mean(vals * np.exp((-2j * np.pi * m / omega) * xs)))
+
+    cur = refine(run, [1 << k for k in range(10, 22)], abs_tol=tol,
+                 rel_tol=tol)[0]
     return cur.real if m == 0 else cur
 
 
@@ -593,15 +579,13 @@ def horocycle_average(psi: TestFunction, y: float, interval,
     x0, x1 = interval
     if not x1 > x0:
         raise ValueError("need x0 < x1")
-    n, prev, cur = 2048, None, 0.0
-    while n <= (1 << 21):
+
+    def run(n):
         xs = x0 + (np.arange(n) + 0.5) * ((x1 - x0) / n)
-        cur = float(np.mean(psi.batch(xs, np.full(n, float(y)))))
-        if prev is not None and abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            break
-        prev = cur
-        n *= 2
-    return cur
+        return float(np.mean(psi.batch(xs, np.full(n, float(y)))))
+
+    return refine(run, [1 << k for k in range(11, 22)], abs_tol=tol,
+                  rel_tol=tol)[0]
 
 
 def haar_mean(psi: TestFunction) -> float:

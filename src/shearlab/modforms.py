@@ -26,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import UTBPoint
+from .algebra import UTBPoint, point_xy
 from .groups import reduce_to_fundamental_domain, reduce_points
 from .measures import TestFunction
-from .quadrature import adaptive, gl_nodes
+from .quadrature import adaptive, integrate_fd, refine
 from .specfun import (EULER_GAMMA, digamma, gamma_fn, log_abs_eta_arr,
                       zeta, zeta_prime)
 
@@ -102,15 +102,6 @@ def delta_qexp(n: int) -> QExpansion:
     return QExpansion(12, _tau_tuple(n))
 
 
-def _xy(z):
-    if isinstance(z, UTBPoint):
-        return z.x, z.y
-    zz = complex(z)
-    if not zz.imag > 0:
-        raise ValueError("evaluation point needs positive imaginary part")
-    return zz.real, zz.imag
-
-
 def _qexp_eval(f: QExpansion, x, y):
     """sum a(n) e(n z) on arrays of points, truncated by the tail bound."""
     x = np.asarray(x, float)
@@ -133,7 +124,7 @@ def _qexp_eval(f: QExpansion, x, y):
 def eval_form(f: QExpansion, z) -> complex:
     """f(z) anywhere: reduce to the fundamental domain, evaluate the
     expansion there, and unwind the weight-k cocycle."""
-    x, y = _xy(z)
+    x, y = point_xy(z)
     p, word = reduce_to_fundamental_domain(UTBPoint(x, y, 0.0))
     val = complex(_qexp_eval(f, p.x, p.y))
     den = complex(word.c * x + word.d, word.c * y)
@@ -142,7 +133,7 @@ def eval_form(f: QExpansion, z) -> complex:
 
 def eval_psi_f(f: QExpansion, z) -> float:
     """Psi_f(z) = |f(z)|^2 Im(z)^k, evaluated through its invariance."""
-    x, y = _xy(z)
+    x, y = point_xy(z)
     p, _ = reduce_to_fundamental_domain(UTBPoint(x, y, 0.0))
     return float(abs(complex(_qexp_eval(f, p.x, p.y))) ** 2) * p.y ** f.weight
 
@@ -176,37 +167,24 @@ def form_observable(f: QExpansion) -> TestFunction:
                         peak=float(env.max()))
 
 
-def _fd_pairing(f: QExpansion, weight_fn, nx: int = 64, y_top: float = 5.0):
+def _fd_pairing(f: QExpansion, weight_fn, nx: int = 64):
     # integral over the standard fundamental domain of weight_fn * Psi_f
-    # with respect to dx dy / y^2, columns in x, adaptive in y
-    gx, wx = gl_nodes(nx)
-    xs = 0.5 * gx
-    total = 0.0
-    for xv, wv in zip(xs, wx):
-        y0 = math.sqrt(max(1.0 - xv * xv, 0.0))
+    # with respect to dx dy / y^2
+    def g(xa, ys):
+        psi = np.abs(_qexp_eval(f, xa, ys)) ** 2 * ys ** f.weight
+        return weight_fn(xa, ys) * psi / ys ** 2
 
-        def column(ys):
-            ys = np.asarray(ys, float)
-            xa = np.full(ys.shape, xv)
-            psi = np.abs(_qexp_eval(f, xa, ys)) ** 2 * ys ** f.weight
-            return weight_fn(xa, ys) * psi / ys ** 2
-
-        res = adaptive(column, y0, y_top, abs_tol=1e-16, rel_tol=1e-11,
-                       initial_edges=list(np.geomspace(y0, y_top, 24)))
-        total += 0.5 * wv * res.value
-    return total
+    return integrate_fd(g, 5.0, nx=nx, n_edges=24, abs_tol=1e-16,
+                        rel_tol=1e-11)
 
 
 @lru_cache(maxsize=8)
 def petersson_norm(f: QExpansion) -> float:
-    """||f||^2 over the fundamental domain; doubling the column count is
+    """||f||^2 over the fundamental domain; refining the column count is
     the convergence check and the finer value is returned."""
     one = lambda xa, ys: 1.0
-    v1 = _fd_pairing(f, one, nx=48)
-    v2 = _fd_pairing(f, one, nx=72)
-    if abs(v2 - v1) > 1e-8 * abs(v2):
-        v2 = _fd_pairing(f, one, nx=108)
-    return v2
+    return refine(lambda nx: _fd_pairing(f, one, nx), (48, 72, 108),
+                  rel_tol=1e-8)[0]
 
 
 # -- L-functions through Gaussian-smoothed Dirichlet series ------------------

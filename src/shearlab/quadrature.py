@@ -2,12 +2,15 @@
 
 Everything here works on vectorized integrands: f(x) takes a numpy array of
 nodes and returns an array of values.  The adaptive driver batches panel
-evaluations so the cost per refinement round is one integrand call.
+evaluations so the cost per refinement round is one integrand call.  On
+top of it sit the one grid-refinement loop (refine) and the one
+fundamental-domain integrator (integrate_fd) the other modules share.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,29 +125,44 @@ def gl_nodes(n: int):
     return x, w
 
 
-def integrate_gl(f, a: float, b: float, n: int = 16) -> float:
-    x, w = gl_nodes(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(f(mid + half * x) @ w)
+def refine(run, sizes, abs_tol: float = 0.0, rel_tol: float = 0.0):
+    """Evaluate run(n) along the size sequence until two successive values
+    agree, |cur - prev| <= abs_tol + rel_tol * |cur|.
 
-
-def integrate_edges(f, edges, n: int = 12) -> float:
-    """Composite Gauss-Legendre over a fixed panel decomposition."""
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    x, w = gl_nodes(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(half * (vals @ w)))
-
-
-def trapezoid_periodic(f, a: float, b: float, n: int = 256):
-    """Period-average quadrature; spectrally accurate for smooth periodic f.
-
-    Returns the integral over [a, b], not the mean.
+    Returns (value, err, converged): the last value computed, its distance
+    from the one before, and whether that distance met the tolerance.  The
+    grid-refinement loops of measures, eisenstein and modforms all go
+    through here; each keeps its own sizes and threshold.
     """
-    x = a + (b - a) * np.arange(n) / n
-    val = (b - a) * np.mean(f(x))
-    return complex(val) if np.iscomplexobj(val) else float(val)
+    prev = None
+    err = float("inf")
+    for n in sizes:
+        cur = run(n)
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= abs_tol + rel_tol * abs(cur):
+                return cur, err, True
+        prev = cur
+    return cur, err, False
+
+
+def integrate_fd(f, y_top: float, nx: int, n_edges: int, abs_tol: float,
+                 rel_tol: float) -> float:
+    """Integral of f(x, y) over the standard fundamental domain |x| <= 1/2,
+    x^2 + y^2 >= 1, cut at y = y_top.
+
+    Gauss-Legendre columns in x; each column is integrated adaptively in y
+    from the unit arc to y_top over n_edges geometric seed panels.  f takes
+    two equal-shape arrays (x is constant along a column) and must carry
+    whatever measure factor the caller wants, e.g. 1/y^2 for dx dy / y^2.
+    Used by the eisenstein and modforms pairings over the domain.
+    """
+    gx, wx = gl_nodes(nx)
+    total = 0.0
+    for xv, wv in zip(0.5 * gx, wx):
+        y0 = math.sqrt(max(1.0 - xv * xv, 0.0))
+        res = adaptive(lambda ys: f(np.full(ys.shape, xv), ys), y0, y_top,
+                       abs_tol=abs_tol, rel_tol=rel_tol,
+                       initial_edges=np.geomspace(y0, y_top, n_edges))
+        total += 0.5 * wv * res.value
+    return total

@@ -15,23 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import UTBPoint
+from .groups import reduce_to_fundamental_domain
 from .quadrature import adaptive
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Relative tolerance targets the module is tested against."""
-    gamma: float = 1e-12
-    zeta: float = 1e-12
-    eta: float = 1e-12
-    bessel_k: float = 1e-10
-
-
-TARGETS = Precision()
 
 # Lanczos (g = 7), published coefficient set; relative error ~1e-15 on the
 # real axis right of 0.5.
@@ -262,19 +251,6 @@ def divisor_sigma(s: float, n: int) -> float:
     return total
 
 
-def _reduce_xy(x: float, y: float):
-    """Translate/invert into |x| <= 1/2, |z| >= 1.  Local helper so the
-    eta routines stay self-contained."""
-    for _ in range(10000):
-        x -= math.floor(x + 0.5)
-        r2 = x * x + y * y
-        if r2 < 1.0 - 1e-15:
-            x, y = -x / r2, y / r2
-        else:
-            return x, y
-    raise RuntimeError("domain reduction did not terminate")
-
-
 def dedekind_eta(z: complex) -> complex:
     """eta(z) by the q-product, truncated when |q|^n < 1e-18.
 
@@ -322,9 +298,10 @@ def log_abs_eta(x: float, y: float) -> float:
         raise ValueError("log_abs_eta needs y > 0")
     if y >= 0.05:
         return _log_abs_eta_direct(x, y)
-    xr, yr = _reduce_xy(x, y)
+    p, _ = reduce_to_fundamental_domain(UTBPoint(x, y))
     # y |eta(z)|^4 is constant on the orbit
-    return _log_abs_eta_direct(xr, yr) + 0.25 * (math.log(yr) - math.log(y))
+    return (_log_abs_eta_direct(p.x, p.y)
+            + 0.25 * (math.log(p.y) - math.log(y)))
 
 
 def _log_abs_eta_direct(x: float, y: float) -> float:

@@ -1,9 +1,14 @@
 import csv
 import json
+import time
 
 import pytest
 
+from shearlab import cli
 from shearlab.cli import main
+from shearlab.counting import StabilizerError
+from shearlab.groups import BudgetExceeded, WordSearchResult
+from shearlab.modforms import InsufficientConvergenceError
 
 
 def read_csv(path):
@@ -165,17 +170,49 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("SHEARLAB_THREADS", "2")
-    a = tmp_path / "a.csv"
-    rc = main(["shear", "--T", "10,20,30", "--tol", "1e-6", "--out", str(a)])
-    assert rc == 0
-    assert read_manifest(a)["config"]["threads"] == 2
-    monkeypatch.delenv("SHEARLAB_THREADS")
-    b = tmp_path / "b.csv"
-    assert main(["shear", "--T", "10,20,30", "--tol", "1e-6",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("exc", [
+    BudgetExceeded(WordSearchResult([], False, False, 4096, 945654)),
+    InsufficientConvergenceError("cutoffs 300 and 600 disagree"),
+])
+def test_exhausted_budget_or_tolerance_is_partial(tmp_path, monkeypatch, exc):
+    def runner(ns):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "shear", runner)
+    out = tmp_path / "shear.csv"
+    assert main(["shear", "--out", str(out)]) == 3
+    assert not out.exists()
+    man = read_manifest(out)
+    assert man["partial"] is True
+    assert man["outputs"] == []
+    assert man["error"] == str(exc)
+
+
+def test_stabilizer_error_is_config_error(tmp_path, monkeypatch):
+    def runner(ns):
+        raise StabilizerError("vector reached by two elements")
+
+    monkeypatch.setitem(cli.RUNNERS, "count", runner)
+    out = tmp_path / "counts.csv"
+    assert main(["count", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
+def test_moment_wall_time_covers_qexp(tmp_path, monkeypatch):
+    real = cli.delta_qexp
+
+    def slow_qexp(n):
+        time.sleep(0.3)
+        return real(n)
+
+    monkeypatch.setattr(cli, "delta_qexp", slow_qexp)
+    monkeypatch.setattr(cli, "second_moment_lhs", lambda f, t: 1.0)
+    monkeypatch.setattr(cli, "second_moment_prediction", lambda f, t: 1.0)
+    out = tmp_path / "m.csv"
+    assert main(["moment", "--T", "20", "--qexp-n", "500",
+                 "--out", str(out)]) == 0
+    assert read_manifest(out)["wall_time_s"] >= 0.3
 
 
 def test_moment_guards(tmp_path):
@@ -192,3 +229,4 @@ def test_selftest_passes(tmp_path):
     doc = json.loads(report.read_text())
     assert len(doc) >= 5
     assert all(v == "pass" for v in doc.values())
+    assert read_manifest(report)["wall_time_s"] > 0.0

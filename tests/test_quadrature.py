@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shearlab.quadrature import (adaptive, gl_nodes, integrate_edges,
-                                 integrate_gl, trapezoid_periodic)
+from shearlab.quadrature import adaptive, gl_nodes, integrate_fd, refine
 
 
 def test_adaptive_smooth_exponential():
@@ -57,28 +56,39 @@ def test_gl_nodes_integrate_polynomials_exactly():
         assert abs(val - exact) < 1e-13
 
 
-def test_integrate_gl_affine_map():
-    val = integrate_gl(lambda x: x ** 3, 1.0, 3.0, n=6)
-    assert abs(val - 20.0) < 1e-12
+def test_refine_stops_at_first_agreeing_pair():
+    calls = []
+
+    def run(n):
+        calls.append(n)
+        return 1.0 + 1e-3 / n ** 4
+
+    val, err, ok = refine(run, (10, 20, 40, 80), abs_tol=1e-6)
+    assert ok
+    assert calls == [10, 20]
+    assert val == run(20)
+    assert err == abs(run(20) - run(10))
 
 
-def test_integrate_edges_matches_adaptive():
-    f = lambda x: np.sin(3.0 * x) * np.exp(-x)
-    edges = np.linspace(0.0, 2.0, 40)
-    v1 = integrate_edges(f, edges, n=12)
-    v2 = adaptive(f, 0.0, 2.0).value
-    assert abs(v1 - v2) < 1e-12
+def test_refine_reports_exhausted_sequence():
+    vals = {1: 1.0, 2: 2.0, 3: 4.0}
+    val, err, ok = refine(vals.__getitem__, (1, 2, 3), abs_tol=1e-3,
+                          rel_tol=1e-3)
+    assert not ok
+    assert val == 4.0
+    assert err == 2.0
 
 
-def test_trapezoid_periodic_spectral_accuracy():
-    f = lambda x: np.exp(np.cos(x))
-    # 2 pi I_0(1)
-    exact = 7.95492652101284527450
-    assert abs(trapezoid_periodic(f, 0.0, 2.0 * math.pi, 64) - exact) < 1e-12
+def test_refine_relative_threshold():
+    # the gap 3e-3 passes only on the relative term 1.01e-3 * |3.0|
+    vals = {1: 3.003, 2: 3.0}
+    assert not refine(vals.__getitem__, (1, 2), abs_tol=1e-3)[2]
+    assert refine(vals.__getitem__, (1, 2), rel_tol=1.01e-3)[2]
 
 
-def test_trapezoid_periodic_complex_passthrough():
-    f = lambda x: np.exp(1j * x)
-    val = trapezoid_periodic(f, 0.0, 2.0 * math.pi, 32)
-    assert isinstance(val, complex)
-    assert abs(val) < 1e-13
+def test_integrate_fd_hyperbolic_area():
+    # area of the standard domain below y_top against dx dy / y^2
+    for y_top in (3.0, 10.0):
+        val = integrate_fd(lambda x, y: 1.0 / y ** 2, y_top, nx=64,
+                           n_edges=20, abs_tol=1e-15, rel_tol=1e-14)
+        assert abs(val - (math.pi / 3.0 - 1.0 / y_top)) < 1e-12

@@ -52,6 +52,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
+# sym2_L(delta_qexp(n), 1) with its derivative converges from n = 1389 on
+QEXP_N_MIN = 1500
+
 
 class ConfigError(ValueError):
     pass
@@ -293,10 +296,16 @@ def _cmd_eisenstein(ns) -> int:
     return EXIT_OK
 
 
+def _check_qexp_n(ns) -> None:
+    if not isinstance(ns.qexp_n, int):
+        raise ConfigError(f"--qexp-n must be an integer, got {ns.qexp_n!r}")
+    if ns.qexp_n < QEXP_N_MIN:
+        raise ConfigError(f"--qexp-n below {QEXP_N_MIN} cannot reach the "
+                          f"L-value tolerances")
+
+
 def _cmd_moment(ns) -> int:
-    if ns.qexp_n < 500:
-        raise ConfigError("--qexp-n below 500 cannot reach the L-value "
-                          "tolerances")
+    _check_qexp_n(ns)
     t_list = _floats(ns.T)
     if any(t <= 1.0 for t in t_list):
         raise ConfigError("moment grid needs T > 1")
@@ -324,9 +333,7 @@ def _cmd_moment(ns) -> int:
 
 
 def _cmd_kronecker(ns) -> int:
-    if ns.qexp_n < 500:
-        raise ConfigError("--qexp-n below 500 cannot reach the L-value "
-                          "tolerances")
+    _check_qexp_n(ns)
     t0 = time.perf_counter()
     f = delta_qexp(ns.qexp_n)
     lhs, rhs, gap = kronecker_check(f)

@@ -1,12 +1,13 @@
 """The discriminant cusp form and the sheared second moment.
 
-Exact integer q-expansion of Delta through the cube-of-eta identity,
-weight-aware evaluation anywhere in the upper half plane by reduction,
-the Petersson norm, the symmetric-square L-function at and right of the
-edge, the archimedean weight for the shear transform, the geometric
-second-moment integral along the ray y(T + i), and the Kronecker-limit
-consistency check that ties the log-eta pairing to the completed
-logarithmic derivative.
+Exact integer q-expansion of Delta: the cube of eta by Jacobi's
+identity, then three squarings by Kronecker substitution, each one
+big-integer square.  Around it: weight-aware evaluation anywhere in the
+upper half plane by reduction, the Petersson norm, the symmetric-square
+L-function at and right of the edge, the archimedean weight for the
+shear transform, the geometric second-moment integral along the ray
+y(T + i), and the Kronecker-limit consistency check that ties the
+log-eta pairing to the completed logarithmic derivative.
 
 L-values are computed from plain Dirichlet coefficients under a Gaussian
 cutoff exp(-(n/X)^2).  At the edge s = 1 every shifted pole of the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -66,19 +68,31 @@ class QExpansion:
 
 
 def _square_series(arr, n_terms):
-    # plain truncated Cauchy square on exact integers; the zero skip
-    # matters because the eta-cube factor is pentagonal-sparse
-    out = [0] * n_terms
-    for i, ai in enumerate(arr):
-        if ai:
-            lim = n_terms - i
-            if lim <= 0:
-                break
-            for j in range(min(lim, len(arr))):
-                aj = arr[j]
-                if aj:
-                    out[i + j] += ai * aj
-    return out
+    """First n_terms coefficients of the square of the integer series
+    arr, exactly, by Kronecker substitution: one big-integer square.
+
+    Each coefficient becomes a w-bit digit of one integer, w a whole
+    number of bytes with room for the bound m A^2 (A = max |a_i|, m
+    terms) and a sign bit, so the digits of the square never carry into
+    each other.  Biasing every low digit by 2^(w-1) before reducing mod
+    2^(n w) makes them all non-negative, and byte slices read them off.
+    """
+    arr = arr[:n_terms]
+    amax = max((abs(a) for a in arr), default=0)
+    if amax == 0:
+        return [0] * n_terms
+    nb = (len(arr) * amax * amax).bit_length() // 8 + 1
+    w = 8 * nb
+    pos = b"".join((a if a > 0 else 0).to_bytes(nb, "little") for a in arr)
+    neg = b"".join((-a if a < 0 else 0).to_bytes(nb, "little") for a in arr)
+    packed = (int.from_bytes(pos, "little")
+              - int.from_bytes(neg, "little"))
+    half = 1 << (w - 1)
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n_terms, "little")
+    sq = (packed * packed + bias) & ((1 << (n_terms * w)) - 1)
+    raw = sq.to_bytes(n_terms * nb, "little")
+    return [int.from_bytes(raw[k:k + nb], "little") - half
+            for k in range(0, n_terms * nb, nb)]
 
 
 @lru_cache(maxsize=8)
@@ -97,6 +111,11 @@ def _tau_tuple(n_max: int) -> tuple:
 
 def delta_qexp(n: int) -> QExpansion:
     """tau(1..n) of q prod (1-q^m)^24, exact integers."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"coefficient count must be an integer, "
+                         f"got {n!r}") from None
     if n < 1:
         raise ValueError("need at least one coefficient")
     return QExpansion(12, _tau_tuple(n))

@@ -210,7 +210,7 @@ def test_moment_wall_time_covers_qexp(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "second_moment_lhs", lambda f, t: 1.0)
     monkeypatch.setattr(cli, "second_moment_prediction", lambda f, t: 1.0)
     out = tmp_path / "m.csv"
-    assert main(["moment", "--T", "20", "--qexp-n", "500",
+    assert main(["moment", "--T", "20", "--qexp-n", "1500",
                  "--out", str(out)]) == 0
     assert read_manifest(out)["wall_time_s"] >= 0.3
 
@@ -220,6 +220,21 @@ def test_moment_guards(tmp_path):
     assert main(["moment", "--T", "20", "--qexp-n", "100",
                  "--out", str(out)]) == 2
     assert main(["moment", "--T", "0.5", "--out", str(out)]) == 2
+    for cmd in ("moment", "kronecker"):
+        assert main([cmd, "--qexp-n", "1499", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1500.0, "1500"])
+@pytest.mark.parametrize("cmd", ["moment", "kronecker"])
+def test_qexp_n_must_be_an_integer(tmp_path, capsys, cmd, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"qexp_n": value}))
+    out = tmp_path / "m.out"
+    assert main([cmd, "--config", str(config), "--out", str(out)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
 
 
 def test_selftest_passes(tmp_path):

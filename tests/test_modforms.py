@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from shearlab.eisenstein import mu_eis
 from shearlab.groups import PSL2Z
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
-                               delta_qexp, eval_form, eval_psi_f, hecke_L,
-                               kronecker_check, petersson_norm,
-                               second_moment_lhs, second_moment_prediction,
-                               sym2_L, weight_W)
+                               _square_series, delta_qexp, eval_form,
+                               eval_psi_f, hecke_L, kronecker_check,
+                               petersson_norm, second_moment_lhs,
+                               second_moment_prediction, sym2_L, weight_W)
 from shearlab.quadrature import adaptive
 from shearlab.specfun import EULER_GAMMA, gamma_fn, zeta, zeta_prime
 
@@ -42,6 +43,35 @@ def poly_mul(a, b, n):
 
 def sigma(k, n):
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def cauchy_square(arr, n_terms):
+    # the plain O(n^2) truncated square the Kronecker kernel replaced
+    out = [0] * n_terms
+    for i, ai in enumerate(arr):
+        if ai:
+            lim = n_terms - i
+            if lim <= 0:
+                break
+            for j in range(min(lim, len(arr))):
+                aj = arr[j]
+                if aj:
+                    out[i + j] += ai * aj
+    return out
+
+
+def primes_upto(n):
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    return [int(p) for p in np.flatnonzero(sieve)]
+
+
+@pytest.fixture(scope="module")
+def delta_20k():
+    return delta_qexp(20000)
 
 
 def test_tau_table(delta):
@@ -105,6 +135,72 @@ def test_qexpansion_guards():
         QExpansion(12, (2, -24))
     with pytest.raises(ValueError):
         delta_qexp(0)
+
+
+@pytest.mark.parametrize("bad", [1500.0, "1500", None])
+def test_delta_qexp_needs_an_integer(bad):
+    with pytest.raises(ValueError):
+        delta_qexp(bad)
+
+
+# -- the Kronecker-substitution square ---------------------------------------
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 500])
+def test_square_series_matches_cauchy(length):
+    rng = random.Random(length)
+    signed = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(length)]
+    signed[rng.randrange(length)] = 0
+    mags = [rng.randint(1, 10 ** 30) for _ in range(length)]
+    negative = [-m for m in mags]
+    alternating = [m if i % 2 else -m for i, m in enumerate(mags)]
+    extreme = [(-1) ** i * 10 ** 30 for i in range(length)]
+    for arr in (signed, negative, alternating, extreme):
+        for n_terms in {1, (length + 1) // 2, length, 2 * length + 1}:
+            assert (_square_series(arr, n_terms)
+                    == cauchy_square(arr, n_terms))
+
+
+def test_square_series_small_cases():
+    assert _square_series([0, 0, 0], 3) == [0, 0, 0]
+    assert _square_series([], 2) == [0, 0]
+    assert _square_series([5, -1], 0) == []
+    assert _square_series((1, -1), 4) == [1, -2, 1, 0]
+
+
+def test_tau_prefix_is_stable():
+    assert delta_qexp(4000).coeffs == delta_qexp(6000).coeffs[:4000]
+
+
+def test_tau_20k_ramanujan_congruence(delta_20k):
+    n_max = len(delta_20k)
+    sig = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        d11 = pow(d, 11, 691)
+        for m in range(d, n_max + 1, d):
+            sig[m] += d11
+    for n in range(1, n_max + 1):
+        assert (delta_20k.a(n) - sig[n]) % 691 == 0
+
+
+def test_tau_20k_multiplicative(delta_20k):
+    n_max = len(delta_20k)
+    checked = 0
+    for m in range(2, math.isqrt(n_max) + 1):
+        for n in range(m + 1, n_max // m + 1):
+            if math.gcd(m, n) == 1:
+                assert delta_20k.a(m * n) == delta_20k.a(m) * delta_20k.a(n)
+                checked += 1
+    assert checked > 45000
+
+
+def test_tau_20k_prime_squares_and_deligne(delta_20k):
+    primes = primes_upto(len(delta_20k))
+    for p in primes:
+        assert delta_20k.a(p) ** 2 <= 4 * p ** 11
+        if p <= 141:
+            assert delta_20k.a(p * p) == delta_20k.a(p) ** 2 - p ** 11
+    assert primes[-1] > 19000
 
 
 # -- evaluation --------------------------------------------------------------

@@ -162,7 +162,10 @@ def _cmd_count(ns) -> int:
         query = OrbitQuery(spec, x0, t_list, norm=ns.norm, q=q, budget=budget)
     except ValueError as e:
         raise ConfigError(str(e))
-    res = count_orbit(query)
+    try:
+        res = count_orbit(query)
+    except OverflowError as e:
+        raise ConfigError(f"orbit vectors outgrow the int64 tally: {e}")
 
     per_coset = ns.cmd == "coset-count"
     header = ["T", "count", "saturated"]
@@ -189,7 +192,8 @@ def _cmd_count(ns) -> int:
     _write_csv(ns.out, header, rows)
     partial = not all(res.saturated)
     _write_manifest(ns.out, _echo(ns), columns, time.perf_counter() - t0,
-                    partial)
+                    partial, {"search_nodes": res.search_nodes,
+                              "search_depth": res.search_depth})
     return EXIT_BUDGET if partial else EXIT_OK
 
 

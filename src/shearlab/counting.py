@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .algebra import FormVector, IntGroupElement, spin_cover
+from .algebra import FormVector
 from .groups import (BudgetExceeded, CosetLabel, GroupSpec, WordBudget,
                      coset_space, enumerate_words)
 
@@ -29,15 +30,6 @@ class InsufficientDataError(ValueError):
 class StabilizerError(RuntimeError):
     """Two distinct words hit the same vector: the bijection assumption
     behind per-coset counts has failed for this orbit."""
-
-
-def _norm_lt(v: FormVector, t: float, norm: str) -> bool:
-    # strict inequality: the ball is open
-    if norm == "sup":
-        return max(abs(v.p), abs(v.q), abs(v.r)) < t
-    if norm == "euclidean":
-        return v.p * v.p + v.q * v.q + v.r * v.r < t * t
-    raise ValueError(f"unknown norm tag {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +45,19 @@ class OrbitQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
-        if self.x0.entries() == (0, 0, 0):
+        try:
+            ints = tuple(int(v) for v in self.x0.entries())
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != self.x0.entries():
+            raise ValueError(f"x0 must be an integer form vector, "
+                             f"got {self.x0.entries()}")
+        if ints == (0, 0, 0):
             raise ValueError("x0 must be nonzero")
         if any(b >= a for a, b in zip(self.t_list[1:], self.t_list)):
             raise ValueError("t_list must be strictly increasing")
+        if not all(math.isfinite(t) for t in self.t_list):
+            raise ValueError("radii must be finite")
         if self.norm not in ("sup", "euclidean"):
             raise ValueError(f"unknown norm tag {self.norm!r}")
         if self.coset_filter is not None and self.q is None:
@@ -72,6 +73,8 @@ class CountResult:
     x0_norm: float = 1.0
     q: Optional[int] = None
     breakdown: Optional[dict] = None  # CosetLabel -> per-T counts
+    search_nodes: int = 0  # word-search nodes, partial ones included
+    search_depth: int = 0  # word-search layers reached
 
     def __post_init__(self):
         if any(b > a for a, b in zip(self.counts[1:], self.counts)):
@@ -84,72 +87,114 @@ class CountResult:
         return idx[-1]
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def label_codes(elements: np.ndarray, q: int) -> np.ndarray:
+    """Base-q code of CosetLabel.of(g, q).entries for each row g of an
+    (n, 4) int array: the smaller of the codes of g mod q and -g mod q,
+    which is the lexicographically smaller entry tuple."""
+    weights = np.array([q ** 3, q ** 2, q, 1], dtype=np.int64)
+    return np.minimum((elements % q) @ weights, ((-elements) % q) @ weights)
+
+
+def _raise_on_repeat(elements: list, vecs: np.ndarray):
+    """StabilizerError naming the first element (in search order) whose
+    vector an earlier element already reached, and that earlier one."""
+    order = np.lexsort(vecs.T[::-1])  # stable: equal vectors keep search order
+    sv = vecs[order]
+    rep = np.flatnonzero((sv[1:] == sv[:-1]).all(axis=1))
+    if len(rep):
+        k = rep[np.argmin(order[rep + 1])]
+        first, later = order[k], order[k + 1]
+        key = tuple(int(v) for v in vecs[later])
+        raise StabilizerError(f"vector {key} reached by {elements[first]} "
+                              f"and {elements[later]}")
+
+
 def count_orbit(query: OrbitQuery) -> CountResult:
     """Exact ball counts of the orbit x0 * spin_cover(Gamma).
 
-    The search expands a word only while its vector stays inside the
-    exploration box (explore_factor times the largest requested radius);
-    the box-closure heuristic is validated against brute-force quadric
+    The word search (plain int tuples) expands an element only while its
+    vector, computed inline in exact integers, stays inside the
+    exploration box: explore_factor times the largest requested radius.
+    The box-closure heuristic is validated against brute-force quadric
     enumeration in the tests, and doubling explore_factor is the knob to
     turn if a new scenario is in doubt.  A budget overrun downgrades every
     radius to saturated=False rather than guessing.
+
+    The tally is one numpy pass: each vector gets one integer key (sup
+    norm, or the sum of squares for the Euclidean ball), the keys are
+    sorted once, and one searchsorted against the integer thresholds
+    ceil(t) - 1 (or ceil(t * t) - 1) counts every radius, so each test
+    is the exact integer form of key < t (or < t * t).  Per-coset counts
+    do the same within each label's block.  Entries that do not fit int64
+    raise OverflowError.
     """
     t0 = time.perf_counter()
     t_max = max(query.t_list)
     x0n = query.x0.sup_norm() if query.norm == "sup" else query.x0.euclid_norm()
     gate_r = query.explore_factor * max(t_max, x0n + 1.0)
+    sup = query.norm == "sup"
+    gate = gate_r if sup else gate_r * gate_r
+    p0, q0, r0 = (int(v) for v in query.x0.entries())
+    # (p, q, r, key) per element in search order, starting with the
+    # identity; the gate sees each later element once, right after the
+    # search collects it.  array("q") raises OverflowError past int64.
+    rows = array("q", (p0, q0, r0, max(abs(p0), abs(q0), abs(r0)) if sup
+                       else p0 * p0 + q0 * q0 + r0 * r0))
 
-    def vec_of(g: IntGroupElement) -> FormVector:
-        return spin_cover(g, query.x0)
+    def in_gate(g: tuple) -> bool:
+        a, b, c, d = g
+        p = p0 * a * a + q0 * a * c + r0 * c * c
+        q = 2 * p0 * a * b + q0 * (a * d + b * c) + 2 * r0 * c * d
+        r = p0 * b * b + q0 * b * d + r0 * d * d
+        key = max(abs(p), abs(q), abs(r)) if sup else p * p + q * q + r * r
+        rows.extend((p, q, r, key))
+        return key < gate
 
-    def in_gate(g: IntGroupElement) -> bool:
-        return _norm_lt(vec_of(g), gate_r, query.norm)
-
-    saturated = True
     try:
         res = enumerate_words(query.spec, predicate=None,
                               budget=query.budget, expand=in_gate)
-        elements = res.elements
         saturated = res.saturated
     except BudgetExceeded as e:
-        elements = e.partial.elements
+        res = e.partial
         saturated = False
+    elements = res.elements
+    rows = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4)
+    if len(rows) != len(elements):
+        raise RuntimeError("word search and orbit gate out of step")
+    _raise_on_repeat(elements, rows[:, :3])
+    keys = rows[:, 3]
+    thresholds = np.array(
+        [min(max(math.ceil(t if sup else t * t) - 1, -1), _INT64_MAX)
+         for t in query.t_list], dtype=np.int64)
 
-    by_vec = {}
-    for g in elements:
-        v = vec_of(g)
-        key = v.entries()
-        other = by_vec.get(key)
-        if other is not None and other != g:
-            raise StabilizerError(f"vector {key} reached by {other.entries()} "
-                                  f"and {g.entries()}")
-        by_vec[key] = g
-
-    labels = None
-    if query.q is not None:
+    breakdown = None
+    if query.q is None:
+        counts = np.searchsorted(np.sort(keys), thresholds, side="right")
+    else:
         labels = sorted(coset_space(query.spec, query.q),
                         key=lambda lab: lab.entries)
-        per_coset = {lab: [0] * len(query.t_list) for lab in labels}
-    counts = []
-    for i, t in enumerate(query.t_list):
-        n = 0
-        for key, g in by_vec.items():
-            v = FormVector(*key)
-            if not _norm_lt(v, t, query.norm):
-                continue
-            if query.q is not None:
-                lab = CosetLabel.of(g, query.q)
-                if query.coset_filter is not None and lab != query.coset_filter:
-                    continue
-                per_coset[lab][i] += 1
-            n += 1
-        counts.append(n)
-    breakdown = None
-    if query.q is not None:
-        breakdown = {lab: tuple(cs) for lab, cs in per_coset.items()}
-    return CountResult(query.t_list, tuple(counts),
+        codes = label_codes(np.array(elements, dtype=np.int64).reshape(-1, 4),
+                            query.q)
+        order = np.lexsort((keys, codes))
+        codes, keys = codes[order], keys[order]
+        label_code = label_codes(np.array([lab.entries for lab in labels],
+                                          dtype=np.int64), query.q)
+        counts = np.zeros(len(thresholds), dtype=np.int64)
+        breakdown = {}
+        for lab, code in zip(labels, label_code):
+            lo, hi = np.searchsorted(codes, [code, code + 1])
+            cs = np.searchsorted(keys[lo:hi], thresholds, side="right")
+            if query.coset_filter is not None and lab != query.coset_filter:
+                cs[:] = 0
+            counts += cs
+            breakdown[lab] = tuple(int(n) for n in cs)
+    return CountResult(query.t_list, tuple(int(n) for n in counts),
                        tuple(saturated for _ in query.t_list),
-                       time.perf_counter() - t0, x0n, query.q, breakdown)
+                       time.perf_counter() - t0, x0n, query.q, breakdown,
+                       res.nodes, res.depth)
 
 
 # -- growth-law fitting ------------------------------------------------------

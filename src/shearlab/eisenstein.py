@@ -68,16 +68,18 @@ def critical_exponent(spec: GroupSpec) -> float:
     top = radii[-1]
 
     def in_ball(g):
-        return g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d <= top * top
+        a, b, c, d = g
+        return a * a + b * b + c * c + d * d <= top * top
 
     def keep(g):
-        return max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) <= 4.0 * top
+        a, b, c, d = g
+        return max(abs(a), abs(b), abs(c), abs(d)) <= 4.0 * top
 
     res = enumerate_words(spec, predicate=in_ball,
                           budget=WordBudget(max_depth=4096, max_nodes=10 ** 7),
                           expand=keep)
-    norms = np.sort([math.sqrt(g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d)
-                     for g in res.elements])
+    norms = np.sort([math.sqrt(a * a + b * b + c * c + d * d)
+                     for a, b, c, d in res.elements])
     counts = np.searchsorted(norms, np.array(radii), side="right")
     slope = np.polyfit(np.log(radii), np.log(counts), 1)[0]
     return float(slope) / 2.0

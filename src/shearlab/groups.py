@@ -132,23 +132,29 @@ class BudgetExceeded(Exception):
 
 
 def enumerate_words(spec: GroupSpec,
-                    predicate: Optional[Callable[[IntGroupElement], bool]] = None,
+                    predicate: Optional[Callable[[tuple], bool]] = None,
                     budget: WordBudget = WordBudget(),
-                    expand: Optional[Callable[[IntGroupElement], bool]] = None
+                    expand: Optional[Callable[[tuple], bool]] = None
                     ) -> WordSearchResult:
     """Breadth-first enumeration of distinct group elements.
 
-    Words are built by right multiplication with generators and inverses;
-    immediate backtracking never survives the global dedup set, so no
-    separate reduced-word bookkeeping is needed.  `predicate` selects which
-    elements are collected; `expand` gates which elements spawn children
-    (default: all of them, so termination comes from the budget alone).
-    Saturation is reported when two consecutive depth layers contribute no
-    new collected element, or when the frontier closes outright.
+    Elements are plain int tuples (a, b, c, d) in the sign representative
+    IntGroupElement uses (c > 0, or c = 0 and a > 0); IntGroupElement(*t)
+    turns one into an object.  Words are built by right multiplication
+    with generators and inverses; immediate backtracking never survives
+    the global dedup set, so no separate reduced-word bookkeeping is
+    needed.  `predicate` selects which elements are collected into
+    `elements`; `expand` gates which elements spawn children (default:
+    all of them, so termination comes from the budget alone).  Both see
+    each new element once, predicate first, in collection order; the
+    identity is collected (if the predicate keeps it) and expanded
+    without asking them.  Saturation is reported when two consecutive
+    depth layers contribute no new collected element, or when the
+    frontier closes outright.
     """
-    ident = IntGroupElement.identity()
-    gens = spec.gen_set()
-    seen = {ident.entries()}
+    ident = (1, 0, 0, 1)
+    gens = [g.entries() for g in spec.gen_set()]
+    seen = {ident}
     frontier = [ident]
     collected = []
     if predicate is None or predicate(ident):
@@ -162,13 +168,17 @@ def enumerate_words(spec: GroupSpec,
                 collected, False, False, depth, nodes))
         new_frontier = []
         added = 0
-        for g in frontier:
-            for h in gens:
-                m = g * h
-                key = m.entries()
-                if key in seen:
+        for a, b, c, d in frontier:
+            for e, f, g, h in gens:
+                ma, mb = a * e + b * g, a * f + b * h
+                mc, md = c * e + d * g, c * f + d * h
+                if mc < 0 or (mc == 0 and ma < 0):
+                    m = (-ma, -mb, -mc, -md)
+                else:
+                    m = (ma, mb, mc, md)
+                if m in seen:
                     continue
-                seen.add(key)
+                seen.add(m)
                 nodes += 1
                 if nodes > budget.max_nodes:
                     raise BudgetExceeded(WordSearchResult(
@@ -312,25 +322,24 @@ def bottom_rows(spec: GroupSpec, height: float, slack: float = 4.0) -> np.ndarra
     h2 = height * height
     gate = slack * height
 
-    def in_disc(g: IntGroupElement) -> bool:
-        return g.c * g.c + g.d * g.d <= h2
+    def in_disc(g: tuple) -> bool:
+        return g[2] * g[2] + g[3] * g[3] <= h2
 
-    def keep_expanding(g: IntGroupElement) -> bool:
-        return max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) <= gate
+    def keep_expanding(g: tuple) -> bool:
+        a, b, c, d = g
+        return max(abs(a), abs(b), abs(c), abs(d)) <= gate
 
     res = enumerate_words(spec, predicate=in_disc,
                           budget=WordBudget(max_depth=4096, max_nodes=10 ** 7),
                           expand=keep_expanding)
+    # the search's sign representative already has c > 0, or c = 0 and
+    # a = d = 1, so each row is a coset key as it stands
     reps = {}
-    for g in res.elements:
-        a, b, c, d = g.a, g.b, g.c, g.d
-        if c < 0 or (c == 0 and d < 0):
-            a, b, c, d = -a, -b, -c, -d
+    for a, b, c, d in res.elements:
         reps.setdefault((c, d), (a, b))
-    out = np.array(sorted((a, b, c, d) for (c, d), (a, b) in reps.items()),
-                   dtype=np.int64)
-    if len(out):
-        out = out[np.lexsort((out[:, 3], out[:, 2]))]
+    out = np.array([(a, b, c, d) for (c, d), (a, b) in reps.items()],
+                   dtype=np.int64).reshape(-1, 4)
+    out = out[np.lexsort((out[:, 3], out[:, 2]))]
     out.setflags(write=False)
     return out
 

@@ -5,9 +5,10 @@ import time
 import pytest
 
 from shearlab import cli
+from shearlab.algebra import FormVector
 from shearlab.cli import main
-from shearlab.counting import StabilizerError
-from shearlab.groups import BudgetExceeded, WordSearchResult
+from shearlab.counting import OrbitQuery, StabilizerError, count_orbit
+from shearlab.groups import PSL2Z, BudgetExceeded, WordSearchResult
 from shearlab.modforms import InsufficientConvergenceError
 
 
@@ -36,6 +37,32 @@ def test_count_small_ball(tmp_path):
     assert man["config"]["subcommand"] == "count"
     assert set(man["columns"]) == set(header)
     assert man["outputs"] == ["counts.csv"]
+
+
+def test_count_manifest_reports_search_work(tmp_path):
+    for cmd in ("count", "coset-count"):
+        out = tmp_path / f"{cmd}.csv"
+        assert main([cmd, "--T", "4,8,16", "--q", "3", "--out", str(out)]) == 0
+        res = count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 0), (4, 8, 16)))
+        man = read_manifest(out)
+        assert man["search_nodes"] == res.search_nodes > 0
+        assert man["search_depth"] == res.search_depth > 0
+    out = tmp_path / "partial.csv"
+    assert main(["count", "--T", "40,80", "--budget-nodes", "1000",
+                 "--out", str(out)]) == 3
+    assert read_manifest(out)["search_nodes"] > 1000
+
+
+@pytest.mark.parametrize("x0", ["0.5,1,0", "1,0,1", "0,4e9,0"])
+def test_count_bad_x0_exits_2_and_writes_nothing(tmp_path, x0):
+    # 0.5 is not an integer form; S fixes u^2 + v^2, so (1, 0, 1) has a
+    # stabilizer and per-coset counts would be ill-defined; 4e9 squared
+    # is past the int64 tally
+    out = tmp_path / "counts.csv"
+    assert main(["count", "--x0", x0, "--T", "4,8", "--norm", "euclidean",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
 
 
 def test_count_is_deterministic(tmp_path):

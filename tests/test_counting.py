@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shearlab.algebra import FormVector
+from shearlab.algebra import INT_S, FormVector, IntGroupElement
 from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                OrbitQuery, StabilizerError, coset_disparity,
                                count_orbit, fit_counting_law,
-                               identity_coset_factor)
-from shearlab.groups import PSL2Z, THIN4, WordBudget
+                               identity_coset_factor, label_codes)
+from shearlab.groups import PSL2Z, THIN4, CosetLabel, WordBudget
 
 X0 = FormVector(0.0, 1.0, 0.0)
 
@@ -128,6 +130,56 @@ def test_query_validation():
         OrbitQuery(PSL2Z, X0, (4.0,), coset_filter=(1, 0, 0, 1))
 
 
+def test_query_rejects_non_integral_x0():
+    for bad in ((0.5, 1.0, 0.0), (0.0, 1.0, 1e-9), (math.nan, 1.0, 0.0),
+                (0.0, math.inf, 0.0)):
+        with pytest.raises(ValueError, match="integer form vector"):
+            OrbitQuery(PSL2Z, FormVector(*bad), (4.0, 8.0))
+    # integral floats are accepted and count like the ints they equal
+    as_float = count_orbit(OrbitQuery(PSL2Z, X0, (4.0, 8.0)))
+    as_int = count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 0), (4.0, 8.0)))
+    assert as_float.counts == as_int.counts == (34, 98)
+
+
+def test_query_rejects_non_finite_radii():
+    # the tally compares integer keys with ceil(t) - 1, which needs a
+    # finite t; huge finite radii clamp to the int64 range instead
+    for bad in ((4.0, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="finite"):
+            OrbitQuery(PSL2Z, X0, bad)
+    res = count_orbit(OrbitQuery(PSL2Z, X0, (-1e30, 4.0, 1e30),
+                                 budget=WordBudget(64, 10 ** 4)))
+    assert res.counts[:2] == (0, 34)
+    assert res.counts[2] == res.search_nodes - 1  # the node over budget
+
+
+def test_entries_past_int64_raise():
+    # the Euclidean key of x0 itself, 1.6e19, is past int64
+    big = FormVector(0, 4 * 10 ** 9, 0)
+    with pytest.raises(OverflowError):
+        count_orbit(OrbitQuery(PSL2Z, big, (4.0,), norm="euclidean"))
+
+
+def test_stabilizer_of_x0_is_reported():
+    # S fixes the form u^2 + v^2, so the identity and S reach (1, 0, 1)
+    for x0 in (FormVector(1, 0, 1), FormVector(1.0, 0.0, 1.0)):
+        with pytest.raises(StabilizerError) as exc:
+            count_orbit(OrbitQuery(PSL2Z, x0, (4.0, 8.0)))
+        assert str(exc.value) == ("vector (1, 0, 1) reached by (1, 0, 0, 1) "
+                                  f"and {INT_S.entries()}")
+
+
+def test_count_result_reports_search_work(lattice_small):
+    # every search node is collected, and the gate keeps more than the
+    # counted ball
+    assert lattice_small.search_nodes > lattice_small.counts[-1]
+    assert lattice_small.search_depth > 1
+    res = count_orbit(OrbitQuery(PSL2Z, X0, (40.0, 80.0),
+                                 budget=WordBudget(512, 1000)))
+    assert res.search_nodes > 1000
+    assert res.search_depth >= 1
+
+
 def test_euclidean_ball_is_smaller():
     sup = count_orbit(OrbitQuery(PSL2Z, X0, (8.0,)))
     euc = count_orbit(OrbitQuery(PSL2Z, X0, (8.0,), norm="euclidean"))
@@ -153,6 +205,163 @@ def test_coset_disparity_thin_exceeds_two():
     res = count_orbit(OrbitQuery(THIN4, X0, (10.0, 20.0, 40.0), q=3))
     assert coset_disparity(res) > 2.0
     assert identity_coset_factor(res) > 2.0
+
+
+# -- exactness at benchmark radii ---------------------------------------------
+#
+# A second oracle that scales: every integer point of q^2 - 4pr = 1 in a
+# sup box, by divisor search in numpy; its group element recovered by
+# gcds; thin membership decided by ping-pong reduction in <T^4, S>.
+
+
+def quadric_points(t):
+    """(n, 3) int array of the integer points of q^2 - 4pr = 1 with sup
+    norm strictly below t."""
+    lim = int(math.ceil(t)) - 1
+    if lim < 1:  # every point has |q| >= 1
+        return np.zeros((0, 3), dtype=np.int64)
+    span = np.arange(-lim, lim + 1)
+    pos = np.arange(1, lim + 1)
+    pts = [np.column_stack([np.zeros_like(span), np.full_like(span, s), span])
+           for s in (1, -1)]  # p = 0: q = +-1, any r
+    pts += [np.column_stack([s * pos, np.full_like(pos, qq), np.zeros_like(pos)])
+            for s in (1, -1) for qq in (1, -1)]  # r = 0, p != 0
+    qs = np.arange(3, lim + 1, 2)  # p r = (q^2 - 1) / 4 > 0 needs q odd
+    n = (qs * qs - 1) // 4
+    qi, pi = np.nonzero(n[:, None] % pos[None, :] == 0)
+    p, r = pos[pi], n[qi] // pos[pi]
+    keep = r <= lim
+    for s in (1, -1):
+        for sq in (1, -1):
+            pts.append(np.column_stack([s * p[keep], sq * qs[qi[keep]],
+                                        s * r[keep]]))
+    return np.concatenate(pts).astype(np.int64)
+
+
+def elements_of(pts):
+    """The element g with (0, 1, 0) * g = v for each row v, in the sign
+    representative c > 0 (or c = 0 and a > 0): with x0 = (0, 1, 0),
+    v = (ac, ad + bc, bd) and ad - bc = 1."""
+    p, q, r = pts.T
+    ad, bc = (q + 1) // 2, (q - 1) // 2
+    c = np.gcd(p, bc)
+    cc = np.where(c == 0, 1, c)
+    a = np.where(c == 0, 1, p // cc)
+    b = np.where(c == 0, r, bc // cc)
+    d = np.where(c == 0, 1, np.where(a != 0, ad // np.where(a == 0, 1, a), r * b))
+    g = np.column_stack([a, b, c, d])
+    assert np.all(a * d - b * c == 1)
+    assert np.array_equal(np.column_stack([a * c, a * d + b * c, b * d]), pts)
+    return g
+
+
+def in_thin4(g):
+    """Membership in <T^4, S> by ping-pong: an element with c > 0 lies in
+    the group only if a / c is within 1/3 of a multiple of 4, so translate
+    a into |a| <= 2c, invert while |a| < c, and test the translation left
+    when c reaches 0."""
+    a, b, c, d = (g[:, i].copy() for i in range(4))
+    live = np.ones(len(g), dtype=bool)
+    member = np.zeros(len(g), dtype=bool)
+    while live.any():
+        top = live & (c == 0)
+        member[top] = b[top] % 4 == 0
+        live &= c != 0
+        cc = np.where(live, c, 1)
+        k = (2 * a + 4 * cc) // (8 * cc)  # nearest integer to a / 4c
+        a, b = a - 4 * k * cc, b - 4 * k * d
+        live &= np.abs(a) < np.abs(c)
+        a, b, c, d = -c, -d, a, b
+        flip = c < 0
+        a, b, c, d = (np.where(flip, -x, x) for x in (a, b, c, d))
+    return member
+
+
+def scan_counts(pts, t_list, norm):
+    key = (np.abs(pts).max(axis=1) if norm == "sup"
+           else (pts * pts).sum(axis=1))
+    return tuple(int(np.sum(key < (t if norm == "sup" else t * t)))
+                 for t in t_list)
+
+
+def scan_breakdown(pts, g, t_list, norm, q):
+    labels = [CosetLabel.of(IntGroupElement(*map(int, row)), q) for row in g]
+    out = {}
+    for lab in set(labels):
+        sel = np.array([x == lab for x in labels])
+        out[lab] = scan_counts(pts[sel], t_list, norm)
+    return out
+
+
+def test_numpy_quadric_scan_matches_set_scan():
+    for t in (0.5, 1.0, 1.5, 2.5, 12.0, 13.0):
+        assert {tuple(v) for v in quadric_points(t).tolist()} == quadric_scan(t)
+        assert len(quadric_points(t)) == len(quadric_scan(t))
+
+
+def test_ping_pong_membership_matches_thin_closure():
+    def act_T4(p, q, r):
+        return (p, q + 8 * p, 16 * p + 4 * q + r)
+
+    def act_T4inv(p, q, r):
+        return (p, q - 8 * p, 16 * p - 4 * q + r)
+
+    pts = quadric_points(30.0)
+    closure = orbit_closure(30.0, gens=(act_T4, act_T4inv, act_S),
+                            gate_factor=40.0)
+    member = in_thin4(elements_of(pts))
+    assert member.tolist() == [tuple(v) in closure for v in pts.tolist()]
+    assert 0 < member.sum() < len(pts)
+
+
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+def test_lattice_counts_exact_at_benchmark_radii(norm):
+    t_list = (80.0, 120.5, 160.0, 200.25, 240.0)
+    res = count_orbit(OrbitQuery(PSL2Z, X0, t_list, norm=norm, q=3))
+    pts = quadric_points(t_list[-1])
+    assert all(res.saturated)
+    assert res.counts == scan_counts(pts, t_list, norm)
+    want = scan_breakdown(pts, elements_of(pts), t_list, norm, 3)
+    assert {lab: cs for lab, cs in res.breakdown.items() if any(cs)} == want
+    assert len(res.breakdown) == 12
+
+
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+def test_thin_counts_exact_at_benchmark_radii(norm):
+    t_list = (160.0, 240.5, 480.0, 720.25, 960.0)
+    res = count_orbit(OrbitQuery(THIN4, X0, t_list, norm=norm, q=3))
+    pts = quadric_points(t_list[-1])
+    g = elements_of(pts)
+    member = in_thin4(g)
+    assert all(res.saturated)
+    assert res.counts == scan_counts(pts[member], t_list, norm)
+    want = scan_breakdown(pts[member], g[member], t_list, norm, 3)
+    assert {lab: cs for lab, cs in res.breakdown.items() if any(cs)} == want
+
+
+def test_coset_filter_keeps_one_label():
+    full = count_orbit(OrbitQuery(THIN4, X0, (40.0, 80.0), q=3))
+    ident = CosetLabel.identity(3)
+    one = count_orbit(OrbitQuery(THIN4, X0, (40.0, 80.0), q=3,
+                                 coset_filter=ident))
+    assert one.counts == full.breakdown[ident]
+    assert one.breakdown[ident] == full.breakdown[ident]
+    assert all(not any(cs) for lab, cs in one.breakdown.items() if lab != ident)
+
+
+words = st.lists(st.integers(-40, 40), min_size=1, max_size=8)
+
+
+@given(words, st.integers(2, 7), st.booleans())
+@settings(deadline=None, max_examples=200)
+def test_label_codes_match_coset_label(exps, q, negate):
+    g = IntGroupElement.identity()
+    for k in exps:
+        g = g * IntGroupElement(1, k, 0, 1) * INT_S
+    row = np.array([g.entries()], dtype=np.int64)
+    code = int(label_codes(-row if negate else row, q)[0])
+    digits = tuple((code // q ** k) % q for k in (3, 2, 1, 0))
+    assert digits == CosetLabel.of(g, q).entries
 
 
 # -- growth-law fitting ------------------------------------------------------

@@ -51,29 +51,40 @@ def test_conjugated_moves_cusps():
 # -- word enumeration --------------------------------------------------------
 
 
+def frob2(g):
+    """Squared Frobenius norm of an element tuple, in exact integers."""
+    return sum(v * v for v in g)
+
+
 def test_enumerate_words_small_ball_dedup():
-    res = enumerate_words(PSL2Z, expand=lambda g: g.to_real().frobenius() < 12.0)
+    res = enumerate_words(PSL2Z, expand=lambda g: frob2(g) < 12 ** 2)
     assert res.saturated
-    keys = [g.entries() for g in res.elements]
+    keys = list(res.elements)
     assert len(keys) == len(set(keys))
-    assert IntGroupElement.identity() in res.elements
-    assert INT_S in res.elements and INT_T in res.elements
+    assert (1, 0, 0, 1) in res.elements
+    assert INT_S.entries() in res.elements and INT_T.entries() in res.elements
+
+
+def test_enumerate_words_tuples_are_sign_representatives():
+    res = enumerate_words(THIN4, expand=lambda g: frob2(g) < 40 ** 2)
+    assert all(type(g) is tuple and IntGroupElement(*g).entries() == g
+               for g in res.elements)
 
 
 def test_enumerate_words_predicate_filters_collection():
-    gate = lambda g: g.to_real().frobenius() < 12.0
-    only_c0 = lambda g: g.c == 0
+    gate = lambda g: frob2(g) < 12 ** 2
+    only_c0 = lambda g: g[2] == 0
     res = enumerate_words(PSL2Z, predicate=only_c0, expand=gate)
     assert res.saturated
-    assert all(g.c == 0 for g in res.elements)
+    assert all(g[2] == 0 for g in res.elements)
     full = enumerate_words(PSL2Z, expand=gate)
-    assert len(res.elements) == sum(1 for g in full.elements if g.c == 0)
+    assert len(res.elements) == sum(1 for g in full.elements if g[2] == 0)
 
 
 def test_enumerate_words_budget_carries_partial():
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_words(PSL2Z, budget=WordBudget(max_depth=512, max_nodes=50),
-                        expand=lambda g: g.to_real().frobenius() < 1e9)
+                        expand=lambda g: frob2(g) < 10 ** 18)
     assert len(exc.value.partial.elements) > 0
     assert not exc.value.partial.saturated
 
@@ -82,10 +93,10 @@ def test_thin_words_are_a_strict_subgroup_sample():
     # compare the saturated interiors; the raw element lists also hold the
     # boundary layer one generator step past the gate, and a thin shear
     # step lands much farther out than a unit shear does
-    gate = lambda g: g.to_real().frobenius() < 30.0
+    gate = lambda g: frob2(g) < 30 ** 2
     def ball(spec):
         found = enumerate_words(spec, expand=gate).elements
-        return {g.entries() for g in found if gate(g)}
+        return {g for g in found if gate(g)}
     thin, full = ball(THIN4), ball(PSL2Z)
     assert thin < full
     assert INT_T.entries() not in thin  # the shear by 1 is not in the thin group
@@ -179,6 +190,14 @@ def test_bottom_rows_cache_key_mixes_int_and_float():
     a = bottom_rows(PSL2Z, 16)
     b = bottom_rows(PSL2Z, 16.0)
     assert a is b
+
+
+def test_bottom_rows_keep_the_first_representative_found():
+    # breadth first, so each row keeps its shortest word: S T^(4k), not a
+    # translate of it found deeper in the search
+    assert bottom_rows(THIN4, 5.0).tolist() == [
+        [1, 0, 0, 1], [0, -1, 1, -4], [0, -1, 1, 0], [0, -1, 1, 4],
+        [-1, 0, 4, -1], [1, 0, 4, 1]]
 
 
 def test_bottom_rows_thin_subset_of_lattice():

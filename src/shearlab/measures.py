@@ -2,16 +2,17 @@
 and Fourier coefficients of automorphic test functions.
 
 The headline integral is mu_T: the pushforward of dy/y along the ray
-u -> u*(T + i), u >= 1/sqrt(T^2+1), evaluated on an automorphic test
-function.  For box bumps this is computed by unfolding: the bump is a
-Poincare series of a single compactly supported profile, so the integral
-is an exact finite sum over group translates whose image meets the box,
-and each translate contributes a short smooth "spike" whose endpoints
-solve a quadratic.  Blind quadrature is hopeless here: at T = 1000 the
-support is a union of tens of thousands of intervals with relative width
-down to 1e-6, which panel refinement cannot discover reliably.  The
-adaptive path remains for small |T|, for cusp-decaying functions, and as
-an independent cross-check.
+u -> u*(T + i), u >= 1/sqrt(T^2+1), of an automorphic test function.  For
+box bumps it is computed by unfolding: the bump is a Poincare series of
+one compactly supported profile, so the integral is a finite sum over the
+translates whose image meets the box, each a short smooth "spike" whose
+ends solve a quadratic (a spike that ends at a cut is given that cut
+exactly, so the spikes tile the support).  One numpy pass builds every
+spike and Gauss-Legendre runs over them in bounded blocks, so the lattice
+bump reaches T = 1e5 in seconds.  Blind quadrature cannot find a support
+of tens of thousands of intervals as thin as 1e-6 (T = 1000); the
+adaptive path remains for small |T|, cusp-decaying functions, and as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ __all__ = [
 def bump_profile(t):
     """C-infinity bump exp(1 - 1/(1-t^2)) on |t| < 1, zero outside."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
-    return out
+    # exp on every node beats gathering the inside ones (spikes lie inside)
+    with np.errstate(divide="ignore", over="ignore"):
+        v = np.exp(1.0 - 1.0 / (1.0 - t * t))
+    return np.where(np.abs(t) < 1.0, v, 0.0)
 
 
 class RegistrationError(ValueError):
@@ -279,8 +279,36 @@ def _mu_T_generic(psi: TestFunction, T: float, tol: float) -> ShearSample:
                        res.converged, "generic")
 
 
+def _ragged(start, n):
+    """(i, start[i] + j) for every i and 0 <= j < n[i], in that order."""
+    i = np.repeat(np.arange(len(n)), n)
+    return i, start[i] + (np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n))
+
+
+def _coprime_rows(d_lo, d_hi):
+    """(c, d) int arrays of the coprime pairs with c = 1..len(d_lo) and
+    d_lo[c-1] <= d <= d_hi[c-1], ordered by c and then d."""
+    i, d = _ragged(d_lo, np.maximum(d_hi - d_lo + 1, 0))
+    keep = np.gcd(i + 1, d) == 1
+    return i[keep] + 1, d[keep]
+
+
+def _mod_inverse(d, c):
+    """d^-1 mod c in [0, c) for coprime int arrays (0 where c = 1), by the
+    extended Euclidean algorithm run on the unfinished entries at once."""
+    inv, idx = np.zeros_like(c), np.arange(len(c))
+    r0, r1, s0, s1 = c, d % c, np.zeros_like(c), np.ones_like(c)
+    while len(idx):
+        done = r1 == 0
+        inv[idx[done]] = s0[done] % c[idx[done]]
+        idx, r0, r1, s0, s1 = (v[~done] for v in (idx, r0, r1, s0, s1))
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return inv
+
+
 def _window_rows(psi: TestFunction, T: float, y_lo: float):
-    """(c, d, a/c) for every coset whose ray window reaches height y_lo.
+    """(c, d, a/c) arrays of the cosets whose ray window reaches y_lo.
 
     The window exists iff c|d| < (sqrt(T^2+1)+|T|)/(2 y_lo), with d of
     sign opposite to T.  Lattice rows are the coprime pairs and only need
@@ -290,159 +318,131 @@ def _window_rows(psi: TestFunction, T: float, y_lo: float):
     """
     peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
     if psi.mode == "lattice":
-        for c in range(1, int(peak) + 2):
-            for ad in range(1, int(peak / c) + 2):
-                if math.gcd(c, ad) != 1:
-                    continue
-                d = ad if T < 0 else -ad
-                ainv = pow(d % c, -1, c) if c > 1 else 0
-                yield c, d, ainv / c
-    else:
-        for a, b, c, d in _thin_table(peak * 1.05 + 8.0):
-            if c == 0 or (d >= 0 if T > 0 else d <= 0):
-                continue
-            if c * abs(d) <= peak + 1:
-                yield int(c), int(d), a / c
+        cs = np.arange(1, int(peak) + 2)
+        c, ad = _coprime_rows(np.ones_like(cs), (peak / cs).astype(int) + 1)
+        d = ad if T < 0 else -ad
+        return c, d, _mod_inverse(d, c) / c
+    a, _, c, d = _thin_table(peak * 1.05 + 8.0).T
+    keep = (c != 0) & ((d < 0) if T > 0 else (d > 0)) \
+        & (c * np.abs(d) <= peak + 1)
+    return c[keep], d[keep], a[keep] / c[keep]
+
+
+def _spikes(psi: TestFunction, T: float):
+    """The pieces of the unfolded ray integral at T, as arrays: (spikes,
+    trans).  spikes are the u-intervals where one translate's folded x
+    lands in the box shifted by k_offset, as columns (u_a, u_b, k_offset,
+    c, d, a/c, A, B, C) with D(u) = A u^2 + B u + C = |c u (T + i) + d|^2;
+    trans are (u_a, u_b, k_offset) of the ray itself crossing a translated
+    box.  Together they tile the ray's part of the support."""
+    x_lo, x_hi, y_lo, y_hi = psi.support
+    omega = psi.omega
+    t2p1 = T * T + 1.0
+    u_min = 1.0 / math.sqrt(t2p1)
+    c, d, ac = _window_rows(psi, T, y_lo)
+    c, d = c.astype(float), d.astype(float)
+    A, B, C = c * c * t2p1, 2.0 * c * d * T, d * d
+
+    def roots(y):
+        # height condition c^2(T^2+1)u^2 + (2cdT - 1/y)u + d^2 <= 0; its
+        # discriminant in the cancellation-free form 1/y^2 - 2B/y - 4c^2d^2
+        disc = (1.0 / y - 2.0 * B) / y - 4.0 * C * c * c
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        return (disc > 0.0, (1.0 / y - B - sq) / (2.0 * A),
+                (1.0 / y - B + sq) / (2.0 * A))
+
+    ok, out_lo, out_hi = roots(y_lo)
+    ok &= out_hi > u_min
+    c, d, ac, A, B, C, out_lo, out_hi = (
+        v[ok] for v in (c, d, ac, A, B, C, out_lo, out_hi))
+    # the band is out_lo..out_hi less the hole in_lo..in_hi (in_lo = in_hi
+    # = out_hi without one); the folded x turns around where cuT + d =
+    # kappa * cu, and those points cut the band into monotone pieces
+    hole, in_lo, in_hi = roots(y_hi)
+    lo, in_lo, in_hi = (np.maximum(v, u_min) for v in (
+        out_lo, np.where(hole, in_lo, out_hi), np.where(hole, in_hi, out_hi)))
+    cuts = [lo, in_lo, in_hi, out_hi]
+    for kappa in ((math.sqrt(t2p1) - 1.0) / T, -(math.sqrt(t2p1) + 1.0) / T):
+        s = -d / (c * (T - kappa))
+        cuts.append(np.where((lo < s) & (s < out_hi), s, out_hi))
+    cuts = np.sort(np.column_stack(cuts), axis=1)
+    p, q = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    piece = (q > p) & ((p < np.repeat(in_lo, 5)) | (q > np.repeat(in_hi, 5)))
+    p, q, row = p[piece], q[piece], np.repeat(np.arange(len(c)), 5)[piece]
+    c, d, ac, A, B, C = (v[row] for v in (c, d, ac, A, B, C))
+    gp, gq = ((c * u * T + d) / (c * ((A * u + B) * u + C)) for u in (p, q))
+    g_lo, g_hi = np.minimum(gp, gq), np.maximum(gp, gq)
+    # one spike per period offset k whose box meets x = ac - g on the piece
+    k0 = np.ceil((ac - g_hi - x_hi) / omega)
+    n = np.floor((ac - g_lo - x_lo) / omega) - k0 + 1
+    i, kk = _ragged(k0, np.maximum(n, 0).astype(int))
+    kk = kk * omega
+    p, q, gp, gq, g_lo, g_hi, c, d, ac, A, B, C = (
+        v[i] for v in (p, q, gp, gq, g_lo, g_hi, c, d, ac, A, B, C))
+
+    def g_inverse(xi):
+        # the u in [p, q] with g(u) = xi, where g is monotone: the root of
+        # xi c D(u) = c T u + d nearer [p, q] (for xi = 0, a0 / qq is the
+        # linear root).  xi = g(p) or g(q) returns p or q exactly: solving
+        # there meets a near-double root and loses half the digits
+        a2, a1, a0 = xi * c * A, xi * c * B - c * T, xi * c * C - d
+        sq = np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0))
+        qq = -0.5 * (a1 + np.copysign(sq, a1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1 = qq / a2
+            r2 = np.where(qq != 0.0, a0 / qq, r1)
+        m1, m2 = (np.maximum(np.maximum(p - r, r - q), 0.0) for r in (r1, r2))
+        u = np.minimum(np.maximum(np.where(m1 <= m2, r1, r2), p), q)
+        return np.where(xi == gp, p, np.where(xi == gq, q, u))
+
+    # x in [kk+x_lo, kk+x_hi]  <=>  g in [ac-kk-x_hi, ac-kk-x_lo]
+    xi0 = np.maximum(ac - kk - x_hi, g_lo)
+    xi1 = np.minimum(ac - kk - x_lo, g_hi)
+    rising = gp <= gq
+    ua = g_inverse(np.where(rising, xi0, xi1))
+    ub = g_inverse(np.where(rising, xi1, xi0))
+    keep = (xi1 > xi0) & (ub > ua)
+    spikes = tuple(v[keep] for v in (ua, ub, kk, c, d, ac, A, B, C))
+
+    # translation family: the ray itself crossing the box translates
+    u_lo_t = max(u_min, y_lo)
+    xe = sorted((T * u_lo_t, T * y_hi))
+    kk = np.arange(math.ceil((xe[0] - x_hi) / omega),
+                   math.floor((xe[1] - x_lo) / omega) + 1) * omega
+    ea, eb = (kk + x_lo) / T, (kk + x_hi) / T
+    ua = np.maximum(np.minimum(ea, eb), u_lo_t)
+    ub = np.minimum(np.maximum(ea, eb), y_hi)
+    keep = ub > ua
+    return spikes, (ua[keep], ub[keep], kk[keep])
 
 
 def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
-    x_lo, x_hi, y_lo, y_hi = psi.support
     px, py = psi.profiles
-    u_min = 1.0 / math.sqrt(T * T + 1.0)
-    omega = psi.omega
-    t2p1 = T * T + 1.0
-    kap_m = (math.sqrt(t2p1) - 1.0) / T
-    kap_p = (math.sqrt(t2p1) + 1.0) / T
-
-    row_data = []
-    spikes = []         # (u_a, u_b, k_offset, row_index)
-    for c, d, ac in _window_rows(psi, T, y_lo):
-        A = c * c * t2p1
-        B = 2.0 * c * d * T
-        C = d * d
-        # height condition c^2(T^2+1)u^2 + (2cdT - 1/y)u + d^2 <= 0; its
-        # discriminant in the cancellation-free form 1/y^2 - 2B/y - 4c^2d^2
-        disc0 = (1.0 / y_lo - 2.0 * B) / y_lo - 4.0 * C * c * c
-        if disc0 <= 0.0:
-            continue
-        nb0 = 1.0 / y_lo - B
-        sq0 = math.sqrt(disc0)
-        out_lo = (nb0 - sq0) / (2.0 * A)
-        out_hi = (nb0 + sq0) / (2.0 * A)
-        if out_hi <= u_min:
-            continue
-        disc1 = (1.0 / y_hi - 2.0 * B) / y_hi - 4.0 * C * c * c
-        if disc1 > 0.0:
-            nb1 = 1.0 / y_hi - B
-            sq1 = math.sqrt(disc1)
-            bands = [(out_lo, (nb1 - sq1) / (2.0 * A)),
-                     ((nb1 + sq1) / (2.0 * A), out_hi)]
-        else:
-            bands = [(out_lo, out_hi)]
-        # the folded x turns around where cuT + d = kappa * cu
-        stars = [s for s in (-d / (c * (T - kap_m)), -d / (c * (T + kap_p)))
-                 if s > 0.0]
-        ridx = len(row_data)
-        row_data.append((float(c), float(d), float(ac), A, B, C))
-        for lo, hi in bands:
-            lo = max(lo, u_min)
-            if hi <= lo:
-                continue
-            cuts = sorted([lo, hi] + [s for s in stars if lo < s < hi])
-            for p, q in zip(cuts, cuts[1:]):
-                if q > p:
-                    _emit_spikes(spikes, ridx, p, q, c, d, ac, A, B, C, T,
-                                 omega, x_lo, x_hi)
-
-    # translation family: the ray itself crossing the box translates
-    tr = []
-    u_lo_t = max(u_min, y_lo)
-    if y_hi > u_lo_t:
-        xe = sorted((T * u_lo_t, T * y_hi))
-        for k in range(int(math.ceil((xe[0] - x_hi) / omega)),
-                       int(math.floor((xe[1] - x_lo) / omega)) + 1):
-            kk = k * omega
-            ua, ub = sorted(((kk + x_lo) / T, (kk + x_hi) / T))
-            ua, ub = max(ua, u_lo_t), min(ub, y_hi)
-            if ub > ua:
-                tr.append((ua, ub, kk))
-
-    rd = np.array(row_data) if row_data else np.zeros((0, 6))
-    sp = np.array(spikes) if spikes else np.zeros((0, 4))
-    tra = np.array(tr) if tr else np.zeros((0, 3))
-
+    (ua, ub, kk, c, d, ac, A, B, C), (ta, tb, tk) = _spikes(psi, T)
+    spikes = (0.5 * (ua + ub), 0.5 * (ub - ua), kk, c, d, ac, A, B, C)
+    trans = (0.5 * (ta + tb), 0.5 * (tb - ta), tk)
     nodes = [0]         # summed over every grid that refine runs
 
     def total(n):
         xg, wg = gl_nodes(n)
+        step = max(1, (1 << 16) // n)   # nodes per block: bounded memory
         acc = 0.0
-        if len(sp):
-            ua, ub, kk = sp[:, 0], sp[:, 1], sp[:, 2]
-            r = sp[:, 3].astype(int)
-            U = (0.5 * (ua + ub))[:, None] + (0.5 * (ub - ua))[:, None] * xg
-            W = (0.5 * (ub - ua))[:, None] * wg
-            c, d, ac = rd[r, 0][:, None], rd[r, 1][:, None], rd[r, 2][:, None]
-            A, B, C = rd[r, 3][:, None], rd[r, 4][:, None], rd[r, 5][:, None]
+        for lo in range(0, len(spikes[0]), step):
+            mid, half, kk, c, d, ac, A, B, C = (v[lo:lo + step, None]
+                                                for v in spikes)
+            U = mid + half * xg
             D = (A * U + B) * U + C
-            xr = ac - (c * U * T + d) / (c * D) - kk[:, None]
-            acc += float(np.sum(W * px(xr) * py(U / D) / U))
-            nodes[0] += U.size
-        if len(tra):
-            ua, ub, kk = tra[:, 0], tra[:, 1], tra[:, 2]
-            U = (0.5 * (ua + ub))[:, None] + (0.5 * (ub - ua))[:, None] * xg
-            W = (0.5 * (ub - ua))[:, None] * wg
-            acc += float(np.sum(W * px(U * T - kk[:, None]) * py(U) / U))
-            nodes[0] += U.size
+            xr = ac - (c * U * T + d) / (c * D) - kk
+            acc += float(np.sum(half * wg * px(xr) * py(U / D) / U))
+        for lo in range(0, len(trans[0]), step):
+            mid, half, kk = (v[lo:lo + step, None] for v in trans)
+            U = mid + half * xg
+            acc += float(np.sum(half * wg * px(U * T - kk) * py(U) / U))
+        nodes[0] += n * (len(spikes[0]) + len(trans[0]))
         return acc
 
     val, err, ok = refine(total, (14, 22, 34), abs_tol=tol)
     return ShearSample(T, val, max(err, 1e-16), nodes[0], ok, "unfolded")
-
-
-def _emit_spikes(out, ridx, p, q, c, d, ac, A, B, C, T, omega, x_lo, x_hi):
-    """Sub-intervals of a monotone piece of the folded ray where x lands
-    in the box, one per period offset."""
-
-    def gval(u):
-        return (c * u * T + d) / (c * ((A * u + B) * u + C))
-
-    gp, gq = gval(p), gval(q)
-    lo, hi = min(ac - gp, ac - gq), max(ac - gp, ac - gq)
-    g_lo, g_hi = min(gp, gq), max(gp, gq)
-    rising = gp <= gq
-    for k in range(int(math.ceil((lo - x_hi) / omega)),
-                   int(math.floor((hi - x_lo) / omega)) + 1):
-        kk = k * omega
-        # x in [kk+x_lo, kk+x_hi]  <=>  g in [ac-kk-x_hi, ac-kk-x_lo]
-        xi0 = max(ac - kk - x_hi, g_lo)
-        xi1 = min(ac - kk - x_lo, g_hi)
-        if xi1 <= xi0:
-            continue
-        ua = _g_inverse(xi0 if rising else xi1, p, q, c, d, T, A, B, C)
-        ub = _g_inverse(xi1 if rising else xi0, p, q, c, d, T, A, B, C)
-        if ub > ua:
-            out.append((ua, ub, kk, ridx))
-
-
-def _g_inverse(xi, p, q, c, d, T, A, B, C):
-    """Solve (cTu+d)/(c D(u)) = xi for the u in [p, q]; g is monotone
-    there, so exactly one quadratic root is the right one."""
-    a2 = xi * c * A
-    a1 = xi * c * B - c * T
-    a0 = xi * c * C - d
-    if a2 == 0.0:
-        return min(max(-a0 / a1, p), q)
-    disc = a1 * a1 - 4.0 * a2 * a0
-    sq = math.sqrt(max(disc, 0.0))
-    qq = -0.5 * (a1 + math.copysign(sq, a1))
-    r1 = qq / a2
-    r2 = a0 / qq if qq != 0.0 else r1
-
-    def miss(r):
-        return max(p - r, r - q, 0.0)
-
-    u = r1 if miss(r1) <= miss(r2) else r2
-    return min(max(u, p), q)
 
 
 # -- strip measure -----------------------------------------------------------
@@ -497,14 +497,13 @@ def _strip_rows(psi: TestFunction, T: float):
     reach = math.sqrt(T * y_hi)
     xm = max(abs(x_lo), abs(x_hi))
     if psi.mode == "lattice":
-        out = []
-        for c in range(1, int(reach / y_lo) + 2):
-            d_span = int(c * xm + reach) + 1
-            out.extend((c, d) for d in range(-d_span, d_span + 1)
-                       if math.gcd(c, abs(d)) == 1)
-        return out
-    table = _thin_table(reach + 4.0 * xm + 8.0)
-    return [(int(c), int(d)) for _, _, c, d in table if c != 0]
+        cs = np.arange(1, int(reach / y_lo) + 2)
+        span = (cs * xm + reach).astype(np.int64) + 1
+        c, d = _coprime_rows(-span, span)
+    else:
+        _, _, c, d = _thin_table(reach + 4.0 * xm + 8.0).T
+        c, d = c[c != 0], d[c != 0]
+    return list(zip(c.tolist(), d.tolist()))
 
 
 def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:

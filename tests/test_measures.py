@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from shearlab.algebra import UTBPoint, compose, mobius_act
@@ -78,7 +80,7 @@ def test_mu_T_routes_agree(lattice_bump):
     # the spike engine takes over at |T| >= 8; force the generic panel
     # integrator on the same function and compare
     generic_only = dataclasses.replace(lattice_bump, profiles=None)
-    for t in (12.0, 35.0):
+    for t in (12.0, 35.0, -12.0, -35.0):
         a = mu_T(lattice_bump, t, tol=1e-7)
         b = mu_T(generic_only, t, tol=1e-9)
         assert a.route == "unfolded" and b.route == "generic"
@@ -88,9 +90,113 @@ def test_mu_T_routes_agree(lattice_bump):
 
 def test_mu_T_routes_agree_thin(thin_bump):
     generic_only = dataclasses.replace(thin_bump, profiles=None)
-    a = mu_T(thin_bump, 12.0, tol=1e-9)
-    b = mu_T(generic_only, 12.0, tol=1e-9)
-    assert a.value == pytest.approx(b.value, abs=1e-7)
+    for t in (12.0, -12.0):
+        a = mu_T(thin_bump, t, tol=1e-9)
+        b = mu_T(generic_only, t, tol=1e-9)
+        assert a.route == "unfolded" and b.route == "generic"
+        assert a.value == pytest.approx(b.value, abs=1e-7)
+
+
+def _ray_midpoint(psi, T, n=1 << 22, chunk=1 << 19):
+    """integral of psi along the ray against du/u: midpoint rule on n
+    log-spaced cells, sampling psi.batch (the folded function) directly."""
+    s0 = math.log(1.0 / math.sqrt(T * T + 1.0))
+    h = (math.log(psi.support[3]) - s0) / n
+    total = 0.0
+    for lo in range(0, n, chunk):
+        u = np.exp(s0 + (np.arange(lo, min(n, lo + chunk)) + 0.5) * h)
+        total += float(np.sum(psi.batch(u * T, u)))
+    return total * h
+
+
+@pytest.mark.parametrize("T", [300.0, 1000.0])
+def test_mu_T_lattice_matches_ray_reference(lattice_bump, T):
+    # the spike ends used to be re-solved near a double root, leaving
+    # uncovered slivers that cost 2.7e-7 at T = 300 and 1.1e-6 at T = 1000
+    s = mu_T(lattice_bump, T, tol=1e-7)
+    assert s.route == "unfolded" and s.tol_met
+    assert abs(s.value - _ray_midpoint(lattice_bump, T)) < 1e-8
+
+
+def _uncovered(psi, T):
+    """Points inside every gap, wider than 1e-14 relative, that the spikes
+    and the translation intervals leave on the ray's u-range."""
+    (ua, ub, *_), (ta, tb, _) = measures._spikes(psi, T)
+    u_min, u_top = 1.0 / math.sqrt(T * T + 1.0), psi.support[3]
+    lo = np.concatenate([ua, ta, [0.0, u_top]])
+    hi = np.concatenate([ub, tb, [u_min, 2.0 * u_top]])
+    order = np.argsort(lo, kind="stable")
+    covered = np.maximum.accumulate(hi[order])[:-1]
+    nxt = lo[order][1:]
+    wide = nxt - covered > 1e-14 * nxt
+    g0, g1 = covered[wide], nxt[wide]
+    return (g0[:, None] + (g1 - g0)[:, None] * np.linspace(0.0, 1.0, 9)[1:-1]
+            ).ravel()
+
+
+def test_spikes_tile_the_support(lattice_bump, thin_bump):
+    for psi, T in ((lattice_bump, 300.0), (lattice_bump, -300.0),
+                   (thin_bump, 500.0)):
+        u = _uncovered(psi, T)
+        assert len(u) > 0
+        vals = psi.batch(u * T, u)
+        assert not np.any(vals > 0.0), (
+            f"{psi.name} T={T}: {np.count_nonzero(vals > 0.0)} uncovered "
+            f"points where the function reaches {vals.max():.3g}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=st.floats(8.0, 3000.0) | st.floats(-3000.0, -8.0),
+       c=st.integers(1, 400))
+def test_window_rows_match_the_gcd_loop(lattice_bump, T, c):
+    y_lo = lattice_bump.support[2]
+    rows_c, rows_d, rows_ac = measures._window_rows(lattice_bump, T, y_lo)
+    assert np.all(np.diff(rows_c) >= 0)
+    peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
+    want = []
+    if c <= int(peak) + 1:
+        for ad in range(1, int(peak / c) + 2):
+            if math.gcd(c, ad) == 1:
+                d = ad if T < 0 else -ad
+                want.append((d, (pow(d % c, -1, c) if c > 1 else 0) / c))
+    sel = rows_c == c
+    assert list(zip(rows_d[sel].tolist(), rows_ac[sel].tolist())) == want
+
+
+@pytest.mark.parametrize("T", [300.0, -300.0])
+def test_thin_window_rows_match_the_table_scan(thin_bump, T):
+    y_lo = thin_bump.support[2]
+    peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
+    want = [(c, d, a / c)
+            for a, _, c, d in measures._thin_table(peak * 1.05 + 8.0).tolist()
+            if c != 0 and (d < 0 if T > 0 else d > 0) and c * abs(d) <= peak + 1]
+    got = zip(*(v.tolist() for v in measures._window_rows(thin_bump, T, y_lo)))
+    assert list(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(1, 10 ** 9), d=st.integers(-10 ** 9, 10 ** 9))
+def test_mod_inverse_matches_pow(c, d):
+    d = d if math.gcd(c, abs(d)) == 1 else 1
+    cs = np.array([c, 1, 7, c], dtype=np.int64)
+    ds = np.array([d, d, 3, 1], dtype=np.int64)
+    want = [pow(x % m, -1, m) if m > 1 else 0
+            for m, x in zip(cs.tolist(), ds.tolist())]
+    assert measures._mod_inverse(ds, cs).tolist() == want
+
+
+@pytest.mark.parametrize("T", [10.0, 30.0, 100.0, 300.0])
+def test_strip_rows_match_the_gcd_loop(lattice_bump, T):
+    # mu_T_strip sums row by row, so the row order fixes its last bits
+    x_lo, x_hi, y_lo, y_hi = lattice_bump.support
+    reach = math.sqrt(T * y_hi)
+    xm = max(abs(x_lo), abs(x_hi))
+    want = []
+    for c in range(1, int(reach / y_lo) + 2):
+        span = int(c * xm + reach) + 1
+        want.extend((c, d) for d in range(-span, span + 1)
+                    if math.gcd(c, abs(d)) == 1)
+    assert measures._strip_rows(lattice_bump, T) == want
 
 
 def test_mu_T_small_radius_uses_generic(lattice_bump):

@@ -165,14 +165,15 @@ def _cmd_count(ns) -> int:
     try:
         res = count_orbit(query)
     except OverflowError as e:
-        raise ConfigError(f"orbit vectors outgrow the int64 tally: {e}")
+        raise ConfigError(f"orbit outgrows the exact int64 tally: {e}")
 
     per_coset = ns.cmd == "coset-count"
     header = ["T", "count", "saturated"]
     columns = {
         "T": f"ball radius, {ns.norm} norm on form vectors",
         "count": "exact number of orbit points x0*gamma in the open ball",
-        "saturated": "1 if the word search provably closed within budget",
+        "saturated": "1 if the orbit search closed within its budget: the "
+                     "syllable walk for <T^w, S> groups, else the word search",
     }
     label_cols = []
     if per_coset:
@@ -520,9 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--norm", choices=("sup", "euclidean"), default=None)
         p.add_argument("--q", type=int, default=None, help="congruence level")
         p.add_argument("--budget-words", dest="budget_words", type=int,
-                       default=None)
+                       default=None,
+                       help="most search layers: syllables S T^(w k) for "
+                            "<T^w, S> groups, else word letters")
         p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
-                       default=None)
+                       default=None,
+                       help="most group elements the search collects")
 
     p = add("fit", "growth-law fits on a counts CSV")
     p.add_argument("--in", dest="infile", default=None)

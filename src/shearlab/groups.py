@@ -99,6 +99,18 @@ THIN4 = GroupSpec("thin4", (IntGroupElement(1, 4, 0, 1), INT_S), False,
 BUILTINS = {"psl2z": PSL2Z, "thin4": THIN4}
 
 
+def syllable_width(spec: GroupSpec) -> Optional[int]:
+    """omega when spec is generated by the translation T^omega and the
+    inversion S (in any order, inverses allowed), else None.  Every
+    element of such a group is a product of syllables S T^(omega k)."""
+    gens = {g.entries() for g in spec.gen_set()}
+    omega = max((abs(b) for a, b, c, d in gens if (a, c, d) == (1, 0, 1)),
+                default=0)
+    if omega and gens == {INT_S.entries(), (1, omega, 0, 1), (1, -omega, 0, 1)}:
+        return omega
+    return None
+
+
 def builtin(name: str) -> GroupSpec:
     try:
         return BUILTINS[name]

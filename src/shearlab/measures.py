@@ -441,7 +441,7 @@ def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
         nodes[0] += n * (len(spikes[0]) + len(trans[0]))
         return acc
 
-    val, err, ok = refine(total, (14, 22, 34), abs_tol=tol)
+    val, err, ok = refine(total, (14, 22, 34, 60, 100), abs_tol=tol)
     return ShearSample(T, val, max(err, 1e-16), nodes[0], ok, "unfolded")
 
 

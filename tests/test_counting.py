@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shearlab.algebra import INT_S, FormVector, IntGroupElement
+from shearlab.algebra import INT_S, INT_T, FormVector, IntGroupElement
 from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                OrbitQuery, StabilizerError, coset_disparity,
                                count_orbit, fit_counting_law,
                                identity_coset_factor, label_codes)
-from shearlab.groups import PSL2Z, THIN4, CosetLabel, WordBudget
+from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, CosetLabel,
+                             GroupSpec, WordBudget, enumerate_words,
+                             syllable_width)
 
 X0 = FormVector(0.0, 1.0, 0.0)
 
@@ -128,6 +130,9 @@ def test_query_validation():
         OrbitQuery(PSL2Z, X0, (4.0,), norm="manhattan")
     with pytest.raises(ValueError):
         OrbitQuery(PSL2Z, X0, (4.0,), coset_filter=(1, 0, 0, 1))
+    for factor in (0.5, math.nan):  # the gate must hold every counted ball
+        with pytest.raises(ValueError, match="explore_factor"):
+            OrbitQuery(PSL2Z, X0, (4.0,), explore_factor=factor)
 
 
 def test_query_rejects_non_integral_x0():
@@ -149,8 +154,14 @@ def test_query_rejects_non_finite_radii():
             OrbitQuery(PSL2Z, X0, bad)
     res = count_orbit(OrbitQuery(PSL2Z, X0, (-1e30, 4.0, 1e30),
                                  budget=WordBudget(64, 10 ** 4)))
-    assert res.counts[:2] == (0, 34)
-    assert res.counts[2] == res.search_nodes - 1  # the node over budget
+    # at this gate the walk's first layer, the run T^k of the identity, is
+    # endless, so the node budget cuts it: the walk keeps exactly the first
+    # max_nodes elements in word-length order, T^k for k = 0, 1, -1, ...,
+    # -4999, 5000, and the keys (0, 1, k) of |k| <= 3 fall below 4
+    assert not any(res.saturated)
+    assert res.counts == (0, 7, 10 ** 4)
+    assert res.search_nodes == 10 ** 4
+    assert res.search_depth == 1
 
 
 def test_entries_past_int64_raise():
@@ -170,13 +181,13 @@ def test_stabilizer_of_x0_is_reported():
 
 
 def test_count_result_reports_search_work(lattice_small):
-    # every search node is collected, and the gate keeps more than the
+    # every walk element is collected, and the gate keeps more than the
     # counted ball
     assert lattice_small.search_nodes > lattice_small.counts[-1]
     assert lattice_small.search_depth > 1
     res = count_orbit(OrbitQuery(PSL2Z, X0, (40.0, 80.0),
                                  budget=WordBudget(512, 1000)))
-    assert res.search_nodes > 1000
+    assert res.search_nodes == 1000  # a cut walk keeps exactly its budget
     assert res.search_depth >= 1
 
 
@@ -214,7 +225,7 @@ def test_coset_disparity_thin_exceeds_two():
 # gcds; thin membership decided by ping-pong reduction in <T^4, S>.
 
 
-def quadric_points(t):
+def quadric_points(t, block=1 << 21):
     """(n, 3) int array of the integer points of q^2 - 4pr = 1 with sup
     norm strictly below t."""
     lim = int(math.ceil(t)) - 1
@@ -226,15 +237,19 @@ def quadric_points(t):
            for s in (1, -1)]  # p = 0: q = +-1, any r
     pts += [np.column_stack([s * pos, np.full_like(pos, qq), np.zeros_like(pos)])
             for s in (1, -1) for qq in (1, -1)]  # r = 0, p != 0
-    qs = np.arange(3, lim + 1, 2)  # p r = (q^2 - 1) / 4 > 0 needs q odd
-    n = (qs * qs - 1) // 4
-    qi, pi = np.nonzero(n[:, None] % pos[None, :] == 0)
-    p, r = pos[pi], n[qi] // pos[pi]
-    keep = r <= lim
-    for s in (1, -1):
-        for sq in (1, -1):
-            pts.append(np.column_stack([s * p[keep], sq * qs[qi[keep]],
-                                        s * r[keep]]))
+    # p r = (q^2 - 1) / 4 > 0 needs q odd; blocks of q keep the divisor
+    # table near `block` entries
+    step = 2 * max(1, block // lim)
+    for q0 in range(3, lim + 1, step):
+        qs = np.arange(q0, min(q0 + step, lim + 1), 2)
+        n = (qs * qs - 1) // 4
+        qi, pi = np.nonzero(n[:, None] % pos[None, :] == 0)
+        p, r = pos[pi], n[qi] // pos[pi]
+        keep = r <= lim
+        for s in (1, -1):
+            for sq in (1, -1):
+                pts.append(np.column_stack([s * p[keep], sq * qs[qi[keep]],
+                                            s * r[keep]]))
     return np.concatenate(pts).astype(np.int64)
 
 
@@ -285,18 +300,19 @@ def scan_counts(pts, t_list, norm):
 
 
 def scan_breakdown(pts, g, t_list, norm, q):
-    labels = [CosetLabel.of(IntGroupElement(*map(int, row)), q) for row in g]
-    out = {}
-    for lab in set(labels):
-        sel = np.array([x == lab for x in labels])
-        out[lab] = scan_counts(pts[sel], t_list, norm)
-    return out
+    rows = {}
+    for i, row in enumerate(g.tolist()):
+        rows.setdefault(CosetLabel.of(IntGroupElement(*row), q), []).append(i)
+    return {lab: scan_counts(pts[sel], t_list, norm)
+            for lab, sel in rows.items()}
 
 
 def test_numpy_quadric_scan_matches_set_scan():
     for t in (0.5, 1.0, 1.5, 2.5, 12.0, 13.0):
-        assert {tuple(v) for v in quadric_points(t).tolist()} == quadric_scan(t)
-        assert len(quadric_points(t)) == len(quadric_scan(t))
+        for block in (1, 30, 1 << 21):  # one q per block up to one block
+            pts = quadric_points(t, block)
+            assert {tuple(v) for v in pts.tolist()} == quadric_scan(t)
+            assert len(pts) == len(quadric_scan(t))
 
 
 def test_ping_pong_membership_matches_thin_closure():
@@ -337,6 +353,171 @@ def test_thin_counts_exact_at_benchmark_radii(norm):
     assert res.counts == scan_counts(pts[member], t_list, norm)
     want = scan_breakdown(pts[member], g[member], t_list, norm, 3)
     assert {lab: cs for lab, cs in res.breakdown.items() if any(cs)} == want
+
+
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+@pytest.mark.parametrize("spec, t_list", [
+    (PSL2Z, (500.0, 1000.5, 1500.0, 2000.0)),
+    (THIN4, (1500.0, 3000.5, 4500.0, 6000.0))])
+def test_counts_exact_past_the_old_depth_cap(spec, t_list, norm):
+    # the one-letter word search stopped at depth 4096, short of psl2z
+    # above T ~ 1365 and thin4 above T ~ 5460; the walk needs a few layers
+    res = count_orbit(OrbitQuery(spec, X0, t_list, norm=norm, q=3))
+    pts = quadric_points(t_list[-1])
+    g = elements_of(pts)
+    if spec is THIN4:
+        member = in_thin4(g)
+        pts, g = pts[member], g[member]
+    assert all(res.saturated)
+    assert res.search_depth < 20
+    assert res.counts == scan_counts(pts, t_list, norm)
+    want = scan_breakdown(pts, g, t_list, norm, 3)
+    assert {lab: cs for lab, cs in res.breakdown.items() if any(cs)} == want
+
+
+# -- the walk against the word search ----------------------------------------
+#
+# count_orbit walks <T^omega, S> by syllables.  The reference is the
+# one-letter word search it replaced: enumerate_words from the identity,
+# expanding an element while its vector's key is below the same gate, and
+# tallying every element it collects.  A vector reached twice means a
+# stabilizer, which the walk must report as StabilizerError.
+
+
+class _Repeat(Exception):
+    pass
+
+
+def word_search_counts(spec, x0, t_list, norm, q, explore_factor=3.0):
+    """(counts, breakdown) from the word search, "stabilizer" when two
+    elements reach one vector, None when the budget runs out first."""
+    p0, q0, r0 = x0
+    sup = norm == "sup"
+
+    def key(v):
+        return max(map(abs, v)) if sup else sum(c * c for c in v)
+
+    x0n = key(x0) if sup else math.sqrt(key(x0))
+    gate_r = explore_factor * max(max(t_list), x0n + 1.0)
+    gate = gate_r if sup else gate_r * gate_r
+    seen = {x0: (1, 0, 0, 1)}
+
+    def in_gate(g):
+        a, b, c, d = g
+        v = (p0 * a * a + q0 * a * c + r0 * c * c,
+             2 * p0 * a * b + q0 * (a * d + b * c) + 2 * r0 * c * d,
+             p0 * b * b + q0 * b * d + r0 * d * d)
+        if v in seen:
+            raise _Repeat
+        seen[v] = g
+        return key(v) < gate
+
+    try:
+        enumerate_words(spec, budget=WordBudget(4096, 200_000), expand=in_gate)
+    except _Repeat:
+        return "stabilizer"
+    except BudgetExceeded:
+        return None
+    bound = [t if sup else t * t for t in t_list]
+    counts = tuple(sum(key(v) < b for v in seen) for b in bound)
+    breakdown = {}
+    for v, g in seen.items():
+        lab = CosetLabel.of(IntGroupElement(*g), q)
+        cs = breakdown.setdefault(lab, [0] * len(t_list))
+        for i, b in enumerate(bound):
+            cs[i] += key(v) < b
+    return counts, {lab: tuple(cs) for lab, cs in breakdown.items() if any(cs)}
+
+
+def _discriminant_zero(draw):
+    m, a, b = draw(st.integers(1, 3)), draw(st.integers(-3, 3)), draw(
+        st.integers(-3, 3))
+    return (m * a * a, 2 * m * a * b, m * b * b)
+
+
+forms = st.one_of(
+    st.tuples(*[st.integers(-6, 6)] * 3),  # D < 0, or D > 0 mostly non-square
+    # D large against the gate, so runs split around a hole: non-square
+    st.tuples(st.sampled_from([-2, -1, 1, 2]), st.integers(8, 30),
+              st.integers(-3, 3)),
+    st.tuples(st.just(0), st.integers(1, 25), st.integers(-9, 9)),  # D = q^2
+    st.composite(_discriminant_zero)())
+
+
+@given(forms, st.sampled_from([PSL2Z, THIN4]),
+       st.sampled_from(["sup", "euclidean"]),
+       st.sampled_from([2.0, 5.5, 9.0, 16.0]), st.sampled_from([1.0, 3.0]))
+@example((1, 1, 3), PSL2Z, "sup", 9.0, 3.0)  # D = -11: no stabilizer
+@example((1, 0, 1), THIN4, "sup", 9.0, 3.0)  # D = -4: S fixes x0
+@example((1, 13, -3), THIN4, "sup", 5.5, 3.0)  # D = 181: runs split by holes
+@example((1, 13, -3), PSL2Z, "euclidean", 2.0, 3.0)
+# D = 156: the only repeat sits in a one-integer hole, just outside the gate
+@example((1, 12, -3), PSL2Z, "sup", 2.0, 3.0)
+@example((1, 16, -2), THIN4, "euclidean", 5.5, 3.0)  # D = 264, likewise
+@example((0, 23, 4), PSL2Z, "sup", 5.5, 1.0)  # D = 529: holes, no stabilizer
+@example((1, 2, 1), PSL2Z, "sup", 5.5, 3.0)  # D = 0: the cusp vector is fixed
+@example((0, 0, 3), THIN4, "euclidean", 2.0, 1.0)  # D = 0: T^4 fixes x0
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_walk_matches_word_search(x0, spec, norm, t, factor):
+    assume(x0 != (0, 0, 0))
+    t_list = (t / 2, t)
+    want = word_search_counts(spec, x0, t_list, norm, 3, factor)
+    assume(want is not None)
+    query = OrbitQuery(spec, FormVector(*x0), t_list, norm=norm, q=3,
+                       explore_factor=factor)
+    if want == "stabilizer":
+        with pytest.raises(StabilizerError):
+            count_orbit(query)
+        return
+    res = count_orbit(query)
+    assert all(res.saturated)
+    assert res.counts == want[0]
+    assert {lab: cs for lab, cs in res.breakdown.items() if any(cs)} == want[1]
+
+
+def test_walk_depth_counts_syllable_layers():
+    full = count_orbit(OrbitQuery(PSL2Z, X0, (240.0,)))
+    assert all(full.saturated) and full.search_depth > 3
+    cut = count_orbit(OrbitQuery(PSL2Z, X0, (240.0,), budget=WordBudget(3)))
+    assert not any(cut.saturated)
+    assert cut.search_depth == 3 and cut.search_nodes < full.search_nodes
+    assert cut.counts[0] < full.counts[0]
+    none = count_orbit(OrbitQuery(PSL2Z, X0, (240.0,), budget=WordBudget(0)))
+    assert none.counts == (0,) and not any(none.saturated)
+    assert none.search_nodes == none.search_depth == 0
+
+
+def test_fixed_cusp_vector_raises_instead_of_walking_forever():
+    # T fixes (0, 0, 1): its run along T would be endless
+    with pytest.raises(StabilizerError) as exc:
+        count_orbit(OrbitQuery(PSL2Z, FormVector(0, 0, 1), (4.0,)))
+    assert str(exc.value) == ("vector (0, 0, 1) reached by (1, 0, 0, 1) "
+                              "and (1, 1, 0, 1)")
+
+
+def test_walk_vectors_past_the_dedup_range_raise():
+    # the walk packs each vector into one int64, exactly for entries below
+    # 2^20, and refuses larger ones rather than let two vectors collide
+    with pytest.raises(OverflowError, match="2\\^20"):
+        count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 1 << 20), (4.0,)))
+    # x0 is inside the range, but its run (0, 1, 10^6 + k) leaves it
+    with pytest.raises(OverflowError, match="2\\^20"):
+        count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 10 ** 6), (4.0,)))
+
+
+def test_specs_outside_the_walk_keep_the_word_search():
+    # a third, redundant generator takes psl2z off the walk; the word
+    # search must count the same orbit
+    spec = GroupSpec("psl2z+T2", (INT_T, INT_S, IntGroupElement(1, 2, 0, 1)),
+                     True, PSL2Z.cusps)
+    assert syllable_width(spec) is None
+    t_list = (10.0, 20.0, 30.0)
+    for norm in ("sup", "euclidean"):
+        a = count_orbit(OrbitQuery(spec, X0, t_list, norm=norm, q=3))
+        b = count_orbit(OrbitQuery(PSL2Z, X0, t_list, norm=norm, q=3))
+        assert all(a.saturated) and a.counts == b.counts
+        assert a.breakdown == b.breakdown
+        assert a.search_depth > b.search_depth
 
 
 def test_coset_filter_keeps_one_label():

@@ -10,7 +10,7 @@ from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, CosetLabel, Cusp,
                              GroupSpec, WordBudget, bottom_rows, builtin,
                              coset_space, cusp_normalizer,
                              enumerate_words, reduce_points,
-                             reduce_to_fundamental_domain)
+                             reduce_to_fundamental_domain, syllable_width)
 
 # -- specs -------------------------------------------------------------------
 
@@ -38,6 +38,22 @@ def test_gen_set_contains_inverses():
     gens = PSL2Z.gen_set()
     for g in gens:
         assert g.inverse() in gens
+
+
+def test_syllable_width_recognises_translation_and_inversion():
+    assert syllable_width(PSL2Z) == 1
+    assert syllable_width(THIN4) == 4
+    assert syllable_width(GroupSpec.from_json(THIN4.to_json())) == 4
+    t3 = IntGroupElement(1, 3, 0, 1)
+    # the order of the generators and the sign of the translation are free
+    assert syllable_width(GroupSpec("w3", (INT_S, t3.inverse()), False,
+                                    THIN4.cusps)) == 3
+    for gens in ((INT_T,), (INT_S,), (INT_T, INT_S, t3),
+                 (IntGroupElement(1, 0, 1, 1), INT_S)):
+        assert syllable_width(GroupSpec("other", gens, False,
+                                        THIN4.cusps)) is None
+    n = cusp_normalizer(THIN4, 1)
+    assert syllable_width(THIN4.conjugated(n)) is None
 
 
 def test_conjugated_moves_cusps():

@@ -86,9 +86,6 @@ class GroupElement:
     def isclose(self, other: "GroupElement", tol: float = 1e-9) -> bool:
         return max(abs(x - y) for x, y in zip(self.entries(), other.entries())) <= tol
 
-    def frobenius(self) -> float:
-        return math.sqrt(self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2)
-
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(

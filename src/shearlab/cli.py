@@ -39,8 +39,8 @@ from .algebra import (INT_S, INT_T, FormVector, UTBPoint, iwasawa_decompose,
 from .counting import (FIT_MODELS, CountResult, InsufficientDataError,
                        OrbitQuery, StabilizerError, count_orbit,
                        fit_counting_law)
-from .eisenstein import (ConvergenceError, EisensteinEvaluator,
-                         eisenstein_sample, regularized_E1)
+from .eisenstein import (EisensteinEvaluator, eisenstein_sample,
+                         regularized_E1)
 from .groups import BUILTINS, PSL2Z, BudgetExceeded, GroupSpec, WordBudget
 from .measures import make_lattice_bump, make_thin_bump, mu_T, mu_T_strip
 from .modforms import (InsufficientConvergenceError, delta_qexp,
@@ -280,10 +280,7 @@ def _cmd_eisenstein(ns) -> int:
     rows = []
     for z in zs:
         for s in ss:
-            try:
-                sample = eisenstein_sample(ev, UTBPoint(z.real, z.imag), s)
-            except ConvergenceError as e:
-                raise ConfigError(str(e))
+            sample = eisenstein_sample(ev, UTBPoint(z.real, z.imag), s)
             rows.append([z.real, z.imag, s, sample.value, sample.route,
                          sample.est_error])
     header = ["x", "y", "s", "value", "route", "est_error"]

@@ -149,8 +149,7 @@ def _word_search(spec: GroupSpec, x0: tuple, gate: int, sup: bool,
         return key <= gate
 
     try:
-        res = enumerate_words(spec, predicate=None, budget=budget,
-                              expand=in_gate)
+        res = enumerate_words(spec, budget=budget, expand=in_gate)
         saturated = res.saturated
     except BudgetExceeded as e:
         res = e.partial

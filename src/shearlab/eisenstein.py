@@ -28,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import UTBPoint, mobius_act, point_xy
-from .groups import (GroupSpec, PSL2Z, WordBudget, bottom_rows,
-                     cusp_normalizer, enumerate_words)
+from .groups import (GroupSpec, PSL2Z, _ragged, bottom_rows, cusp_normalizer,
+                     syllable_width)
 from .quadrature import gl_nodes, integrate_fd, refine
 from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
                       log_abs_eta, log_abs_eta_arr, zeta, zeta_prime)
@@ -37,7 +37,7 @@ from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
 __all__ = [
     "EisensteinEvaluator", "EisensteinSample", "ConvergenceError",
     "PairingError", "completed_zeta", "critical_exponent",
-    "eisenstein_value", "eisenstein_sample", "regularized_E1", "mu_eis",
+    "eisenstein_sample", "regularized_E1", "mu_eis",
 ]
 
 
@@ -59,28 +59,27 @@ def critical_exponent(spec: GroupSpec) -> float:
     """Empirical growth exponent of the norm ball, 1.0 for lattices.
 
     Counts group elements with Frobenius norm below a ladder of radii and
-    halves the fitted log-log slope.  The estimate only gates which s the
-    coset route accepts; it never enters a value.
+    halves the fitted log-log slope.  Each element is one translate (a +
+    omega m c, b + omega m d, c, d) of a row of bottom_rows; its squared
+    norm is a quadratic in m, whose root interval (checked in exact
+    integers) gives each row's count.  The estimate only gates which s
+    the coset route accepts; it never enters a value.
     """
     if spec.lattice:
         return 1.0
     radii = (16.0, 32.0, 64.0, 128.0, 256.0)
     top = radii[-1]
-
-    def in_ball(g):
-        a, b, c, d = g
-        return a * a + b * b + c * c + d * d <= top * top
-
-    def keep(g):
-        a, b, c, d = g
-        return max(abs(a), abs(b), abs(c), abs(d)) <= 4.0 * top
-
-    res = enumerate_words(spec, predicate=in_ball,
-                          budget=WordBudget(max_depth=4096, max_nodes=10 ** 7),
-                          expand=keep)
-    norms = np.sort([math.sqrt(a * a + b * b + c * c + d * d)
-                     for a, b, c, d in res.elements])
-    counts = np.searchsorted(norms, np.array(radii), side="right")
+    a, b, c, d = bottom_rows(spec, top).T
+    omega = syllable_width(spec)
+    n2 = c * c + d * d
+    # the norm is least at m = centre; half bounds the distance from it
+    centre = -(a * c + b * d) / (omega * n2)
+    half = np.sqrt(np.maximum(top * top - n2, 0.0) / n2) / omega
+    lo = np.floor(centre - half).astype(np.int64) - 1
+    i, m = _ragged(lo, np.ceil(centre + half).astype(np.int64) + 2 - lo)
+    wm = omega * m
+    norm2 = (a[i] + wm * c[i]) ** 2 + (b[i] + wm * d[i]) ** 2 + n2[i]
+    counts = np.searchsorted(np.sort(norm2), np.square(radii), side="right")
     slope = np.polyfit(np.log(radii), np.log(counts), 1)[0]
     return float(slope) / 2.0
 
@@ -108,7 +107,7 @@ class EisensteinEvaluator:
             raise ValueError("max_height below the smallest table")
 
     def value(self, z, s: float) -> float:
-        return eisenstein_value(self, z, s)
+        return eisenstein_sample(self, z, s).value
 
 
 @dataclass(frozen=True)
@@ -119,18 +118,15 @@ class EisensteinSample:
 
 
 def _at_cusp(e: EisensteinEvaluator, x: float, y: float):
-    """Working spec, moved point, and width for the selected cusp."""
+    """Moved point and width for the selected cusp, and whether the spec's
+    own coset rows serve it: its normalizer n is 1 or a generator, so n G
+    n^-1 = G (for thin4's cusp at 0, n = S)."""
     omega = e.spec.cusps[e.cusp_index].width
     if e.cusp_index == 0 and math.isinf(e.spec.cusps[0].point):
-        return e.spec, x, y, omega
+        return x, y, omega, True
     n = cusp_normalizer(e.spec, e.cusp_index)
-    wspec = e.spec.conjugated(n, name=f"{e.spec.name}@{e.cusp_index}")
     p = mobius_act(n, UTBPoint(x, y, 0.0))
-    return wspec, p.x, p.y, omega
-
-
-def eisenstein_value(e: EisensteinEvaluator, z, s: float) -> float:
-    return eisenstein_sample(e, z, s).value
+    return p.x, p.y, omega, n in e.spec.gen_set()
 
 
 def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
@@ -138,7 +134,7 @@ def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
     route = e.route
     if route == "auto":
         route = "fourier" if e.spec.lattice else "coset"
-    wspec, x, y, omega = _at_cusp(e, x, y)
+    x, y, omega, own_rows = _at_cusp(e, x, y)
     if route == "fourier":
         if not e.spec.lattice:
             raise ConvergenceError("fourier route is lattice-only")
@@ -156,7 +152,10 @@ def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
             raise ConvergenceError(
                 f"thin coset sum needs s >= {gate:.3f} (empirical exponent "
                 f"plus margin); got s = {s}")
-        val, err = _thin_coset_value(wspec, x, y, s, omega, e.max_height)
+        if not own_rows:
+            raise ValueError(f"cusp {e.cusp_index}: only cusps whose "
+                             f"normalizer is a generator have coset rows")
+        val, err = _thin_coset_value(e.spec, x, y, s, omega, e.max_height)
     return EisensteinSample(val, route, err)
 
 
@@ -220,7 +219,7 @@ def _lattice_coset_value(x, y, s, omega, radius):
 
 
 def _thin_partial_heights(max_height):
-    top = 2.0 ** round(math.log2(min(max(max_height, 128.0), 4096.0)))
+    top = 2.0 ** round(math.log2(max(max_height, 128.0)))
     return (top / 8.0, top / 4.0, top / 2.0, top)
 
 
@@ -235,9 +234,9 @@ def _geometric_limit(v1, v2, v3):
     return v3 + b2 * r / (1.0 - r)
 
 
-def _thin_coset_value(wspec, x, y, s, omega, max_height):
+def _thin_coset_value(spec, x, y, s, omega, max_height):
     heights = _thin_partial_heights(max_height)
-    rows = bottom_rows(wspec, heights[-1])
+    rows = bottom_rows(spec, heights[-1])
     c = rows[:, 2].astype(float)
     d = rows[:, 3].astype(float)
     n2 = c * c + d * d

@@ -57,13 +57,6 @@ class GroupSpec:
                     out.append(h)
         return tuple(out)
 
-    def conjugated(self, h: IntGroupElement, name: Optional[str] = None) -> "GroupSpec":
-        """The group h G h^-1 with cusps moved along."""
-        hinv = h.inverse()
-        gens = tuple(h * g * hinv for g in self.generators)
-        cusps = tuple(Cusp(_boundary_image(h, c.point), c.width) for c in self.cusps)
-        return GroupSpec(name or (self.name + "~"), gens, self.lattice, cusps)
-
     def to_json(self) -> str:
         return json.dumps({
             "name": self.name,
@@ -81,15 +74,6 @@ class GroupSpec:
         cusps = tuple(Cusp(INF if c["point"] == "inf" else float(c["point"]),
                            float(c["width"])) for c in doc["cusps"])
         return GroupSpec(doc["name"], gens, bool(doc["lattice"]), cusps)
-
-
-def _boundary_image(g: IntGroupElement, p: float) -> float:
-    if math.isinf(p):
-        return INF if g.c == 0 else g.a / g.c
-    den = g.c * p + g.d
-    if den == 0:
-        return INF
-    return (g.a * p + g.b) / den
 
 
 PSL2Z = GroupSpec("psl2z", (INT_T, INT_S), True, (Cusp(INF, 1.0),))
@@ -129,23 +113,22 @@ class WordBudget:
 class WordSearchResult:
     elements: list
     saturated: bool
-    closure: bool
     depth: int
     nodes: int
 
 
 class BudgetExceeded(Exception):
-    """Raised when the word search hits its budget; carries partial results."""
+    """Raised when a search or a row table hits its budget; carries the
+    partial word-search result when there is one."""
 
-    def __init__(self, partial: WordSearchResult):
-        super().__init__(f"word search budget exceeded at depth {partial.depth} "
-                         f"({partial.nodes} nodes)")
+    def __init__(self, partial: Optional[WordSearchResult] = None,
+                 message: str = ""):
+        super().__init__(message or f"word search budget exceeded at depth "
+                         f"{partial.depth} ({partial.nodes} nodes)")
         self.partial = partial
 
 
-def enumerate_words(spec: GroupSpec,
-                    predicate: Optional[Callable[[tuple], bool]] = None,
-                    budget: WordBudget = WordBudget(),
+def enumerate_words(spec: GroupSpec, budget: WordBudget = WordBudget(),
                     expand: Optional[Callable[[tuple], bool]] = None
                     ) -> WordSearchResult:
     """Breadth-first enumeration of distinct group elements.
@@ -155,31 +138,23 @@ def enumerate_words(spec: GroupSpec,
     turns one into an object.  Words are built by right multiplication
     with generators and inverses; immediate backtracking never survives
     the global dedup set, so no separate reduced-word bookkeeping is
-    needed.  `predicate` selects which elements are collected into
-    `elements`; `expand` gates which elements spawn children (default:
-    all of them, so termination comes from the budget alone).  Both see
-    each new element once, predicate first, in collection order; the
-    identity is collected (if the predicate keeps it) and expanded
-    without asking them.  Saturation is reported when two consecutive
-    depth layers contribute no new collected element, or when the
-    frontier closes outright.
+    needed.  Every element found is collected; `expand` sees each new
+    one once, in collection order, and gates which ones spawn children
+    (default: all, so only the budget stops the search).  The search is
+    saturated when the frontier closes.  Only orbit counts on specs that
+    are not <T^omega, S> use it; coset rows come from bottom_rows.
     """
     ident = (1, 0, 0, 1)
     gens = [g.entries() for g in spec.gen_set()]
     seen = {ident}
     frontier = [ident]
-    collected = []
-    if predicate is None or predicate(ident):
-        collected.append(ident)
-    nodes = 1
+    collected = [ident]
     depth = 0
-    empty_layers = 0
     while frontier:
         if depth >= budget.max_depth:
-            raise BudgetExceeded(WordSearchResult(
-                collected, False, False, depth, nodes))
+            raise BudgetExceeded(WordSearchResult(collected, False, depth,
+                                                  len(collected)))
         new_frontier = []
-        added = 0
         for a, b, c, d in frontier:
             for e, f, g, h in gens:
                 ma, mb = a * e + b * g, a * f + b * h
@@ -191,21 +166,15 @@ def enumerate_words(spec: GroupSpec,
                 if m in seen:
                     continue
                 seen.add(m)
-                nodes += 1
-                if nodes > budget.max_nodes:
+                if len(collected) >= budget.max_nodes:  # m is one too many
                     raise BudgetExceeded(WordSearchResult(
-                        collected, False, False, depth, nodes))
-                if predicate is None or predicate(m):
-                    collected.append(m)
-                    added += 1
+                        collected, False, depth, len(collected) + 1))
+                collected.append(m)
                 if expand is None or expand(m):
                     new_frontier.append(m)
         frontier = new_frontier
         depth += 1
-        empty_layers = 0 if added else empty_layers + 1
-        if predicate is not None and empty_layers >= 2:
-            return WordSearchResult(collected, True, not frontier, depth, nodes)
-    return WordSearchResult(collected, True, True, depth, nodes)
+    return WordSearchResult(collected, True, depth, len(collected))
 
 
 # -- fundamental domain for the full modular group ---------------------------
@@ -314,47 +283,107 @@ def coset_space(spec, q: int) -> frozenset:
     return frozenset(seen)
 
 
-# -- cusps -------------------------------------------------------------------
+# -- coset rows --------------------------------------------------------------
+
+ROW_HEIGHT_CAP = 4096  # bottom_rows raises BudgetExceeded from this height on
+
+
+def _ragged(start, n):
+    """(i, start[i] + j) for every i and 0 <= j < n[i], in that order."""
+    i = np.repeat(np.arange(len(n)), n)
+    return i, start[i] + (np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n))
+
+
+def _coprime_rows(d_lo, d_hi):
+    """(c, d) int arrays of the coprime pairs with c = 1..len(d_lo) and
+    d_lo[c-1] <= d <= d_hi[c-1], ordered by c and then d."""
+    i, d = _ragged(d_lo, np.maximum(d_hi - d_lo + 1, 0))
+    keep = np.gcd(i + 1, d) == 1
+    return i[keep] + 1, d[keep]
+
+
+def _mod_inverse(d, c):
+    """d^-1 mod c in [0, c) for coprime int arrays (0 where c = 1), by the
+    extended Euclidean algorithm run on the unfinished entries at once."""
+    inv, idx = np.zeros_like(c), np.arange(len(c))
+    r0, r1, s0, s1 = c, d % c, np.zeros_like(c), np.ones_like(c)
+    while len(idx):
+        done = r1 == 0
+        inv[idx[done]] = s0[done] % c[idx[done]]
+        idx, r0, r1, s0, s1 = (v[~done] for v in (idx, r0, r1, s0, s1))
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return inv
+
+
+def _syllable_tree(omega: int, h2: float) -> np.ndarray:
+    """[a, b, c, d] of the words S T^(omega k1) S ... S T^(omega kn), k1
+    ... k(n-1) != 0, whose row has c^2 + d^2 <= h2.  A node is such a word
+    ending in S, with row (c, d); its run is the node times T^(omega k)
+    for the k with c^2 + (d + omega k c)^2 <= h2 (the closed-form interval
+    one step wider, checked in exact integers), and the run's k != 0
+    members times S are the next nodes.  Pruning at the disc is exact for
+    omega >= 2: each row (c, d) after a k != 0 syllable has |c| <=
+    (2/omega)|d|, so the next such row (d, omega j d - c) has |omega j d -
+    c| >= |d| >= |c|, and the row norm never drops down the tree."""
+    out, node = [], np.array([[0, -1, 1, 0]], dtype=np.int64)  # S
+    while len(node):
+        a, b, c, d = node.T
+        mid = -d / (omega * c)
+        r = np.sqrt(np.maximum(h2 - c * c, 0.0)) / (omega * c)
+        lo = np.floor(mid - r).astype(np.int64) - 1
+        i, k = _ragged(lo, np.ceil(mid + r).astype(np.int64) + 2 - lo)
+        wk = omega * k
+        run = np.column_stack([a[i], b[i] + a[i] * wk, c[i], d[i] + c[i] * wk])
+        keep = run[:, 2] ** 2 + run[:, 3] ** 2 <= h2
+        out.append(run[keep])
+        # times S: (a, b, c, d) S = (b, -a, d, -c), signed so that c > 0
+        nxt = run[keep & (k != 0)][:, [1, 0, 3, 2]] * [1, -1, 1, -1]
+        node = nxt * np.where(nxt[:, 2] < 0, -1, 1)[:, None]
+    return np.concatenate(out)
+
 
 @lru_cache(maxsize=64)
-def bottom_rows(spec: GroupSpec, height: float, slack: float = 4.0) -> np.ndarray:
+def bottom_rows(spec: GroupSpec, height: float) -> np.ndarray:
     """Coset representatives for the translation subgroup, one per coset,
     for every coset whose bottom row (c, d) has Euclidean norm <= height.
 
     Left multiplication by a translation fixes the bottom row, and two
     elements share a row (up to sign) exactly when they lie in the same
-    coset, so the rows label the cosets.  The word search is gated on the
-    sup norm of the full matrix at slack * height; every coset with a row
-    in the disc has a representative with entries within twice the row
-    norm, so the gate is comfortable.  Returns an (n, 4) int array of
-    full matrices [a, b, c, d] (first representative found, whole matrix
-    sign-flipped so that c > 0, or c = 0 and d > 0), sorted by row, that
-    callers must not mutate.
+    coset, so the rows label the cosets.  spec must be <T^omega, S>
+    (else ValueError).  For omega = 1 the rows are the coprime pairs in
+    the disc, with a = d^-1 mod c.  For omega >= 2, the free product of
+    <T^omega> and <S>, each coset's shortest word (the one a breadth-first
+    search finds first) is the identity or starts with S, and
+    _syllable_tree builds those.  Heights from ROW_HEIGHT_CAP on raise
+    BudgetExceeded.  Returns a read-only (n, 4) int array of [a, b, c, d],
+    c > 0 or c = 0 and a = d = 1, sorted by row.
     """
-    h2 = height * height
-    gate = slack * height
-
-    def in_disc(g: tuple) -> bool:
-        return g[2] * g[2] + g[3] * g[3] <= h2
-
-    def keep_expanding(g: tuple) -> bool:
-        a, b, c, d = g
-        return max(abs(a), abs(b), abs(c), abs(d)) <= gate
-
-    res = enumerate_words(spec, predicate=in_disc,
-                          budget=WordBudget(max_depth=4096, max_nodes=10 ** 7),
-                          expand=keep_expanding)
-    # the search's sign representative already has c > 0, or c = 0 and
-    # a = d = 1, so each row is a coset key as it stands
-    reps = {}
-    for a, b, c, d in res.elements:
-        reps.setdefault((c, d), (a, b))
-    out = np.array([(a, b, c, d) for (c, d), (a, b) in reps.items()],
-                   dtype=np.int64).reshape(-1, 4)
+    omega = syllable_width(spec)
+    if omega is None:
+        raise ValueError(f"coset rows need a group generated by T^omega and "
+                         f"S; {spec.name!r} is not one")
+    if not height < ROW_HEIGHT_CAP:
+        raise BudgetExceeded(message=f"row table of height {height:g} is "
+                             f"past the cap (heights < {ROW_HEIGHT_CAP})")
+    h2 = float(height) * float(height)
+    if omega == 1:
+        cs = np.arange(1, int(math.sqrt(h2)) + 2)
+        span = np.sqrt(np.maximum(h2 - cs * cs, 0.0)).astype(np.int64) + 1
+        c, d = _coprime_rows(-span, span)
+        a = _mod_inverse(d, c)
+        rest = np.column_stack([a, (a * d - 1) // c, c, d])
+    else:
+        rest = _syllable_tree(omega, h2)
+    out = np.concatenate([np.array([[1, 0, 0, 1]], dtype=np.int64), rest])
+    # exact; the coprime spans are one too wide, and h < 1 drops the identity
+    out = out[out[:, 2] ** 2 + out[:, 3] ** 2 <= h2]
     out = out[np.lexsort((out[:, 3], out[:, 2]))]
     out.setflags(write=False)
     return out
 
+
+# -- cusps -------------------------------------------------------------------
 
 def cusp_normalizer(spec: GroupSpec, cusp_index: int) -> IntGroupElement:
     """sigma with sigma(cusp) = infinity; the cusp stabilizer conjugates to

@@ -24,7 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import UTBPoint, mobius_act
-from .groups import PSL2Z, THIN4, GroupSpec, bottom_rows, reduce_points
+from .groups import (PSL2Z, THIN4, GroupSpec, _coprime_rows, _mod_inverse,
+                     _ragged, bottom_rows, reduce_points)
 from .quadrature import adaptive, gl_nodes, refine
 
 __all__ = [
@@ -127,11 +128,8 @@ def _box_profiles(box):
 
 
 def _thin_table(min_height: float) -> np.ndarray:
-    # quantized heights so different radii share one cached word search
-    for h in (32, 64, 128, 256, 512, 1024, 2048, 4096):
-        if h >= min_height:
-            return bottom_rows(THIN4, float(h))
-    raise ValueError(f"row table of height {min_height:g} is out of reach")
+    # power-of-two heights so different radii share one cached table
+    return bottom_rows(THIN4, 2.0 ** math.ceil(math.log2(max(min_height, 32.0))))
 
 
 def make_lattice_bump(box=DEFAULT_BOX, name: str = "lattice_bump") -> TestFunction:
@@ -279,42 +277,16 @@ def _mu_T_generic(psi: TestFunction, T: float, tol: float) -> ShearSample:
                        res.converged, "generic")
 
 
-def _ragged(start, n):
-    """(i, start[i] + j) for every i and 0 <= j < n[i], in that order."""
-    i = np.repeat(np.arange(len(n)), n)
-    return i, start[i] + (np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n))
-
-
-def _coprime_rows(d_lo, d_hi):
-    """(c, d) int arrays of the coprime pairs with c = 1..len(d_lo) and
-    d_lo[c-1] <= d <= d_hi[c-1], ordered by c and then d."""
-    i, d = _ragged(d_lo, np.maximum(d_hi - d_lo + 1, 0))
-    keep = np.gcd(i + 1, d) == 1
-    return i[keep] + 1, d[keep]
-
-
-def _mod_inverse(d, c):
-    """d^-1 mod c in [0, c) for coprime int arrays (0 where c = 1), by the
-    extended Euclidean algorithm run on the unfinished entries at once."""
-    inv, idx = np.zeros_like(c), np.arange(len(c))
-    r0, r1, s0, s1 = c, d % c, np.zeros_like(c), np.ones_like(c)
-    while len(idx):
-        done = r1 == 0
-        inv[idx[done]] = s0[done] % c[idx[done]]
-        idx, r0, r1, s0, s1 = (v[~done] for v in (idx, r0, r1, s0, s1))
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return inv
-
-
 def _window_rows(psi: TestFunction, T: float, y_lo: float):
     """(c, d, a/c) arrays of the cosets whose ray window reaches y_lo.
 
     The window exists iff c|d| < (sqrt(T^2+1)+|T|)/(2 y_lo), with d of
-    sign opposite to T.  Lattice rows are the coprime pairs and only need
-    a/c mod 1, the modular inverse of d; thin rows come from the cached
-    table, which carries the true a (the cusp offsets live in a coarser
-    grid there, so a is needed modulo 4c, not c).
+    sign opposite to T.  Lattice rows are the coprime pairs under that
+    hyperbola, built by the helpers behind bottom_rows(PSL2Z), and only
+    need a/c mod 1, the modular inverse of d; thin rows come from the
+    cached bottom_rows(THIN4) table (the syllable tree), which carries
+    the true a (the cusp offsets live in a coarser grid there, so a is
+    needed modulo 4c, not c).
     """
     peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
     if psi.mode == "lattice":
@@ -425,15 +397,22 @@ def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
 
     def total(n):
         xg, wg = gl_nodes(n)
-        step = max(1, (1 << 16) // n)   # nodes per block: bounded memory
+        step = max(1, (1 << 16) // n)   # nodes per summed block
+        # evaluated 2^13 nodes at a time into one buffer: temporaries of 64
+        # KiB stay below glibc's mmap threshold and reuse heap memory
+        piece, buf = max(1, (1 << 13) // n), np.empty((step, n))
         acc = 0.0
         for lo in range(0, len(spikes[0]), step):
-            mid, half, kk, c, d, ac, A, B, C = (v[lo:lo + step, None]
-                                                for v in spikes)
-            U = mid + half * xg
-            D = (A * U + B) * U + C
-            xr = ac - (c * U * T + d) / (c * D) - kk
-            acc += float(np.sum(half * wg * px(xr) * py(U / D) / U))
+            hi = min(lo + step, len(spikes[0]))
+            for p0 in range(lo, hi, piece):
+                mid, half, kk, c, d, ac, A, B, C = (
+                    v[p0:min(p0 + piece, hi), None] for v in spikes)
+                U = mid + half * xg
+                D = (A * U + B) * U + C
+                xr = ac - (c * U * T + d) / (c * D) - kk
+                buf[p0 - lo:p0 - lo + len(U)] = \
+                    half * wg * px(xr) * py(U / D) / U
+            acc += float(np.sum(buf[:hi - lo]))
         for lo in range(0, len(trans[0]), step):
             mid, half, kk = (v[lo:lo + step, None] for v in trans)
             U = mid + half * xg

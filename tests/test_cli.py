@@ -1,14 +1,16 @@
 import csv
 import json
+import math
 import time
 
 import pytest
 
 from shearlab import cli
-from shearlab.algebra import FormVector
+from shearlab.algebra import INT_S, FormVector, IntGroupElement
 from shearlab.cli import main
 from shearlab.counting import OrbitQuery, StabilizerError, count_orbit
-from shearlab.groups import PSL2Z, BudgetExceeded, WordSearchResult
+from shearlab.groups import (PSL2Z, BudgetExceeded, Cusp, GroupSpec,
+                             WordSearchResult)
 from shearlab.modforms import InsufficientConvergenceError
 
 
@@ -199,7 +201,7 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("exc", [
-    BudgetExceeded(WordSearchResult([], False, False, 4096, 945654)),
+    BudgetExceeded(WordSearchResult([], False, 4096, 945654)),
     InsufficientConvergenceError("cutoffs 300 and 600 disagree"),
 ])
 def test_exhausted_budget_or_tolerance_is_partial(tmp_path, monkeypatch, exc):
@@ -214,6 +216,41 @@ def test_exhausted_budget_or_tolerance_is_partial(tmp_path, monkeypatch, exc):
     assert man["partial"] is True
     assert man["outputs"] == []
     assert man["error"] == str(exc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["shear", "--psi", "bump:thin", "--T", "3500"],
+    ["shear", "--psi", "bump:thin", "--T", "5000"],
+    ["eisenstein", "--group", "thin4", "--max-height", "4096"],
+])
+def test_row_tables_past_the_cap_are_partial(tmp_path, argv):
+    # unstubbed: the thin row table these runs need is past the height
+    # cap, which raises BudgetExceeded before any row is built
+    out = tmp_path / "run.csv"
+    t0 = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == 3
+    assert time.perf_counter() - t0 < 10.0
+    assert not out.exists()
+    man = read_manifest(out)
+    assert man["partial"] is True
+    assert man["outputs"] == []
+    assert "past the cap" in man["error"]
+
+
+def test_eisenstein_on_a_spec_without_coset_rows_is_config_error(tmp_path,
+                                                                capsys):
+    # thin4 again, given by S T^4 S^-1 and S: not the <T^w, S> the coset
+    # rows are built for
+    spec = GroupSpec("thin4@0", (IntGroupElement(1, 0, -4, 1), INT_S), False,
+                     (Cusp(math.inf, 4.0),))
+    path = tmp_path / "spec.json"
+    path.write_text(spec.to_json())
+    out = tmp_path / "eis.csv"
+    assert main(["eisenstein", "--group", str(path), "--s", "1.2",
+                 "--out", str(out)]) == 2
+    assert "generated by T^omega and S" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
 
 
 def test_stabilizer_error_is_config_error(tmp_path, monkeypatch):

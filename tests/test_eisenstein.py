@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  PairingError, completed_zeta,
                                  critical_exponent, eisenstein_sample,
                                  mu_eis, regularized_E1)
-from shearlab.groups import PSL2Z, THIN4
+from shearlab.groups import (PSL2Z, THIN4, Cusp, GroupSpec, WordBudget,
+                             enumerate_words)
 from shearlab.measures import make_strip_bump
 
 # mpmath, lattice sum with Kloosterman-free Fourier expansion, 30 digits
@@ -83,6 +85,42 @@ def test_thin_gate_tracks_critical_exponent():
     e = EisensteinEvaluator(spec=THIN4)
     with pytest.raises(ConvergenceError):
         eisenstein_sample(e, 1j, delta)  # below the +0.1 margin
+
+
+def word_search_ball_counts(spec, radii):
+    """Elements with Frobenius norm <= R, for each R, found by the word
+    search gated on the sup norm at 4 * max(radii)."""
+    top = max(radii)
+    res = enumerate_words(spec, budget=WordBudget(4096, 10 ** 7),
+                          expand=lambda g: max(map(abs, g)) <= 4 * top)
+    norm2 = sorted(sum(v * v for v in g) for g in res.elements)
+    return [bisect.bisect_right(norm2, r * r) for r in radii]
+
+
+def test_critical_exponent_counts_the_norm_balls():
+    radii = (16.0, 32.0, 64.0, 128.0, 256.0)
+    counts = word_search_ball_counts(THIN4, radii)
+    assert counts == [26, 74, 210, 554, 1530]
+    fit = np.polyfit(np.log(radii), np.log(counts), 1)[0] / 2.0
+    assert critical_exponent(THIN4) == float(fit) == 0.7331020619649047
+
+
+def test_thin_value_at_the_cusp_at_zero():
+    # the cusp at 0 has normalizer S, a generator, so the rows are thin4's
+    # own; the values are those the conjugated word search gave
+    z, s = 0.21 + 1.3j, 1.0
+    e0 = EisensteinEvaluator(spec=THIN4, max_height=1024.0)
+    e1 = EisensteinEvaluator(spec=THIN4, cusp_index=1, max_height=1024.0)
+    a, b = eisenstein_sample(e0, z, s), eisenstein_sample(e1, z, s)
+    assert b.value == 0.6394280252369889
+    assert eisenstein_sample(e1, 1j, 1.3).value == 0.5359228425072019
+    # S is in the group, so both cusps see the same series
+    assert abs(a.value - b.value) <= min(a.est_error, b.est_error)
+    # a cusp whose normalizer is not a generator has no coset rows
+    other = GroupSpec("thin4", THIN4.generators, False,
+                      (THIN4.cusps[0], Cusp(0.5, 4.0)))
+    with pytest.raises(ValueError, match="normalizer"):
+        eisenstein_sample(EisensteinEvaluator(spec=other, cusp_index=1), z, s)
 
 
 def test_route_guards():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -52,16 +53,11 @@ def test_syllable_width_recognises_translation_and_inversion():
                  (IntGroupElement(1, 0, 1, 1), INT_S)):
         assert syllable_width(GroupSpec("other", gens, False,
                                         THIN4.cusps)) is None
-    n = cusp_normalizer(THIN4, 1)
-    assert syllable_width(THIN4.conjugated(n)) is None
-
-
-def test_conjugated_moves_cusps():
-    n = cusp_normalizer(THIN4, 1)  # the cusp at 0
-    moved = THIN4.conjugated(n, name="thin4@0")
-    # the normalizer sends the chosen cusp to infinity
-    assert math.isinf(moved.cusps[1].point) or moved.cusps[1].point > 1e12 \
-        or any(math.isinf(c.point) for c in moved.cusps)
+    # thin4 conjugated by S, its normalizer of the cusp at 0: the same
+    # group, but not given by T^omega and S
+    s_t4_s = IntGroupElement(1, 0, -4, 1)
+    assert syllable_width(GroupSpec("thin4@1", (s_t4_s, INT_S), False,
+                                    THIN4.cusps)) is None
 
 
 # -- word enumeration --------------------------------------------------------
@@ -85,16 +81,6 @@ def test_enumerate_words_tuples_are_sign_representatives():
     res = enumerate_words(THIN4, expand=lambda g: frob2(g) < 40 ** 2)
     assert all(type(g) is tuple and IntGroupElement(*g).entries() == g
                for g in res.elements)
-
-
-def test_enumerate_words_predicate_filters_collection():
-    gate = lambda g: frob2(g) < 12 ** 2
-    only_c0 = lambda g: g[2] == 0
-    res = enumerate_words(PSL2Z, predicate=only_c0, expand=gate)
-    assert res.saturated
-    assert all(g[2] == 0 for g in res.elements)
-    full = enumerate_words(PSL2Z, expand=gate)
-    assert len(res.elements) == sum(1 for g in full.elements if g[2] == 0)
 
 
 def test_enumerate_words_budget_carries_partial():
@@ -185,13 +171,16 @@ def brute_force_coprime_rows(height):
 
 
 def test_bottom_rows_lattice_exact_cutoff():
-    h = 30.0
-    rows = bottom_rows(PSL2Z, h)
-    got = {(int(c), int(d)) for _, _, c, d in rows}
-    assert got == brute_force_coprime_rows(h)
-    # completeness of the full matrices: each row is a genuine element
-    for a, b, c, d in rows[:200]:
-        assert a * d - b * c == 1
+    for h in (30.0, 65.0, 128.0):  # (33, 56) lies on the circle of radius 65
+        rows = bottom_rows(PSL2Z, h)
+        got = [(int(c), int(d)) for _, _, c, d in rows]
+        assert len(got) == len(set(got))
+        assert set(got) == brute_force_coprime_rows(h)
+        # completeness of the full matrices: each row is a genuine element,
+        # with a = d^-1 mod c in [0, c) (a = 1 on the identity row (0, 1))
+        a, b, c, d = rows.T
+        assert np.all(a * d - b * c == 1)
+        assert np.all((a >= 0) & ((a < c) | (c == 0)))
 
 
 def test_bottom_rows_sorted_and_write_protected():
@@ -214,6 +203,57 @@ def test_bottom_rows_keep_the_first_representative_found():
     assert bottom_rows(THIN4, 5.0).tolist() == [
         [1, 0, 0, 1], [0, -1, 1, -4], [0, -1, 1, 0], [0, -1, 1, 4],
         [-1, 0, 4, -1], [1, 0, 4, 1]]
+
+
+def word_search_rows(spec, height):
+    """bottom_rows as the word search built them: enumerate_words gated on
+    the sup norm at 4 * height, and the first representative found of
+    every row in the disc, sorted by row."""
+    gate = 4 * height
+    res = enumerate_words(spec, budget=WordBudget(4096, 10 ** 7),
+                          expand=lambda g: max(map(abs, g)) <= gate)
+    reps = {}
+    for a, b, c, d in res.elements:
+        if c * c + d * d <= height * height:
+            reps.setdefault((c, d), (a, b))
+    out = np.array([(a, b, c, d) for (c, d), (a, b) in reps.items()],
+                   dtype=np.int64).reshape(-1, 4)
+    return out[np.lexsort((out[:, 3], out[:, 2]))]
+
+
+# rows such as (16, 63) and (32, 255) lie exactly on the circles of
+# radius 65 and 257, where the ends of a run are decided by the exact check
+@pytest.mark.parametrize("h", [5.0, 32.0, 65.0, 100.0, 128.0, 257.0, 300.5,
+                               512.0, 1024.0, 1025.0, 2048.0])
+def test_syllable_tree_matches_word_search(h):
+    rows = bottom_rows(THIN4, h)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, word_search_rows(THIN4, h))
+
+
+@given(st.floats(0.5, 700.0))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_syllable_tree_matches_word_search_at_any_height(h):
+    assert np.array_equal(bottom_rows(THIN4, h), word_search_rows(THIN4, h))
+
+
+def test_bottom_rows_need_translation_and_inversion():
+    s_t4_s = IntGroupElement(1, 0, -4, 1)
+    for gens in ((s_t4_s, INT_S), (INT_T, INT_S, IntGroupElement(1, 3, 0, 1))):
+        with pytest.raises(ValueError, match="generated by T"):
+            bottom_rows(GroupSpec("other", gens, False, THIN4.cusps), 32.0)
+
+
+def test_bottom_rows_cap_raises_at_once():
+    t0 = time.perf_counter()
+    for spec in (THIN4, PSL2Z):
+        for h in (4096.0, 5000.0, 8192.0):
+            with pytest.raises(BudgetExceeded, match=f"height {h:g} "):
+                bottom_rows(spec, h)
+    assert time.perf_counter() - t0 < 0.1
+    # just below the cap, where the word search ran out of depth, the tree
+    # still builds
+    assert len(bottom_rows(THIN4, 4095.0)) > len(bottom_rows(THIN4, 2048.0))
 
 
 def test_bottom_rows_thin_subset_of_lattice():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from shearlab.algebra import UTBPoint, compose, mobius_act
-from shearlab.groups import PSL2Z, THIN4
+from shearlab.groups import PSL2Z, THIN4, BudgetExceeded, bottom_rows
 from shearlab import measures
 from shearlab.measures import (RegistrationError, bump_profile,
                                equidistribution_regression,
@@ -189,6 +189,20 @@ def test_thin_window_rows_match_the_table_scan(thin_bump, T):
             if c != 0 and (d < 0 if T > 0 else d > 0) and c * abs(d) <= peak + 1]
     got = zip(*(v.tolist() for v in measures._window_rows(thin_bump, T, y_lo)))
     assert list(got) == want
+
+
+def test_thin_table_is_the_next_power_of_two(thin_bump):
+    for h, top in ((1.0, 32.0), (32.0, 32.0), (33.0, 64.0), (1000.5, 1024.0),
+                   (2048.0, 2048.0)):
+        assert measures._thin_table(h) is bottom_rows(THIN4, top)
+    # taller tables are past the row height cap, as is the table thin
+    # mu_T needs from T = 2040 on
+    for h in (2048.5, 5000.0, 1e6):
+        with pytest.raises(BudgetExceeded, match="past the cap"):
+            measures._thin_table(h)
+    for T in (2040.0, 3500.0, 5000.0):
+        with pytest.raises(BudgetExceeded):
+            mu_T(thin_bump, T)
 
 
 @settings(max_examples=60, deadline=None)

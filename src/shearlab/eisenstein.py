@@ -219,7 +219,7 @@ def _lattice_coset_value(x, y, s, omega, radius):
 
 
 def _thin_partial_heights(max_height):
-    top = 2.0 ** round(math.log2(max(max_height, 128.0)))
+    top = max(max_height, 128.0)
     return (top / 8.0, top / 4.0, top / 2.0, top)
 
 

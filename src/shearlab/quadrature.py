@@ -1,15 +1,16 @@
 """Shared quadrature kernels.
 
 Everything here works on vectorized integrands: f(x) takes a numpy array of
-nodes and returns an array of values.  The adaptive driver batches panel
-evaluations so the cost per refinement round is one integrand call.  On
-top of it sit the one grid-refinement loop (refine) and the one
-fundamental-domain integrator (integrate_fd) the other modules share.
+nodes and returns an array of values.  The adaptive driver refines in
+whole-array rounds: each round bisects the largest-error panels that
+together carry the error in excess of half the tolerance, and evaluates
+all their halves in one integrand call.  On top of it sit the one
+grid-refinement loop (refine) and the one fundamental-domain integrator
+(integrate_fd) the other modules share.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,6 +70,12 @@ def adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
 
     initial_edges lets the caller pre-split at known kinks; the refinement
     loop then only has to chase whatever structure is left inside panels.
+
+    Each round bisects the fewest largest-error panels whose errors
+    together reach toterr - tol/2, where tol = max(abs_tol, rel_tol
+    |total|), and evaluates all their halves in one call of f.  Rounds
+    stop once toterr <= tol, or when the panel count reaches max_panels;
+    converged reports whether the first of these held.
     """
     if initial_edges is None:
         edges = np.array([a, b], dtype=float)
@@ -84,39 +91,31 @@ def adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
     vals, errs = _panel_eval(f, lo, hi)
     n_evals = 15 * len(lo)
 
-    heap = [(-errs[i], lo[i], hi[i], vals[i]) for i in range(len(lo))]
-    heapq.heapify(heap)
-    total = float(np.sum(vals))
-    toterr = float(np.sum(errs))
-
-    while toterr > max(abs_tol, rel_tol * abs(total)) and len(heap) < max_panels:
-        batch = []
-        # split the worst ~8 panels per round so evaluations stay batched
-        for _ in range(min(8, len(heap))):
-            e, plo, phi, pval = heapq.heappop(heap)
-            if -e <= 0.25 * max(abs_tol, rel_tol * abs(total)) / max(1, len(heap)):
-                heapq.heappush(heap, (e, plo, phi, pval))
-                break
-            batch.append((plo, phi, pval, -e))
-        if not batch:
+    while True:
+        total = float(vals.sum())
+        toterr = float(errs.sum())
+        tol = max(abs_tol, rel_tol * abs(total))
+        # a NaN error estimate stops the rounds too, unconverged
+        if not toterr > tol or len(lo) >= max_panels:
             break
-        plo = np.array([x[0] for x in batch])
-        phi = np.array([x[1] for x in batch])
+        order = errs.argsort()[::-1]
+        carried = errs[order].cumsum()
+        n_pick = int(carried.searchsorted(toterr - 0.5 * tol)) + 1
+        pick = order[:min(n_pick, max_panels - len(lo))]
+        n = len(pick)
+        plo, phi = lo[pick], hi[pick]
         mid = 0.5 * (plo + phi)
-        nlo = np.concatenate([plo, mid])
-        nhi = np.concatenate([mid, phi])
-        nvals, nerrs = _panel_eval(f, nlo, nhi)
-        n_evals += 15 * len(nlo)
-        for x in batch:
-            total -= x[2]
-            toterr -= x[3]
-        total += float(np.sum(nvals))
-        toterr += float(np.sum(nerrs))
-        for i in range(len(nlo)):
-            heapq.heappush(heap, (-nerrs[i], nlo[i], nhi[i], nvals[i]))
+        nvals, nerrs = _panel_eval(f, np.concatenate([plo, mid]),
+                                   np.concatenate([mid, phi]))
+        n_evals += 30 * n
+        # left halves take the split panels' places, right halves append
+        hi[pick], vals[pick], errs[pick] = mid, nvals[:n], nerrs[:n]
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([hi, phi])
+        vals = np.concatenate([vals, nvals[n:]])
+        errs = np.concatenate([errs, nerrs[n:]])
 
-    ok = toterr <= max(abs_tol, rel_tol * abs(total))
-    return QuadResult(total, toterr, n_evals, ok, len(heap))
+    return QuadResult(total, toterr, n_evals, toterr <= tol, len(lo))
 
 
 @lru_cache(maxsize=64)

@@ -6,9 +6,9 @@ import pytest
 
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
-                                 PairingError, completed_zeta,
-                                 critical_exponent, eisenstein_sample,
-                                 mu_eis, regularized_E1)
+                                 PairingError, _thin_partial_heights,
+                                 completed_zeta, critical_exponent,
+                                 eisenstein_sample, mu_eis, regularized_E1)
 from shearlab.groups import (PSL2Z, THIN4, Cusp, GroupSpec, WordBudget,
                              enumerate_words)
 from shearlab.measures import make_strip_bump
@@ -76,6 +76,24 @@ def test_thin_truncations_agree_at_reported_scale():
     b = eisenstein_sample(e_hi, z, 1.0)
     assert abs(a.value - b.value) < 1e-3
     assert abs(a.value - b.value) < 10.0 * (a.est_error + b.est_error)
+
+
+def test_thin_partial_sums_cut_at_max_height():
+    # the four cuts are max_height / 8, / 4, / 2 and max_height itself:
+    # the default keeps its power-of-two cuts, 2800 sums the rows that
+    # 2048 leaves out, and 3000 stays below the row-height cap
+    assert _thin_partial_heights(1024.0) == (128.0, 256.0, 512.0, 1024.0)
+    assert _thin_partial_heights(2800.0) == (350.0, 700.0, 1400.0, 2800.0)
+
+    def at(height):
+        e = EisensteinEvaluator(spec=THIN4, max_height=height)
+        return eisenstein_sample(e, 1j, 1.0)
+
+    v2048, v2800, v3000 = at(2048.0), at(2800.0), at(3000.0)
+    assert v2800.value != v2048.value
+    for v in (v2800, v3000):
+        assert abs(v.value - v2048.value) < 10.0 * (v.est_error
+                                                    + v2048.est_error)
 
 
 def test_thin_gate_tracks_critical_exponent():

@@ -334,6 +334,33 @@ def test_second_moment_lhs_is_a_shear_pairing(delta, delta_psi):
     assert lhs == pytest.approx(folded, rel=1e-9)
 
 
+def _ray_midpoints(psi, t, n):
+    # midpoint rule in log y over 1/(50(T^2+1)) < y < 50, both halves
+    s0, s1 = math.log(1.0 / (50.0 * (t * t + 1.0))), math.log(50.0)
+    h = (s1 - s0) / n
+    y = np.exp(s0 + (np.arange(n) + 0.5) * h)
+    return h * float(np.sum(psi.batch(t * y, y)))
+
+
+def test_second_moment_lhs_matches_fixed_grid_at_large_t(delta, delta_psi):
+    # geometric seed panels alone let the refinement stop 1.6e-5 off here
+    t = 674.4
+    ref = _ray_midpoints(delta_psi, t, 1 << 17)
+    assert abs(ref - _ray_midpoints(delta_psi, t, 1 << 16)) < 1e-9 * ref
+    assert second_moment_lhs(delta, t) == pytest.approx(ref, rel=1e-7)
+
+
+def test_second_moment_converges_at_t_1e4(delta):
+    t = 1e4
+    lhs = second_moment_lhs(delta, t)
+    assert lhs == pytest.approx(second_moment_prediction(delta, t), rel=1e-4)
+
+
+def test_second_moment_raises_when_unconverged(delta):
+    with pytest.raises(InsufficientConvergenceError):
+        second_moment_lhs(delta, 2.0, tol=1e-300)
+
+
 def test_second_moment_grows_with_t(delta):
     assert second_moment_lhs(delta, 50.0) > second_moment_lhs(delta, 20.0)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearlab.quadrature import adaptive, gl_nodes, integrate_fd, refine
 
@@ -45,6 +47,66 @@ def test_adaptive_reports_nonconvergence():
                    max_panels=40)
     assert not res.converged
     assert res.n_evals > 0
+
+
+def _within_tolerance(res, exact, abs_tol, rel_tol):
+    return abs(res.value - exact) <= max(abs_tol, rel_tol * abs(exact)) \
+        + 1e-15 * abs(exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(0.05, 0.95), log_w=st.floats(math.log(3e-3), math.log(0.3)),
+       rel_tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_adaptive_gaussian_within_tolerance(c, log_w, rel_tol):
+    # the 21 seed panels put K15 nodes closer than the narrowest width
+    w = math.exp(log_w)
+    exact = 0.5 * w * math.sqrt(math.pi) * (math.erf((1.0 - c) / w)
+                                            + math.erf(c / w))
+    res = adaptive(lambda x: np.exp(-((x - c) / w) ** 2), 0.0, 1.0,
+                   abs_tol=1e-15, rel_tol=rel_tol,
+                   initial_edges=np.linspace(0.0, 1.0, 21))
+    assert res.converged
+    assert _within_tolerance(res, exact, 1e-15, rel_tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(1.0, 400.0), b=st.floats(0.5, 3.0),
+       rel_tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_adaptive_cosine_within_tolerance(k, b, rel_tol):
+    res = adaptive(lambda x: np.cos(k * x), 0.0, b, abs_tol=1e-13,
+                   rel_tol=rel_tol)
+    assert res.converged
+    assert _within_tolerance(res, math.sin(k * b) / k, 1e-13, rel_tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(max_panels=st.integers(1, 300))
+def test_adaptive_cap_reports_nonconvergence(max_panels):
+    # sqrt has an endpoint singularity in its derivative, so no panel
+    # count meets a zero tolerance
+    res = adaptive(np.sqrt, 0.0, 1.0, abs_tol=0.0, rel_tol=0.0,
+                   max_panels=max_panels)
+    assert not res.converged
+    assert res.n_panels == max_panels
+    assert res.n_evals == 15 * (2 * max_panels - 1)
+    assert res.est_error > 0.0
+
+
+def test_adaptive_many_periods_in_few_calls():
+    # 2000 periods from a single panel: each round splits every panel
+    # that carries the excess error, so the panel count doubles per call
+    # until the oscillation is resolved
+    k = 2.0 * math.pi * 2000.3
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.cos(k * x)
+
+    res = adaptive(f, 0.0, 1.0)
+    assert res.converged
+    assert len(calls) <= 40
+    assert abs(res.value - math.sin(k) / k) <= 1e-12
 
 
 def test_gl_nodes_integrate_polynomials_exactly():

@@ -14,11 +14,11 @@ Subcommands map onto the library's headline computations:
 
 Every file-writing run produces `<out>` plus `<out stem>.manifest.json`
 holding the resolved configuration, package version, and wall time.
-Identical configuration and seed give byte-identical CSV output; only
-the manifest timestamp and wall time vary.  Exit codes: 0 success, 2 bad
-configuration (nothing written), 3 budget or tolerance exhausted
-(manifest flagged partial; a run stopped by the error lists no outputs
-and records the error text).
+Identical configuration gives byte-identical CSV output; only the
+manifest timestamp and wall time vary.  selftest --seed picks its
+randomized sweep.  Exit codes: 0 success, 2 bad configuration (nothing
+written), 3 budget or tolerance exhausted (manifest flagged partial; a
+run stopped by the error lists no outputs and records the error text).
 """
 
 from __future__ import annotations
@@ -504,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON file of flag defaults")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sampling")
         p.add_argument("--out", default=None, help="output path")
         return p
 
@@ -554,7 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("kronecker", "limit-formula check for the discriminant form")
     p.add_argument("--qexp-n", dest="qexp_n", type=int, default=None)
 
-    add("selftest", "run the fast invariant suites")
+    p = add("selftest", "run the fast invariant suites")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomized sweep")
     return parser
 
 

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import UTBPoint, mobius_act
 from .groups import (PSL2Z, THIN4, GroupSpec, _coprime_rows, _mod_inverse,
                      _ragged, bottom_rows, reduce_points)
 from .quadrature import adaptive, gl_nodes, refine
@@ -54,9 +53,11 @@ class RegistrationError(ValueError):
 class TestFunction:
     """Automorphic observable with declared decay and support data.
 
-    evaluator takes a UTBPoint; batch takes (x, y) arrays and is what the
-    integrators call.  support is a fundamental-domain bounding box
-    (x_lo, x_hi, y_lo, y_hi) for compactly supported functions, None for
+    batch takes (x, y) arrays and is the one way to evaluate the function;
+    every integrator reads it through batch.  A function of (x, y) alone
+    is right-K-invariant by construction: the direction on the unit
+    tangent bundle never enters.  support is a fundamental-domain bounding
+    box (x_lo, x_hi, y_lo, y_hi) for compactly supported functions, None for
     cusp-decaying ones.  profiles, set by the bump factories, holds the
     (P_x, P_y) product factors; it is what entitles the unfolded engines
     to reconstruct the single-translate profile instead of sampling the
@@ -65,7 +66,6 @@ class TestFunction:
     """
     name: str
     mode: str
-    evaluator: Callable[[UTBPoint], float]
     batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     c_psi: float = 2.5
     alpha_psi: float = 2.0
@@ -84,21 +84,26 @@ class TestFunction:
 
 def _register(tf: TestFunction, n_samples: int = 1000, tol: float = 1e-7,
               seed: int = 20140823) -> TestFunction:
-    """Spot-check automorphy before handing the function out."""
+    """Spot-check automorphy before handing the function out: batch at
+    n_samples points (x in [-3, 3], log-uniform y in [0.1, 8]) against
+    batch at their images under a random generator or product of two, in
+    two calls.  A NaN anywhere fails the check."""
     if tf.mode == "strip":
         return tf
     rng = np.random.default_rng(seed)
     gens = tf.spec().gen_set()
-    worst = 0.0
+    draws = []
     for _ in range(n_samples):
         g = gens[rng.integers(len(gens))]
         if rng.random() < 0.5:
             g = g * gens[rng.integers(len(gens))]
-        p = UTBPoint(rng.uniform(-3.0, 3.0),
-                     math.exp(rng.uniform(math.log(0.1), math.log(8.0))),
-                     0.0)
-        worst = max(worst, abs(tf.evaluator(mobius_act(g, p)) - tf.evaluator(p)))
-    if worst > tol:
+        draws.append((g.a, g.b, g.c, g.d, rng.uniform(-3.0, 3.0),
+                      math.exp(rng.uniform(math.log(0.1), math.log(8.0)))))
+    a, b, c, d, x, y = np.array(draws, dtype=float).T
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    gx = ((a * x + b) * (c * x + d) + a * c * y * y) / den
+    worst = float(np.max(np.abs(tf.batch(gx, y / den) - tf.batch(x, y))))
+    if not worst <= tol:
         raise RegistrationError(
             f"{tf.name}: automorphy violated by {worst:.2e} (> {tol:g})")
     return tf
@@ -148,30 +153,30 @@ def make_lattice_bump(box=DEFAULT_BOX, name: str = "lattice_bump") -> TestFuncti
         rx, ry = reduce_points(x, y)
         return px(rx) * py(ry)
 
-    def evaluator(p: UTBPoint) -> float:
-        return float(batch(np.array([p.x]), np.array([p.y]))[0])
-
-    return _register(TestFunction(name, "lattice", evaluator, batch,
+    return _register(TestFunction(name, "lattice", batch,
                                   c_psi=max(2.0 * y_hi, 1.0), alpha_psi=2.0,
                                   support=tuple(box), profiles=(px, py),
                                   omega=1.0))
 
 
-def make_thin_bump(box=THIN_BOX, table_height: float = 80.0,
-                   name: str = "thin_bump") -> TestFunction:
+# row height of the coset table behind make_thin_bump's batch
+_THIN_BUMP_ROWS = 80.0
+
+
+def make_thin_bump(box=THIN_BOX, name: str = "thin_bump") -> TestFunction:
     """Poincare series of the box profile over the thin built-in group.
 
     The box sits above height 1 and is narrower than the cusp width, so
     (as in the lattice case) at most one group translate lands in it and
     pointwise evaluation is a finite scan of the cached coset table.
-    table_height bounds the rows consulted; queries below the covered
+    _THIN_BUMP_ROWS bounds the rows consulted; queries below the covered
     height raise rather than silently dropping translates.
     """
     x_lo, x_hi, y_lo, y_hi = box
     if not (1.0 < y_lo < y_hi and -2.0 < x_lo < x_hi < 2.0):
         raise ValueError("box must sit above height 1, inside one cusp period")
     px, py = _box_profiles(box)
-    table = _thin_table(table_height)
+    table = _thin_table(_THIN_BUMP_ROWS)
     nz = table[table[:, 2] != 0]
     aa = nz[:, 0].astype(float)
     cc = nz[:, 2].astype(float)
@@ -179,7 +184,7 @@ def make_thin_bump(box=THIN_BOX, table_height: float = 80.0,
     acs = aa / cc
     # a translate with row (c, d) reaches the box only if |cz+d|^2 <= y/y_lo;
     # for wrapped |x| <= 2 that keeps sqrt(c^2+d^2) under ~sqrt(5/(y*y_lo))
-    y_floor = 5.0 / (y_lo * (table_height - 4.0) ** 2)
+    y_floor = 5.0 / (y_lo * (_THIN_BUMP_ROWS - 4.0) ** 2)
 
     def batch(x, y):
         x = np.mod(np.asarray(x, dtype=float) + 2.0, 4.0) - 2.0
@@ -202,10 +207,7 @@ def make_thin_bump(box=THIN_BOX, table_height: float = 80.0,
                 np.add.at(out, sl.start + j, px(gx) * py(yr[i, j]))
         return out
 
-    def evaluator(p: UTBPoint) -> float:
-        return float(batch(np.array([p.x]), np.array([p.y]))[0])
-
-    return _register(TestFunction(name, "thin", evaluator, batch,
+    return _register(TestFunction(name, "thin", batch,
                                   c_psi=max(2.0 * y_hi, 1.0), alpha_psi=2.0,
                                   support=tuple(box), profiles=(px, py),
                                   omega=4.0))
@@ -222,10 +224,7 @@ def make_strip_bump(box=DEFAULT_BOX, omega: float = 1.0,
         x = np.mod(np.asarray(x, dtype=float) - x_lo, omega) + x_lo
         return px(x) * py(np.asarray(y, dtype=float))
 
-    def evaluator(p: UTBPoint) -> float:
-        return float(batch(np.array([p.x]), np.array([p.y]))[0])
-
-    return TestFunction(name, "strip", evaluator, batch, support=tuple(box),
+    return TestFunction(name, "strip", batch, support=tuple(box),
                         profiles=(px, py), omega=omega)
 
 
@@ -245,8 +244,8 @@ def mu_T(psi: TestFunction, T: float, tol: float = 1e-7) -> ShearSample:
     """Integral of psi along the sheared ray against dy/y.
 
     Product bumps with |T| >= 8 go through the unfolded spike engine;
-    everything else uses adaptive panels along the ray, with the
-    evaluator doing its own domain folding.
+    everything else uses adaptive panels along the ray, with batch doing
+    its own domain folding.
     """
     if psi.profiles is not None and psi.mode in ("lattice", "thin") \
             and abs(T) >= 8.0:
@@ -532,13 +531,11 @@ def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
 # -- horocycle data ----------------------------------------------------------
 
 def fourier_coefficient(psi: TestFunction, m: int, y: float,
-                        theta: float = 0.0, tol: float = 1e-9):
+                        tol: float = 1e-9):
     """(1/omega) * integral over one period of psi(x+iy) e(-m x / omega).
 
     Trapezoid in x, spectrally accurate for smooth psi, grid doubling
-    until stable.  Returns a float for m = 0, complex otherwise.  theta
-    is accepted for interface symmetry; the built-in test functions are
-    right-K-invariant and ignore it.
+    until stable.  Returns a float for m = 0, complex otherwise.
     """
     omega = psi.omega
 

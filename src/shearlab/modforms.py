@@ -169,9 +169,6 @@ def form_observable(f: QExpansion) -> TestFunction:
         vals = _qexp_eval(f, rx, ry)
         return np.abs(vals) ** 2 * ry ** k
 
-    def evaluator(p: UTBPoint) -> float:
-        return eval_psi_f(f, p)
-
     # honest sup-envelope constants: |f| <= sum |a(n)| e^(-2 pi n y) =: F(y)
     # on the reduced range, so Psi <= F(y)^2 y^k =: env(y)
     ys = np.geomspace(math.sqrt(3.0) / 2.0, 8.0, 400)
@@ -180,8 +177,7 @@ def form_observable(f: QExpansion) -> TestFunction:
     fy = np.exp(-2.0 * math.pi * np.outer(ys, n_idx)) @ absa
     env = fy ** 2 * ys ** k
     alpha = 2.0
-    return TestFunction(name=f"psi_form_w{k}", mode="lattice",
-                        evaluator=evaluator, batch=batch,
+    return TestFunction(name=f"psi_form_w{k}", mode="lattice", batch=batch,
                         c_psi=float((env * ys ** alpha).max()),
                         alpha_psi=alpha, support=None, profiles=None,
                         peak=float(env.max()))

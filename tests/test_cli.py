@@ -310,3 +310,16 @@ def test_selftest_passes(tmp_path):
     assert len(doc) >= 5
     assert all(v == "pass" for v in doc.values())
     assert read_manifest(report)["wall_time_s"] > 0.0
+
+
+def test_seed_is_a_selftest_flag_only(tmp_path, capsys):
+    # only the selftest sweep draws random points; elsewhere --seed is an
+    # unknown flag, not a silently ignored one
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--seed", "3", "--out", str(tmp_path / "c.csv")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    report = tmp_path / "self.json"
+    assert main(["selftest", "--seed", "3", "--out", str(report)]) == 0
+    assert read_manifest(report)["config"]["seed"] == 3

@@ -27,42 +27,63 @@ def test_bump_profile_shape():
     assert np.allclose(v, v[::-1])  # even
 
 
+def _images(gs, pts):
+    # the scalar Mobius map, independent of the closed form in _register
+    img = [mobius_act(g, p) for g, p in zip(gs, pts)]
+    return (np.array([p.x for p in pts]), np.array([p.y for p in pts]),
+            np.array([q.x for q in img]), np.array([q.y for q in img]))
+
+
 def test_lattice_bump_is_automorphic(lattice_bump):
     rng = np.random.default_rng(7)
     gens = PSL2Z.gen_set()
+    gs, pts = [], []
     for _ in range(200):
-        g = compose(gens[rng.integers(len(gens))],
-                    gens[rng.integers(len(gens))])
-        p = UTBPoint(rng.uniform(-2, 2), math.exp(rng.uniform(-2, 2)), 0.1)
-        assert lattice_bump.evaluator(mobius_act(g, p)) == pytest.approx(
-            lattice_bump.evaluator(p), abs=1e-12)
+        gs.append(compose(gens[rng.integers(len(gens))],
+                          gens[rng.integers(len(gens))]))
+        pts.append(UTBPoint(rng.uniform(-2, 2), math.exp(rng.uniform(-2, 2))))
+    x, y, gx, gy = _images(gs, pts)
+    assert np.allclose(lattice_bump.batch(gx, gy), lattice_bump.batch(x, y),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_thin_bump_is_automorphic(thin_bump):
     rng = np.random.default_rng(8)
     gens = THIN4.gen_set()
+    gs, pts = [], []
     for _ in range(200):
-        g = gens[rng.integers(len(gens))]
-        p = UTBPoint(rng.uniform(-2, 2), math.exp(rng.uniform(-1.5, 1.5)), 0.0)
-        assert thin_bump.evaluator(mobius_act(g, p)) == pytest.approx(
-            thin_bump.evaluator(p), abs=1e-9)
+        gs.append(gens[rng.integers(len(gens))])
+        pts.append(UTBPoint(rng.uniform(-2, 2),
+                            math.exp(rng.uniform(-1.5, 1.5))))
+    x, y, gx, gy = _images(gs, pts)
+    assert np.allclose(thin_bump.batch(gx, gy), thin_bump.batch(x, y),
+                       rtol=0.0, atol=1e-9)
 
 
 def test_registration_rejects_non_automorphic():
-    fake = measures.TestFunction("broken", "lattice",
-                                 evaluator=lambda p: p.x,
-                                 batch=lambda x, y: np.asarray(x))
-    with pytest.raises(RegistrationError):
-        measures._register(fake)
+    for batch in (
+            lambda x, y: np.asarray(x),
+            # invariant under T but not under S
+            lambda x, y: np.cos(2.0 * np.pi * x) * y,
+            # invariant under S but not under T
+            lambda x, y: y + y / (x * x + y * y),
+            # automorphic where it is defined, NaN high in the cusp
+            lambda x, y: np.where(np.asarray(y) > 7.0, np.nan, 1.0)):
+        fake = measures.TestFunction("broken", "lattice", batch=batch)
+        with pytest.raises(RegistrationError):
+            measures._register(fake)
 
 
-def test_batch_matches_evaluator(lattice_bump):
-    xs = np.array([0.1, -0.15, 0.3, 2.3])
-    ys = np.array([1.5, 1.8, 0.4, 1.6])
-    vals = lattice_bump.batch(xs, ys)
-    for i in range(len(xs)):
-        assert vals[i] == pytest.approx(
-            lattice_bump.evaluator(UTBPoint(xs[i], ys[i], 0.0)), abs=1e-13)
+def test_registration_is_two_batch_calls(lattice_bump, thin_bump):
+    for tf in (lattice_bump, thin_bump):
+        calls = []
+
+        def counted(x, y, batch=tf.batch):
+            calls.append(len(x))
+            return batch(x, y)
+
+        measures._register(dataclasses.replace(tf, batch=counted))
+        assert calls == [1000, 1000]
 
 
 def test_spec_attachment(lattice_bump, thin_bump):

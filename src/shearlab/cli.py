@@ -39,8 +39,8 @@ from .algebra import (INT_S, INT_T, FormVector, UTBPoint, iwasawa_decompose,
 from .counting import (FIT_MODELS, CountResult, InsufficientDataError,
                        OrbitQuery, StabilizerError, count_orbit,
                        fit_counting_law)
-from .eisenstein import (EisensteinEvaluator, eisenstein_sample,
-                         regularized_E1)
+from .eisenstein import (EisensteinEvaluator, _em_threshold, _row_sums,
+                         eisenstein_sample, regularized_E1)
 from .groups import BUILTINS, PSL2Z, BudgetExceeded, GroupSpec, WordBudget
 from .measures import make_lattice_bump, make_thin_bump, mu_T, mu_T_strip
 from .modforms import (InsufficientConvergenceError, delta_qexp,
@@ -393,12 +393,25 @@ def _suite_specfun(_rng):
         raise AssertionError("zeta(4) off")
 
 
-def _suite_eisenstein(_rng):
+def _suite_eisenstein(rng):
     p = UTBPoint(0.0, 1.0)
     a = eisenstein_sample(EisensteinEvaluator(route="fourier"), p, 2.0)
     b = eisenstein_sample(EisensteinEvaluator(route="coset"), p, 2.0)
     if abs(a.value - b.value) > 1e-8:
         raise AssertionError(f"route gap {abs(a.value - b.value):.2e}")
+    # the coset route's Euler-Maclaurin rows against their direct sums
+    s = 1.7
+    n = rng.integers(1, 2049, size=16)
+    cx = rng.uniform(-0.5, 0.5, size=16)
+    d_lo = -np.floor(0.5 * n)
+    a2 = _em_threshold(s) ** 2 * rng.uniform(1.0, 4.0, size=16)
+    rows = _row_sums(cx, d_lo, n, a2, s)
+    for got, c, d, k, h2 in zip(rows, cx, d_lo, n, a2):
+        u = c + np.arange(d, d + k)
+        want = math.fsum(((u * u + h2) ** -s).tolist())
+        if abs(got - want) > 1e-13 * want:
+            raise AssertionError(f"Euler-Maclaurin row of {k} points off "
+                                 f"its direct sum by {abs(got / want - 1):.1e}")
     z = UTBPoint(0.3, 1.7)
     ev = EisensteinEvaluator(route="fourier")
     eps = 1e-3

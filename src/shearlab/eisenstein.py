@@ -7,11 +7,20 @@ translation subgroup, omega the cusp width.  Two evaluation routes:
   ratios and K-Bessel modes.  The only route that survives analytic
   continuation below s = 1, so it is the default for the lattice.
 - coset: direct summation.  For the lattice the coprime bottom rows are
-  recovered from the full integer lattice divided by 2 zeta(2s), with an
-  area-integral tail correction.  For the thin group the bottom-row
-  tables are summed at four nested height cutoffs and the geometric
-  decay of the block sums is extrapolated; the series converges at s = 1
-  outright because the critical exponent sits below 1.
+  recovered from the full integer lattice inside |cz + d| <= R divided
+  by 2 zeta(2s), with an area-integral tail correction.  The lattice is
+  summed by rows: row c holds (u^2 + (cy)^2)^-s over u = cx + d in a
+  window of d.  Rows with cy below 16 (more for s above 8, every row
+  above s = 32) are summed point by point; every higher row in closed
+  form by Euler-Maclaurin with eight Bernoulli terms, which is exact to
+  rounding there, so the work is O(R / y) rows instead of O(R^2 / y)
+  points: about 4 ms at R = 1024, y = 0.5, against 70-110 ms point by
+  point.  The route stays independent of the Fourier one: it sums the
+  same truncated rows the point-by-point sum would, to a few parts in
+  1e15, and takes no Poisson or K-Bessel step.  For the thin group the
+  bottom-row tables are summed at four nested height cutoffs and the
+  geometric decay of the block sums is extrapolated; the series
+  converges at s = 1 outright because the critical exponent sits below 1.
 
 The regularized value at s = 1 (lattice) subtracts the pole and lands on
 a closed form in log|eta|.  The pairing functionals mu_eis integrate a
@@ -190,32 +199,114 @@ def _fourier_value(x, y, s, omega, cap):
 def _lattice_coset_value(x, y, s, omega, radius):
     # full integer lattice inside |cz + d| <= R, divided by 2 zeta(2s);
     # the tail beyond R is replaced by its area integral, and the value
-    # at R / sqrt(2) is carried along as the error estimate
+    # at R / sqrt(2) is carried along as the error estimate.  (c, d) and
+    # (-c, -d) give the same term, so the rows c >= 0 are summed, doubled
     r2 = radius * radius
-    total = 0.0
-    half = 0.0
-    cmax = int(radius / y)
-    for c in range(-cmax, cmax + 1):
-        w2 = r2 - c * c * y * y
-        if w2 <= 0.0:
-            continue
-        w = math.sqrt(w2)
-        dd = np.arange(math.ceil(-c * x - w), math.floor(-c * x + w) + 1.0)
-        if c == 0:
-            dd = dd[dd != 0.0]
-        q = (c * x + dd) ** 2 + c * c * y * y
-        t = q ** (-s)
-        total += float(t.sum())
-        half += float(t[q <= 0.5 * r2].sum())
+    c = np.arange(int(radius / y) + 1, dtype=float)
+    cx, a2 = c * x, c * c * y * y
+    partial = []
+    for w2 in (r2 - a2, 0.5 * r2 - a2):
+        # row c: d with (cx + d)^2 + (cy)^2 <= R^2 (or R^2 / 2)
+        w = np.sqrt(np.maximum(w2, 0.0))
+        lo, hi = np.ceil(-cx - w), np.floor(-cx + w)
+        # the c = 0 row pairs d with -d and leaves out the origin
+        lo[0] = 1.0
+        n = np.where(w2 > 0.0, np.maximum(hi - lo + 1.0, 0.0), 0.0)
+        partial.append(2.0 * float(
+            _row_sums(cx, lo, n.astype(np.int64), a2, s).sum()))
     z2 = 2.0 * zeta(2.0 * s)
 
     def with_tail(partial, r):
         tail = (math.pi / y) * r ** (2.0 - 2.0 * s) / (s - 1.0)
         return y ** s * (partial + tail) / z2 / omega
 
-    vr = with_tail(total, radius)
-    vh = with_tail(half, radius / math.sqrt(2.0))
+    vr = with_tail(partial[0], radius)
+    vh = with_tail(partial[1], radius / math.sqrt(2.0))
     return vr, abs(vr - vh) + 1e-15 * abs(vr)
+
+
+def _row_sums(cx, d_lo, n, a2, s):
+    """sum_{k < n} ((cx + d_lo + k)^2 + a2)^-s for each row (0 where n is
+    0), with d_lo integral.
+
+    Rows with sqrt(a2) >= _em_threshold(s) are summed in closed form by
+    Euler-Maclaurin; the rest point by point.
+    """
+    out = np.zeros(len(n))
+    em = (a2 >= _em_threshold(s) ** 2) & (n > 0)
+    out[em] = _em_row_sums(cx[em] + d_lo[em], cx[em] + (d_lo[em] + n[em] - 1),
+                           a2[em], s)
+    low = np.flatnonzero(~em & (n > 0))
+    # blocks of at most 2^18 points, so small y and large R stay in memory
+    width = int(n[low].max(initial=1))
+    step = max(1, 2 ** 18 // width)
+    j = np.arange(width, dtype=float)
+    for k in range(0, len(low), step):
+        r = low[k:k + step, None]
+        t = ((cx[r] + (d_lo[r] + j)) ** 2 + a2[r]) ** (-s)
+        out[r[:, 0]] = np.where(j < n[r], t, 0.0).sum(axis=1)
+    return out
+
+
+def _em_threshold(s):
+    """Least row height a at which the Euler-Maclaurin row sum is exact
+    to rounding.  Near u = 0 the summand is a Gaussian of width
+    a / sqrt(2s), so the height grows like sqrt(s).  Above s = 32 the
+    24-node rule for G loses digits (2e-13 at s = 50), so every row is
+    summed point by point."""
+    return 16.0 * max(1.0, math.sqrt(s / 8.0)) if s <= 32.0 else math.inf
+
+
+# B_2j / (2j)! for j = 1..8
+_EM_WEIGHTS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+     -3617 / 510), start=1))
+
+
+def _em_row_sums(u_lo, u_hi, a2, s):
+    """Sum of f(u) = (u^2 + a2)^-s over u = u_lo, u_lo + 1, ..., u_hi, one
+    row per entry, by Euler-Maclaurin with eight Bernoulli terms.
+
+    The odd derivatives at both ends come from the recurrence
+    g f^(n+1) = -(2n + 2s) u f^(n) - n (n - 1 + 2s) f^(n-1), g = u^2 + a2,
+    and the integral is a^(1-2s) (G(u_hi / a) - G(u_lo / a)).
+    """
+    u = np.stack([u_lo, u_hi])
+    g = u * u + a2
+    f = g ** (-s)
+    prev, cur = f, -2.0 * s * u * f / g
+    corr = _EM_WEIGHTS[0] * cur
+    for n in range(1, 15):
+        prev, cur = cur, (-(2 * n + 2.0 * s) * u * cur
+                          - n * (n - 1 + 2.0 * s) * prev) / g
+        if n % 2 == 0:
+            corr += _EM_WEIGHTS[n // 2] * cur
+    a = np.sqrt(a2)
+    gv = _G(u / a, s)
+    return (a * a2 ** (-s) * (gv[1] - gv[0]) + 0.5 * (f[0] + f[1])
+            + corr[1] - corr[0])
+
+
+def _G(v, s):
+    """G(v) = int_0^v (1 + t^2)^-s dt, elementwise, for s > 1."""
+    t = np.abs(v)
+    out = np.empty_like(t)
+    near = t <= 3.0
+    # G(v) = int_0^atan(v) cos(th)^(2s - 2) dth, smooth on [0, atan 3]
+    nodes, weights = gl_nodes(24)
+    th = 0.5 * np.arctan(t[near])
+    out[near] = th * (np.cos(th[:, None] * (1.0 + nodes)) ** (2.0 * s - 2.0)
+                      @ weights)
+    # beyond 3: G(inf) minus the binomial series of the tail int_v^inf,
+    # sum_k C(-s, k) v^(1 - 2s - 2k) / (2s + 2k - 1); 24 terms reach
+    # 9^-24 of the first
+    k = np.arange(24)
+    binom = np.cumprod(np.concatenate(([1.0], -(s + k[:-1]) / (k[1:]))))
+    tf = t[~near]
+    g_inf = 0.5 * math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s)
+    out[~near] = g_inf - tf ** (1.0 - 2.0 * s) * np.polynomial.polynomial \
+        .polyval(tf ** -2.0, binom / (2.0 * s + 2.0 * k - 1.0))
+    return np.copysign(out, v)
 
 
 def _thin_partial_heights(max_height):

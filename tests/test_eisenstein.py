@@ -6,12 +6,15 @@ import pytest
 
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
-                                 PairingError, _thin_partial_heights,
-                                 completed_zeta, critical_exponent,
-                                 eisenstein_sample, mu_eis, regularized_E1)
+                                 PairingError, _em_threshold,
+                                 _lattice_coset_value, _row_sums,
+                                 _thin_partial_heights, completed_zeta,
+                                 critical_exponent, eisenstein_sample, mu_eis,
+                                 regularized_E1)
 from shearlab.groups import (PSL2Z, THIN4, Cusp, GroupSpec, WordBudget,
                              enumerate_words)
 from shearlab.measures import make_strip_bump
+from shearlab.specfun import zeta
 
 # mpmath, lattice sum with Kloosterman-free Fourier expansion, 30 digits
 E_AT_I_S2 = 2.7842015453307912222
@@ -25,6 +28,91 @@ def test_dual_routes_hit_reference_value():
     assert abs(four.value - E_AT_I_S2) < 1e-10
     assert abs(coset.value - E_AT_I_S2) < 1e-8
     assert abs(four.value - coset.value) < 1e-8
+
+
+def test_lattice_coset_reaches_reference_at_height_8192():
+    coset = eisenstein_sample(
+        EisensteinEvaluator(route="coset", max_height=8192.0), 1j, 2.0)
+    assert abs(coset.value - E_AT_I_S2) < 1e-12
+
+
+def point_loop_lattice_value(x, y, s, omega, radius):
+    """The lattice coset route as a loop over c that raises every lattice
+    point inside |cz + d| <= R to the power -s: the reference for the row
+    sums of _lattice_coset_value.  The row sums are accumulated with
+    math.fsum; a plain += over the 82,000 rows at y = 0.05, R = 2048
+    moves the error estimate by 1.3e-14 of the value."""
+    r2 = radius * radius
+    total = []
+    half = []
+    cmax = int(radius / y)
+    for c in range(-cmax, cmax + 1):
+        w2 = r2 - c * c * y * y
+        if w2 <= 0.0:
+            continue
+        w = math.sqrt(w2)
+        dd = np.arange(math.ceil(-c * x - w), math.floor(-c * x + w) + 1.0)
+        if c == 0:
+            dd = dd[dd != 0.0]
+        q = (c * x + dd) ** 2 + c * c * y * y
+        t = q ** (-s)
+        total.append(float(t.sum()))
+        half.append(float(t[q <= 0.5 * r2].sum()))
+    z2 = 2.0 * zeta(2.0 * s)
+
+    def with_tail(partial, r):
+        tail = (math.pi / y) * r ** (2.0 - 2.0 * s) / (s - 1.0)
+        return y ** s * (partial + tail) / z2 / omega
+
+    vr = with_tail(math.fsum(total), radius)
+    vh = with_tail(math.fsum(half), radius / math.sqrt(2.0))
+    return vr, abs(vr - vh) + 1e-15 * abs(vr)
+
+
+@pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 5.0, 20.0, 32.0, 50.0])
+def test_row_sums_match_direct_sums(s):
+    # windows of 0 to 2R points at heights a from the Euler-Maclaurin
+    # switch upward, and one ulp below it, where rows go point by point
+    rng = np.random.default_rng(int(100 * s))
+    a0 = _em_threshold(s)
+    if s > 32.0:
+        # large s falls back to direct rows at every height
+        assert a0 == math.inf
+        a0 = 16.0 * math.sqrt(s / 8.0)
+    radius = 1024
+    a = np.repeat([a0, 3.0 * a0, 30.0 * a0, np.nextafter(a0, 0.0)], 12)
+    n = np.exp(rng.uniform(0.0, math.log(2 * radius), len(a))).astype(np.int64)
+    for k, m in enumerate((0, 1, 2, 3, 2 * radius)):
+        n[k::12] = m
+    cx = rng.uniform(-1.0, 1.0, len(a))
+    d_lo = -np.floor(0.5 * n) + rng.integers(-1, 2, len(a))
+    got = _row_sums(cx, d_lo, n, a * a, s)
+    for g, c, d, k, h in zip(got, cx, d_lo, n, a):
+        u = c + np.arange(d, d + k)
+        want = math.fsum(((u * u + h * h) ** -s).tolist())
+        if k == 0:
+            assert g == 0.0
+        else:
+            assert abs(g - want) <= 1e-13 * want, (k, h)
+
+
+# (y, max_height, s values): every (y, max_height) pair with every s where
+# the point loop is cheap; at y = 0.05 the loop takes 1-4 s per value
+ROW_GRID = [(y, r, (1.01, 1.3, 2.0, 8.0))
+            for y in (0.5, 1.0, 3.0) for r in (32.0, 1024.0, 2048.0)] + [
+    (0.05, 32.0, (1.01, 1.3, 2.0, 8.0)), (0.05, 1024.0, (1.01,)),
+    (0.05, 2048.0, (2.0,))]
+
+
+@pytest.mark.parametrize("y,radius,ss", ROW_GRID)
+def test_lattice_rows_match_the_point_loop(y, radius, ss):
+    for s in ss:
+        # the loop visits the same (c, d) at x and -x, row c for row -c
+        want, want_err = point_loop_lattice_value(0.5, y, s, 1.0, radius)
+        for x in (0.5, -0.5):
+            got, err = _lattice_coset_value(x, y, s, 1.0, radius)
+            assert abs(got - want) <= 1e-13 * abs(want), (x, s)
+            assert abs(err - want_err) <= 1e-14 * abs(want), (x, s)
 
 
 def test_auto_route_picks_by_group():

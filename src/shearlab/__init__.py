@@ -22,8 +22,7 @@ from .eisenstein import (ConvergenceError, EisensteinEvaluator,
                          EisensteinSample, PairingError, critical_exponent,
                          eisenstein_sample, mu_eis, regularized_E1)
 from .groups import (Cusp, GroupSpec, PSL2Z, THIN4, WordBudget,
-                     enumerate_words, reduce_points,
-                     reduce_to_fundamental_domain)
+                     reduce_points, reduce_to_fundamental_domain)
 from .measures import (RegressionResult, ShearSample, TestFunction,
                        equidistribution_regression, fourier_coefficient,
                        haar_mean, horocycle_average, make_lattice_bump,
@@ -43,8 +42,8 @@ __all__ = [
     "UTBPoint", "compose", "hyperbolic_distance", "iwasawa_decompose",
     "iwasawa_recompose", "mobius_act", "shear_element", "spin_cover",
     # groups
-    "Cusp", "GroupSpec", "PSL2Z", "THIN4", "WordBudget", "enumerate_words",
-    "reduce_points", "reduce_to_fundamental_domain",
+    "Cusp", "GroupSpec", "PSL2Z", "THIN4", "WordBudget", "reduce_points",
+    "reduce_to_fundamental_domain",
     # counting
     "CountResult", "FitResult", "InsufficientDataError", "OrbitQuery",
     "StabilizerError", "coset_disparity", "count_orbit", "fit_counting_law",

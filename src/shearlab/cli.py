@@ -102,7 +102,7 @@ def _group(name: str) -> GroupSpec:
     if os.path.isfile(name):
         try:
             return GroupSpec.from_json(open(name).read())
-        except (ValueError, KeyError) as e:
+        except ValueError as e:
             raise ConfigError(f"bad group file {name!r}: {e}")
     raise ConfigError(f"unknown group {name!r}: use psl2z, thin4, or a "
                       f"JSON spec path")
@@ -172,8 +172,7 @@ def _cmd_count(ns) -> int:
     columns = {
         "T": f"ball radius, {ns.norm} norm on form vectors",
         "count": "exact number of orbit points x0*gamma in the open ball",
-        "saturated": "1 if the orbit search closed within its budget: the "
-                     "syllable walk for <T^w, S> groups, else the word search",
+        "saturated": "1 if the syllable walk closed within its budget",
     }
     label_cols = []
     if per_coset:
@@ -530,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None, help="congruence level")
         p.add_argument("--budget-words", dest="budget_words", type=int,
                        default=None,
-                       help="most search layers: syllables S T^(w k) for "
-                            "<T^w, S> groups, else word letters")
+                       help="most search layers, each one syllable "
+                            "S T^(w k)")
         p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
                        default=None,
                        help="most group elements the search collects")

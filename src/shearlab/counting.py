@@ -2,11 +2,10 @@
 
 The orbit of an integer form vector under a discrete group is enumerated
 inside an exploration gate (explore_factor times the largest radius),
-deduplicated exactly, and counted inside norm balls.  Groups generated by
-a translation T^omega and the inversion S, both built-in ones among them,
-are enumerated by a numpy walk over syllables S T^(omega k), one layer per
-S, each layer emitting whole runs along T^omega; other groups by the
-one-letter word search of groups.enumerate_words.  The two built-in
+deduplicated exactly, and counted inside norm balls.  The group
+<T^omega, S> is enumerated by a numpy walk over syllables S T^(omega k),
+one layer per S, each layer emitting whole runs along T^omega.  The two
+built-in
 scenarios (full modular group and the thin subgroup, both acting on
 x0 = (0, 1, 0)) have trivial stabilizer, so vectors, group elements, and
 congruence cosets are in bijection and per-coset counts are well defined.
@@ -16,15 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .algebra import FormVector
-from .groups import (BudgetExceeded, CosetLabel, GroupSpec, WordBudget,
-                     coset_space, enumerate_words, syllable_width)
+from .groups import CosetLabel, GroupSpec, WordBudget, coset_space
 
 
 class InsufficientDataError(ValueError):
@@ -80,8 +77,8 @@ class CountResult:
     x0_norm: float = 1.0
     q: Optional[int] = None
     breakdown: Optional[dict] = None  # CosetLabel -> per-T counts
-    search_nodes: int = 0  # word-search nodes, partial ones included
-    search_depth: int = 0  # word-search layers reached
+    search_nodes: int = 0  # group elements the walk collected
+    search_depth: int = 0  # syllable layers the walk reached
 
     def __post_init__(self):
         if any(b > a for a, b in zip(self.counts[1:], self.counts)):
@@ -108,58 +105,11 @@ def label_codes(elements: np.ndarray, q: int) -> np.ndarray:
     return np.minimum((elements % q) @ weights, ((-elements) % q) @ weights)
 
 
-def _raise_on_repeat(elements: list, vecs: np.ndarray):
-    """StabilizerError naming the first element (in search order) whose
-    vector an earlier element already reached, and that earlier one."""
-    order = np.lexsort(vecs.T[::-1])  # stable: equal vectors keep search order
-    sv = vecs[order]
-    rep = np.flatnonzero((sv[1:] == sv[:-1]).all(axis=1))
-    if len(rep):
-        k = rep[np.argmin(order[rep + 1])]
-        first, later = order[k], order[k + 1]
-        _stabilizer(vecs[later], elements[first], elements[later])
-
-
 def _stabilizer(vec, first, later):
     def ints(row):
         return tuple(int(v) for v in row)
     raise StabilizerError(f"vector {ints(vec)} reached by {ints(first)} "
                           f"and {ints(later)}")
-
-
-def _word_search(spec: GroupSpec, x0: tuple, gate: int, sup: bool,
-                 budget: WordBudget):
-    """enumerate_words gated on key <= gate, for specs that are not
-    <T^omega, S>.  The gate computes each vector and its key in exact
-    ints; array("q") raises OverflowError past int64."""
-    p0, q0, r0 = x0
-    # (p, q, r, key) per element in search order, starting with the
-    # identity; the gate sees each later element once, right after the
-    # search collects it
-    rows = array("q", (p0, q0, r0, max(abs(p0), abs(q0), abs(r0)) if sup
-                       else p0 * p0 + q0 * q0 + r0 * r0))
-
-    def in_gate(g: tuple) -> bool:
-        a, b, c, d = g
-        p = p0 * a * a + q0 * a * c + r0 * c * c
-        q = 2 * p0 * a * b + q0 * (a * d + b * c) + 2 * r0 * c * d
-        r = p0 * b * b + q0 * b * d + r0 * d * d
-        key = max(abs(p), abs(q), abs(r)) if sup else p * p + q * q + r * r
-        rows.extend((p, q, r, key))
-        return key <= gate
-
-    try:
-        res = enumerate_words(spec, budget=budget, expand=in_gate)
-        saturated = res.saturated
-    except BudgetExceeded as e:
-        res = e.partial
-        saturated = False
-    rows = np.frombuffer(rows, dtype=np.int64).reshape(-1, 4)
-    if len(rows) != len(res.elements):
-        raise RuntimeError("word search and orbit gate out of step")
-    _raise_on_repeat(res.elements, rows[:, :3])
-    elements = np.array(res.elements, dtype=np.int64).reshape(-1, 4)
-    return elements, rows[:, 3], saturated, res.nodes, res.depth
 
 
 def _pack(vecs: np.ndarray) -> np.ndarray:
@@ -407,8 +357,8 @@ class _Walk:
             base_vec = np.column_stack([vec[:, 2], -vec[:, 1], vec[:, 0]])
             base_nb = np.concatenate(next_nb)
         # a vector in a one-integer hole lies just outside the gate between
-        # two runs; the word search reaches it from both, so two different
-        # elements there are a stabilizer too
+        # two runs; a search one letter at a time reaches it from both,
+        # so two different elements there are a stabilizer too
         found = {}
         for vec, el in gaps:
             if found.setdefault(vec, el) != el:
@@ -431,12 +381,10 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     turn if a new scenario is in doubt.  A budget overrun downgrades every
     radius to saturated=False rather than guessing.
 
-    For <T^omega, S> (both built-in groups) the search is the syllable
-    walk of _Walk: search_nodes counts the elements it collects and
-    search_depth its layers, budget.max_nodes and max_depth cap the same
-    two, and a cut walk keeps exactly its first max_nodes elements in walk
-    order.  Other specs keep the one-letter word search of enumerate_words,
-    which also collects the elements just outside the gate.
+    The search is the syllable walk of _Walk over <T^omega, S>:
+    search_nodes counts the elements it collects and search_depth its
+    layers, budget.max_nodes and max_depth cap the same two, and a cut
+    walk keeps exactly its first max_nodes elements in walk order.
 
     The tally is one numpy pass: each vector gets one integer key (sup
     norm, or the sum of squares for the Euclidean ball), the keys are
@@ -453,13 +401,8 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     sup = query.norm == "sup"
     gate = math.ceil(gate_r if sup else gate_r * gate_r) - 1  # key <= gate
     x0 = tuple(int(v) for v in query.x0.entries())
-    omega = syllable_width(query.spec)
-    if omega is None:
-        elements, keys, saturated, nodes, depth = _word_search(
-            query.spec, x0, gate, sup, query.budget)
-    else:
-        elements, keys, saturated, nodes, depth = _Walk(
-            x0, omega, gate, sup, query.budget).walk()
+    elements, keys, saturated, nodes, depth = _Walk(
+        x0, query.spec.omega, gate, sup, query.budget).walk()
     thresholds = np.array(
         [min(max(math.ceil(t if sup else t * t) - 1, -1), _INT64_MAX)
          for t in query.t_list], dtype=np.int64)

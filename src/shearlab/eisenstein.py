@@ -1,12 +1,12 @@
-"""Weight-zero Eisenstein series for the built-in groups.
+"""Weight-zero Eisenstein series for the groups <T^omega, S>.
 
 The series is E(z, s) = (1/omega) sum of Im(gamma z)^s over cosets of the
 translation subgroup, omega the cusp width.  Two evaluation routes:
 
-- fourier (lattice only): the classical expansion through completed-zeta
-  ratios and K-Bessel modes.  The only route that survives analytic
-  continuation below s = 1, so it is the default for the lattice.
-- coset: direct summation.  For the lattice the coprime bottom rows are
+- fourier (psl2z, omega = 1, only): the classical expansion through
+  completed-zeta ratios and K-Bessel modes.  The only route that survives
+  analytic continuation below s = 1, so it is the default for psl2z.
+- coset: direct summation.  For psl2z the coprime bottom rows are
   recovered from the full integer lattice inside |cz + d| <= R divided
   by 2 zeta(2s), with an area-integral tail correction.  The lattice is
   summed by rows: row c holds (u^2 + (cy)^2)^-s over u = cx + d in a
@@ -17,10 +17,11 @@ translation subgroup, omega the cusp width.  Two evaluation routes:
   points: about 4 ms at R = 1024, y = 0.5, against 70-110 ms point by
   point.  The route stays independent of the Fourier one: it sums the
   same truncated rows the point-by-point sum would, to a few parts in
-  1e15, and takes no Poisson or K-Bessel step.  For the thin group the
+  1e15, and takes no Poisson or K-Bessel step.  For omega >= 2 the
   bottom-row tables are summed at four nested height cutoffs and the
-  geometric decay of the block sums is extrapolated; the series
-  converges at s = 1 outright because the critical exponent sits below 1.
+  geometric decay of the block sums is extrapolated; for the thin group
+  the series converges at s = 1 outright because the critical exponent
+  sits below 1.
 
 The regularized value at s = 1 (lattice) subtracts the pole and lands on
 a closed form in log|eta|.  The pairing functionals mu_eis integrate a
@@ -36,9 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import UTBPoint, mobius_act, point_xy
-from .groups import (GroupSpec, PSL2Z, _ragged, bottom_rows, cusp_normalizer,
-                     syllable_width)
+from .algebra import INT_S, UTBPoint, mobius_act, point_xy
+from .groups import GroupSpec, PSL2Z, _ragged, bottom_rows
 from .quadrature import gl_nodes, integrate_fd, refine
 from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
                       log_abs_eta, log_abs_eta_arr, zeta, zeta_prime)
@@ -79,7 +79,7 @@ def critical_exponent(spec: GroupSpec) -> float:
     radii = (16.0, 32.0, 64.0, 128.0, 256.0)
     top = radii[-1]
     a, b, c, d = bottom_rows(spec, top).T
-    omega = syllable_width(spec)
+    omega = spec.omega
     n2 = c * c + d * d
     # the norm is least at m = centre; half bounds the distance from it
     centre = -(a * c + b * d) / (omega * n2)
@@ -97,9 +97,11 @@ def critical_exponent(spec: GroupSpec) -> float:
 class EisensteinEvaluator:
     """Frozen evaluation setup: group, cusp, route, truncation controls.
 
-    route "auto" resolves to fourier for lattices and coset otherwise.
+    route "auto" resolves to fourier for psl2z (omega = 1) and coset
+    otherwise.  cusp_index 0 is infinity and 1, where the group lists it,
+    is 0 = S infinity.
     max_mode caps the Fourier mode count; max_height cuts the coset sums
-    at bottom-row norm (thin) or at |cz + d| (lattice).
+    at bottom-row norm (omega >= 2) or at |cz + d| (psl2z).
     """
     spec: GroupSpec = PSL2Z
     cusp_index: int = 0
@@ -111,7 +113,9 @@ class EisensteinEvaluator:
         if self.route not in ("auto", "fourier", "coset"):
             raise ValueError(f"unknown route {self.route!r}")
         if not 0 <= self.cusp_index < len(self.spec.cusps):
-            raise IndexError("cusp index out of range")
+            raise ValueError(f"cusp index {self.cusp_index} out of range: "
+                             f"{self.spec.name!r} has "
+                             f"{len(self.spec.cusps)} cusp(s)")
         if self.max_height < 32:
             raise ValueError("max_height below the smallest table")
 
@@ -127,48 +131,43 @@ class EisensteinSample:
 
 
 def _at_cusp(e: EisensteinEvaluator, x: float, y: float):
-    """Moved point and width for the selected cusp, and whether the spec's
-    own coset rows serve it: its normalizer n is 1 or a generator, so n G
-    n^-1 = G (for thin4's cusp at 0, n = S)."""
-    omega = e.spec.cusps[e.cusp_index].width
-    if e.cusp_index == 0 and math.isinf(e.spec.cusps[0].point):
-        return x, y, omega, True
-    n = cusp_normalizer(e.spec, e.cusp_index)
-    p = mobius_act(n, UTBPoint(x, y, 0.0))
-    return p.x, p.y, omega, n in e.spec.gen_set()
+    """The point as the selected cusp sees it.  S sends the cusp at 0 to
+    infinity and lies in the group, so the group's own rows serve it."""
+    if e.cusp_index == 0:
+        return x, y
+    p = mobius_act(INT_S, UTBPoint(x, y, 0.0))
+    return p.x, p.y
 
 
 def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
     x, y = point_xy(z)
     route = e.route
+    omega = e.spec.omega
     if route == "auto":
-        route = "fourier" if e.spec.lattice else "coset"
-    x, y, omega, own_rows = _at_cusp(e, x, y)
+        route = "fourier" if omega == 1 else "coset"
+    x, y = _at_cusp(e, x, y)
     if route == "fourier":
-        if not e.spec.lattice:
-            raise ConvergenceError("fourier route is lattice-only")
+        if omega != 1:
+            raise ConvergenceError("fourier route is psl2z-only (omega = 1)")
         if s <= 0.5 or s == 1.0:
             raise ConvergenceError(
                 "fourier route needs s > 1/2 away from the pole at s = 1")
-        val, err = _fourier_value(x, y, s, omega, e.max_mode)
-    elif e.spec.lattice:
+        val, err = _fourier_value(x, y, s, e.max_mode)
+    elif omega == 1:
         if s <= 1.0:
             raise ConvergenceError("lattice coset sum diverges for s <= 1")
-        val, err = _lattice_coset_value(x, y, s, omega, e.max_height)
+        val, err = _lattice_coset_value(x, y, s, e.max_height)
     else:
         gate = critical_exponent(e.spec) + 0.1
         if s < gate:
             raise ConvergenceError(
-                f"thin coset sum needs s >= {gate:.3f} (empirical exponent "
+                f"coset row sum needs s >= {gate:.3f} (critical exponent "
                 f"plus margin); got s = {s}")
-        if not own_rows:
-            raise ValueError(f"cusp {e.cusp_index}: only cusps whose "
-                             f"normalizer is a generator have coset rows")
         val, err = _thin_coset_value(e.spec, x, y, s, omega, e.max_height)
     return EisensteinSample(val, route, err)
 
 
-def _fourier_value(x, y, s, omega, cap):
+def _fourier_value(x, y, s, cap):
     xi2 = completed_zeta(2.0 * s)
     total = y ** s + completed_zeta(2.0 * s - 1.0) / xi2 * y ** (1.0 - s)
     scale = abs(total) + 1.0
@@ -193,10 +192,10 @@ def _fourier_value(x, y, s, omega, cap):
     if n > cap and env >= 1e-12 * scale:
         raise ConvergenceError(
             f"mode cap {cap} too small at y = {y:.4g}; raise max_mode")
-    return total / omega, (env + 1e-14 * abs(total)) / omega
+    return total, env + 1e-14 * abs(total)
 
 
-def _lattice_coset_value(x, y, s, omega, radius):
+def _lattice_coset_value(x, y, s, radius):
     # full integer lattice inside |cz + d| <= R, divided by 2 zeta(2s);
     # the tail beyond R is replaced by its area integral, and the value
     # at R / sqrt(2) is carried along as the error estimate.  (c, d) and
@@ -218,7 +217,7 @@ def _lattice_coset_value(x, y, s, omega, radius):
 
     def with_tail(partial, r):
         tail = (math.pi / y) * r ** (2.0 - 2.0 * s) / (s - 1.0)
-        return y ** s * (partial + tail) / z2 / omega
+        return y ** s * (partial + tail) / z2
 
     vr = with_tail(partial[0], radius)
     vh = with_tail(partial[1], radius / math.sqrt(2.0))

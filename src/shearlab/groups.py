@@ -1,11 +1,14 @@
-"""Discrete subgroups given by integer generators: word search, domain
-reduction, congruence data, cusp bookkeeping.
+"""The groups <T^omega, S>, each given by its width omega: coset rows,
+domain reduction and congruence data.
 
-Two specs ship built in.  "psl2z" is the full modular group generated by
-the unit translation and the inversion; "thin4" is the infinite-covolume
-subgroup generated by the translation by 4 and the inversion, which keeps
-the cusp at infinity (width 4) but leaves most of the boundary circle as
-limit-set complement.
+Every group here is generated by the translation T^omega by an integer
+omega >= 1 and the inversion S, and has its cusp at infinity with width
+omega.  Two ship built in.  "psl2z" (omega = 1) is the full modular
+group; "thin4" (omega = 4) is an infinite-covolume subgroup, which keeps
+the cusp at infinity but leaves most of the boundary circle as
+limit-set complement.  For omega >= 2 the group is the free product of
+<T^omega> and <S>: omega = 2 is the theta group, a lattice of index 3,
+and from omega = 3 on the covolume is infinite.
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
+from .algebra import INT_S, IntGroupElement, UTBPoint, mobius_act
 
 INF = float("inf")
 
@@ -35,64 +37,52 @@ class Cusp:
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """The group <T^omega, S>.  lattice (finite covolume) iff omega <= 2."""
     name: str
-    generators: tuple
-    lattice: bool
-    cusps: tuple
+    omega: int
 
     def __post_init__(self):
-        gens = tuple(self.generators)
-        for g in gens:
-            if not isinstance(g, IntGroupElement):
-                raise TypeError("generators must be IntGroupElement")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "cusps", tuple(self.cusps))
+        # bool is an int subclass; True is no width
+        if type(self.omega) is not int or self.omega < 1:
+            raise ValueError(f"group {self.name!r}: omega must be an integer "
+                             f">= 1, got {self.omega!r}")
+
+    @property
+    def lattice(self) -> bool:
+        return self.omega <= 2
+
+    @property
+    def cusps(self) -> tuple:
+        """infinity, of width omega; groups of infinite covolume also list
+        0 = S infinity, the same cusp seen through S."""
+        inf = Cusp(INF, self.omega)
+        return (inf,) if self.lattice else (inf, Cusp(0.0, self.omega))
 
     def gen_set(self):
-        """Generators and inverses, deduplicated."""
-        out = []
-        for g in self.generators:
-            for h in (g, g.inverse()):
-                if h not in out:
-                    out.append(h)
-        return tuple(out)
+        """Generators and inverses: T^omega, T^-omega and S."""
+        return (IntGroupElement(1, self.omega, 0, 1),
+                IntGroupElement(1, -self.omega, 0, 1), INT_S)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "name": self.name,
-            "generators": [[[g.a, g.b], [g.c, g.d]] for g in self.generators],
-            "lattice": self.lattice,
-            "cusps": [{"point": ("inf" if math.isinf(c.point) else c.point),
-                       "width": c.width} for c in self.cusps],
-        })
+        return json.dumps({"name": self.name, "omega": self.omega})
 
     @staticmethod
     def from_json(text: str) -> "GroupSpec":
+        """A spec from {"name": ..., "omega": w}, the name a string;
+        anything else, a generator list among them, raises ValueError."""
         doc = json.loads(text)
-        gens = tuple(IntGroupElement(m[0][0], m[0][1], m[1][0], m[1][1])
-                     for m in doc["generators"])
-        cusps = tuple(Cusp(INF if c["point"] == "inf" else float(c["point"]),
-                           float(c["width"])) for c in doc["cusps"])
-        return GroupSpec(doc["name"], gens, bool(doc["lattice"]), cusps)
+        if not isinstance(doc, dict) or set(doc) != {"name", "omega"} \
+                or not isinstance(doc["name"], str):
+            raise ValueError('a group file is {"name": ..., "omega": w}, the '
+                             'width w >= 1 of <T^w, S>; generator lists are '
+                             'not read')
+        return GroupSpec(doc["name"], doc["omega"])
 
 
-PSL2Z = GroupSpec("psl2z", (INT_T, INT_S), True, (Cusp(INF, 1.0),))
-THIN4 = GroupSpec("thin4", (IntGroupElement(1, 4, 0, 1), INT_S), False,
-                  (Cusp(INF, 4.0), Cusp(0.0, 4.0)))
+PSL2Z = GroupSpec("psl2z", 1)
+THIN4 = GroupSpec("thin4", 4)
 
 BUILTINS = {"psl2z": PSL2Z, "thin4": THIN4}
-
-
-def syllable_width(spec: GroupSpec) -> Optional[int]:
-    """omega when spec is generated by the translation T^omega and the
-    inversion S (in any order, inverses allowed), else None.  Every
-    element of such a group is a product of syllables S T^(omega k)."""
-    gens = {g.entries() for g in spec.gen_set()}
-    omega = max((abs(b) for a, b, c, d in gens if (a, c, d) == (1, 0, 1)),
-                default=0)
-    if omega and gens == {INT_S.entries(), (1, omega, 0, 1), (1, -omega, 0, 1)}:
-        return omega
-    return None
 
 
 def builtin(name: str) -> GroupSpec:
@@ -109,72 +99,8 @@ class WordBudget:
     max_nodes: int = 4_000_000
 
 
-@dataclass
-class WordSearchResult:
-    elements: list
-    saturated: bool
-    depth: int
-    nodes: int
-
-
 class BudgetExceeded(Exception):
-    """Raised when a search or a row table hits its budget; carries the
-    partial word-search result when there is one."""
-
-    def __init__(self, partial: Optional[WordSearchResult] = None,
-                 message: str = ""):
-        super().__init__(message or f"word search budget exceeded at depth "
-                         f"{partial.depth} ({partial.nodes} nodes)")
-        self.partial = partial
-
-
-def enumerate_words(spec: GroupSpec, budget: WordBudget = WordBudget(),
-                    expand: Optional[Callable[[tuple], bool]] = None
-                    ) -> WordSearchResult:
-    """Breadth-first enumeration of distinct group elements.
-
-    Elements are plain int tuples (a, b, c, d) in the sign representative
-    IntGroupElement uses (c > 0, or c = 0 and a > 0); IntGroupElement(*t)
-    turns one into an object.  Words are built by right multiplication
-    with generators and inverses; immediate backtracking never survives
-    the global dedup set, so no separate reduced-word bookkeeping is
-    needed.  Every element found is collected; `expand` sees each new
-    one once, in collection order, and gates which ones spawn children
-    (default: all, so only the budget stops the search).  The search is
-    saturated when the frontier closes.  Only orbit counts on specs that
-    are not <T^omega, S> use it; coset rows come from bottom_rows.
-    """
-    ident = (1, 0, 0, 1)
-    gens = [g.entries() for g in spec.gen_set()]
-    seen = {ident}
-    frontier = [ident]
-    collected = [ident]
-    depth = 0
-    while frontier:
-        if depth >= budget.max_depth:
-            raise BudgetExceeded(WordSearchResult(collected, False, depth,
-                                                  len(collected)))
-        new_frontier = []
-        for a, b, c, d in frontier:
-            for e, f, g, h in gens:
-                ma, mb = a * e + b * g, a * f + b * h
-                mc, md = c * e + d * g, c * f + d * h
-                if mc < 0 or (mc == 0 and ma < 0):
-                    m = (-ma, -mb, -mc, -md)
-                else:
-                    m = (ma, mb, mc, md)
-                if m in seen:
-                    continue
-                seen.add(m)
-                if len(collected) >= budget.max_nodes:  # m is one too many
-                    raise BudgetExceeded(WordSearchResult(
-                        collected, False, depth, len(collected) + 1))
-                collected.append(m)
-                if expand is None or expand(m):
-                    new_frontier.append(m)
-        frontier = new_frontier
-        depth += 1
-    return WordSearchResult(collected, True, depth, len(collected))
+    """Raised when a row table hits its budget."""
 
 
 # -- fundamental domain for the full modular group ---------------------------
@@ -350,22 +276,18 @@ def bottom_rows(spec: GroupSpec, height: float) -> np.ndarray:
 
     Left multiplication by a translation fixes the bottom row, and two
     elements share a row (up to sign) exactly when they lie in the same
-    coset, so the rows label the cosets.  spec must be <T^omega, S>
-    (else ValueError).  For omega = 1 the rows are the coprime pairs in
-    the disc, with a = d^-1 mod c.  For omega >= 2, the free product of
+    coset, so the rows label the cosets.  For omega = 1 the rows are
+    the coprime pairs in the disc, with a = d^-1 mod c.  For omega >= 2, the free product of
     <T^omega> and <S>, each coset's shortest word (the one a breadth-first
     search finds first) is the identity or starts with S, and
     _syllable_tree builds those.  Heights from ROW_HEIGHT_CAP on raise
     BudgetExceeded.  Returns a read-only (n, 4) int array of [a, b, c, d],
     c > 0 or c = 0 and a = d = 1, sorted by row.
     """
-    omega = syllable_width(spec)
-    if omega is None:
-        raise ValueError(f"coset rows need a group generated by T^omega and "
-                         f"S; {spec.name!r} is not one")
+    omega = spec.omega
     if not height < ROW_HEIGHT_CAP:
-        raise BudgetExceeded(message=f"row table of height {height:g} is "
-                             f"past the cap (heights < {ROW_HEIGHT_CAP})")
+        raise BudgetExceeded(f"row table of height {height:g} is past the "
+                             f"cap (heights < {ROW_HEIGHT_CAP})")
     h2 = float(height) * float(height)
     if omega == 1:
         cs = np.arange(1, int(math.sqrt(h2)) + 2)
@@ -381,40 +303,3 @@ def bottom_rows(spec: GroupSpec, height: float) -> np.ndarray:
     out = out[np.lexsort((out[:, 3], out[:, 2]))]
     out.setflags(write=False)
     return out
-
-
-# -- cusps -------------------------------------------------------------------
-
-def cusp_normalizer(spec: GroupSpec, cusp_index: int) -> IntGroupElement:
-    """sigma with sigma(cusp) = infinity; the cusp stabilizer conjugates to
-    translations by the declared width."""
-    cusp = spec.cusps[cusp_index]
-    if math.isinf(cusp.point):
-        return IntGroupElement.identity()
-    p = cusp.point
-    fr = _as_fraction(p)
-    if fr is None:
-        raise ValueError("only rational cusps are supported")
-    num, den = fr
-    # bottom row (den, -num) sends num/den to infinity
-    g, x, yy = _ext_gcd(num, den)
-    if g != 1:
-        raise ValueError("cusp fraction not reduced")
-    # (x  yy; den  -num) has det -x*num - yy*den = -(1) -> fix signs
-    return IntGroupElement(x, yy, -den, num) if x * num + yy * den == 1 else \
-        IntGroupElement(-x, -yy, den, -num)
-
-
-def _as_fraction(p: float, max_den: int = 10 ** 6):
-    from fractions import Fraction
-    fr = Fraction(p).limit_denominator(max_den)
-    if abs(float(fr) - p) > 1e-12:
-        return None
-    return fr.numerator, fr.denominator
-
-
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y

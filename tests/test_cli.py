@@ -1,16 +1,14 @@
 import csv
 import json
-import math
 import time
 
 import pytest
 
 from shearlab import cli
-from shearlab.algebra import INT_S, FormVector, IntGroupElement
+from shearlab.algebra import FormVector
 from shearlab.cli import main
 from shearlab.counting import OrbitQuery, StabilizerError, count_orbit
-from shearlab.groups import (PSL2Z, BudgetExceeded, Cusp, GroupSpec,
-                             WordSearchResult)
+from shearlab.groups import PSL2Z, BudgetExceeded
 from shearlab.modforms import InsufficientConvergenceError
 
 
@@ -201,7 +199,8 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("exc", [
-    BudgetExceeded(WordSearchResult([], False, 4096, 945654)),
+    BudgetExceeded("row table of height 5000 is past the cap "
+                   "(heights < 4096)"),
     InsufficientConvergenceError("cutoffs 300 and 600 disagree"),
 ])
 def test_exhausted_budget_or_tolerance_is_partial(tmp_path, monkeypatch, exc):
@@ -239,16 +238,44 @@ def test_row_tables_past_the_cap_are_partial(tmp_path, argv):
 
 def test_eisenstein_on_a_spec_without_coset_rows_is_config_error(tmp_path,
                                                                 capsys):
-    # thin4 again, given by S T^4 S^-1 and S: not the <T^w, S> the coset
-    # rows are built for
-    spec = GroupSpec("thin4@0", (IntGroupElement(1, 0, -4, 1), INT_S), False,
-                     (Cusp(math.inf, 4.0),))
+    # a group file is its width; a generator list, as older files held,
+    # or a malformed width is a configuration error naming omega (the
+    # other malformed files are in tests/test_groups.py)
+    docs = [
+        {"name": "thin4@0", "generators": [[[1, 0], [-4, 1]], [[0, -1], [1, 0]]],
+         "lattice": False, "cusps": [{"point": "inf", "width": 4.0}]},
+        {"name": "g", "generators": 5}, {"name": "g", "omega": True},
+    ]
     path = tmp_path / "spec.json"
-    path.write_text(spec.to_json())
     out = tmp_path / "eis.csv"
-    assert main(["eisenstein", "--group", str(path), "--s", "1.2",
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        for cmd in (["eisenstein", "--s", "1.2"], ["count"]):
+            assert main(cmd + ["--group", str(path), "--out", str(out)]) == 2
+            assert "omega" in capsys.readouterr().err
+            assert not out.exists()
+            assert not out.with_suffix(".manifest.json").exists()
+
+
+def test_json_spec_is_its_width(tmp_path):
+    # {"name": ..., "omega": 4} is thin4: the same counts, byte for byte
+    spec = tmp_path / "w4.json"
+    spec.write_text(json.dumps({"name": "thin4", "omega": 4}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["coset-count", "--group", "thin4", "--out", str(a)]) == 0
+    assert main(["coset-count", "--group", str(spec), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("group,cusp", [("psl2z", 1), ("psl2z", -1),
+                                        ("thin4", 2), ("thin4", 5),
+                                        ("thin4", -1)])
+def test_eisenstein_bad_cusp_index_is_config_error(tmp_path, capsys, group,
+                                                   cusp):
+    out = tmp_path / "eis.csv"
+    assert main(["eisenstein", "--group", group, "--cusp", str(cusp),
                  "--out", str(out)]) == 2
-    assert "generated by T^omega and S" in capsys.readouterr().err
+    assert "cusp index" in capsys.readouterr().err
     assert not out.exists()
     assert not out.with_suffix(".manifest.json").exists()
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shearlab.algebra import INT_S, INT_T, FormVector, IntGroupElement
+from shearlab.algebra import INT_S, FormVector, IntGroupElement
 from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                OrbitQuery, StabilizerError, coset_disparity,
                                count_orbit, fit_counting_law,
                                identity_coset_factor, label_codes)
-from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, CosetLabel,
-                             GroupSpec, WordBudget, enumerate_words,
-                             syllable_width)
+from shearlab.groups import PSL2Z, THIN4, CosetLabel, GroupSpec, WordBudget
+from word_search import SearchBudgetExceeded, enumerate_words
 
 X0 = FormVector(0.0, 1.0, 0.0)
 
@@ -416,7 +415,7 @@ def word_search_counts(spec, x0, t_list, norm, q, explore_factor=3.0):
         enumerate_words(spec, budget=WordBudget(4096, 200_000), expand=in_gate)
     except _Repeat:
         return "stabilizer"
-    except BudgetExceeded:
+    except SearchBudgetExceeded:
         return None
     bound = [t if sup else t * t for t in t_list]
     counts = tuple(sum(key(v) < b for v in seen) for b in bound)
@@ -444,7 +443,8 @@ forms = st.one_of(
     st.composite(_discriminant_zero)())
 
 
-@given(forms, st.sampled_from([PSL2Z, THIN4]),
+@given(forms, st.sampled_from([PSL2Z, THIN4, GroupSpec("theta", 2),
+                              GroupSpec("w3", 3)]),
        st.sampled_from(["sup", "euclidean"]),
        st.sampled_from([2.0, 5.5, 9.0, 16.0]), st.sampled_from([1.0, 3.0]))
 @example((1, 1, 3), PSL2Z, "sup", 9.0, 3.0)  # D = -11: no stabilizer
@@ -505,19 +505,16 @@ def test_walk_vectors_past_the_dedup_range_raise():
         count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 10 ** 6), (4.0,)))
 
 
-def test_specs_outside_the_walk_keep_the_word_search():
-    # a third, redundant generator takes psl2z off the walk; the word
-    # search must count the same orbit
-    spec = GroupSpec("psl2z+T2", (INT_T, INT_S, IntGroupElement(1, 2, 0, 1)),
-                     True, PSL2Z.cusps)
-    assert syllable_width(spec) is None
-    t_list = (10.0, 20.0, 30.0)
-    for norm in ("sup", "euclidean"):
-        a = count_orbit(OrbitQuery(spec, X0, t_list, norm=norm, q=3))
-        b = count_orbit(OrbitQuery(PSL2Z, X0, t_list, norm=norm, q=3))
-        assert all(a.saturated) and a.counts == b.counts
-        assert a.breakdown == b.breakdown
-        assert a.search_depth > b.search_depth
+def test_theta_walk_counts_are_the_psl2z_i_and_s_cosets():
+    # the theta group <T^2, S> is the union of the identity and S cosets of
+    # psl2z mod 2, so its walk must count what the psl2z walk puts in those
+    # two classes
+    t_list = (50.0, 100.0, 200.0, 400.0)
+    theta = count_orbit(OrbitQuery(GroupSpec("theta", 2), X0, t_list))
+    full = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=2)).breakdown
+    two = [full[CosetLabel.identity(2)], full[CosetLabel.of(INT_S, 2)]]
+    assert all(theta.saturated)
+    assert theta.counts == tuple(map(sum, zip(*two))) == (346, 794, 1794, 3930)
 
 
 def test_coset_filter_keeps_one_label():

@@ -11,10 +11,10 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  _thin_partial_heights, completed_zeta,
                                  critical_exponent, eisenstein_sample, mu_eis,
                                  regularized_E1)
-from shearlab.groups import (PSL2Z, THIN4, Cusp, GroupSpec, WordBudget,
-                             enumerate_words)
+from shearlab.groups import PSL2Z, THIN4, GroupSpec, WordBudget, bottom_rows
 from shearlab.measures import make_strip_bump
 from shearlab.specfun import zeta
+from word_search import enumerate_words
 
 # mpmath, lattice sum with Kloosterman-free Fourier expansion, 30 digits
 E_AT_I_S2 = 2.7842015453307912222
@@ -110,7 +110,7 @@ def test_lattice_rows_match_the_point_loop(y, radius, ss):
         # the loop visits the same (c, d) at x and -x, row c for row -c
         want, want_err = point_loop_lattice_value(0.5, y, s, 1.0, radius)
         for x in (0.5, -0.5):
-            got, err = _lattice_coset_value(x, y, s, 1.0, radius)
+            got, err = _lattice_coset_value(x, y, s, radius)
             assert abs(got - want) <= 1e-13 * abs(want), (x, s)
             assert abs(err - want_err) <= 1e-14 * abs(want), (x, s)
 
@@ -120,6 +120,36 @@ def test_auto_route_picks_by_group():
     thin = eisenstein_sample(EisensteinEvaluator(spec=THIN4), 1j, 1.0)
     assert lat.route == "fourier"
     assert thin.route == "coset"
+
+
+def test_theta_value_is_the_half_sum_over_odd_coprime_rows():
+    # the theta group <T^2, S> is a lattice, but psl2z's closed forms are
+    # not its series: auto takes the row route, and the Fourier route
+    # refuses.  The reference sums y^s / |cz + d|^2s over the psl2z rows
+    # (c, d) with c + d odd, halved for the width 2, plus the area integral
+    # of the tail past the cut (coprime pairs with c + d odd have density
+    # 4 / pi^2); it does not touch the syllable tree
+    theta = GroupSpec("theta", 2)
+    h = 1024.0
+    rows = bottom_rows(PSL2Z, h)
+    rows = rows[(rows[:, 2] + rows[:, 3]) % 2 == 1]
+    c, d = rows[:, 2].astype(float), rows[:, 3].astype(float)
+    got = {}
+    for z, s in ((1j, 2.0), (-0.41 + 0.8j, 2.5)):
+        x, y = z.real, z.imag
+        terms = ((c * x + d) ** 2 + (c * y) ** 2) ** -s
+        tail = (2.0 / math.pi ** 2) * (math.pi / y) * h ** (2 - 2 * s) / (s - 1)
+        want = 0.5 * y ** s * (math.fsum(terms.tolist()) + tail)
+        got[z] = eisenstein_sample(EisensteinEvaluator(spec=theta,
+                                                       max_height=h), z, s)
+        assert got[z].route == "coset"
+        assert abs(got[z].value - want) < max(got[z].est_error, 1e-9)
+    # not half of psl2z's value, which the Fourier route would give
+    assert got[1j].value == pytest.approx(1.11368, abs=1e-5)
+    assert abs(got[1j].value - 0.5 * E_AT_I_S2) > 0.25
+    with pytest.raises(ConvergenceError, match="psl2z"):
+        eisenstein_sample(EisensteinEvaluator(spec=theta, route="fourier"),
+                          1j, 2.0)
 
 
 def test_constant_term_dominates_at_large_y():
@@ -222,11 +252,6 @@ def test_thin_value_at_the_cusp_at_zero():
     assert eisenstein_sample(e1, 1j, 1.3).value == 0.5359228425072019
     # S is in the group, so both cusps see the same series
     assert abs(a.value - b.value) <= min(a.est_error, b.est_error)
-    # a cusp whose normalizer is not a generator has no coset rows
-    other = GroupSpec("thin4", THIN4.generators, False,
-                      (THIN4.cusps[0], Cusp(0.5, 4.0)))
-    with pytest.raises(ValueError, match="normalizer"):
-        eisenstein_sample(EisensteinEvaluator(spec=other, cusp_index=1), z, s)
 
 
 def test_route_guards():
@@ -239,8 +264,10 @@ def test_route_guards():
         eisenstein_sample(EisensteinEvaluator(route="coset"), 1j, 1.0)
     with pytest.raises(ValueError):
         EisensteinEvaluator(route="spectral")
-    with pytest.raises(IndexError):
-        EisensteinEvaluator(cusp_index=5)
+    for spec, bad in ((PSL2Z, 1), (PSL2Z, -1), (THIN4, 2),
+                      (GroupSpec("theta", 2), 1)):
+        with pytest.raises(ValueError, match="cusp index"):
+            EisensteinEvaluator(spec=spec, cusp_index=bad)
     with pytest.raises(ValueError):
         EisensteinEvaluator(max_height=8.0)
     with pytest.raises(ValueError):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
 from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, CosetLabel, Cusp,
                              GroupSpec, WordBudget, bottom_rows, builtin,
-                             coset_space, cusp_normalizer,
-                             enumerate_words, reduce_points,
-                             reduce_to_fundamental_domain, syllable_width)
+                             coset_space, reduce_points,
+                             reduce_to_fundamental_domain)
+from word_search import SearchBudgetExceeded, enumerate_words
 
 # -- specs -------------------------------------------------------------------
 
@@ -33,6 +33,7 @@ def test_spec_json_round_trip():
     for spec in (PSL2Z, THIN4):
         again = GroupSpec.from_json(spec.to_json())
         assert again == spec
+    assert THIN4.to_json() == '{"name": "thin4", "omega": 4}'
 
 
 def test_gen_set_contains_inverses():
@@ -41,23 +42,35 @@ def test_gen_set_contains_inverses():
         assert g.inverse() in gens
 
 
-def test_syllable_width_recognises_translation_and_inversion():
-    assert syllable_width(PSL2Z) == 1
-    assert syllable_width(THIN4) == 4
-    assert syllable_width(GroupSpec.from_json(THIN4.to_json())) == 4
-    t3 = IntGroupElement(1, 3, 0, 1)
-    # the order of the generators and the sign of the translation are free
-    assert syllable_width(GroupSpec("w3", (INT_S, t3.inverse()), False,
-                                    THIN4.cusps)) == 3
-    for gens in ((INT_T,), (INT_S,), (INT_T, INT_S, t3),
-                 (IntGroupElement(1, 0, 1, 1), INT_S)):
-        assert syllable_width(GroupSpec("other", gens, False,
-                                        THIN4.cusps)) is None
-    # thin4 conjugated by S, its normalizer of the cusp at 0: the same
-    # group, but not given by T^omega and S
-    s_t4_s = IntGroupElement(1, 0, -4, 1)
-    assert syllable_width(GroupSpec("thin4@1", (s_t4_s, INT_S), False,
-                                    THIN4.cusps)) is None
+def test_spec_facts_follow_from_the_width():
+    assert (PSL2Z.omega, THIN4.omega) == (1, 4)
+    for omega, lattice in ((1, True), (2, True), (3, False), (4, False)):
+        spec = GroupSpec("w", omega)
+        assert spec.lattice is lattice
+        assert spec.gen_set() == (IntGroupElement(1, omega, 0, 1),
+                                  IntGroupElement(1, -omega, 0, 1), INT_S)
+        # infinity of width omega; without finite covolume also 0 = S inf
+        points = [c.point for c in spec.cusps]
+        assert points == ([math.inf] if lattice else [math.inf, 0.0])
+        assert all(c.width == omega for c in spec.cusps)
+    for bad in (0, -1, 2.0, True, "4", None):
+        with pytest.raises(ValueError, match="omega"):
+            GroupSpec("bad", bad)
+
+
+@pytest.mark.parametrize("text", [
+    '{"name": "g", "generators": [[[1, 4], [0, 1]], [[0, -1], [1, 0]]], '
+    '"lattice": false, "cusps": [{"point": "inf", "width": 4.0}]}',
+    '{"name": "g", "generators": 5}',
+    '{"name": "g"}', '{"name": "g", "omega": 0}', '{"name": "g", "omega": -3}',
+    '{"name": "g", "omega": 2.5}', '{"name": "g", "omega": 4.0}',
+    '{"name": "g", "omega": true}', '{"name": "g", "omega": "4"}',
+    '{"name": "g", "omega": 4, "lattice": false}', '{"name": [4], "omega": 4}',
+    '[4]', '4',
+])
+def test_spec_json_names_the_width(text):
+    with pytest.raises(ValueError, match="omega"):
+        GroupSpec.from_json(text)
 
 
 # -- word enumeration --------------------------------------------------------
@@ -84,7 +97,7 @@ def test_enumerate_words_tuples_are_sign_representatives():
 
 
 def test_enumerate_words_budget_carries_partial():
-    with pytest.raises(BudgetExceeded) as exc:
+    with pytest.raises(SearchBudgetExceeded) as exc:
         enumerate_words(PSL2Z, budget=WordBudget(max_depth=512, max_nodes=50),
                         expand=lambda g: frob2(g) < 10 ** 18)
     assert len(exc.value.partial.elements) > 0
@@ -238,10 +251,24 @@ def test_syllable_tree_matches_word_search_at_any_height(h):
 
 
 def test_bottom_rows_need_translation_and_inversion():
-    s_t4_s = IntGroupElement(1, 0, -4, 1)
-    for gens in ((s_t4_s, INT_S), (INT_T, INT_S, IntGroupElement(1, 3, 0, 1))):
-        with pytest.raises(ValueError, match="generated by T"):
-            bottom_rows(GroupSpec("other", gens, False, THIN4.cusps), 32.0)
+    # every spec is <T^omega, S>, so the tree serves every width: its rows
+    # are the word search's over T^omega, T^-omega and S
+    for omega in (2, 3, 5):
+        spec = GroupSpec(f"w{omega}", omega)
+        assert np.array_equal(bottom_rows(spec, 64.0),
+                              word_search_rows(spec, 64.0))
+
+
+@pytest.mark.parametrize("h", [64.0, 1000.0])
+def test_theta_rows_are_the_odd_coprime_rows(h):
+    # the theta group <T^2, S> is the matrices congruent to 1 or S mod 2,
+    # whose bottom rows are the coprime (c, d) with c + d odd; the psl2z
+    # rows come from the closed form, not the tree
+    theta = bottom_rows(GroupSpec("theta", 2), h)[:, 2:]
+    full = bottom_rows(PSL2Z, h)[:, 2:]
+    odd = full[(full[:, 0] + full[:, 1]) % 2 == 1]
+    assert len(theta) == {64.0: 2610, 1000.0: 636558}[h]
+    assert np.array_equal(theta, odd)
 
 
 def test_bottom_rows_cap_raises_at_once():
@@ -264,17 +291,6 @@ def test_bottom_rows_thin_subset_of_lattice():
     # thin rows repeat under left translation by the width-4 shear, so the
     # row (c, d) determines a coset of the cusp stabilizer
     assert len(thin) < len(full)
-
-
-def test_cusp_normalizer_sends_cusp_to_infinity():
-    for spec, idx in ((PSL2Z, 0), (THIN4, 0), (THIN4, 1)):
-        n = cusp_normalizer(spec, idx)
-        cusp = spec.cusps[idx].point
-        if math.isinf(cusp):
-            assert n == IntGroupElement.identity()
-            continue
-        p = mobius_act(n, UTBPoint(cusp, 1e-9))
-        assert p.y > 1e5  # pushed far up the cusp neighborhood
 
 
 def test_cusp_validation():

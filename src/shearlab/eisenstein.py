@@ -26,7 +26,16 @@ translation subgroup, omega the cusp width.  Two evaluation routes:
 The regularized value at s = 1 (lattice) subtracts the pole and lands on
 a closed form in log|eta|.  The pairing functionals mu_eis integrate a
 test function against the regularized series (lattice) or the plain
-series at s = 1 (thin) with respect to dx dy / y^2.
+series at s = 1 (thin) with respect to dx dy / y^2.  The thin pairing
+reads the row sums S_h(z) = sum of 1 / |cz + d|^2 over the rows of norm
+<= h at h = 256, 512 and 1024.  They are analytic well past the box
+(their poles lie at imaginary distance >= y_lo in x and pi/2 in log y),
+so they are summed once per call on a small Chebyshev grid, linear in x
+and logarithmic in y, whose size the box's half-widths set (16 x 16 on
+THIN_BOX, 40 x 16 on (-1.8, 1.8, 1.05, 3)).  Each Gauss-Legendre grid of
+the refinement folds its weights onto that grid by barycentric
+interpolation.  A call on THIN_BOX takes 7-11 ms, where summing all
+5,238 rows at every Gauss-Legendre node took 0.35-0.42 s.
 """
 
 from __future__ import annotations
@@ -404,7 +413,8 @@ def _pair_box_lattice(psi):
         core = vals * _regularized_E1_arr(X, Y) / Y ** 2
         return sx * sy * float(wx @ core @ wy)
 
-    return refine(run, (64, 96, 144), abs_tol=1e-9, rel_tol=1e-9)[0]
+    return _converged(refine(run, (64, 96, 144), abs_tol=1e-9,
+                             rel_tol=1e-9), "lattice box")
 
 
 def _pair_fd_lattice(psi):
@@ -419,12 +429,18 @@ def _pair_fd_lattice(psi):
 
 def _pair_box_thin(psi):
     x_lo, x_hi, y_lo, y_hi = psi.support
-    heights = _thin_partial_heights(1024.0)
-    rows = bottom_rows(psi.spec(), heights[-1])
-    n2 = (rows[:, 2] * rows[:, 2] + rows[:, 3] * rows[:, 3]).astype(float)
-    order = np.argsort(n2, kind="stable")
-    rows = rows[order]
-    n2 = n2[order]
+    # the three cutoffs _geometric_limit reads
+    heights = _thin_partial_heights(1024.0)[1:]
+    # x on its own scale, y on a log scale, where every pole of the row
+    # sums sits at imaginary distance at least y_lo (in x) or pi/2 (in
+    # log y) from the box
+    lx, ly = math.log(y_lo), math.log(y_hi)
+    tx = _cheb_points(_cheb_size(2.0 * y_lo / (x_hi - x_lo)))
+    ty = _cheb_points(_cheb_size(math.pi / (ly - lx)))
+    sums = _thin_row_sums(
+        bottom_rows(psi.spec(), heights[-1]), heights,
+        0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * tx,
+        np.exp(0.5 * (lx + ly) + 0.5 * (ly - lx) * ty))
 
     def run(n):
         gx, wx = gl_nodes(n)
@@ -436,20 +452,83 @@ def _pair_box_thin(psi):
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         W = np.outer(wx, wy) * sx * sy
         phi = psi.batch(X.ravel(), Y.ravel()).reshape(X.shape)
-        # seed against Im(gamma z) / y^2 summed per row, cumulatively,
-        # so every cutoff height is read off the same pass
+        # seed against Im(gamma z) / y^2 = (row term) / y, the row sums
+        # interpolated from the Chebyshev grid: the weights fold onto it
         base = W * phi / Y
-        per_row = np.empty(len(rows))
-        for lo in range(0, len(rows), 256):
-            blk = rows[lo:lo + 256]
-            cc = blk[:, 2].astype(float)[:, None, None]
-            dd = blk[:, 3].astype(float)[:, None, None]
-            den = (cc * X[None] + dd) ** 2 + (cc * Y[None]) ** 2
-            per_row[lo:lo + 256] = np.sum(base[None] / den, axis=(1, 2))
-        cum = np.cumsum(per_row)
-        idx = np.searchsorted(n2, [h * h for h in heights], side="right") - 1
-        partial = [float(cum[i]) if i >= 0 else 0.0 for i in idx]
-        return _geometric_limit(*partial[1:])
+        fold = _bary_matrix(tx, gx).T @ base @ _bary_matrix(
+            ty, (2.0 * np.log(ys) - lx - ly) / (ly - lx))
+        return _geometric_limit(*(float(np.sum(fold * s)) for s in sums))
 
-    v = refine(run, (60, 90, 135), abs_tol=1e-8, rel_tol=1e-8)[0]
-    return v / psi.omega
+    value = _converged(refine(run, (60, 90, 135), abs_tol=1e-8,
+                              rel_tol=1e-8), "thin box")
+    return value / psi.omega
+
+
+def _converged(result, what):
+    """The value of a refine result; PairingError if it did not converge."""
+    value, err, ok = result
+    if not ok:
+        raise PairingError(
+            f"{what} pairing did not converge: last value {value!r}, "
+            f"{err:.2e} from the grid before")
+    return value
+
+
+def _cheb_size(r):
+    """Chebyshev nodes for a function analytic at imaginary distance r
+    half-widths from its interval: interpolation error rho^-n, rho =
+    r + sqrt(1 + r^2) the Bernstein ellipse through the nearest pole.
+    n ln(rho) >= 22 puts it near 3e-10; the integral against a smooth
+    bump converges about twice as fast, to rounding.  16 at least."""
+    return max(16, math.ceil(22.0 / math.asinh(r)))
+
+
+def _cheb_points(n):
+    """Chebyshev points of the first kind on [-1, 1]."""
+    return np.cos((2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n))
+
+
+def _bary_matrix(t, s):
+    """Barycentric interpolation from the Chebyshev points t (of the
+    first kind) to the points s: row i holds the weights of s[i]."""
+    w = (-1.0) ** np.arange(len(t)) * np.sqrt(1.0 - t * t)
+    diff = s[:, None] - t[None, :]
+    hit = diff == 0.0
+    q = w / np.where(hit, 1.0, diff)
+    out = q / q.sum(axis=1, keepdims=True)
+    # a point on a node takes that node's value
+    i, j = np.nonzero(hit)
+    out[i] = 0.0
+    out[i, j] = 1.0
+    return out
+
+
+def _thin_row_sums(rows, heights, xs, ys):
+    """S_h(x, y) = sum of 1 / ((cx + d)^2 + (cy)^2) over the rows (c, d)
+    with c^2 + d^2 <= h^2, on the grid xs x ys, one array per height.
+
+    Sorted by norm, each height's rows are a prefix of the table, so one
+    running sum over blocks of at most 256 rows passes every cutoff.
+    """
+    c = rows[:, 2]
+    d = rows[:, 3]
+    n2 = c * c + d * d
+    order = np.argsort(n2, kind="stable")
+    cuts = np.searchsorted(n2[order], np.square(heights), side="right")
+    c = c[order].astype(float)
+    d = d[order].astype(float)
+    step = max(1, min(256, 2 ** 16 // (len(xs) * len(ys))))
+    acc = np.zeros((len(xs), len(ys)))
+    out = []
+    start = 0
+    for stop in cuts:
+        for lo in range(start, stop, step):
+            cc = c[lo:min(lo + step, stop), None]
+            u2 = np.square(cc * xs + d[lo:min(lo + step, stop), None])
+            v2 = np.square(cc * ys)
+            # one block-sized temporary, inverted in place
+            t = u2[:, :, None] + v2[:, None, :]
+            acc += np.reciprocal(t, out=t).sum(axis=0)
+        out.append(acc.copy())
+        start = stop
+    return out

@@ -1,18 +1,21 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import shearlab.eisenstein
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  PairingError, _em_threshold,
-                                 _lattice_coset_value, _row_sums,
-                                 _thin_partial_heights, completed_zeta,
-                                 critical_exponent, eisenstein_sample, mu_eis,
-                                 regularized_E1)
+                                 _geometric_limit, _lattice_coset_value,
+                                 _row_sums, _thin_partial_heights,
+                                 completed_zeta, critical_exponent,
+                                 eisenstein_sample, mu_eis, regularized_E1)
 from shearlab.groups import PSL2Z, THIN4, GroupSpec, WordBudget, bottom_rows
-from shearlab.measures import make_strip_bump
+from shearlab.measures import THIN_BOX, make_strip_bump, make_thin_bump
+from shearlab.quadrature import gl_nodes, refine
 from shearlab.specfun import zeta
 from word_search import enumerate_words
 
@@ -343,3 +346,77 @@ def test_mu_eis_guards(lattice_bump, thin_bump):
         mu_eis(thin_bump, regularized=True)
     with pytest.raises(PairingError):
         mu_eis(make_strip_bump(), regularized=True)
+
+
+def direct_thin_pairing(psi):
+    """The thin box pairing with every row summed at every Gauss-Legendre
+    node, 256 rows at a time, cumulatively over the rows sorted by norm:
+    the reference for the Chebyshev-grid route of mu_eis."""
+    x_lo, x_hi, y_lo, y_hi = psi.support
+    heights = _thin_partial_heights(1024.0)
+    rows = bottom_rows(psi.spec(), heights[-1])
+    n2 = (rows[:, 2] * rows[:, 2] + rows[:, 3] * rows[:, 3]).astype(float)
+    order = np.argsort(n2, kind="stable")
+    rows = rows[order]
+    n2 = n2[order]
+
+    def run(n):
+        gx, wx = gl_nodes(n)
+        xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * gx
+        ys = 0.5 * (y_lo + y_hi) + 0.5 * (y_hi - y_lo) * gx
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        W = np.outer(wx, wx) * 0.25 * (x_hi - x_lo) * (y_hi - y_lo)
+        base = W * psi.batch(X.ravel(), Y.ravel()).reshape(X.shape) / Y
+        per_row = np.empty(len(rows))
+        for lo in range(0, len(rows), 256):
+            blk = rows[lo:lo + 256]
+            cc = blk[:, 2].astype(float)[:, None, None]
+            dd = blk[:, 3].astype(float)[:, None, None]
+            den = (cc * X[None] + dd) ** 2 + (cc * Y[None]) ** 2
+            per_row[lo:lo + 256] = np.sum(base[None] / den, axis=(1, 2))
+        cum = np.cumsum(per_row)
+        idx = np.searchsorted(n2, [h * h for h in heights], side="right") - 1
+        partial = [float(cum[i]) if i >= 0 else 0.0 for i in idx]
+        return _geometric_limit(*partial[1:])
+
+    value, _, converged = refine(run, (60, 90, 135), abs_tol=1e-8,
+                                 rel_tol=1e-8)
+    assert converged
+    return value / psi.omega
+
+
+@pytest.mark.parametrize("box", [THIN_BOX, (-1.8, 1.8, 1.05, 3.0),
+                                 (-0.1, 0.1, 1.05, 12.0)])
+def test_thin_pairing_matches_the_direct_row_sum(box):
+    # the wide box needs a 40-node x grid: at 16 nodes the pairing is
+    # 8.5e-10 off, so this also checks that the grid grows with the box;
+    # the tall one takes 21 nodes in log y, where 16 nodes linear in y
+    # would leave it 5e-9 off
+    psi = make_thin_bump(box=box)
+    assert mu_eis(psi, regularized=False) == pytest.approx(
+        direct_thin_pairing(psi), rel=1e-12, abs=0.0)
+
+
+def test_thin_pairing_stays_small_in_memory(thin_bump):
+    # summing every row at every node traced a 50 MB peak
+    mu_eis(thin_bump, regularized=False)
+    tracemalloc.start()
+    try:
+        mu_eis(thin_bump, regularized=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("which", ["lattice", "thin"])
+def test_box_pairing_raises_when_refinement_does_not_converge(
+        which, lattice_bump, thin_bump, monkeypatch):
+    def unconverged(run, sizes, **tol):
+        value, err, _ = refine(run, sizes, **tol)
+        return value, err, False
+
+    monkeypatch.setattr(shearlab.eisenstein, "refine", unconverged)
+    psi = lattice_bump if which == "lattice" else thin_bump
+    with pytest.raises(PairingError, match="did not converge: last value"):
+        mu_eis(psi, regularized=which == "lattice")

@@ -423,8 +423,9 @@ def _pair_fd_lattice(psi):
     def f(xa, ys):
         return psi.batch(xa, ys) * _regularized_E1_arr(xa, ys) / ys ** 2
 
-    return integrate_fd(f, y_top, nx=64, n_edges=40, abs_tol=1e-12,
-                        rel_tol=1e-10)
+    res = integrate_fd(f, y_top, nx=64, n_edges=40, abs_tol=1e-12,
+                       rel_tol=1e-10)
+    return _converged((res.value, res.est_error, res.converged), "domain")
 
 
 def _pair_box_thin(psi):
@@ -465,12 +466,12 @@ def _pair_box_thin(psi):
 
 
 def _converged(result, what):
-    """The value of a refine result; PairingError if it did not converge."""
+    """The value of a (value, err, converged) result; PairingError if it
+    did not converge."""
     value, err, ok = result
     if not ok:
-        raise PairingError(
-            f"{what} pairing did not converge: last value {value!r}, "
-            f"{err:.2e} from the grid before")
+        raise PairingError(f"{what} pairing did not converge: last value "
+                           f"{value!r}, est. error {err:.2e}")
     return value
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .groups import (PSL2Z, THIN4, GroupSpec, _coprime_rows, _mod_inverse,
                      _ragged, bottom_rows, reduce_points)
-from .quadrature import adaptive, gl_nodes, refine
+from .quadrature import adaptive, gl_nodes, integrate_fd, refine
 
 __all__ = [
     "TestFunction", "ShearSample", "RegistrationError", "bump_profile",
@@ -240,6 +240,16 @@ class ShearSample:
     route: str
 
 
+def _y_top(psi: TestFunction, tol: float) -> float:
+    """Where integrals in y stop: the top of the support box, else the
+    cusp cut above which the tail against dy/y drops below tol/2, given
+    |psi| <= C y^-alpha above y = C."""
+    if psi.support is not None:
+        return psi.support[3]
+    c, a = psi.c_psi, psi.alpha_psi
+    return max((2.0 * c / (a * tol)) ** (1.0 / a), c, 2.0)
+
+
 def mu_T(psi: TestFunction, T: float, tol: float = 1e-7) -> ShearSample:
     """Integral of psi along the sheared ray against dy/y.
 
@@ -255,13 +265,8 @@ def mu_T(psi: TestFunction, T: float, tol: float = 1e-7) -> ShearSample:
 
 def _mu_T_generic(psi: TestFunction, T: float, tol: float) -> ShearSample:
     u_min = 1.0 / math.sqrt(T * T + 1.0)
-    if psi.support is not None:
-        u_max = psi.support[3]
-    else:
-        # |psi| <= C y^-alpha above y = C, and on the ray the plane height
-        # u is the cusp height once u > 1: cut where the tail drops below tol
-        c, a = psi.c_psi, psi.alpha_psi
-        u_max = max((2.0 * c / (a * tol)) ** (1.0 / a), c, 2.0)
+    # on the ray the plane height u is the cusp height once u > 1
+    u_max = _y_top(psi, tol)
     if u_max <= u_min:
         return ShearSample(T, 0.0, 0.0, 0, True, "generic")
 
@@ -449,11 +454,7 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8,
 def _strip_direct(psi: TestFunction, T: float, tol: float,
                   nx: int = 1024) -> float:
     omega = psi.omega
-    if psi.support is not None:
-        y_top = psi.support[3]
-    else:
-        c, a = psi.c_psi, psi.alpha_psi
-        y_top = max((2.0 * c / (a * tol)) ** (1.0 / a), c, 2.0)
+    y_top = _y_top(psi, tol)
     y_bot = 1.0 / T
     if y_top <= y_bot:
         return 0.0
@@ -565,7 +566,9 @@ def horocycle_average(psi: TestFunction, y: float, interval,
 
 def haar_mean(psi: TestFunction) -> float:
     """Mean against the normalized hyperbolic area 3/pi * dx dy / y^2 on
-    the standard domain.  Lattice mode only."""
+    the standard domain.  Lattice mode only.  Product bumps integrate
+    their profiles over the box, everything else goes through
+    integrate_fd."""
     if psi.mode != "lattice":
         raise ValueError("finite invariant measure needs the lattice mode")
     if psi.profiles is not None and psi.support is not None:
@@ -577,23 +580,9 @@ def haar_mean(psi: TestFunction) -> float:
         ix = 0.5 * (x_hi - x_lo) * float(wg @ px(xm))
         iy = 0.5 * (y_hi - y_lo) * float(wg @ (py(ym) / (ym * ym)))
         return 3.0 / math.pi * ix * iy
-    c, a = psi.c_psi, psi.alpha_psi
-    y_top = max((2.0 * c / (a * 1e-10)) ** (1.0 / a), c, 3.0)
-    xg, wg = gl_nodes(40)
-    xs = 0.5 * xg
-
-    def fy(y):
-        out = np.zeros_like(y)
-        for i, yy in enumerate(np.atleast_1d(y)):
-            live = xs * xs + yy * yy >= 1.0
-            if np.any(live):
-                out[i] = float((0.5 * wg[live]) @ psi.batch(
-                    xs[live], np.full(int(live.sum()), yy))) / (yy * yy)
-        return out
-
-    res = adaptive(fy, math.sqrt(3.0) / 2.0, y_top, abs_tol=1e-11,
-                   rel_tol=1e-10,
-                   initial_edges=np.geomspace(math.sqrt(3.0) / 2.0, y_top, 400))
+    res = integrate_fd(lambda x, y: psi.batch(x, y) / (y * y),
+                       _y_top(psi, 1e-10), nx=64, n_edges=40,
+                       abs_tol=1e-11, rel_tol=1e-10)
     return 3.0 / math.pi * res.value
 
 

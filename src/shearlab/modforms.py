@@ -45,7 +45,7 @@ __all__ = [
 
 class InsufficientConvergenceError(RuntimeError):
     """A value misses its tolerance: two smoothing cutoffs of an L-series
-    disagree, or the second moment's ray quadrature does not converge."""
+    disagree, or a ray or domain quadrature does not converge."""
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,11 @@ def _fd_pairing(f: QExpansion, weight_fn, nx: int = 64):
         psi = np.abs(_qexp_eval(f, xa, ys)) ** 2 * ys ** f.weight
         return weight_fn(xa, ys) * psi / ys ** 2
 
-    return integrate_fd(g, 5.0, nx=nx, n_edges=24, abs_tol=1e-16,
-                        rel_tol=1e-11)
+    res = integrate_fd(g, 5.0, nx=nx, n_edges=24, abs_tol=1e-16,
+                       rel_tol=1e-11)
+    if not res.converged:
+        raise InsufficientConvergenceError(f"domain pairing: {res}")
+    return res.value
 
 
 @lru_cache(maxsize=8)

@@ -6,12 +6,12 @@ whole-array rounds: each round bisects the largest-error panels that
 together carry the error in excess of half the tolerance, and evaluates
 all their halves in one integrand call.  On top of it sit the one
 grid-refinement loop (refine) and the one fundamental-domain integrator
-(integrate_fd) the other modules share.
+(integrate_fd, a single adaptive pass over all its columns) the other
+modules share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +41,8 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GIDX = np.arange(1, 15, 2)
+# points per call of f in integrate_fd, bounding f's temporaries
+_FD_BLOCK = 1 << 11
 
 
 @dataclass
@@ -77,17 +79,9 @@ def adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
     stop once toterr <= tol, or when the panel count reaches max_panels;
     converged reports whether the first of these held.
     """
-    if initial_edges is None:
-        edges = np.array([a, b], dtype=float)
-    else:
-        edges = np.unique(np.clip(np.asarray(initial_edges, dtype=float), a, b))
-        if edges[0] > a:
-            edges = np.concatenate([[a], edges])
-        if edges[-1] < b:
-            edges = np.concatenate([edges, [b]])
-    lo, hi = edges[:-1], edges[1:]
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
+    seeds = [] if initial_edges is None else initial_edges
+    edges = np.unique(np.clip(np.concatenate([[a, b], seeds]), a, b))
+    lo, hi = edges[:-1], edges[1:].copy()   # hi is split in place below
     vals, errs = _panel_eval(f, lo, hi)
     n_evals = 15 * len(lo)
 
@@ -146,22 +140,32 @@ def refine(run, sizes, abs_tol: float = 0.0, rel_tol: float = 0.0):
 
 
 def integrate_fd(f, y_top: float, nx: int, n_edges: int, abs_tol: float,
-                 rel_tol: float) -> float:
+                 rel_tol: float) -> QuadResult:
     """Integral of f(x, y) over the standard fundamental domain |x| <= 1/2,
     x^2 + y^2 >= 1, cut at y = y_top.
 
-    Gauss-Legendre columns in x; each column is integrated adaptively in y
-    from the unit arc to y_top over n_edges geometric seed panels.  f takes
-    two equal-shape arrays (x is constant along a column) and must carry
-    whatever measure factor the caller wants, e.g. 1/y^2 for dx dy / y^2.
-    Used by the eisenstein and modforms pairings over the domain.
+    Gauss-Legendre columns in x.  Column x runs from the unit arc
+    y0 = sqrt(1 - x^2) up to y_top along y = y0 (y_top / y0)^t, so one
+    adaptive pass in t over [0, 1] integrates the columns' weighted sum,
+    to the tolerance, from n_edges equal seed panels: each column's
+    geometric seeds in y.  f takes two equal-shape 1-d arrays of
+    _FD_BLOCK points at most and must carry the caller's measure factor,
+    e.g. 1/y^2 for dx dy / y^2.  Returns the pass's QuadResult.
     """
     gx, wx = gl_nodes(nx)
-    total = 0.0
-    for xv, wv in zip(0.5 * gx, wx):
-        y0 = math.sqrt(max(1.0 - xv * xv, 0.0))
-        res = adaptive(lambda ys: f(np.full(ys.shape, xv), ys), y0, y_top,
-                       abs_tol=abs_tol, rel_tol=rel_tol,
-                       initial_edges=np.geomspace(y0, y_top, n_edges))
-        total += 0.5 * wv * res.value
-    return total
+    y0 = np.sqrt(1.0 - 0.25 * gx * gx)
+    span = np.log(y_top / y0)
+    wcol = 0.5 * wx * span          # column weight times dy / (y dt)
+    step = max(1, _FD_BLOCK // nx)  # t nodes per call of f
+    xb = np.tile(0.5 * gx, step)
+
+    def g(t):
+        out = np.empty(len(t))
+        for lo in range(0, len(t), step):
+            ys = y0 * np.exp(np.outer(t[lo:lo + step], span))
+            vals = f(xb[:ys.size], ys.ravel()).reshape(ys.shape)
+            out[lo:lo + step] = (vals * ys) @ wcol
+        return out
+
+    return adaptive(g, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol,
+                    initial_edges=np.linspace(0.0, 1.0, n_edges))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import shearlab.eisenstein
+import shearlab.measures
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  PairingError, _em_threshold,
@@ -407,6 +408,15 @@ def test_thin_pairing_stays_small_in_memory(thin_bump):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_domain_pairing_raises_when_unconverged():
+    # no box, so the pairing takes the fundamental-domain route; built
+    # without registration, which would reject the NaN
+    psi = shearlab.measures.TestFunction(
+        "nan", "lattice", batch=lambda x, y: np.full(np.shape(x), np.nan))
+    with pytest.raises(PairingError, match="did not converge"):
+        mu_eis(psi, regularized=True)
 
 
 @pytest.mark.parametrize("which", ["lattice", "thin"])

@@ -4,13 +4,14 @@ import random
 import numpy as np
 import pytest
 
+import shearlab.quadrature
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import mu_eis
 from shearlab.groups import PSL2Z
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
-                               _square_series, delta_qexp, eval_form,
-                               eval_psi_f, hecke_L, kronecker_check,
+                               _fd_pairing, _square_series, delta_qexp,
+                               eval_form, eval_psi_f, hecke_L, kronecker_check,
                                petersson_norm, second_moment_lhs,
                                second_moment_prediction, sym2_L, weight_W)
 from shearlab.quadrature import adaptive
@@ -259,11 +260,35 @@ def test_petersson_residue_identity(delta):
 
 
 def test_haar_mean_of_observable_is_scaled_norm(delta, delta_psi):
-    # the no-profile fallback of the Haar functional, checked against the
-    # compactly supported quadrature of the norm; the fallback masks its
-    # x-nodes at the unit arc, which caps it near 1e-6 relative
+    # the no-profile Haar mean reads the observable through its reducing
+    # batch and cuts the domain at the cusp envelope; the norm evaluates
+    # the expansion directly and cuts at y = 5.  Both integrate_fd runs
+    # converge to 1e-10, so they must agree to that
     assert haar_mean(delta_psi) == pytest.approx(
-        (3.0 / math.pi) * petersson_norm(delta), rel=1e-5)
+        (3.0 / math.pi) * petersson_norm(delta), rel=1e-10)
+
+
+def test_fd_pairing_raises_when_unconverged(delta):
+    with pytest.raises(InsufficientConvergenceError):
+        _fd_pairing(delta, lambda xa, ys: np.full(xa.shape, np.nan))
+
+
+def test_domain_integrals_make_one_adaptive_pass(delta, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(shearlab.quadrature, "adaptive", counting)
+    # one coefficient short of the fixture, so petersson_norm's cache
+    # holds nothing for it
+    fresh = QExpansion(delta.weight, delta.coeffs[:-1])
+    petersson_norm(fresh)
+    assert 1 <= len(calls) <= 3       # one per refine size at most
+    del calls[:]
+    kronecker_check(fresh)
+    assert len(calls) == 1
 
 
 def test_sym2_values(delta):

@@ -36,6 +36,17 @@ def test_adaptive_initial_edges_respected():
     assert abs(res.value - 2.0) < 1e-12
 
 
+def test_adaptive_splits_seed_panels_without_overlap():
+    # the cusp sits on the seed edge 1/4, so both panels beside it are
+    # bisected again and again; a split that moved the right panel's left
+    # end along with the left panel's right end would count a piece twice
+    res = adaptive(lambda x: np.sqrt(np.abs(x - 0.25)), 0.0, 1.0,
+                   abs_tol=1e-13, rel_tol=1e-13,
+                   initial_edges=np.linspace(0.0, 1.0, 5))
+    assert res.converged
+    assert abs(res.value - (0.25 ** 1.5 + 0.75 ** 1.5) / 1.5) < 1e-12
+
+
 def test_adaptive_reports_nonconvergence():
     calls = {"n": 0}
 
@@ -151,6 +162,18 @@ def test_refine_relative_threshold():
 def test_integrate_fd_hyperbolic_area():
     # area of the standard domain below y_top against dx dy / y^2
     for y_top in (3.0, 10.0):
-        val = integrate_fd(lambda x, y: 1.0 / y ** 2, y_top, nx=64,
+        res = integrate_fd(lambda x, y: 1.0 / y ** 2, y_top, nx=64,
                            n_edges=20, abs_tol=1e-15, rel_tol=1e-14)
-        assert abs(val - (math.pi / 3.0 - 1.0 / y_top)) < 1e-12
+        assert res.converged
+        assert abs(res.value - (math.pi / 3.0 - 1.0 / y_top)) < 1e-12
+
+
+def test_integrate_fd_column_dependent_integrand():
+    # x^2 dx dy / y^2 differs from column to column, so a column weight or
+    # arc height taken from the wrong column shows
+    for y_top in (3.0, 10.0):
+        res = integrate_fd(lambda x, y: x * x / y ** 2, y_top, nx=64,
+                           n_edges=20, abs_tol=1e-16, rel_tol=1e-14)
+        want = math.pi / 6.0 - math.sqrt(3.0) / 4.0 - 1.0 / (12.0 * y_top)
+        assert res.converged
+        assert abs(res.value - want) < 5e-16

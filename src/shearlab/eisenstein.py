@@ -30,12 +30,13 @@ series at s = 1 (thin) with respect to dx dy / y^2.  The thin pairing
 reads the row sums S_h(z) = sum of 1 / |cz + d|^2 over the rows of norm
 <= h at h = 256, 512 and 1024.  They are analytic well past the box
 (their poles lie at imaginary distance >= y_lo in x and pi/2 in log y),
-so they are summed once per call on a small Chebyshev grid, linear in x
-and logarithmic in y, whose size the box's half-widths set (16 x 16 on
-THIN_BOX, 40 x 16 on (-1.8, 1.8, 1.05, 3)).  Each Gauss-Legendre grid of
-the refinement folds its weights onto that grid by barycentric
-interpolation.  A call on THIN_BOX takes 7-11 ms, where summing all
-5,238 rows at every Gauss-Legendre node took 0.35-0.42 s.
+so they are summed on a small Chebyshev grid, linear in x and
+logarithmic in y, whose size the box's half-widths set (16 x 16 on
+THIN_BOX, 40 x 16 on (-1.8, 1.8, 1.05, 3)), and cached per group and
+box.  Each Gauss-Legendre grid of the refinement folds its weights onto
+that grid by barycentric interpolation.  A first call on THIN_BOX takes
+7-11 ms and a warm one about 1 ms, where summing all 5,238 rows at every
+Gauss-Legendre node took 0.35-0.42 s.
 """
 
 from __future__ import annotations
@@ -428,9 +429,13 @@ def _pair_fd_lattice(psi):
     return _converged((res.value, res.est_error, res.converged), "domain")
 
 
-def _pair_box_thin(psi):
-    x_lo, x_hi, y_lo, y_hi = psi.support
-    # the three cutoffs _geometric_limit reads
+@lru_cache(maxsize=8)
+def _thin_box_grid(spec: GroupSpec, box: tuple):
+    """(tx, ty, sums): the Chebyshev grid over box and the row sums of
+    spec on it at the three cutoffs _geometric_limit reads, as read-only
+    arrays.  They depend on the group and the box alone, so warm pairings
+    reuse them."""
+    x_lo, x_hi, y_lo, y_hi = box
     heights = _thin_partial_heights(1024.0)[1:]
     # x on its own scale, y on a log scale, where every pole of the row
     # sums sits at imaginary distance at least y_lo (in x) or pi/2 (in
@@ -439,9 +444,18 @@ def _pair_box_thin(psi):
     tx = _cheb_points(_cheb_size(2.0 * y_lo / (x_hi - x_lo)))
     ty = _cheb_points(_cheb_size(math.pi / (ly - lx)))
     sums = _thin_row_sums(
-        bottom_rows(psi.spec(), heights[-1]), heights,
+        bottom_rows(spec, heights[-1]), heights,
         0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * tx,
         np.exp(0.5 * (lx + ly) + 0.5 * (ly - lx) * ty))
+    for a in (tx, ty, *sums):
+        a.flags.writeable = False
+    return tx, ty, tuple(sums)
+
+
+def _pair_box_thin(psi):
+    x_lo, x_hi, y_lo, y_hi = psi.support
+    lx, ly = math.log(y_lo), math.log(y_hi)
+    tx, ty, sums = _thin_box_grid(psi.spec(), tuple(psi.support))
 
     def run(n):
         gx, wx = gl_nodes(n)

@@ -31,7 +31,8 @@ import numpy as np
 from .algebra import UTBPoint, point_xy
 from .groups import reduce_to_fundamental_domain, reduce_points
 from .measures import TestFunction
-from .quadrature import adaptive, integrate_fd, refine
+from .quadrature import (InsufficientConvergenceError, adaptive, integrate_fd,
+                         refine)
 from .specfun import (EULER_GAMMA, digamma, gamma_fn, log_abs_eta_arr,
                       zeta, zeta_prime)
 
@@ -41,11 +42,6 @@ __all__ = [
     "petersson_norm", "hecke_L", "sym2_L", "weight_W",
     "second_moment_lhs", "second_moment_prediction", "kronecker_check",
 ]
-
-
-class InsufficientConvergenceError(RuntimeError):
-    """A value misses its tolerance: two smoothing cutoffs of an L-series
-    disagree, or a ray or domain quadrature does not converge."""
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,11 @@ _GIDX = np.arange(1, 15, 2)
 _FD_BLOCK = 1 << 11
 
 
+class InsufficientConvergenceError(RuntimeError):
+    """A value misses its tolerance: two smoothing cutoffs of an L-series
+    disagree, or a ray, strip or domain quadrature does not converge."""
+
+
 @dataclass
 class QuadResult:
     value: float

@@ -4,12 +4,13 @@ import time
 
 import pytest
 
-from shearlab import cli
+from shearlab import cli, measures
 from shearlab.algebra import FormVector
 from shearlab.cli import main
 from shearlab.counting import OrbitQuery, StabilizerError, count_orbit
 from shearlab.groups import PSL2Z, BudgetExceeded
 from shearlab.modforms import InsufficientConvergenceError
+from shearlab.quadrature import refine
 
 
 def read_csv(path):
@@ -215,6 +216,23 @@ def test_exhausted_budget_or_tolerance_is_partial(tmp_path, monkeypatch, exc):
     assert man["partial"] is True
     assert man["outputs"] == []
     assert man["error"] == str(exc)
+
+
+def test_unconverged_strip_measure_is_partial(tmp_path, monkeypatch):
+    # below T = 8 mu_T takes the adaptive route, so only the strip
+    # measure's refinement is stubbed
+    def unconverged(run, sizes, **tol):
+        value, err, _ = refine(run, sizes, **tol)
+        return value, err, False
+
+    monkeypatch.setattr(measures, "refine", unconverged)
+    out = tmp_path / "shear.csv"
+    assert main(["shear", "--T", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+    man = read_manifest(out)
+    assert man["partial"] is True
+    assert man["outputs"] == []
+    assert "strip measure at T = 5" in man["error"]
 
 
 @pytest.mark.parametrize("argv", [

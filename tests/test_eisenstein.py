@@ -399,8 +399,10 @@ def test_thin_pairing_matches_the_direct_row_sum(box):
 
 
 def test_thin_pairing_stays_small_in_memory(thin_bump):
-    # summing every row at every node traced a 50 MB peak
+    # summing every row at every node traced a 50 MB peak; the grid cache
+    # is cleared so the traced call sums the rows again
     mu_eis(thin_bump, regularized=False)
+    shearlab.eisenstein._thin_box_grid.cache_clear()
     tracemalloc.start()
     try:
         mu_eis(thin_bump, regularized=False)
@@ -408,6 +410,20 @@ def test_thin_pairing_stays_small_in_memory(thin_bump):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_warm_thin_pairing_reuses_its_row_sums(thin_bump, monkeypatch):
+    shearlab.eisenstein._thin_box_grid.cache_clear()
+    cold = mu_eis(thin_bump, regularized=False)
+
+    def resum(*args):
+        raise AssertionError("the row sums were summed again")
+
+    monkeypatch.setattr(shearlab.eisenstein, "_thin_row_sums", resum)
+    assert mu_eis(thin_bump, regularized=False) == cold
+    _, _, sums = shearlab.eisenstein._thin_box_grid(thin_bump.spec(),
+                                                    thin_bump.support)
+    assert not any(s.flags.writeable for s in sums)
 
 
 def test_domain_pairing_raises_when_unconverged():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shearlab.measures import (RegistrationError, bump_profile,
                                fourier_coefficient, haar_mean,
                                horocycle_average, make_strip_bump, mu_T,
                                mu_T_strip)
+from shearlab.quadrature import InsufficientConvergenceError, refine
 
 
 def test_bump_profile_shape():
@@ -239,7 +241,8 @@ def test_mod_inverse_matches_pow(c, d):
 
 @pytest.mark.parametrize("T", [10.0, 30.0, 100.0, 300.0])
 def test_strip_rows_match_the_gcd_loop(lattice_bump, T):
-    # mu_T_strip sums row by row, so the row order fixes its last bits
+    # mu_T_strip sums its panels in row order, so the rows and their order
+    # fix its last bits
     x_lo, x_hi, y_lo, y_hi = lattice_bump.support
     reach = math.sqrt(T * y_hi)
     xm = max(abs(x_lo), abs(x_hi))
@@ -248,7 +251,8 @@ def test_strip_rows_match_the_gcd_loop(lattice_bump, T):
         span = int(c * xm + reach) + 1
         want.extend((c, d) for d in range(-span, span + 1)
                     if math.gcd(c, abs(d)) == 1)
-    assert measures._strip_rows(lattice_bump, T) == want
+    c, d = measures._strip_rows(lattice_bump, T)
+    assert list(zip(c.tolist(), d.tolist())) == want
 
 
 def test_mu_T_small_radius_uses_generic(lattice_bump):
@@ -269,6 +273,46 @@ def test_mu_T_strip_routes_agree(lattice_bump):
     assert auto == pytest.approx(direct, abs=1e-6)
     with pytest.raises(ValueError):
         mu_T_strip(lattice_bump, 20.0, route="bogus")
+
+
+# fixed-grid strip values from perfbench/refs.json ("lattice_strip" and
+# "thin_strip"), built by perfbench/make_refs.py
+STRIP_REFS = [("lattice", 30.0, 0.3295158816447735),
+              ("lattice", 100.0, 0.40131493981090044),
+              ("thin", 100.0, 0.050491739397058324)]
+
+
+@pytest.mark.parametrize("mode, T, ref", STRIP_REFS)
+def test_mu_T_strip_meets_the_fixed_grid_values(lattice_bump, thin_bump,
+                                                mode, T, ref):
+    # grid doubling over the whole box missed these by 6.0e-7, 1.2e-6
+    # and 7.1e-8
+    psi = lattice_bump if mode == "lattice" else thin_bump
+    assert mu_T_strip(psi, T, 1e-8) == pytest.approx(ref, rel=0.0, abs=1e-9)
+
+
+def test_mu_T_strip_stays_small_in_memory():
+    # every panel's nodes in one batch traced tens of MB
+    psi = measures.make_lattice_bump()
+    mu_T_strip(psi, 300.0, 1e-8)
+    tracemalloc.start()
+    try:
+        mu_T_strip(psi, 300.0, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_mu_T_strip_raises_when_refinement_does_not_converge(
+        lattice_bump, monkeypatch):
+    def unconverged(run, sizes, **tol):
+        value, err, _ = refine(run, sizes, **tol)
+        return value, err, False
+
+    monkeypatch.setattr(measures, "refine", unconverged)
+    with pytest.raises(InsufficientConvergenceError, match="strip measure"):
+        mu_T_strip(lattice_bump, 30.0, 1e-8)
 
 
 def test_mu_T_strip_on_strip_function():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearlab.quadrature import adaptive, gl_nodes, integrate_fd, refine
+from shearlab import modforms
+from shearlab.quadrature import (InsufficientConvergenceError, adaptive,
+                                 gl_nodes, integrate_fd, refine)
+
+
+def test_modforms_reexports_the_convergence_error():
+    # imports from either module catch the strip measure's raise
+    assert modforms.InsufficientConvergenceError is \
+        InsufficientConvergenceError
 
 
 def test_adaptive_smooth_exponential():

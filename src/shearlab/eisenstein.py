@@ -6,6 +6,8 @@ translation subgroup, omega the cusp width.  Two evaluation routes:
 - fourier (psl2z, omega = 1, only): the classical expansion through
   completed-zeta ratios and K-Bessel modes.  The only route that survives
   analytic continuation below s = 1, so it is the default for psl2z.
+  One array bessel_k call gives all its modes, their count sized from
+  the e^(-2 pi n y) decay and doubled (up to max_mode) only if too short.
 - coset: direct summation.  For psl2z the coprime bottom rows are
   recovered from the full integer lattice inside |cz + d| <= R divided
   by 2 zeta(2s), with an area-integral tail correction.  The lattice is
@@ -128,6 +130,8 @@ class EisensteinEvaluator:
                              f"{len(self.spec.cusps)} cusp(s)")
         if self.max_height < 32:
             raise ValueError("max_height below the smallest table")
+        if self.max_mode < 1:
+            raise ValueError("max_mode must be at least 1")
 
     def value(self, z, s: float) -> float:
         return eisenstein_sample(self, z, s).value
@@ -182,27 +186,29 @@ def _fourier_value(x, y, s, cap):
     total = y ** s + completed_zeta(2.0 * s - 1.0) / xi2 * y ** (1.0 - s)
     scale = abs(total) + 1.0
     pref = 4.0 / xi2 * math.sqrt(y)
-    env = 0.0
-    quiet = 0
-    n = 1
-    while n <= cap:
-        bes = bessel_k(s - 0.5, 2.0 * math.pi * n * y)
-        term = pref * n ** (s - 0.5) * divisor_sigma(1.0 - 2.0 * s, n) * bes
-        env = abs(term)
-        total += term * math.cos(2.0 * math.pi * n * x)
-        # the cosine can vanish by accident, so convergence is judged on
-        # the positive envelope, two quiet modes in a row
-        if env < 1e-13 * scale:
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        n += 1
-    if n > cap and env >= 1e-12 * scale:
+    # modes decay like e^(-2 pi n y): the first guess covers s <= 5
+    top = min(cap, math.ceil((40.0 + 2.0 * s) / (2.0 * math.pi * y)) + 2)
+    while True:
+        n = np.arange(1, top + 1)
+        # Python ints: numpy scalars make divisor_sigma's loop 5x slower
+        sigma = np.array([divisor_sigma(1.0 - 2.0 * s, k)
+                          for k in range(1, top + 1)])
+        terms = pref * n ** (s - 0.5) * sigma * bessel_k(
+            s - 0.5, 2.0 * math.pi * y * n)
+        env = np.abs(terms)
+        # the cosine can vanish by accident, so the cut is judged on the
+        # positive envelope: the second of two quiet modes in a row
+        quiet = env < 1e-13 * scale
+        cut = np.flatnonzero(quiet[1:] & quiet[:-1])
+        if len(cut) or top == cap:
+            break
+        top = min(cap, 2 * top)
+    if not len(cut) and env[-1] >= 1e-12 * scale:
         raise ConvergenceError(
             f"mode cap {cap} too small at y = {y:.4g}; raise max_mode")
-    return total, env + 1e-14 * abs(total)
+    m = cut[0] + 2 if len(cut) else top
+    total += float(terms[:m] @ np.cos(2.0 * math.pi * x * n[:m]))
+    return total, float(env[m - 1]) + 1e-14 * abs(total)
 
 
 def _lattice_coset_value(x, y, s, radius):

@@ -441,15 +441,18 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8,
     that sum is exact at any T.  Row (c, d) counts on a horoball disc
     over the box, whose crossings of the box edges split its y-range into
     panels with smooth integrands, all integrated in one batched
-    Gauss-Legendre pass; InsufficientConvergenceError if its grid
-    refinement does not meet tol.  route="direct" forces the literal 2-d
+    Gauss-Legendre pass.  route="direct" forces the literal 2-d
     quadrature instead, and strip-mode functions always integrate
-    directly.
+    directly.  InsufficientConvergenceError if either route misses tol;
+    ValueError for a tol below 1e-12.
     """
     if route not in ("auto", "direct"):
         raise ValueError("route must be 'auto' or 'direct'")
     if not T > 0:
         raise ValueError("strip measure needs T > 0")
+    if not tol >= 1e-12:
+        # below it the finest grids differ by summation rounding alone
+        raise ValueError(f"strip tol {tol:g} is below the 1e-12 floor")
     if psi.mode == "strip" or route == "direct" or psi.profiles is None \
             or psi.support is None:
         return _strip_direct(psi, T, tol)
@@ -471,6 +474,9 @@ def _strip_direct(psi: TestFunction, T: float, tol: float,
 
     res = adaptive(f, y_bot, y_top, abs_tol=tol, rel_tol=tol,
                    initial_edges=np.geomspace(y_bot, y_top, 200))
+    if not res.converged:
+        raise InsufficientConvergenceError(
+            f"direct strip measure at T = {T:g}: {res}")
     return res.value
 
 
@@ -574,8 +580,7 @@ def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
     # every panel's integrand is smooth, so Gauss-Legendre converges fast:
     # 96 nodes land within 2e-10 of the fixed-grid references and 128
     # within 2e-12, and refinement is the error handle
-    val, err, ok = refine(run, (32, 48, 64, 96, 128, 192),
-                          abs_tol=max(tol, 1e-12))
+    val, err, ok = refine(run, (32, 48, 64, 96, 128, 192), abs_tol=tol)
     if not ok:
         raise InsufficientConvergenceError(
             f"strip measure at T = {T:g}: the last two grids differ by "
@@ -622,7 +627,8 @@ def haar_mean(psi: TestFunction) -> float:
     """Mean against the normalized hyperbolic area 3/pi * dx dy / y^2 on
     the standard domain.  Lattice mode only.  Product bumps integrate
     their profiles over the box, everything else goes through
-    integrate_fd."""
+    integrate_fd, raising InsufficientConvergenceError if it does not
+    converge."""
     if psi.mode != "lattice":
         raise ValueError("finite invariant measure needs the lattice mode")
     if psi.profiles is not None and psi.support is not None:
@@ -637,6 +643,8 @@ def haar_mean(psi: TestFunction) -> float:
     res = integrate_fd(lambda x, y: psi.batch(x, y) / (y * y),
                        _y_top(psi, 1e-10), nx=64, n_edges=40,
                        abs_tol=1e-11, rel_tol=1e-10)
+    if not res.converged:
+        raise InsufficientConvergenceError(f"haar mean: {res}")
     return 3.0 / math.pi * res.value
 
 

@@ -196,10 +196,15 @@ def _fd_pairing(f: QExpansion, weight_fn, nx: int = 64):
 @lru_cache(maxsize=8)
 def petersson_norm(f: QExpansion) -> float:
     """||f||^2 over the fundamental domain; refining the column count is
-    the convergence check and the finer value is returned."""
+    the convergence check, the finer value is returned, and
+    InsufficientConvergenceError is raised if the counts disagree."""
     one = lambda xa, ys: 1.0
-    return refine(lambda nx: _fd_pairing(f, one, nx), (48, 72, 108),
-                  rel_tol=1e-8)[0]
+    val, err, ok = refine(lambda nx: _fd_pairing(f, one, nx), (48, 72, 108),
+                          rel_tol=1e-8)
+    if not ok:
+        raise InsufficientConvergenceError(
+            f"petersson norm: the last two column counts differ by {err:.2e}")
+    return val
 
 
 # -- L-functions through Gaussian-smoothed Dirichlet series ------------------

@@ -28,9 +28,9 @@ from shearlab.measures import (equidistribution_regression,
 from shearlab.modforms import (kronecker_check, petersson_norm,
                                second_moment_lhs, second_moment_prediction,
                                sym2_L)
-from shearlab.specfun import (EULER_GAMMA, bessel_k, dedekind_eta,
-                              dedekind_eta_series, divisor_sigma, gamma_fn,
+from shearlab.specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
                               log_abs_eta, zeta, zeta_prime)
+from specfun_oracles import dedekind_eta, dedekind_eta_series
 
 X0 = FormVector(0.0, 1.0, 0.0)
 

@@ -218,6 +218,13 @@ def test_exhausted_budget_or_tolerance_is_partial(tmp_path, monkeypatch, exc):
     assert man["error"] == str(exc)
 
 
+def test_strip_tol_below_its_floor_is_config_error(tmp_path, capsys):
+    out = tmp_path / "shear.csv"
+    assert main(["shear", "--tol", "1e-13", "--out", str(out)]) == 2
+    assert "1e-12 floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unconverged_strip_measure_is_partial(tmp_path, monkeypatch):
     # below T = 8 mu_T takes the adaptive route, so only the strip
     # measure's refinement is stubbed

@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
 import shearlab.eisenstein
 import shearlab.measures
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
-                                 PairingError, _em_threshold,
+                                 PairingError, _em_threshold, _fourier_value,
                                  _geometric_limit, _lattice_coset_value,
                                  _row_sums, _thin_partial_heights,
                                  completed_zeta, critical_exponent,
@@ -17,7 +18,7 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
 from shearlab.groups import PSL2Z, THIN4, GroupSpec, WordBudget, bottom_rows
 from shearlab.measures import THIN_BOX, make_strip_bump, make_thin_bump
 from shearlab.quadrature import gl_nodes, refine
-from shearlab.specfun import zeta
+from shearlab.specfun import bessel_k, divisor_sigma, zeta
 from word_search import enumerate_words
 
 # mpmath, lattice sum with Kloosterman-free Fourier expansion, 30 digits
@@ -274,6 +275,8 @@ def test_route_guards():
             EisensteinEvaluator(spec=spec, cusp_index=bad)
     with pytest.raises(ValueError):
         EisensteinEvaluator(max_height=8.0)
+    with pytest.raises(ValueError, match="max_mode"):
+        EisensteinEvaluator(max_mode=0)
     with pytest.raises(ValueError):
         eisenstein_sample(e, 0.5 - 1.0j, 2.0)
 
@@ -282,6 +285,68 @@ def test_mode_cap_failure_is_loud():
     e = EisensteinEvaluator(route="fourier", max_mode=3)
     with pytest.raises(ConvergenceError):
         eisenstein_sample(e, 0.3 + 0.05j, 0.9)
+
+
+def fourier_modes_oracle(x, y, s, cap=4000):
+    """The Fourier route mode by mode, with scipy's K_nu: the same stopping
+    rule, envelope and error estimate as the one-array route."""
+    xi2 = completed_zeta(2.0 * s)
+    total = y ** s + completed_zeta(2.0 * s - 1.0) / xi2 * y ** (1.0 - s)
+    scale = abs(total) + 1.0
+    pref = 4.0 / xi2 * math.sqrt(y)
+    quiet = 0
+    for n in range(1, cap + 1):
+        bes = float(sps.kv(s - 0.5, 2.0 * math.pi * n * y))
+        term = pref * n ** (s - 0.5) * divisor_sigma(1.0 - 2.0 * s, n) * bes
+        env = abs(term)
+        total += term * math.cos(2.0 * math.pi * n * x)
+        quiet = quiet + 1 if env < 1e-13 * scale else 0
+        if quiet == 2:
+            return total, env + 1e-14 * abs(total)
+    raise AssertionError("oracle needs more modes")
+
+
+FOURIER_GRID = [(y, s) for y in (0.05, 0.3, 1.0, 3.0, 30.0)
+                for s in (0.6, 0.9, 1.0 + 1e-4, 1.3, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("x", [0.0, 0.17, -0.43])
+def test_fourier_value_matches_the_mode_by_mode_oracle(x):
+    for y, s in FOURIER_GRID:
+        val, err = _fourier_value(x, y, s, 4000)
+        want, want_err = fourier_modes_oracle(x, y, s)
+        assert abs(val - want) <= 1e-13 * abs(want), (y, s)
+        assert err == pytest.approx(want_err, rel=1e-10)
+
+
+def test_fourier_value_makes_one_bessel_call(monkeypatch):
+    calls = []
+
+    def counting(nu, x):
+        calls.append(np.size(x))
+        return bessel_k(nu, x)
+
+    monkeypatch.setattr(shearlab.eisenstein, "bessel_k", counting)
+    e = EisensteinEvaluator(route="fourier")
+    for y, s in FOURIER_GRID:
+        eisenstein_sample(e, complex(0.17, y), s)
+    assert len(calls) == len(FOURIER_GRID)
+    assert min(calls) >= 3
+
+
+def test_fourier_mode_count_grows_past_a_short_first_guess(monkeypatch):
+    # inflating the first call's envelopes hides every cut in the first
+    # guess, so the route must double its modes and land on the same sum
+    calls = []
+
+    def inflated_once(nu, x):
+        calls.append(np.size(x))
+        return bessel_k(nu, x) * (1e30 if len(calls) == 1 else 1.0)
+
+    want = _fourier_value(0.17, 0.3, 1.3, 4000)
+    monkeypatch.setattr(shearlab.eisenstein, "bessel_k", inflated_once)
+    assert _fourier_value(0.17, 0.3, 1.3, 4000) == want
+    assert calls[1] == 2 * calls[0]
 
 
 # -- the regularized value at s = 1 ------------------------------------------

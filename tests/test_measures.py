@@ -10,13 +10,14 @@ from scipy import integrate
 
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.groups import PSL2Z, THIN4, BudgetExceeded, bottom_rows
-from shearlab import measures
+from shearlab import measures, quadrature
 from shearlab.measures import (RegistrationError, bump_profile,
                                equidistribution_regression,
                                fourier_coefficient, haar_mean,
                                horocycle_average, make_strip_bump, mu_T,
                                mu_T_strip)
-from shearlab.quadrature import InsufficientConvergenceError, refine
+from shearlab.quadrature import (InsufficientConvergenceError, adaptive,
+                                 refine)
 
 
 def test_bump_profile_shape():
@@ -313,6 +314,32 @@ def test_mu_T_strip_raises_when_refinement_does_not_converge(
     monkeypatch.setattr(measures, "refine", unconverged)
     with pytest.raises(InsufficientConvergenceError, match="strip measure"):
         mu_T_strip(lattice_bump, 30.0, 1e-8)
+
+
+def test_direct_strip_raises_when_its_pass_does_not_converge(
+        lattice_bump, monkeypatch):
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(adaptive(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(measures, "adaptive", unconverged)
+    with pytest.raises(InsufficientConvergenceError, match="direct strip"):
+        mu_T_strip(lattice_bump, 20.0, route="direct")
+
+
+def test_mu_T_strip_rejects_tolerances_below_its_floor(lattice_bump):
+    for tol in (1e-13, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="1e-12 floor"):
+            mu_T_strip(lattice_bump, 20.0, tol)
+
+
+def test_haar_mean_raises_when_its_domain_pass_does_not_converge(
+        delta_psi, monkeypatch):
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(adaptive(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(quadrature, "adaptive", unconverged)
+    with pytest.raises(InsufficientConvergenceError, match="haar mean"):
+        haar_mean(delta_psi)
 
 
 def test_mu_T_strip_on_strip_function():

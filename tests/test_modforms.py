@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import shearlab.modforms
 import shearlab.quadrature
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import mu_eis
@@ -14,7 +15,7 @@ from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
                                eval_form, eval_psi_f, hecke_L, kronecker_check,
                                petersson_norm, second_moment_lhs,
                                second_moment_prediction, sym2_L, weight_W)
-from shearlab.quadrature import adaptive
+from shearlab.quadrature import adaptive, refine
 from shearlab.specfun import EULER_GAMMA, gamma_fn, zeta, zeta_prime
 
 # mpmath (30 digits): exact tau to 15000 terms, Gaussian cutoff with a
@@ -271,6 +272,17 @@ def test_haar_mean_of_observable_is_scaled_norm(delta, delta_psi):
 def test_fd_pairing_raises_when_unconverged(delta):
     with pytest.raises(InsufficientConvergenceError):
         _fd_pairing(delta, lambda xa, ys: np.full(xa.shape, np.nan))
+
+
+def test_petersson_norm_raises_when_refinement_disagrees(delta, monkeypatch):
+    def unconverged(run, sizes, **tol):
+        value, err, _ = refine(run, sizes, **tol)
+        return value, err, False
+
+    monkeypatch.setattr(shearlab.modforms, "refine", unconverged)
+    # the cached wrapper may already hold the fixture's norm
+    with pytest.raises(InsufficientConvergenceError, match="petersson"):
+        petersson_norm.__wrapped__(delta)
 
 
 def test_domain_integrals_make_one_adaptive_pass(delta, monkeypatch):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special as sps
 
-from shearlab.specfun import (EULER_GAMMA, bessel_k, bessel_k_asymptotic,
-                              bessel_k_series, dedekind_eta,
-                              dedekind_eta_series, digamma, divisor_sigma,
+from shearlab.specfun import (EULER_GAMMA, bessel_k, digamma, divisor_sigma,
                               gamma_fn, log_abs_eta, log_abs_eta_arr, zeta,
                               zeta_prime)
+from specfun_oracles import (bessel_k_asymptotic, bessel_k_series,
+                             dedekind_eta, dedekind_eta_series)
 
 # reference values to 20 digits
 ZETA_3 = 1.2020569031595942854
@@ -115,6 +116,26 @@ def test_bessel_k_three_route_agreement():
     a_large = bessel_k(nu, 12.0)
     c = bessel_k_asymptotic(nu, 12.0)
     assert abs(a_large - c) < 1e-9 * a_large
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.7, 2.3, 2.5, 3.0])
+def test_bessel_k_array_matches_scipy_and_the_scalar_call(nu):
+    xs = np.geomspace(1e-3, 600.0, 41)
+    arr = bessel_k(nu, xs)
+    ref = sps.kv(nu, xs)
+    assert np.all(np.abs(arr - ref) <= 1e-13 * ref)
+    for x, v in zip(xs, arr):
+        assert bessel_k(nu, float(x)) == v
+
+
+def test_bessel_k_array_contract():
+    assert isinstance(bessel_k(1.0, 2.0), float)
+    vals = bessel_k(-1.5, np.array([[1.0, 800.0], [2.0, 745.5]]))
+    assert vals.shape == (2, 2)
+    assert vals[0, 1] == vals[1, 1] == 0.0
+    assert vals[0, 0] == bessel_k(1.5, 1.0)
+    with pytest.raises(ValueError):
+        bessel_k(0.5, np.array([1.0, 0.0]))
 
 
 def test_bessel_k_underflow_and_domain():

@@ -1,14 +1,13 @@
 """Orbit counting on discriminant quadrics and growth-law fitting.
 
 The orbit of an integer form vector under a discrete group is enumerated
-inside an exploration gate (explore_factor times the largest radius),
-deduplicated exactly, and counted inside norm balls.  The group
-<T^omega, S> is enumerated by a numpy walk over syllables S T^(omega k),
-one layer per S, each layer emitting whole runs along T^omega.  The two
-built-in
-scenarios (full modular group and the thin subgroup, both acting on
-x0 = (0, 1, 0)) have trivial stabilizer, so vectors, group elements, and
-congruence cosets are in bijection and per-coset counts are well defined.
+inside a gate about the largest counted ball, deduplicated exactly, and
+counted inside norm balls.  The group <T^omega, S> is enumerated by a
+numpy walk over syllables S T^(omega k), one layer per S, each layer
+emitting whole runs along T^omega.  The two built-in scenarios (full
+modular group and the thin subgroup, both acting on x0 = (0, 1, 0)) have
+trivial stabilizer, so vectors, group elements, and congruence cosets are
+in bijection and per-coset counts are well defined.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class OrbitQuery:
     norm: str = "sup"
     q: Optional[int] = None
     coset_filter: Optional[CosetLabel] = None
-    explore_factor: float = 3.0
     budget: WordBudget = field(default_factory=lambda: WordBudget(4096, 10 ** 7))
 
     def __post_init__(self):
@@ -61,9 +59,6 @@ class OrbitQuery:
             raise ValueError("radii must be finite")
         if self.norm not in ("sup", "euclidean"):
             raise ValueError(f"unknown norm tag {self.norm!r}")
-        if not self.explore_factor >= 1.0:
-            raise ValueError("explore_factor must be at least 1, so that the "
-                             "gate holds every counted ball")
         if self.coset_filter is not None and self.q is None:
             raise ValueError("coset_filter requires q")
 
@@ -95,6 +90,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 _HALF = 1 << 20  # vectors pack into one exact int64 while |entries| < 2^20
 _SAFE = 2.0 ** 61  # float keys past this could wrap int64 arithmetic
 _CHUNK = 1 << 17  # walk candidates built at a time
+_WIDE_GATE = 3.0  # gate radius over the largest ball's when D > 1
 
 
 def label_codes(elements: np.ndarray, q: int) -> np.ndarray:
@@ -371,20 +367,23 @@ class _Walk:
 def count_orbit(query: OrbitQuery) -> CountResult:
     """Exact ball counts of the orbit x0 * spin_cover(Gamma).
 
-    The search collects the group elements connected to the identity
-    through elements whose vectors lie in the exploration gate:
-    explore_factor (at least 1) times the larger of the largest requested
-    radius and |x0| + 1.  Every counted ball lies inside the gate, so the
-    counts are exact once the search closes; that the gate's component
-    holds the whole orbit inside the ball is checked against brute-force
-    quadric scans in the tests, and raising explore_factor is the knob to
-    turn if a new scenario is in doubt.  A budget overrun downgrades every
-    radius to saturated=False rather than guessing.
+    The syllable walk of _Walk over <T^omega, S> collects the elements
+    connected to the identity through elements whose vectors lie in the
+    gate: the ball of radius B = max(largest radius, |x0| + 1) when x0's
+    discriminant D = q0^2 - 4 p0 r0 is at most 1 (the walk then collects
+    exactly that ball's points), and three times that ball when D > 1.
+    search_nodes and search_depth count the elements it collects and its
+    layers, budget.max_nodes and max_depth cap them, a cut walk keeps
+    exactly its first max_nodes elements in walk order, and a budget
+    overrun downgrades every radius to saturated=False.
 
-    The search is the syllable walk of _Walk over <T^omega, S>:
-    search_nodes counts the elements it collects and search_depth its
-    layers, budget.max_nodes and max_depth cap the same two, and a cut
-    walk keeps exactly its first max_nodes elements in walk order.
+    Why the ball suffices for D <= 1: along a run p is fixed, and with
+    Q = q + 2 p w k, |r| = (Q^2 - D) / (4 |p|) (Q is odd when D = 1) never
+    decreases as |Q| grows, so each run's key is monotone in |k - k*| and
+    no run has a hole.  For D > 1 a hole can hold keys above the ball and
+    cut in-ball points off ((-3, -1, 4) on psl2z at sup radius 5.5).  That
+    every in-ball element is reached through in-ball elements is checked
+    in the tests, by a divisor count and a word search, not proven.
 
     The tally is one numpy pass: each vector gets one integer key (sup
     norm, or the sum of squares for the Euclidean ball), the keys are
@@ -395,12 +394,12 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     raise OverflowError, and so do walk vectors with an entry past 2^20.
     """
     t0 = time.perf_counter()
-    t_max = max(query.t_list)
     x0n = query.x0.sup_norm() if query.norm == "sup" else query.x0.euclid_norm()
-    gate_r = query.explore_factor * max(t_max, x0n + 1.0)
+    x0 = tuple(int(v) for v in query.x0.entries())
+    wide = x0[1] * x0[1] - 4 * x0[0] * x0[2] > 1
+    gate_r = max(max(query.t_list), x0n + 1.0) * (_WIDE_GATE if wide else 1.0)
     sup = query.norm == "sup"
     gate = math.ceil(gate_r if sup else gate_r * gate_r) - 1  # key <= gate
-    x0 = tuple(int(v) for v in query.x0.entries())
     elements, keys, saturated, nodes, depth = _Walk(
         x0, query.spec.omega, gate, sup, query.budget).walk()
     thresholds = np.array(

@@ -11,6 +11,7 @@ from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                count_orbit, fit_counting_law,
                                identity_coset_factor, label_codes)
 from shearlab.groups import PSL2Z, THIN4, CosetLabel, GroupSpec, WordBudget
+from divisor_count import quadric_counts
 from word_search import SearchBudgetExceeded, enumerate_words
 
 X0 = FormVector(0.0, 1.0, 0.0)
@@ -129,9 +130,6 @@ def test_query_validation():
         OrbitQuery(PSL2Z, X0, (4.0,), norm="manhattan")
     with pytest.raises(ValueError):
         OrbitQuery(PSL2Z, X0, (4.0,), coset_filter=(1, 0, 0, 1))
-    for factor in (0.5, math.nan):  # the gate must hold every counted ball
-        with pytest.raises(ValueError, match="explore_factor"):
-            OrbitQuery(PSL2Z, X0, (4.0,), explore_factor=factor)
 
 
 def test_query_rejects_non_integral_x0():
@@ -180,10 +178,13 @@ def test_stabilizer_of_x0_is_reported():
 
 
 def test_count_result_reports_search_work(lattice_small):
-    # every walk element is collected, and the gate keeps more than the
-    # counted ball
-    assert lattice_small.search_nodes > lattice_small.counts[-1]
+    # every walk element is collected; for discriminant 1 the gate is the
+    # largest counted ball, so the walk collects exactly what it counts
+    assert lattice_small.search_nodes == lattice_small.counts[-1]
     assert lattice_small.search_depth > 1
+    # for D = 49 the gate is three times the ball and collects more
+    wide = count_orbit(OrbitQuery(PSL2Z, FormVector(-3, -1, 4), (5.5,)))
+    assert wide.search_nodes > wide.counts[-1]
     res = count_orbit(OrbitQuery(PSL2Z, X0, (40.0, 80.0),
                                  budget=WordBudget(512, 1000)))
     assert res.search_nodes == 1000  # a cut walk keeps exactly its budget
@@ -374,6 +375,30 @@ def test_counts_exact_past_the_old_depth_cap(spec, t_list, norm):
     assert {lab: cs for lab, cs in res.breakdown.items() if any(cs)} == want
 
 
+# -- the psl2z walk against a divisor count at large radii -------------------
+#
+# Every integral form of discriminant 1 lies in the orbit of (0, 1, 0)
+# with trivial stabilizer, so the psl2z counts are the quadric's point
+# counts, which divisor_count.quadric_counts takes in about T log^2 T.
+
+
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+def test_divisor_count_matches_quadric_scan(norm):
+    t_list = (0.5, 1.0, 1.5, 2.5, 12.0, 13.0, 60.5, 240.0)
+    pts = quadric_points(t_list[-1])
+    assert quadric_counts(t_list, norm) == scan_counts(pts, t_list, norm)
+
+
+@pytest.mark.parametrize("norm, pinned", [("sup", (32354, 418394)),
+                                          ("euclidean", (27114, 350314))])
+def test_lattice_counts_match_divisor_count(norm, pinned):
+    t_list = (1000.0, 10000.0)
+    res = count_orbit(OrbitQuery(PSL2Z, X0, t_list, norm=norm))
+    assert all(res.saturated)
+    assert res.counts == quadric_counts(t_list, norm) == pinned
+    assert res.search_nodes == res.counts[-1]
+
+
 # -- the walk against the word search ----------------------------------------
 #
 # count_orbit walks <T^omega, S> by syllables.  The reference is the
@@ -387,9 +412,10 @@ class _Repeat(Exception):
     pass
 
 
-def word_search_counts(spec, x0, t_list, norm, q, explore_factor=3.0):
-    """(counts, breakdown) from the word search, "stabilizer" when two
-    elements reach one vector, None when the budget runs out first."""
+def word_search_counts(spec, x0, t_list, norm, q, factor=3.0):
+    """(counts, breakdown) from the word search with its gate at factor
+    times the largest ball, "stabilizer" when two elements reach one
+    vector, None when the budget runs out first."""
     p0, q0, r0 = x0
     sup = norm == "sup"
 
@@ -397,7 +423,7 @@ def word_search_counts(spec, x0, t_list, norm, q, explore_factor=3.0):
         return max(map(abs, v)) if sup else sum(c * c for c in v)
 
     x0n = key(x0) if sup else math.sqrt(key(x0))
-    gate_r = explore_factor * max(max(t_list), x0n + 1.0)
+    gate_r = factor * max(max(t_list), x0n + 1.0)
     gate = gate_r if sup else gate_r * gate_r
     seen = {x0: (1, 0, 0, 1)}
 
@@ -457,14 +483,21 @@ forms = st.one_of(
 @example((0, 23, 4), PSL2Z, "sup", 5.5, 1.0)  # D = 529: holes, no stabilizer
 @example((1, 2, 1), PSL2Z, "sup", 5.5, 3.0)  # D = 0: the cusp vector is fixed
 @example((0, 0, 3), THIN4, "euclidean", 2.0, 1.0)  # D = 0: T^4 fixes x0
+# D = 49 and 25: a walk gated at the bare ball loses in-ball points here
+@example((-3, -1, 4), PSL2Z, "sup", 5.5, 1.0)
+@example((-4, 3, 1), GroupSpec("theta", 2), "sup", 5.5, 1.0)
 @settings(deadline=None, max_examples=200, derandomize=True)
 def test_walk_matches_word_search(x0, spec, norm, t, factor):
     assume(x0 != (0, 0, 0))
     t_list = (t / 2, t)
+    # factor sets only the search's gate: for D <= 1 the walk, gated at
+    # the bare ball, must match the search at the ball and at three times
+    # it; for D > 1 both use three times the ball
+    if x0[1] * x0[1] - 4 * x0[0] * x0[2] > 1:
+        factor = 3.0
     want = word_search_counts(spec, x0, t_list, norm, 3, factor)
     assume(want is not None)
-    query = OrbitQuery(spec, FormVector(*x0), t_list, norm=norm, q=3,
-                       explore_factor=factor)
+    query = OrbitQuery(spec, FormVector(*x0), t_list, norm=norm, q=3)
     if want == "stabilizer":
         with pytest.raises(StabilizerError):
             count_orbit(query)
@@ -500,21 +533,23 @@ def test_walk_vectors_past_the_dedup_range_raise():
     # 2^20, and refuses larger ones rather than let two vectors collide
     with pytest.raises(OverflowError, match="2\\^20"):
         count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 1 << 20), (4.0,)))
-    # x0 is inside the range, but its run (0, 1, 10^6 + k) leaves it
+    # x0 is inside the range, but at a radius past 2^20 its run
+    # (0, 1, 10^6 + k) leaves it
     with pytest.raises(OverflowError, match="2\\^20"):
-        count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 10 ** 6), (4.0,)))
+        count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 10 ** 6), (1.1e6,)))
 
 
 def test_theta_walk_counts_are_the_psl2z_i_and_s_cosets():
     # the theta group <T^2, S> is the union of the identity and S cosets of
     # psl2z mod 2, so its walk must count what the psl2z walk puts in those
     # two classes
-    t_list = (50.0, 100.0, 200.0, 400.0)
+    t_list = (50.0, 100.0, 200.0, 400.0, 3000.0)
     theta = count_orbit(OrbitQuery(GroupSpec("theta", 2), X0, t_list))
     full = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=2)).breakdown
     two = [full[CosetLabel.identity(2)], full[CosetLabel.of(INT_S, 2)]]
     assert all(theta.saturated)
-    assert theta.counts == tuple(map(sum, zip(*two))) == (346, 794, 1794, 3930)
+    assert theta.counts == tuple(map(sum, zip(*two)))
+    assert theta.counts == (346, 794, 1794, 3930, 37986)
 
 
 def test_coset_filter_keeps_one_label():

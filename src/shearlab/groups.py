@@ -135,23 +135,39 @@ def reduce_to_fundamental_domain(p: UTBPoint, max_steps: int = 10000):
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
-def reduce_points(x, y, max_steps: int = 200):
+REDUCE_MAX_STEPS = 200  # inversions reduce_points allows each point
+
+
+def reduce_points(x, y):
     """Vectorized translate/invert reduction for point arrays.
 
-    Boundary points may land on either representative; automorphic
-    integrands do not care.
+    Translates every point once, then inverts and translates only the
+    points still inside the unit disc, until none is left; the last
+    translation is applied to all.  Boundary points may land on either
+    representative; automorphic integrands do not care.  Non-finite
+    input, y <= 0, and points still unreduced after REDUCE_MAX_STEPS
+    inversions (y below about 1e-300, where y^2 underflows) raise
+    ValueError.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
-    for _ in range(max_steps):
-        np.subtract(x, np.floor(x + 0.5), out=x)
-        r2 = x * x + y * y
-        mask = r2 < 1.0 - 1e-15
-        if not np.any(mask):
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0).all()):
+        raise ValueError("reduce_points needs finite points with y > 0")
+    np.subtract(x, np.floor(x + 0.5), out=x)
+    idx = np.flatnonzero(x * x + y * y < 1.0 - 1e-15)
+    for _ in range(REDUCE_MAX_STEPS):
+        if not len(idx):
             break
-        inv = 1.0 / r2[mask]
-        x[mask] = -x[mask] * inv
-        y[mask] = y[mask] * inv
+        xi, yi = x[idx], y[idx]
+        inv = 1.0 / (xi * xi + yi * yi)
+        xi = -xi * inv
+        yi *= inv
+        np.subtract(xi, np.floor(xi + 0.5), out=xi)
+        x[idx], y[idx] = xi, yi
+        idx = idx[xi * xi + yi * yi < 1.0 - 1e-15]
+    if len(idx) or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"reduce_points left points outside the domain "
+                         f"after {REDUCE_MAX_STEPS} inversions")
     np.subtract(x, np.floor(x + 0.5), out=x)
     return x, y
 

@@ -9,6 +9,11 @@ shear transform, the geometric second-moment integral along the ray
 y(T + i), and the Kronecker-limit consistency check that ties the
 log-eta pairing to the completed logarithmic derivative.
 
+The q-series is one kernel: the tail bound at the lowest point fixes
+the term count, and Horner's rule sums in place, with no temporaries
+per term.  The observable reduces and sums its points in blocks of
+_BLOCK.
+
 L-values are computed from plain Dirichlet coefficients under a Gaussian
 cutoff exp(-(n/X)^2).  At the edge s = 1 every shifted pole of the
 Mellin kernel lands on a trivial zero of the symmetric square, so the
@@ -29,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import UTBPoint, point_xy
-from .groups import reduce_to_fundamental_domain, reduce_points
+from .groups import _ragged, reduce_points, reduce_to_fundamental_domain
 from .measures import TestFunction
 from .quadrature import (InsufficientConvergenceError, adaptive, integrate_fd,
                          refine)
@@ -119,22 +124,34 @@ def delta_qexp(n: int) -> QExpansion:
 
 
 def _qexp_eval(f: QExpansion, x, y):
-    """sum a(n) e(n z) on arrays of points, truncated by the tail bound."""
+    """sum a(n) e(n z) on arrays of points by Horner's rule in place, the
+    term count fixed by the tail bound at the smallest y; raises
+    ValueError when f has fewer coefficients than the bound needs."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    q = np.exp(2j * math.pi * (x + 1j * y))
     qmax = math.exp(-2.0 * math.pi * float(np.min(y)))
-    total = np.zeros_like(q)
-    power = np.ones_like(q)
     bound = 1.0
     for n in range(1, len(f.coeffs) + 1):
-        power = power * q
         bound *= qmax
-        total += float(f.coeffs[n - 1]) * power
         # a(m) <= m^(weight/2 + 1) comfortably covers the Deligne range
         if (n + 1.0) ** (0.5 * f.weight + 1.0) * bound * qmax < 1e-18:
             break
+    else:
+        raise ValueError(f"{len(f.coeffs)} coefficients do not reach the "
+                         f"tail bound at y = {float(np.min(y)):.3g}")
+    q = np.exp(2j * math.pi * (x + 1j * y))
+    total = np.full(q.shape, float(f.coeffs[n - 1]), dtype=complex)
+    for a in reversed(f.coeffs[:n - 1]):
+        total *= q
+        total += float(a)
+    total *= q
     return total
+
+
+def _psi(f: QExpansion, x, y):
+    """|f|^2 y^k at points already in the fundamental domain."""
+    v = _qexp_eval(f, x, y)
+    return (v.real * v.real + v.imag * v.imag) * y ** f.weight
 
 
 def eval_form(f: QExpansion, z) -> complex:
@@ -154,6 +171,12 @@ def eval_psi_f(f: QExpansion, z) -> float:
     return float(abs(complex(_qexp_eval(f, p.x, p.y))) ** 2) * p.y ** f.weight
 
 
+# points per block of form_observable's batch, the fastest of 2^10 to 2^14
+# on the ray; its 128 KiB complex temporaries sit at glibc's default mmap
+# threshold, which the first free of one raises above them
+_BLOCK = 1 << 13
+
+
 @lru_cache(maxsize=8)
 def form_observable(f: QExpansion) -> TestFunction:
     """Psi_f as a test function: cusp-decaying, no seed box, so the
@@ -161,9 +184,13 @@ def form_observable(f: QExpansion) -> TestFunction:
     k = f.weight
 
     def batch(xs, ys):
-        rx, ry = reduce_points(np.asarray(xs, float), np.asarray(ys, float))
-        vals = _qexp_eval(f, rx, ry)
-        return np.abs(vals) ** 2 * ry ** k
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        x, y = xs.ravel(), ys.ravel()
+        out = np.empty(x.size)
+        for lo in range(0, x.size, _BLOCK):
+            rx, ry = reduce_points(x[lo:lo + _BLOCK], y[lo:lo + _BLOCK])
+            out[lo:lo + _BLOCK] = _psi(f, rx, ry)
+        return out.reshape(xs.shape)
 
     # honest sup-envelope constants: |f| <= sum |a(n)| e^(-2 pi n y) =: F(y)
     # on the reduced range, so Psi <= F(y)^2 y^k =: env(y)
@@ -183,8 +210,7 @@ def _fd_pairing(f: QExpansion, weight_fn, nx: int = 64):
     # integral over the standard fundamental domain of weight_fn * Psi_f
     # with respect to dx dy / y^2
     def g(xa, ys):
-        psi = np.abs(_qexp_eval(f, xa, ys)) ** 2 * ys ** f.weight
-        return weight_fn(xa, ys) * psi / ys ** 2
+        return weight_fn(xa, ys) * _psi(f, xa, ys) / ys ** 2
 
     res = integrate_fd(g, 5.0, nx=nx, n_edges=24, abs_tol=1e-16,
                        rel_tol=1e-11)
@@ -343,7 +369,14 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
 
     Up to y = 2 the panels are seeded at the period crossings
     y = (n + 1/2)/T, where Ty passes a half-integer, and geometrically
-    above.  An unconverged pass raises InsufficientConvergenceError.
+    above.  Below y = 1 the ray crosses the edges of the domain's
+    translates, the Farey arcs between neighbours p/q and r/s, of radius
+    1/(2qs): at height y a period meets the arcs with qs < 1/(2y), about
+    (3/pi^2) log(1/y) / y of them.  So a period that starts at height
+    y < 1 is split into ceil(1/y) equal panels, at most 64.  On twelve
+    radii from 20 to 3000 this cut the evaluations from 1.30 M to 0.91 M;
+    ceil(a/y) took 1.05, 1.06, 1.04 and 1.25 M at a = 0.5, 0.7, 1.4 and
+    2.  An unconverged pass raises InsufficientConvergenceError.
     """
     if not t > 1.0:
         raise ValueError("the split needs T > 1")
@@ -355,7 +388,13 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
 
     y_mid, y_hi = 2.0, 5.0
     crossings = (np.arange(math.ceil(u0 * t - 0.5), y_mid * t - 0.5) + 0.5) / t
-    edges = np.concatenate([crossings, np.geomspace(y_mid, y_hi, 8)])
+    lo = np.concatenate([[u0], crossings[crossings > u0]])
+    hi = np.append(lo[1:], y_mid)
+    # ceil(1/y) panels for the Farey arcs a period [lo, hi] meets
+    m = np.where(lo < 1.0, np.minimum(np.ceil(1.0 / lo), 64), 1).astype(int)
+    i, j = _ragged(np.zeros(len(m), dtype=int), m)
+    edges = np.concatenate([lo[i] + (hi - lo)[i] * (j / m[i]),
+                            np.geomspace(y_mid, y_hi, 8)])
     # the ray needs about 10 panels per unit of T (9.1 at T = 3e3 and
     # 11.3 at 3e4, slowly growing like log T); the cap allows twice that
     res = adaptive(ray, u0, y_hi, abs_tol=tol * 1e-3, rel_tol=tol,

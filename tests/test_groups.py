@@ -147,6 +147,52 @@ def test_reduce_points_matches_scalar_height(pt):
     assert abs(ry[0] - red.y) < 1e-9 * red.y
 
 
+def _reduce_points_whole_array(x, y, max_steps=200):
+    # the reduction before compaction: every step translates all points
+    # and inverts the masked ones in place
+    x = np.array(x, dtype=float, copy=True)
+    y = np.array(y, dtype=float, copy=True)
+    for _ in range(max_steps):
+        np.subtract(x, np.floor(x + 0.5), out=x)
+        r2 = x * x + y * y
+        mask = r2 < 1.0 - 1e-15
+        if not np.any(mask):
+            break
+        inv = 1.0 / r2[mask]
+        x[mask] = -x[mask] * inv
+        y[mask] = y[mask] * inv
+    np.subtract(x, np.floor(x + 0.5), out=x)
+    return x, y
+
+
+@pytest.mark.parametrize("y_scale", [1.0, 1e-3, 1e-8, 1e-100])
+def test_reduce_points_matches_whole_array_loop_bitwise(y_scale):
+    rng = np.random.default_rng(int(-math.log10(y_scale)))
+    x = rng.uniform(-50.0, 50.0, 20000)
+    y = y_scale * np.exp(rng.uniform(-3.0, 3.0, 20000))
+    # edges where one translation is not yet idempotent
+    x[:4] = (0.5 - 2.0 ** -54, 0.5 - 2.0 ** -53, 0.5, 2.5 - 2.0 ** -52)
+    rx, ry = reduce_points(x, y)
+    wx, wy = _reduce_points_whole_array(x, y)
+    assert np.array_equal(rx, wx) and np.array_equal(ry, wy)
+    assert np.all(rx * rx + ry * ry >= 1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("y", [1e-310, 0.0, -1.0, math.nan])
+def test_reduce_points_raises_rather_than_return_unreduced(y):
+    # at y = 1e-310, y^2 underflows: the whole-array loop returned 848 of
+    # these points still inside the unit disc
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, 1000)
+    with pytest.raises(ValueError):
+        reduce_points(x, np.full(1000, y))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_reduce_points_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="finite"):
+        reduce_points(np.array([0.1, x]), np.array([0.5, 0.5]))
+
+
 # -- congruence structure ----------------------------------------------------
 
 

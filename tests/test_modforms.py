@@ -6,13 +6,16 @@ import pytest
 
 import shearlab.modforms
 import shearlab.quadrature
+from qexp_oracle import qexp_forward
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import mu_eis
-from shearlab.groups import PSL2Z
+from shearlab.groups import PSL2Z, reduce_points
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
-                               _fd_pairing, _square_series, delta_qexp,
-                               eval_form, eval_psi_f, hecke_L, kronecker_check,
+                               _fd_pairing, _qexp_eval, _square_series,
+                               delta_qexp,
+                               eval_form, eval_psi_f, form_observable, hecke_L,
+                               kronecker_check,
                                petersson_norm, second_moment_lhs,
                                second_moment_prediction, sym2_L, weight_W)
 from shearlab.quadrature import adaptive, refine
@@ -239,6 +242,82 @@ def test_observable_batch_matches_scalar(delta, delta_psi):
             eval_psi_f(delta, UTBPoint(xs[i], ys[i], 0.0)), rel=1e-12)
 
 
+def _oracle_psi(f, xs, ys):
+    rx, ry = reduce_points(xs, ys)
+    return np.abs(qexp_forward(f, rx, ry)) ** 2 * ry ** f.weight
+
+
+def _ray_nodes(f, t, monkeypatch):
+    # every node the moment's ray quadrature evaluates at radius t
+    seen = []
+
+    def recording(g, *args, **kwargs):
+        def h(ys):
+            seen.append(ys)
+            return g(ys)
+        return adaptive(h, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(shearlab.modforms, "adaptive", recording)
+        second_moment_lhs(f, t)
+    return np.concatenate(seen)
+
+
+def test_observable_batch_matches_forward_sum_on_the_ray(delta, delta_psi,
+                                                         monkeypatch):
+    t = 2179.0
+    ys = _ray_nodes(delta, t, monkeypatch)
+    # the apex sits at 4.6e-4, where the ray is deepest in the cusps
+    assert np.sum(ys - 1.0 / math.hypot(t, 1.0) < 1e-3) > 1000
+    want = _oracle_psi(delta, t * ys, ys)
+    assert np.max(np.abs(delta_psi.batch(t * ys, ys) - want)) \
+        <= 1e-14 * np.max(want)
+
+
+def test_observable_batch_matches_forward_sum_at_random_points(delta,
+                                                               delta_psi):
+    rng = np.random.default_rng(2179)
+    xs = rng.uniform(-3.0, 3.0, 10000)
+    ys = np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 10000))
+    want = _oracle_psi(delta, xs, ys)
+    assert np.max(np.abs(delta_psi.batch(xs, ys) - want)) \
+        <= 1e-14 * np.max(want)
+
+
+def test_observable_batch_sees_one_block_at_a_time(delta, delta_psi,
+                                                   monkeypatch):
+    sizes = {"reduce_points": [], "_qexp_eval": []}
+    for name in sizes:
+        def spy(*args, _orig=getattr(shearlab.modforms, name),
+                _seen=sizes[name]):
+            _seen.append(np.size(args[-1]))   # the y array
+            return _orig(*args)
+        monkeypatch.setattr(shearlab.modforms, name, spy)
+    block = shearlab.modforms._BLOCK
+    n = 3 * block + 17
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1.0, 1.0, (n, 1))
+    ys = np.exp(rng.uniform(-6.0, 1.0, (n, 1)))
+    vals = delta_psi.batch(xs, ys)
+    assert vals.shape == xs.shape
+    for seen in sizes.values():
+        assert max(seen) <= block and sum(seen) == n
+
+
+def test_qexp_eval_raises_when_the_expansion_is_too_short():
+    # the tail bound asks for 10 terms at the lowest reduced height
+    short = delta_qexp(5)
+    with pytest.raises(ValueError, match="coefficients"):
+        _qexp_eval(short, np.array([0.0]), np.array([math.sqrt(3.0) / 2.0]))
+    with pytest.raises(ValueError, match="coefficients"):
+        form_observable(short).batch(np.array([0.45]), np.array([0.9]))
+    with pytest.raises(ValueError, match="coefficients"):
+        eval_psi_f(short, UTBPoint(0.0, 1.0, 0.0))
+    # high in the cusp five terms are plenty
+    assert _qexp_eval(short, np.array([0.0]), np.array([4.0]))[0] \
+        == pytest.approx(math.exp(-8.0 * math.pi), rel=1e-9)
+
+
 def test_observable_decay_envelope(delta_psi):
     # declared cusp envelope c y^-alpha must dominate the actual values
     for y in (3.0, 6.0, 20.0):
@@ -391,6 +470,35 @@ def test_second_moment_converges_at_t_1e4(delta):
     t = 1e4
     lhs = second_moment_lhs(delta, t)
     assert lhs == pytest.approx(second_moment_prediction(delta, t), rel=1e-4)
+
+
+def _moment_pass(f, t, monkeypatch):
+    # the moment at radius t and the QuadResult of its one adaptive pass
+    results = []
+
+    def capturing(*args, **kwargs):
+        results.append(adaptive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(shearlab.modforms, "adaptive", capturing)
+    lhs = second_moment_lhs(f, t)
+    (res,) = results
+    return lhs, res
+
+
+def test_second_moment_seeds_save_evaluations(delta, monkeypatch):
+    # one seed panel per period crossing took 727,215 evaluations here
+    _, res = _moment_pass(delta, 3000.0, monkeypatch)
+    assert res.converged
+    assert res.n_evals <= 0.8 * 727215
+
+
+def test_second_moment_converges_at_t_2e4(delta, monkeypatch):
+    t = 2e4
+    lhs, res = _moment_pass(delta, t, monkeypatch)
+    assert res.converged and res.n_panels < 20000 + 20 * t
+    # measured rel_gap 2.6e-6
+    assert lhs == pytest.approx(second_moment_prediction(delta, t), rel=1e-5)
 
 
 def test_second_moment_raises_when_unconverged(delta):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import INT_S, IntGroupElement, UTBPoint, mobius_act
+from .algebra import INT_S, IntGroupElement, UTBPoint
 
 INF = float("inf")
 
@@ -103,57 +103,77 @@ class BudgetExceeded(Exception):
     """Raised when a row table hits its budget."""
 
 
-# -- fundamental domain for the full modular group ---------------------------
+# -- fundamental domains -----------------------------------------------------
 
-def reduce_to_fundamental_domain(p: UTBPoint, max_steps: int = 10000):
+REDUCE_MAX_STEPS = 200  # inversions a point may take before reduction raises
+
+
+def _translate(x, omega):
+    """x - omega * round(x / omega), in place; omega = 1 skips the scaling."""
+    if omega == 1:
+        np.subtract(x, np.floor(x + 0.5), out=x)
+    else:
+        np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
+
+
+def reduce_to_fundamental_domain(p: UTBPoint):
     """Move p into |x| <= 1/2, |z| >= 1 and return (point, word).
 
+    The point moves by the arithmetic of reduce_points at omega = 1, so
+    the two raise ValueError on the same inputs and agree on the height.
     Boundary conventions: the x = +1/2 edge is excluded (mapped to -1/2),
     and on the unit circle the x < 0 half is excluded (mapped across by the
     inversion).  The returned integer word gamma satisfies gamma p = point.
     """
+    x, y, theta = p.x, p.y, p.theta
     word = IntGroupElement.identity()
-    cur = p
-    for _ in range(max_steps):
-        shift = -math.floor(cur.x + 0.5)
-        if shift != 0:
-            step = IntGroupElement(1, shift, 0, 1)
-            cur = mobius_act(step, cur)
-            word = step * word
-        r2 = cur.x * cur.x + cur.y * cur.y
-        if r2 < 1.0 - 1e-15:
-            cur = mobius_act(INT_S, cur)
-            word = INT_S * word
-            continue
+    for inversions in range(REDUCE_MAX_STEPS + 2):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            break
+        n = math.floor(x + 0.5)
+        if n:
+            x -= n
+            word = IntGroupElement(1, -n, 0, 1) * word
+        r2 = x * x + y * y
         # on the unit circle the negative-x half maps across, except the
         # corner at x = -1/2 which is the canonical representative
-        if abs(r2 - 1.0) <= 1e-15 and -0.5 + 1e-15 < cur.x < 0.0:
-            cur = mobius_act(INT_S, cur)
-            word = INT_S * word
-            continue
-        return cur, word
-    raise RuntimeError("fundamental domain reduction did not terminate")
+        edge = abs(r2 - 1.0) <= 1e-15 and -0.5 + 1e-15 < x < 0.0
+        if r2 >= 1.0 - 1e-15 and not edge:
+            return UTBPoint(x, y, theta), word
+        if (inversions == REDUCE_MAX_STEPS and not edge) or r2 == 0.0:
+            break
+        theta -= 2.0 * math.atan2(y, x)
+        inv = 1.0 / r2
+        x, y = -x * inv, y * inv
+        word = INT_S * word
+    raise ValueError(f"cannot reduce ({p.x!r}, {p.y!r}): not finite, or "
+                     f"unreduced after {REDUCE_MAX_STEPS} inversions")
 
 
-REDUCE_MAX_STEPS = 200  # inversions reduce_points allows each point
+def reduce_points(x, y, omega=1):
+    """Vectorized translate/invert reduction into |x| <= omega/2, |z| >= 1.
 
-
-def reduce_points(x, y):
-    """Vectorized translate/invert reduction for point arrays.
-
-    Translates every point once, then inverts and translates only the
+    That set is a fundamental domain of <T^omega, S> for every width: the
+    standard domain at omega = 1, the theta group's at omega = 2, and the
+    Ford domain of the free product from omega = 3 on.  omega is the
+    group's width (GroupSpec.omega), 1 by default.  Translates every point
+    once by omega * round(x / omega), then inverts and translates only the
     points still inside the unit disc, until none is left; the last
     translation is applied to all.  Boundary points may land on either
     representative; automorphic integrands do not care.  Non-finite
     input, y <= 0, and points still unreduced after REDUCE_MAX_STEPS
-    inversions (y below about 1e-300, where y^2 underflows) raise
-    ValueError.
+    inversions raise ValueError: y below about 1e-300, where y^2
+    underflows, and at omega = 2 points near the domain's second cusp, at
+    +-1, which take about 1/y inversions.  The walk magnifies the rounding
+    of x by about 1/y: the height is about 1e-15 / y relative off the
+    exact reduction of the input (7e-9 at y = 1e-8), and from y of about
+    1e-15 on it is the reduction of a nearby point instead.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0).all()):
         raise ValueError("reduce_points needs finite points with y > 0")
-    np.subtract(x, np.floor(x + 0.5), out=x)
+    _translate(x, omega)
     idx = np.flatnonzero(x * x + y * y < 1.0 - 1e-15)
     for _ in range(REDUCE_MAX_STEPS):
         if not len(idx):
@@ -162,13 +182,13 @@ def reduce_points(x, y):
         inv = 1.0 / (xi * xi + yi * yi)
         xi = -xi * inv
         yi *= inv
-        np.subtract(xi, np.floor(xi + 0.5), out=xi)
+        _translate(xi, omega)
         x[idx], y[idx] = xi, yi
         idx = idx[xi * xi + yi * yi < 1.0 - 1e-15]
     if len(idx) or not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"reduce_points left points outside the domain "
                          f"after {REDUCE_MAX_STEPS} inversions")
-    np.subtract(x, np.floor(x + 0.5), out=x)
+    _translate(x, omega)
     return x, y
 
 

@@ -76,11 +76,12 @@ class TestFunction:
     peak: float = 1.0
 
     def spec(self) -> GroupSpec:
-        if self.mode == "lattice":
-            return PSL2Z
-        if self.mode == "thin":
-            return THIN4
-        raise ValueError(f"no group attached to mode {self.mode!r}")
+        if self.mode not in _MODE_GROUPS:
+            raise ValueError(f"no group attached to mode {self.mode!r}")
+        return _MODE_GROUPS[self.mode]
+
+
+_MODE_GROUPS = {"lattice": PSL2Z, "thin": THIN4}
 
 
 def _register(tf: TestFunction, n_samples: int = 1000, tol: float = 1e-7,
@@ -138,6 +139,27 @@ def _thin_table(min_height: float) -> np.ndarray:
     return bottom_rows(THIN4, 2.0 ** math.ceil(math.log2(max(min_height, 32.0))))
 
 
+def _reduced_bump(box, name: str, mode: str) -> TestFunction:
+    """The product bump px * py on a box inside the fundamental domain |x|
+    < omega/2, |z| > 1 of the mode's group, automorphic as the profile at
+    the reduced point: no other translate meets the box."""
+    omega = _MODE_GROUPS[mode].omega
+    x_lo, x_hi, y_lo, y_hi = box
+    if not (-omega / 2.0 < x_lo < x_hi < omega / 2.0 and 1.0 < y_lo < y_hi):
+        raise ValueError(f"box must sit strictly inside the fundamental "
+                         f"domain |x| < {omega / 2.0:g}, y > 1")
+    px, py = _box_profiles(box)
+
+    def batch(x, y):
+        rx, ry = reduce_points(x, y, omega)
+        return px(rx) * py(ry)
+
+    return _register(TestFunction(name, mode, batch,
+                                  c_psi=max(2.0 * y_hi, 1.0), alpha_psi=2.0,
+                                  support=tuple(box), profiles=(px, py),
+                                  omega=float(omega)))
+
+
 def make_lattice_bump(box=DEFAULT_BOX, name: str = "lattice_bump") -> TestFunction:
     """Product bump in fundamental-domain coordinates, right-K-invariant.
 
@@ -145,73 +167,18 @@ def make_lattice_bump(box=DEFAULT_BOX, name: str = "lattice_bump") -> TestFuncti
     y > 1), which makes the function a one-term Poincare series and the
     unfolded integrators exact.
     """
-    x_lo, x_hi, y_lo, y_hi = box
-    if not (-0.5 < x_lo < x_hi < 0.5 and 1.0 < y_lo < y_hi):
-        raise ValueError("box must sit strictly inside the standard domain")
-    px, py = _box_profiles(box)
-
-    def batch(x, y):
-        rx, ry = reduce_points(x, y)
-        return px(rx) * py(ry)
-
-    return _register(TestFunction(name, "lattice", batch,
-                                  c_psi=max(2.0 * y_hi, 1.0), alpha_psi=2.0,
-                                  support=tuple(box), profiles=(px, py),
-                                  omega=1.0))
-
-
-# row height of the coset table behind make_thin_bump's batch
-_THIN_BUMP_ROWS = 80.0
+    return _reduced_bump(box, name, "lattice")
 
 
 def make_thin_bump(box=THIN_BOX, name: str = "thin_bump") -> TestFunction:
     """Poincare series of the box profile over the thin built-in group.
 
-    The box sits above height 1 and is narrower than the cusp width, so
-    (as in the lattice case) at most one group translate lands in it and
-    pointwise evaluation is a finite scan of the cached coset table.
-    _THIN_BUMP_ROWS bounds the rows consulted; queries below the covered
-    height raise rather than silently dropping translates.
+    The box must sit strictly inside the group's Ford domain (|x| < 2,
+    |z| > 1), so at most one group translate lands in it and pointwise
+    evaluation is the profile at the point reduce_points moves there, at
+    every height it accepts.
     """
-    x_lo, x_hi, y_lo, y_hi = box
-    if not (1.0 < y_lo < y_hi and -2.0 < x_lo < x_hi < 2.0):
-        raise ValueError("box must sit above height 1, inside one cusp period")
-    px, py = _box_profiles(box)
-    table = _thin_table(_THIN_BUMP_ROWS)
-    nz = table[table[:, 2] != 0]
-    aa = nz[:, 0].astype(float)
-    cc = nz[:, 2].astype(float)
-    dd = nz[:, 3].astype(float)
-    acs = aa / cc
-    # a translate with row (c, d) reaches the box only if |cz+d|^2 <= y/y_lo;
-    # for wrapped |x| <= 2 that keeps sqrt(c^2+d^2) under ~sqrt(5/(y*y_lo))
-    y_floor = 5.0 / (y_lo * (_THIN_BUMP_ROWS - 4.0) ** 2)
-
-    def batch(x, y):
-        x = np.mod(np.asarray(x, dtype=float) + 2.0, 4.0) - 2.0
-        y = np.asarray(y, dtype=float)
-        if np.any(y < y_floor):
-            raise ValueError(f"{name}: need a taller row table below y={y_floor:g}")
-        out = px(x) * py(y)
-        for lo in range(0, len(x), 4096):
-            sl = slice(lo, min(lo + 4096, len(x)))
-            xs, ys = x[sl], y[sl]
-            live = cc * cc <= 1.0 / (ys.min() * y_lo)
-            c, d, ac = cc[live], dd[live], acs[live]
-            den = (np.multiply.outer(c, xs) + d[:, None]) ** 2 + \
-                np.multiply.outer(c * c, ys * ys)
-            yr = ys[None, :] / den
-            i, j = np.nonzero(yr > y_lo)
-            if len(i):
-                gx = ac[i] - (c[i] * xs[j] + d[i]) / (c[i] * den[i, j])
-                gx = np.mod(gx + 2.0, 4.0) - 2.0
-                np.add.at(out, sl.start + j, px(gx) * py(yr[i, j]))
-        return out
-
-    return _register(TestFunction(name, "thin", batch,
-                                  c_psi=max(2.0 * y_hi, 1.0), alpha_psi=2.0,
-                                  support=tuple(box), profiles=(px, py),
-                                  omega=4.0))
+    return _reduced_bump(box, name, "thin")
 
 
 def make_strip_bump(box=DEFAULT_BOX, omega: float = 1.0,
@@ -431,8 +398,7 @@ def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
 
 # -- strip measure -----------------------------------------------------------
 
-def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8,
-               route: str = "auto") -> float:
+def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8) -> float:
     """(1/omega) * integral of psi(x + iy) over x in [0, omega],
     y in (1/T, infinity), against dy/y dx.
 
@@ -441,20 +407,17 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8,
     that sum is exact at any T.  Row (c, d) counts on a horoball disc
     over the box, whose crossings of the box edges split its y-range into
     panels with smooth integrands, all integrated in one batched
-    Gauss-Legendre pass.  route="direct" forces the literal 2-d
-    quadrature instead, and strip-mode functions always integrate
-    directly.  InsufficientConvergenceError if either route misses tol;
-    ValueError for a tol below 1e-12.
+    Gauss-Legendre pass.  Strip-mode functions and functions without
+    profiles or support take the literal 2-d quadrature instead.
+    InsufficientConvergenceError if either route misses tol; ValueError
+    for a tol below 1e-12.
     """
-    if route not in ("auto", "direct"):
-        raise ValueError("route must be 'auto' or 'direct'")
     if not T > 0:
         raise ValueError("strip measure needs T > 0")
     if not tol >= 1e-12:
         # below it the finest grids differ by summation rounding alone
         raise ValueError(f"strip tol {tol:g} is below the 1e-12 floor")
-    if psi.mode == "strip" or route == "direct" or psi.profiles is None \
-            or psi.support is None:
+    if psi.mode == "strip" or psi.profiles is None or psi.support is None:
         return _strip_direct(psi, T, tol)
     return _strip_unfolded(psi, T, tol)
 
@@ -595,7 +558,8 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
     """(1/omega) * integral over one period of psi(x+iy) e(-m x / omega).
 
     Trapezoid in x, spectrally accurate for smooth psi, grid doubling
-    until stable.  Returns a float for m = 0, complex otherwise.
+    until stable.  Returns a float for m = 0, complex otherwise;
+    InsufficientConvergenceError if the grids never settle.
     """
     omega = psi.omega
 
@@ -604,13 +568,14 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
         vals = psi.batch(xs, np.full(n, float(y)))
         return complex(np.mean(vals * np.exp((-2j * np.pi * m / omega) * xs)))
 
-    cur = refine(run, [1 << k for k in range(10, 22)], abs_tol=tol,
-                 rel_tol=tol)[0]
+    cur = _settled(run, 10, tol, f"fourier coefficient {m} at y = {y:g}")
     return cur.real if m == 0 else cur
 
 
 def horocycle_average(psi: TestFunction, y: float, interval,
                       tol: float = 1e-9) -> float:
+    """Mean of psi over x in interval at height y, by the midpoint rule
+    doubled until stable; InsufficientConvergenceError if it never is."""
     x0, x1 = interval
     if not x1 > x0:
         raise ValueError("need x0 < x1")
@@ -619,8 +584,17 @@ def horocycle_average(psi: TestFunction, y: float, interval,
         xs = x0 + (np.arange(n) + 0.5) * ((x1 - x0) / n)
         return float(np.mean(psi.batch(xs, np.full(n, float(y)))))
 
-    return refine(run, [1 << k for k in range(11, 22)], abs_tol=tol,
-                  rel_tol=tol)[0]
+    return _settled(run, 11, tol, f"horocycle average at y = {y:g}")
+
+
+def _settled(run, k0: int, tol: float, what: str):
+    """run(n) on n = 2^k0 ... 2^21 points until two grids agree to tol."""
+    val, err, ok = refine(run, [1 << k for k in range(k0, 22)], abs_tol=tol,
+                          rel_tol=tol)
+    if not ok:
+        raise InsufficientConvergenceError(
+            f"{what}: the last two grids differ by {err:.2e} > tol {tol:g}")
+    return val
 
 
 def haar_mean(psi: TestFunction) -> float:

@@ -1,9 +1,10 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
@@ -137,23 +138,63 @@ def test_reduce_word_acts_correctly(pt):
     assert abs(img.y - red.y) < tol * red.y
 
 
-@given(points)
+def _exact_height(x, y):
+    """Height of the reduction of the double point x + iy, in exact
+    rational arithmetic on the word: each step re-evaluates Im(g z)."""
+    X, Y = Fraction(x), Fraction(y)
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        den = (c * X + d) ** 2 + c * c * Y * Y
+        gx = ((a * X + b) * (c * X + d) + a * c * Y * Y) / den
+        gy = Y / den
+        n = math.floor(gx + Fraction(1, 2))
+        a, b, gx = a - n * c, b - n * d, gx - n
+        if gx * gx + gy * gy >= 1:
+            return float(gy)
+        a, b, c, d = -c, -d, a, b
+
+
+# heights from the domain down to below the underflow of y^2
+heights = (st.floats(1e-6, 60.0)
+           | st.floats(-320.0, -6.0).map(lambda e: 10.0 ** e))
+
+
+@given(st.floats(-40.0, 40.0), heights)
+@example(0.3, 1e-310)
 @settings(deadline=None)
-def test_reduce_points_matches_scalar_height(pt):
-    p = UTBPoint(pt[0], pt[1])
+def test_reduce_points_matches_scalar_height(x, y):
+    p = UTBPoint(x, y)
+    try:
+        rx, ry = reduce_points(np.array([x]), np.array([y]))
+    except ValueError:
+        # where y^2 underflows the scalar route must give up too, not
+        # return a wrong point (y = 5.8e5 at 0.3 + 1e-310 i, where exact
+        # arithmetic reduces to y = 3.08e277)
+        with pytest.raises(ValueError):
+            reduce_to_fundamental_domain(p)
+        return
     red, _ = reduce_to_fundamental_domain(p)
-    rx, ry = reduce_points(np.array([pt[0]]), np.array([pt[1]]))
     # heights agree even when boundary points pick different representatives
     assert abs(ry[0] - red.y) < 1e-9 * red.y
+    # the reduction magnifies the rounding of x by about 1/y, so exact
+    # arithmetic pins the height only while 1e-15 / y is small
+    if y >= 1e-13:
+        exact = _exact_height(x, y)
+        assert abs(red.y - exact) <= (1e-12 + 1e-15 / y) * exact
 
 
-def _reduce_points_whole_array(x, y, max_steps=200):
+def _reduce_points_whole_array(x, y, omega, max_steps=200):
     # the reduction before compaction: every step translates all points
-    # and inverts the masked ones in place
+    # and inverts the masked ones in place; at omega = 1 the scaled
+    # translation is bitwise the unscaled one reduce_points takes
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
+
+    def translate():
+        np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
+
     for _ in range(max_steps):
-        np.subtract(x, np.floor(x + 0.5), out=x)
+        translate()
         r2 = x * x + y * y
         mask = r2 < 1.0 - 1e-15
         if not np.any(mask):
@@ -161,21 +202,49 @@ def _reduce_points_whole_array(x, y, max_steps=200):
         inv = 1.0 / r2[mask]
         x[mask] = -x[mask] * inv
         y[mask] = y[mask] * inv
-    np.subtract(x, np.floor(x + 0.5), out=x)
+    translate()
     return x, y
 
 
-@pytest.mark.parametrize("y_scale", [1.0, 1e-3, 1e-8, 1e-100])
-def test_reduce_points_matches_whole_array_loop_bitwise(y_scale):
+def _sample(y_scale, omega):
     rng = np.random.default_rng(int(-math.log10(y_scale)))
     x = rng.uniform(-50.0, 50.0, 20000)
     y = y_scale * np.exp(rng.uniform(-3.0, 3.0, 20000))
     # edges where one translation is not yet idempotent
-    x[:4] = (0.5 - 2.0 ** -54, 0.5 - 2.0 ** -53, 0.5, 2.5 - 2.0 ** -52)
-    rx, ry = reduce_points(x, y)
-    wx, wy = _reduce_points_whole_array(x, y)
+    half = 0.5 * omega
+    x[:4] = (half - 2.0 ** -54, half - 2.0 ** -53, half,
+             5 * half - 2.0 ** -52)
+    return x, y
+
+
+# the width-1 cases keep their ids from before the width was a parameter;
+# width 2 goes low in test_reduce_points_raises_near_the_theta_cusp
+@pytest.mark.parametrize("y_scale, omega", [
+    pytest.param(s, w, id=f"{s}" if w == 1 else f"{s}-omega{w}")
+    for w in (1, 2, 3, 4) for s in (1.0, 1e-3, 1e-8, 1e-100)
+    if w != 2 or s == 1.0])
+def test_reduce_points_matches_whole_array_loop_bitwise(y_scale, omega):
+    x, y = _sample(y_scale, omega)
+    rx, ry = reduce_points(x, y, omega)
+    wx, wy = _reduce_points_whole_array(x, y, omega)
     assert np.array_equal(rx, wx) and np.array_equal(ry, wy)
+    # inside |x| <= omega/2, |z| >= 1, the domain of <T^omega, S>
+    assert np.all(np.abs(rx) <= 0.5 * omega)
     assert np.all(rx * rx + ry * ry >= 1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("y_scale", [1e-3, 1e-8])
+def test_reduce_points_raises_near_the_theta_cusp(y_scale):
+    # the theta group's domain has a cusp at +-1, and a point near it
+    # creeps toward its end one inversion at a time: about 1/y of them
+    x, y = _sample(y_scale, 2)
+    wx, wy = _reduce_points_whole_array(x, y, 2)
+    stuck = wx * wx + wy * wy < 1.0 - 1e-15
+    assert stuck.any()
+    with pytest.raises(ValueError):
+        reduce_points(x, y, 2)
+    rx, ry = reduce_points(x[~stuck], y[~stuck], 2)
+    assert np.array_equal(rx, wx[~stuck]) and np.array_equal(ry, wy[~stuck])
 
 
 @pytest.mark.parametrize("x, y", [(None, 1e-310), (None, 0.0), (None, -1.0),

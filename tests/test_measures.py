@@ -11,13 +11,14 @@ from scipy import integrate
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.groups import PSL2Z, THIN4, BudgetExceeded, bottom_rows
 from shearlab import measures, quadrature
-from shearlab.measures import (RegistrationError, bump_profile,
+from shearlab.measures import (THIN_BOX, RegistrationError, bump_profile,
                                equidistribution_regression,
                                fourier_coefficient, haar_mean,
                                horocycle_average, make_strip_bump, mu_T,
                                mu_T_strip)
 from shearlab.quadrature import (InsufficientConvergenceError, adaptive,
-                                 refine)
+                                 gl_nodes, refine)
+from thin_scan import thin_scan
 
 
 def test_bump_profile_shape():
@@ -61,6 +62,29 @@ def test_thin_bump_is_automorphic(thin_bump):
     x, y, gx, gy = _images(gs, pts)
     assert np.allclose(thin_bump.batch(gx, gy), thin_bump.batch(x, y),
                        rtol=0.0, atol=1e-9)
+
+
+def test_thin_bump_matches_the_table_scan(thin_bump):
+    # the Poincare series summed over the height-128 coset table, which
+    # the thin bump evaluated before it reduced points to the Ford domain
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-6.0, 6.0, 100_000)
+    y = np.exp(rng.uniform(math.log(1e-3), math.log(8.0), 100_000))
+    want = thin_scan(THIN_BOX)(x, y)
+    assert np.count_nonzero(want) > 1000
+    assert np.max(np.abs(thin_bump.batch(x, y) - want)) <= 1e-12
+
+
+def test_thin_bump_has_no_height_floor(thin_bump):
+    # the table scan raised below y = 8.2e-4
+    rng = np.random.default_rng(12)
+    gens = THIN4.gen_set()
+    gs = [gens[i] for i in rng.integers(len(gens), size=200)]
+    pts = [UTBPoint(x, 1e-6) for x in rng.uniform(-2.0, 2.0, 200)]
+    x, y, gx, gy = _images(gs, pts)
+    v = thin_bump.batch(x, y)
+    assert np.all(np.isfinite(v))
+    assert np.allclose(thin_bump.batch(gx, gy), v, rtol=0.0, atol=1e-9)
 
 
 def test_registration_rejects_non_automorphic():
@@ -269,11 +293,10 @@ def test_mu_T_stable_under_tolerance(lattice_bump):
 
 
 def test_mu_T_strip_routes_agree(lattice_bump):
+    # without profiles the strip measure takes the literal 2-d quadrature
     auto = mu_T_strip(lattice_bump, 20.0)
-    direct = mu_T_strip(lattice_bump, 20.0, route="direct")
+    direct = mu_T_strip(dataclasses.replace(lattice_bump, profiles=None), 20.0)
     assert auto == pytest.approx(direct, abs=1e-6)
-    with pytest.raises(ValueError):
-        mu_T_strip(lattice_bump, 20.0, route="bogus")
 
 
 # fixed-grid strip values from perfbench/refs.json ("lattice_strip" and
@@ -323,7 +346,7 @@ def test_direct_strip_raises_when_its_pass_does_not_converge(
 
     monkeypatch.setattr(measures, "adaptive", unconverged)
     with pytest.raises(InsufficientConvergenceError, match="direct strip"):
-        mu_T_strip(lattice_bump, 20.0, route="direct")
+        mu_T_strip(dataclasses.replace(lattice_bump, profiles=None), 20.0)
 
 
 def test_mu_T_strip_rejects_tolerances_below_its_floor(lattice_bump):
@@ -343,10 +366,20 @@ def test_haar_mean_raises_when_its_domain_pass_does_not_converge(
 
 
 def test_mu_T_strip_on_strip_function():
+    # the box is one period wide at most, so the measure factors into
+    # (1/omega) int px dx * int py(y)/y dy over y > max(y_lo, 1/T)
     strip = make_strip_bump()
-    v = mu_T_strip(strip, 15.0)
-    assert v == pytest.approx(mu_T_strip(strip, 15.0, route="direct"))
-    assert v > 0.0
+    x_lo, x_hi, y_lo, y_hi = strip.support
+    px, py = strip.profiles
+    xg, wg = gl_nodes(400)
+    ix = 0.5 * (x_hi - x_lo) * float(wg @ px(x_lo + 0.5 * (x_hi - x_lo)
+                                             * (1.0 + xg)))
+    for T in (15.0, 0.6):
+        lo = max(y_lo, 1.0 / T)
+        y = lo + 0.5 * (y_hi - lo) * (1.0 + xg)
+        iy = 0.5 * (y_hi - lo) * float(wg @ (py(y) / y))
+        assert mu_T_strip(strip, T) == pytest.approx(ix * iy / strip.omega,
+                                                     rel=0.0, abs=1e-9)
 
 
 # -- horocycle and Fourier data ----------------------------------------------
@@ -358,6 +391,21 @@ def test_fourier_zero_mode_is_horocycle_average(lattice_bump):
         assert isinstance(a0, float)
         assert a0 == pytest.approx(
             horocycle_average(lattice_bump, y, (0.0, 1.0)), abs=1e-9)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda psi: fourier_coefficient(psi, 1, 1.6), "fourier coefficient"),
+    (lambda psi: horocycle_average(psi, 1.6, (0.0, 1.0)), "horocycle average"),
+])
+def test_horocycle_data_raise_when_refinement_does_not_converge(
+        lattice_bump, monkeypatch, call, what):
+    def unconverged(run, sizes, **tol):
+        value, err, _ = refine(run, sizes, **tol)
+        return value, err, False
+
+    monkeypatch.setattr(measures, "refine", unconverged)
+    with pytest.raises(InsufficientConvergenceError, match=what):
+        call(lattice_bump)
 
 
 def test_fourier_against_dense_fft(lattice_bump):

@@ -108,14 +108,6 @@ class BudgetExceeded(Exception):
 REDUCE_MAX_STEPS = 200  # inversions a point may take before reduction raises
 
 
-def _translate(x, omega):
-    """x - omega * round(x / omega), in place; omega = 1 skips the scaling."""
-    if omega == 1:
-        np.subtract(x, np.floor(x + 0.5), out=x)
-    else:
-        np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
-
-
 def reduce_to_fundamental_domain(p: UTBPoint):
     """Move p into |x| <= 1/2, |z| >= 1 and return (point, word).
 
@@ -173,7 +165,7 @@ def reduce_points(x, y, omega=1):
     y = np.array(y, dtype=float, copy=True)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0).all()):
         raise ValueError("reduce_points needs finite points with y > 0")
-    _translate(x, omega)
+    np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
     idx = np.flatnonzero(x * x + y * y < 1.0 - 1e-15)
     for _ in range(REDUCE_MAX_STEPS):
         if not len(idx):
@@ -182,13 +174,13 @@ def reduce_points(x, y, omega=1):
         inv = 1.0 / (xi * xi + yi * yi)
         xi = -xi * inv
         yi *= inv
-        _translate(xi, omega)
+        np.subtract(xi, omega * np.floor(xi / omega + 0.5), out=xi)
         x[idx], y[idx] = xi, yi
         idx = idx[xi * xi + yi * yi < 1.0 - 1e-15]
     if len(idx) or not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"reduce_points left points outside the domain "
                          f"after {REDUCE_MAX_STEPS} inversions")
-    _translate(x, omega)
+    np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
     return x, y
 
 

@@ -167,8 +167,8 @@ def eval_form(f: QExpansion, z) -> complex:
 def eval_psi_f(f: QExpansion, z) -> float:
     """Psi_f(z) = |f(z)|^2 Im(z)^k, evaluated through its invariance."""
     x, y = point_xy(z)
-    p, _ = reduce_to_fundamental_domain(UTBPoint(x, y, 0.0))
-    return float(abs(complex(_qexp_eval(f, p.x, p.y))) ** 2) * p.y ** f.weight
+    rx, ry = reduce_points([x], [y])
+    return float(_psi(f, rx, ry)[0])
 
 
 # points per block of form_observable's batch, the fastest of 2^10 to 2^14

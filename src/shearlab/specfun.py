@@ -17,8 +17,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import UTBPoint
-from .groups import reduce_to_fundamental_domain
+from .groups import reduce_points
 
 # Lanczos (g = 7), published coefficient set; relative error ~1e-15 on the
 # real axis right of 0.5.
@@ -217,10 +216,10 @@ def log_abs_eta(x: float, y: float) -> float:
         raise ValueError("log_abs_eta needs y > 0")
     if y >= 0.05:
         return float(log_abs_eta_arr(x, y))
-    p, _ = reduce_to_fundamental_domain(UTBPoint(x, y))
+    rx, ry = reduce_points([x], [y])
     # y |eta(z)|^4 is constant on the orbit
-    return (float(log_abs_eta_arr(p.x, p.y))
-            + 0.25 * (math.log(p.y) - math.log(y)))
+    return (float(log_abs_eta_arr(rx, ry)[0])
+            + 0.25 * (math.log(ry[0]) - math.log(y)))
 
 
 def log_abs_eta_arr(x, y) -> np.ndarray:

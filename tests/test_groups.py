@@ -185,8 +185,7 @@ def test_reduce_points_matches_scalar_height(x, y):
 
 def _reduce_points_whole_array(x, y, omega, max_steps=200):
     # the reduction before compaction: every step translates all points
-    # and inverts the masked ones in place; at omega = 1 the scaled
-    # translation is bitwise the unscaled one reduce_points takes
+    # and inverts the masked ones in place
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
 

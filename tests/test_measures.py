@@ -65,8 +65,7 @@ def test_thin_bump_is_automorphic(thin_bump):
 
 
 def test_thin_bump_matches_the_table_scan(thin_bump):
-    # the Poincare series summed over the height-128 coset table, which
-    # the thin bump evaluated before it reduced points to the Ford domain
+    # the Poincare series summed over the height-128 coset table
     rng = np.random.default_rng(11)
     x = rng.uniform(-6.0, 6.0, 100_000)
     y = np.exp(rng.uniform(math.log(1e-3), math.log(8.0), 100_000))
@@ -76,7 +75,6 @@ def test_thin_bump_matches_the_table_scan(thin_bump):
 
 
 def test_thin_bump_has_no_height_floor(thin_bump):
-    # the table scan raised below y = 8.2e-4
     rng = np.random.default_rng(12)
     gens = THIN4.gen_set()
     gs = [gens[i] for i in rng.integers(len(gens), size=200)]

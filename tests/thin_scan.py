@@ -1,6 +1,5 @@
-"""The coset-table scan that evaluated the thin bump before it reduced its
-points to the Ford domain: the oracle that make_thin_bump's batch is
-checked against.  It shares no code with reduce_points.
+"""A coset-table scan of the thin bump: the oracle that make_thin_bump's
+batch is checked against.  It shares no code with reduce_points.
 
 The Poincare series of the box profile over THIN4 is summed directly over
 the translates whose bottom row (c, d) is in the cached height-128 table,

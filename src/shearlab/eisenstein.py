@@ -128,8 +128,8 @@ class EisensteinEvaluator:
             raise ValueError(f"cusp index {self.cusp_index} out of range: "
                              f"{self.spec.name!r} has "
                              f"{len(self.spec.cusps)} cusp(s)")
-        if self.max_height < 32:
-            raise ValueError("max_height below the smallest table")
+        if not 32 <= self.max_height < math.inf:
+            raise ValueError(f"max_height {self.max_height!r} not in [32, inf)")
         if self.max_mode < 1:
             raise ValueError("max_mode must be at least 1")
 
@@ -177,7 +177,7 @@ def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
             raise ConvergenceError(
                 f"coset row sum needs s >= {gate:.3f} (critical exponent "
                 f"plus margin); got s = {s}")
-        val, err = _thin_coset_value(e.spec, x, y, s, omega, e.max_height)
+        val, err = _thin_coset_value(e.spec, x, y, s, e.max_height)
     return EisensteinSample(val, route, err)
 
 
@@ -340,7 +340,7 @@ def _geometric_limit(v1, v2, v3):
     return v3 + b2 * r / (1.0 - r)
 
 
-def _thin_coset_value(spec, x, y, s, omega, max_height):
+def _thin_coset_value(spec, x, y, s, max_height):
     heights = _thin_partial_heights(max_height)
     rows = bottom_rows(spec, heights[-1])
     c = rows[:, 2].astype(float)
@@ -351,8 +351,8 @@ def _thin_coset_value(spec, x, y, s, omega, max_height):
     partial = [float(term[n2 <= h * h].sum()) for h in heights]
     lim_lo = _geometric_limit(*partial[:3])
     lim_hi = _geometric_limit(*partial[1:])
-    val = y ** s * lim_hi / omega
-    err = y ** s * abs(lim_hi - lim_lo) / omega + 1e-15 * abs(val)
+    val = y ** s * lim_hi / spec.omega
+    err = y ** s * abs(lim_hi - lim_lo) / spec.omega + 1e-15 * abs(val)
     return val, err
 
 
@@ -374,15 +374,15 @@ def _regularized_E1_arr(x, y):
 def mu_eis(psi, regularized: bool) -> float:
     """Pairing of a test function with the Eisenstein series at s = 1.
 
-    regularized=True: lattice only, integrates against the regularized
+    regularized=True: psl2z only, integrates against the regularized
     value over the fundamental domain (box-supported functions reduce to
-    their seed box).  regularized=False: thin only, unfolds the pairing
-    through the seed profile, so the coset images do the folding and the
-    series never needs its own fundamental domain.  A test function reads
-    only (x, y), so the pairing is fibered over the base point by
-    construction and needs no check of direction independence.
+    their seed box).  regularized=False: omega >= 3 only, unfolds the
+    pairing through the seed profile, so the coset images do the folding
+    and the series never needs its own fundamental domain.  A test
+    function reads only (x, y), so the pairing is fibered over the base
+    point by construction and needs no check of direction independence.
     """
-    if psi.mode == "lattice":
+    if psi.spec is not None and psi.spec.omega == 1:
         if not regularized:
             raise PairingError(
                 "the lattice series has a pole at s = 1; pair against the "
@@ -394,7 +394,7 @@ def mu_eis(psi, regularized: bool) -> float:
                 "cusp decay alpha <= 1 cannot pay for the logarithmic "
                 "growth of the regularized series")
         return _pair_fd_lattice(psi)
-    if psi.mode == "thin":
+    if psi.spec is not None and not psi.spec.lattice:
         if regularized:
             raise PairingError(
                 "the thin series is already finite at s = 1; nothing to "
@@ -402,7 +402,7 @@ def mu_eis(psi, regularized: bool) -> float:
         if psi.profiles is None:
             raise PairingError("thin pairing needs a seed-profile function")
         return _pair_box_thin(psi)
-    raise PairingError("strip-mode functions pair with neither functional")
+    raise PairingError("strip and theta functions pair with neither functional")
 
 
 def _pair_box_lattice(psi):
@@ -461,7 +461,7 @@ def _thin_box_grid(spec: GroupSpec, box: tuple):
 def _pair_box_thin(psi):
     x_lo, x_hi, y_lo, y_hi = psi.support
     lx, ly = math.log(y_lo), math.log(y_hi)
-    tx, ty, sums = _thin_box_grid(psi.spec(), tuple(psi.support))
+    tx, ty, sums = _thin_box_grid(psi.spec, tuple(psi.support))
 
     def run(n):
         gx, wx = gl_nodes(n)

@@ -304,30 +304,49 @@ def bottom_rows(spec: GroupSpec, height: float) -> np.ndarray:
 
     Left multiplication by a translation fixes the bottom row, and two
     elements share a row (up to sign) exactly when they lie in the same
-    coset, so the rows label the cosets.  For omega = 1 the rows are
-    the coprime pairs in the disc, with a = d^-1 mod c.  For omega >= 2, the free product of
-    <T^omega> and <S>, each coset's shortest word (the one a breadth-first
-    search finds first) is the identity or starts with S, and
-    _syllable_tree builds those.  Heights from ROW_HEIGHT_CAP on raise
-    BudgetExceeded.  Returns a read-only (n, 4) int array of [a, b, c, d],
-    c > 0 or c = 0 and a = d = 1, sorted by row.
+    coset, so the rows label the cosets.  For omega = 1 they are the
+    coprime pairs in the disc, with a = d^-1 mod c (coset_rows); for omega
+    >= 2, the free product of <T^omega> and <S>, each coset's shortest
+    word (the one a breadth-first search finds first) is the identity or
+    starts with S, and _syllable_tree builds those.  Heights from
+    ROW_HEIGHT_CAP on raise BudgetExceeded.  Returns a read-only (n, 4)
+    int array of [a, b, c, d], c > 0 or c = 0 and a = d = 1, sorted by row.
     """
-    omega = spec.omega
     if not height < ROW_HEIGHT_CAP:
         raise BudgetExceeded(f"row table of height {height:g} is past the "
                              f"cap (heights < {ROW_HEIGHT_CAP})")
     h2 = float(height) * float(height)
-    if omega == 1:
+    if spec.omega == 1:
         cs = np.arange(1, int(math.sqrt(h2)) + 2)
         span = np.sqrt(np.maximum(h2 - cs * cs, 0.0)).astype(np.int64) + 1
-        c, d = _coprime_rows(-span, span)
-        a = _mod_inverse(d, c)
+        a, c, d = coset_rows(spec, -span, span)
         rest = np.column_stack([a, (a * d - 1) // c, c, d])
     else:
-        rest = _syllable_tree(omega, h2)
+        rest = _syllable_tree(spec.omega, h2)
     out = np.concatenate([np.array([[1, 0, 0, 1]], dtype=np.int64), rest])
     # exact; the coprime spans are one too wide, and h < 1 drops the identity
     out = out[out[:, 2] ** 2 + out[:, 3] ** 2 <= h2]
     out = out[np.lexsort((out[:, 3], out[:, 2]))]
     out.setflags(write=False)
     return out
+
+
+def coset_rows(spec: GroupSpec, d_lo, d_hi):
+    """(a, c, d) int arrays of the coset rows with c = 1..len(d_lo) and
+    d_lo[c-1] <= d <= d_hi[c-1], ordered by c and then d; a is needed mod
+    omega c.  omega = 1 builds them (a = d^-1 mod c); omega >= 2 masks the
+    cached bottom_rows table of the least power-of-two height that holds
+    the region, which raises BudgetExceeded past the cap."""
+    d_lo, d_hi = np.asarray(d_lo, np.int64), np.asarray(d_hi, np.int64)
+    if spec.omega == 1:
+        c, d = _coprime_rows(d_lo, d_hi)
+        return _mod_inverse(d, c), c, d
+    cs = np.arange(1, len(d_lo) + 1)
+    n2 = cs * cs + np.maximum(d_lo * d_lo, d_hi * d_hi)
+    n2 = int(n2[d_lo <= d_hi].max(initial=1))
+    # (2^k)^2 >= n2 for k = ceil(log2(n2) / 2) = ceil(bitlen(n2 - 1) / 2)
+    a, _, c, d = bottom_rows(spec, 1 << ((n2 - 1).bit_length() + 1) // 2).T
+    first, stop = np.searchsorted(c, [1, len(d_lo) + 1])
+    a, c, d = a[first:stop], c[first:stop], d[first:stop]
+    keep = (d_lo[c - 1] <= d) & (d <= d_hi[c - 1])
+    return a[keep], c[keep], d[keep]

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import (PSL2Z, THIN4, GroupSpec, _coprime_rows, _mod_inverse,
-                     _ragged, bottom_rows, reduce_points)
+from .groups import (PSL2Z, THIN4, GroupSpec, _ragged, coset_rows,
+                     reduce_points)
 from .quadrature import (InsufficientConvergenceError, adaptive, gl_nodes,
                          integrate_fd, refine)
 
@@ -62,26 +62,27 @@ class TestFunction:
     cusp-decaying ones.  profiles, set by the bump factories, holds the
     (P_x, P_y) product factors; it is what entitles the unfolded engines
     to reconstruct the single-translate profile instead of sampling the
-    folded sum.  mode is "lattice", "thin", or "strip" (the last for
-    functions living on the strip itself rather than the quotient).
+    folded sum.  spec, the group the function is automorphic under, gives
+    every route its rows and its period omega; None marks a function on
+    the strip itself, of period 1.
     """
     name: str
-    mode: str
+    spec: Optional[GroupSpec]
     batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     c_psi: float = 2.5
     alpha_psi: float = 2.0
     support: Optional[tuple] = None
     profiles: Optional[tuple] = None
-    omega: float = 1.0
     peak: float = 1.0
 
-    def spec(self) -> GroupSpec:
-        if self.mode not in _MODE_GROUPS:
-            raise ValueError(f"no group attached to mode {self.mode!r}")
-        return _MODE_GROUPS[self.mode]
+    @property
+    def omega(self) -> float:
+        return 1.0 if self.spec is None else float(self.spec.omega)
 
-
-_MODE_GROUPS = {"lattice": PSL2Z, "thin": THIN4}
+    @property
+    def mode(self) -> str:  # a label for reports; no route reads it
+        return "strip" if self.spec is None else (
+            "lattice" if self.spec.lattice else "thin")
 
 
 def _register(tf: TestFunction, n_samples: int = 1000, tol: float = 1e-7,
@@ -90,10 +91,10 @@ def _register(tf: TestFunction, n_samples: int = 1000, tol: float = 1e-7,
     n_samples points (x in [-3, 3], log-uniform y in [0.1, 8]) against
     batch at their images under a random generator or product of two, in
     two calls.  A NaN anywhere fails the check."""
-    if tf.mode == "strip":
+    if tf.spec is None:
         return tf
     rng = np.random.default_rng(seed)
-    gens = tf.spec().gen_set()
+    gens = tf.spec.gen_set()
     draws = []
     for _ in range(n_samples):
         g = gens[rng.integers(len(gens))]
@@ -134,16 +135,11 @@ def _box_profiles(box):
     return px, py
 
 
-def _thin_table(min_height: float) -> np.ndarray:
-    # power-of-two heights so different radii share one cached table
-    return bottom_rows(THIN4, 2.0 ** math.ceil(math.log2(max(min_height, 32.0))))
-
-
-def _reduced_bump(box, name: str, mode: str) -> TestFunction:
+def _reduced_bump(box, name: str, spec: GroupSpec) -> TestFunction:
     """The product bump px * py on a box inside the fundamental domain |x|
-    < omega/2, |z| > 1 of the mode's group, automorphic as the profile at
-    the reduced point: no other translate meets the box."""
-    omega = _MODE_GROUPS[mode].omega
+    < omega/2, |z| > 1 of <T^omega, S>, automorphic as the profile at the
+    reduced point: no other translate meets the box."""
+    omega = spec.omega
     x_lo, x_hi, y_lo, y_hi = box
     if not (-omega / 2.0 < x_lo < x_hi < omega / 2.0 and 1.0 < y_lo < y_hi):
         raise ValueError(f"box must sit strictly inside the fundamental "
@@ -154,10 +150,9 @@ def _reduced_bump(box, name: str, mode: str) -> TestFunction:
         rx, ry = reduce_points(x, y, omega)
         return px(rx) * py(ry)
 
-    return _register(TestFunction(name, mode, batch,
+    return _register(TestFunction(name, spec, batch,
                                   c_psi=max(2.0 * y_hi, 1.0), alpha_psi=2.0,
-                                  support=tuple(box), profiles=(px, py),
-                                  omega=float(omega)))
+                                  support=tuple(box), profiles=(px, py)))
 
 
 def make_lattice_bump(box=DEFAULT_BOX, name: str = "lattice_bump") -> TestFunction:
@@ -167,7 +162,7 @@ def make_lattice_bump(box=DEFAULT_BOX, name: str = "lattice_bump") -> TestFuncti
     y > 1), which makes the function a one-term Poincare series and the
     unfolded integrators exact.
     """
-    return _reduced_bump(box, name, "lattice")
+    return _reduced_bump(box, name, PSL2Z)
 
 
 def make_thin_bump(box=THIN_BOX, name: str = "thin_bump") -> TestFunction:
@@ -178,22 +173,21 @@ def make_thin_bump(box=THIN_BOX, name: str = "thin_bump") -> TestFunction:
     evaluation is the profile at the point reduce_points moves there, at
     every height it accepts.
     """
-    return _reduced_bump(box, name, "thin")
+    return _reduced_bump(box, name, THIN4)
 
 
-def make_strip_bump(box=DEFAULT_BOX, omega: float = 1.0,
-                    name: str = "strip_bump") -> TestFunction:
-    """Bump on the strip itself (x periodic, compact in y); not automorphic.
-    Used by the coordinate-level strip checks."""
+def make_strip_bump(box=DEFAULT_BOX, name: str = "strip_bump") -> TestFunction:
+    """Bump on the strip itself (x of period 1, compact in y); not
+    automorphic.  Used by the coordinate-level strip checks."""
     x_lo, x_hi, y_lo, y_hi = box
     px, py = _box_profiles(box)
 
     def batch(x, y):
-        x = np.mod(np.asarray(x, dtype=float) - x_lo, omega) + x_lo
+        x = np.mod(np.asarray(x, dtype=float) - x_lo, 1.0) + x_lo
         return px(x) * py(np.asarray(y, dtype=float))
 
-    return TestFunction(name, "strip", batch, support=tuple(box),
-                        profiles=(px, py), omega=omega)
+    return TestFunction(name, None, batch, support=tuple(box),
+                        profiles=(px, py))
 
 
 # -- mu_T --------------------------------------------------------------------
@@ -225,8 +219,7 @@ def mu_T(psi: TestFunction, T: float, tol: float = 1e-7) -> ShearSample:
     everything else uses adaptive panels along the ray, with batch doing
     its own domain folding.
     """
-    if psi.profiles is not None and psi.mode in ("lattice", "thin") \
-            and abs(T) >= 8.0:
+    if psi.profiles is not None and psi.spec is not None and abs(T) >= 8.0:
         return _mu_T_unfolded(psi, float(T), tol)
     return _mu_T_generic(psi, float(T), tol)
 
@@ -253,23 +246,14 @@ def _window_rows(psi: TestFunction, T: float, y_lo: float):
     """(c, d, a/c) arrays of the cosets whose ray window reaches y_lo.
 
     The window exists iff c|d| < (sqrt(T^2+1)+|T|)/(2 y_lo), with d of
-    sign opposite to T.  Lattice rows are the coprime pairs under that
-    hyperbola, built by the helpers behind bottom_rows(PSL2Z), and only
-    need a/c mod 1, the modular inverse of d; thin rows come from the
-    cached bottom_rows(THIN4) table (the syllable tree), which carries
-    the true a (the cusp offsets live in a coarser grid there, so a is
-    needed modulo 4c, not c).
+    sign opposite to T; the rows under that hyperbola come from the
+    group's coset_rows, and a/c is the cusp offset, needed mod omega.
     """
     peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
-    if psi.mode == "lattice":
-        cs = np.arange(1, int(peak) + 2)
-        c, ad = _coprime_rows(np.ones_like(cs), (peak / cs).astype(int) + 1)
-        d = ad if T < 0 else -ad
-        return c, d, _mod_inverse(d, c) / c
-    a, _, c, d = _thin_table(peak * 1.05 + 8.0).T
-    keep = (c != 0) & ((d < 0) if T > 0 else (d > 0)) \
-        & (c * np.abs(d) <= peak + 1)
-    return c[keep], d[keep], a[keep] / c[keep]
+    span = (peak / np.arange(1, int(peak) + 2)).astype(np.int64) + 1
+    one = np.ones_like(span)
+    a, c, d = coset_rows(psi.spec, *((-span, -one) if T > 0 else (one, span)))
+    return c, d, a / c
 
 
 def _spikes(psi: TestFunction, T: float):
@@ -407,7 +391,7 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8) -> float:
     that sum is exact at any T.  Row (c, d) counts on a horoball disc
     over the box, whose crossings of the box edges split its y-range into
     panels with smooth integrands, all integrated in one batched
-    Gauss-Legendre pass.  Strip-mode functions and functions without
+    Gauss-Legendre pass.  Strip functions and functions without
     profiles or support take the literal 2-d quadrature instead.
     InsufficientConvergenceError if either route misses tol; ValueError
     for a tol below 1e-12.
@@ -417,30 +401,40 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8) -> float:
     if not tol >= 1e-12:
         # below it the finest grids differ by summation rounding alone
         raise ValueError(f"strip tol {tol:g} is below the 1e-12 floor")
-    if psi.mode == "strip" or psi.profiles is None or psi.support is None:
+    if psi.spec is None or psi.profiles is None or psi.support is None:
         return _strip_direct(psi, T, tol)
     return _strip_unfolded(psi, T, tol)
 
 
-def _strip_direct(psi: TestFunction, T: float, tol: float,
-                  nx: int = 1024) -> float:
-    omega = psi.omega
+def _strip_direct(psi: TestFunction, T: float, tol: float) -> float:
+    """Adaptive panels in y over the mean of nx midpoints in x, nx doubled
+    from 1024 until two passes agree to tol: near y = 1/T the translates
+    are features of width about y, which a fixed grid misses."""
     y_top = _y_top(psi, tol)
     y_bot = 1.0 / T
     if y_top <= y_bot:
         return 0.0
-    xs = (np.arange(nx) + 0.5) * (omega / nx)
 
-    def f(y):
-        return np.array([np.mean(psi.batch(xs, np.full(nx, yy))) / yy
-                         for yy in np.atleast_1d(y)])
+    def run(nx):
+        xs = (np.arange(nx) + 0.5) * (psi.omega / nx)
 
-    res = adaptive(f, y_bot, y_top, abs_tol=tol, rel_tol=tol,
-                   initial_edges=np.geomspace(y_bot, y_top, 200))
-    if not res.converged:
+        def f(y):
+            return np.array([np.mean(psi.batch(xs, np.full(nx, yy))) / yy
+                             for yy in np.atleast_1d(y)])
+
+        res = adaptive(f, y_bot, y_top, abs_tol=tol, rel_tol=tol,
+                       initial_edges=np.geomspace(y_bot, y_top, 200))
+        if not res.converged:
+            raise InsufficientConvergenceError(
+                f"direct strip measure at T = {T:g}, {nx} x nodes: {res}")
+        return res.value
+
+    val, err, ok = refine(run, [1 << k for k in range(10, 17)], abs_tol=tol)
+    if not ok:
         raise InsufficientConvergenceError(
-            f"direct strip measure at T = {T:g}: {res}")
-    return res.value
+            f"direct strip measure at T = {T:g}: the last two x grids "
+            f"differ by {err:.2e} > tol {tol:g}")
+    return val
 
 
 def _strip_rows(psi: TestFunction, T: float):
@@ -448,13 +442,9 @@ def _strip_rows(psi: TestFunction, T: float):
     1/T height cut somewhere over the support box."""
     x_lo, x_hi, y_lo, y_hi = psi.support
     reach = math.sqrt(T * y_hi)
-    xm = max(abs(x_lo), abs(x_hi))
-    if psi.mode == "lattice":
-        cs = np.arange(1, int(reach / y_lo) + 2)
-        span = (cs * xm + reach).astype(np.int64) + 1
-        return _coprime_rows(-span, span)
-    _, _, c, d = _thin_table(reach + 4.0 * xm + 8.0).T
-    return c[c != 0], d[c != 0]
+    cs = np.arange(1, int(reach / y_lo) + 2)
+    span = (cs * max(abs(x_lo), abs(x_hi)) + reach).astype(np.int64) + 1
+    return coset_rows(psi.spec, -span, span)[1:]
 
 
 def _strip_panels(psi: TestFunction, T: float):
@@ -599,12 +589,12 @@ def _settled(run, k0: int, tol: float, what: str):
 
 def haar_mean(psi: TestFunction) -> float:
     """Mean against the normalized hyperbolic area 3/pi * dx dy / y^2 on
-    the standard domain.  Lattice mode only.  Product bumps integrate
-    their profiles over the box, everything else goes through
+    the standard domain, so psl2z functions only.  Product bumps
+    integrate their profiles over the box, everything else goes through
     integrate_fd, raising InsufficientConvergenceError if it does not
     converge."""
-    if psi.mode != "lattice":
-        raise ValueError("finite invariant measure needs the lattice mode")
+    if psi.spec is None or psi.spec.omega != 1:
+        raise ValueError("haar_mean integrates over psl2z's domain only")
     if psi.profiles is not None and psi.support is not None:
         x_lo, x_hi, y_lo, y_hi = psi.support
         px, py = psi.profiles

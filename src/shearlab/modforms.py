@@ -34,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import UTBPoint, point_xy
-from .groups import _ragged, reduce_points, reduce_to_fundamental_domain
+from .groups import (PSL2Z, _ragged, reduce_points,
+                     reduce_to_fundamental_domain)
 from .measures import TestFunction
 from .quadrature import (InsufficientConvergenceError, adaptive, integrate_fd,
                          refine)
@@ -200,7 +201,7 @@ def form_observable(f: QExpansion) -> TestFunction:
     fy = np.exp(-2.0 * math.pi * np.outer(ys, n_idx)) @ absa
     env = fy ** 2 * ys ** k
     alpha = 2.0
-    return TestFunction(name=f"psi_form_w{k}", mode="lattice", batch=batch,
+    return TestFunction(name=f"psi_form_w{k}", spec=PSL2Z, batch=batch,
                         c_psi=float((env * ys ** alpha).max()),
                         alpha_psi=alpha, support=None, profiles=None,
                         peak=float(env.max()))

@@ -282,6 +282,21 @@ def test_eisenstein_on_a_spec_without_coset_rows_is_config_error(tmp_path,
             assert not out.with_suffix(".manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "thin4", "--max-height", "nan"],
+    ["--route", "coset", "--s", "2", "--max-height", "inf"],
+])
+def test_eisenstein_non_finite_max_height_is_config_error(tmp_path, capsys,
+                                                         argv):
+    # nan passed the old floor check and wrote a "partial" manifest holding
+    # NaN, which is not JSON; inf overflowed in the lattice coset sum
+    out = tmp_path / "eis.csv"
+    assert main(["eisenstein"] + argv + ["--out", str(out)]) == 2
+    assert "max_height" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
 def test_json_spec_is_its_width(tmp_path):
     # {"name": ..., "omega": 4} is thin4: the same counts, byte for byte
     spec = tmp_path / "w4.json"

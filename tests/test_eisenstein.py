@@ -273,8 +273,9 @@ def test_route_guards():
                       (GroupSpec("theta", 2), 1)):
         with pytest.raises(ValueError, match="cusp index"):
             EisensteinEvaluator(spec=spec, cusp_index=bad)
-    with pytest.raises(ValueError):
-        EisensteinEvaluator(max_height=8.0)
+    for bad in (8.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="max_height"):
+            EisensteinEvaluator(max_height=bad)
     with pytest.raises(ValueError, match="max_mode"):
         EisensteinEvaluator(max_mode=0)
     with pytest.raises(ValueError):
@@ -420,7 +421,7 @@ def direct_thin_pairing(psi):
     the reference for the Chebyshev-grid route of mu_eis."""
     x_lo, x_hi, y_lo, y_hi = psi.support
     heights = _thin_partial_heights(1024.0)
-    rows = bottom_rows(psi.spec(), heights[-1])
+    rows = bottom_rows(psi.spec, heights[-1])
     n2 = (rows[:, 2] * rows[:, 2] + rows[:, 3] * rows[:, 3]).astype(float)
     order = np.argsort(n2, kind="stable")
     rows = rows[order]
@@ -463,6 +464,15 @@ def test_thin_pairing_matches_the_direct_row_sum(box):
         direct_thin_pairing(psi), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("omega", [3, 5])
+def test_thin_pairing_at_new_widths(omega):
+    # the pairing reads its rows and its 1/omega from the spec
+    psi = shearlab.measures._reduced_bump(THIN_BOX, f"w{omega}_bump",
+                                          GroupSpec(f"w{omega}", omega))
+    assert mu_eis(psi, regularized=False) == pytest.approx(
+        direct_thin_pairing(psi), rel=1e-12, abs=0.0)
+
+
 def test_thin_pairing_stays_small_in_memory(thin_bump):
     # summing every row at every node traced a 50 MB peak; the grid cache
     # is cleared so the traced call sums the rows again
@@ -486,7 +496,7 @@ def test_warm_thin_pairing_reuses_its_row_sums(thin_bump, monkeypatch):
 
     monkeypatch.setattr(shearlab.eisenstein, "_thin_row_sums", resum)
     assert mu_eis(thin_bump, regularized=False) == cold
-    _, _, sums = shearlab.eisenstein._thin_box_grid(thin_bump.spec(),
+    _, _, sums = shearlab.eisenstein._thin_box_grid(thin_bump.spec,
                                                     thin_bump.support)
     assert not any(s.flags.writeable for s in sums)
 
@@ -495,7 +505,7 @@ def test_domain_pairing_raises_when_unconverged():
     # no box, so the pairing takes the fundamental-domain route; built
     # without registration, which would reject the NaN
     psi = shearlab.measures.TestFunction(
-        "nan", "lattice", batch=lambda x, y: np.full(np.shape(x), np.nan))
+        "nan", PSL2Z, batch=lambda x, y: np.full(np.shape(x), np.nan))
     with pytest.raises(PairingError, match="did not converge"):
         mu_eis(psi, regularized=True)
 

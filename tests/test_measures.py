@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from shearlab.algebra import UTBPoint, compose, mobius_act
-from shearlab.groups import PSL2Z, THIN4, BudgetExceeded, bottom_rows
-from shearlab import measures, quadrature
+from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec,
+                             bottom_rows)
+from shearlab import groups, measures, quadrature
 from shearlab.measures import (THIN_BOX, RegistrationError, bump_profile,
                                equidistribution_regression,
                                fourier_coefficient, haar_mean,
@@ -94,7 +95,7 @@ def test_registration_rejects_non_automorphic():
             lambda x, y: y + y / (x * x + y * y),
             # automorphic where it is defined, NaN high in the cusp
             lambda x, y: np.where(np.asarray(y) > 7.0, np.nan, 1.0)):
-        fake = measures.TestFunction("broken", "lattice", batch=batch)
+        fake = measures.TestFunction("broken", PSL2Z, batch=batch)
         with pytest.raises(RegistrationError):
             measures._register(fake)
 
@@ -112,11 +113,12 @@ def test_registration_is_two_batch_calls(lattice_bump, thin_bump):
 
 
 def test_spec_attachment(lattice_bump, thin_bump):
-    assert lattice_bump.spec() is PSL2Z
-    assert thin_bump.spec() is THIN4
+    # the group is the one field; the width and the report label follow
     strip = make_strip_bump()
-    with pytest.raises(ValueError):
-        strip.spec()
+    assert (lattice_bump.spec, thin_bump.spec, strip.spec) == (
+        PSL2Z, THIN4, None)
+    assert [(f.omega, f.mode) for f in (lattice_bump, thin_bump, strip)] == [
+        (1.0, "lattice"), (4.0, "thin"), (1.0, "strip")]
 
 
 # -- shear integrals ---------------------------------------------------------
@@ -222,31 +224,47 @@ def test_window_rows_match_the_gcd_loop(lattice_bump, T, c):
             if math.gcd(c, ad) == 1:
                 d = ad if T < 0 else -ad
                 want.append((d, (pow(d % c, -1, c) if c > 1 else 0) / c))
+    # ascending d for either sign of T
+    want.sort()
     sel = rows_c == c
     assert list(zip(rows_d[sel].tolist(), rows_ac[sel].tolist())) == want
 
 
 @pytest.mark.parametrize("T", [300.0, -300.0])
 def test_thin_window_rows_match_the_table_scan(thin_bump, T):
+    # the rows of a height-2048 table with c <= peak + 1, d of sign
+    # opposite to T and |d| <= peak / c + 1, in table order
     y_lo = thin_bump.support[2]
     peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
-    want = [(c, d, a / c)
-            for a, _, c, d in measures._thin_table(peak * 1.05 + 8.0).tolist()
-            if c != 0 and (d < 0 if T > 0 else d > 0) and c * abs(d) <= peak + 1]
+    want = [(c, d, a / c) for a, _, c, d in bottom_rows(THIN4, 2048).tolist()
+            if 1 <= c <= int(peak) + 1 and (d < 0 if T > 0 else d > 0)
+            and abs(d) <= int(peak / c) + 1]
     got = zip(*(v.tolist() for v in measures._window_rows(thin_bump, T, y_lo)))
     assert list(got) == want
 
 
-def test_thin_table_is_the_next_power_of_two(thin_bump):
-    for h, top in ((1.0, 32.0), (32.0, 32.0), (33.0, 64.0), (1000.5, 1024.0),
-                   (2048.0, 2048.0)):
-        assert measures._thin_table(h) is bottom_rows(THIN4, top)
-    # taller tables are past the row height cap, as is the table thin
-    # mu_T needs from T = 2040 on
-    for h in (2048.5, 5000.0, 1e6):
-        with pytest.raises(BudgetExceeded, match="past the cap"):
-            measures._thin_table(h)
-    for T in (2040.0, 3500.0, 5000.0):
+def test_thin_table_is_the_next_power_of_two(thin_bump, monkeypatch):
+    # coset_rows masks the table of the least power-of-two height that
+    # holds its region: here the row (c, d) = (1, d_hi), of norm^2 1 + d_hi^2
+    heights = []
+
+    def recorded(spec, height):
+        heights.append(height)
+        return bottom_rows(spec, height)
+
+    monkeypatch.setattr(groups, "bottom_rows", recorded)
+    for d_hi, top in ((0, 1), (1, 2), (31, 32), (32, 64), (1000, 1024),
+                      (2047, 2048)):
+        a, c, d = groups.coset_rows(THIN4, [-d_hi], [d_hi])
+        assert heights.pop() == top
+        assert c.tolist() == [1] * len(d) and abs(d).max() <= d_hi
+    with pytest.raises(BudgetExceeded, match="past the cap"):
+        groups.coset_rows(THIN4, [-2048], [2048])
+    monkeypatch.undo()
+    # thin mu_T's window region fits the height-2048 table up to T = 2149
+    for T in (2040.0, 2149.0):
+        assert mu_T(thin_bump, T).tol_met
+    for T in (2150.0, 3500.0, 5000.0):
         with pytest.raises(BudgetExceeded):
             mu_T(thin_bump, T)
 
@@ -259,7 +277,7 @@ def test_mod_inverse_matches_pow(c, d):
     ds = np.array([d, d, 3, 1], dtype=np.int64)
     want = [pow(x % m, -1, m) if m > 1 else 0
             for m, x in zip(cs.tolist(), ds.tolist())]
-    assert measures._mod_inverse(ds, cs).tolist() == want
+    assert groups._mod_inverse(ds, cs).tolist() == want
 
 
 @pytest.mark.parametrize("T", [10.0, 30.0, 100.0, 300.0])
@@ -295,6 +313,50 @@ def test_mu_T_strip_routes_agree(lattice_bump):
     auto = mu_T_strip(lattice_bump, 20.0)
     direct = mu_T_strip(dataclasses.replace(lattice_bump, profiles=None), 20.0)
     assert auto == pytest.approx(direct, abs=1e-6)
+
+
+@pytest.mark.parametrize("T", [20.0, 40.0])
+def test_direct_strip_refines_its_x_grid(lattice_bump, thin_bump, T):
+    # near y = 1/T the translates are features a fixed 1024-point x grid
+    # misses: that grid was 8.1e-8 (lattice) and 1.1e-6 (thin) off at T = 20
+    for psi in (lattice_bump, thin_bump):
+        direct = mu_T_strip(dataclasses.replace(psi, profiles=None), T)
+        assert direct == pytest.approx(mu_T_strip(psi, T), rel=0.0, abs=1e-8)
+
+
+def test_direct_strip_raises_when_its_x_grids_never_agree(lattice_bump,
+                                                          monkeypatch):
+    def unconverged(run, sizes, **tol):
+        value, err, _ = refine(run, sizes[:2], **tol)
+        return value, err, False
+
+    monkeypatch.setattr(measures, "refine", unconverged)
+    with pytest.raises(InsufficientConvergenceError, match="x grids"):
+        mu_T_strip(dataclasses.replace(lattice_bump, profiles=None), 20.0)
+
+
+@pytest.fixture(scope="module", params=[3, 5])
+def width_bump(request):
+    # every route reads its rows and period from the spec, so the thin box
+    # pairs at widths no built-in group has
+    w = request.param
+    return measures._reduced_bump(THIN_BOX, f"w{w}_bump",
+                                  GroupSpec(f"w{w}", w))
+
+
+@pytest.mark.parametrize("T", [8.5, 20.0, -35.0, 60.0])
+def test_unfolded_mu_T_at_new_widths(width_bump, T):
+    got = mu_T(width_bump, T, tol=1e-9)
+    want = measures._mu_T_generic(width_bump, T, 1e-9)
+    assert got.route == "unfolded" and got.tol_met and want.tol_met
+    assert got.value == pytest.approx(want.value, rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("T", [10.0, 40.0])
+def test_strip_routes_agree_at_new_widths(width_bump, T):
+    direct = mu_T_strip(dataclasses.replace(width_bump, profiles=None), T)
+    assert mu_T_strip(width_bump, T) == pytest.approx(direct, rel=0.0,
+                                                      abs=1e-8)
 
 
 # fixed-grid strip values from perfbench/refs.json ("lattice_strip" and

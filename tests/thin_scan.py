@@ -2,23 +2,25 @@
 batch is checked against.  It shares no code with reduce_points.
 
 The Poincare series of the box profile over THIN4 is summed directly over
-the translates whose bottom row (c, d) is in the cached height-128 table,
-which covers every translate that can reach the box from heights above
-about 8.2e-4 (for the thin default box); lower queries raise.
+the translates whose bottom row (c, d) is in bottom_rows(THIN4, 128), the
+cached height-128 table, which covers every translate that can reach the
+box from heights above about 8.2e-4 (for the thin default box); lower
+queries raise.
 """
 
 import numpy as np
 
-from shearlab.measures import _box_profiles, _thin_table
+from shearlab.groups import THIN4, bottom_rows
+from shearlab.measures import _box_profiles
 
-ROWS = 80.0  # row height the scan needs; the table rounds it up to 128
+ROWS = 80.0  # row height the scan needs; the height-128 table holds it
 
 
 def thin_scan(box):
     """batch(x, y) of the thin bump on box, by scanning the row table."""
     x_lo, x_hi, y_lo, y_hi = box
     px, py = _box_profiles(box)
-    table = _thin_table(ROWS)
+    table = bottom_rows(THIN4, 128)
     nz = table[table[:, 2] != 0]
     cc, dd = nz[:, 2].astype(float), nz[:, 3].astype(float)
     acs = nz[:, 0] / cc

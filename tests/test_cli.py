@@ -158,6 +158,18 @@ def test_shear_table(tmp_path):
         assert float(r[3]) < 0.1
 
 
+@pytest.mark.parametrize("argv", [["--T", "inf"], ["--T", "10,nan"],
+                                  ["--T", "30", "--tol", "0"]])
+def test_shear_non_finite_T_or_bad_tol_is_config_error(tmp_path, capsys,
+                                                       argv):
+    # --T inf used to exit 1 with an OverflowError traceback
+    out = tmp_path / "shear.csv"
+    assert main(["shear"] + argv + ["--out", str(out)]) == 2
+    assert "mu_T needs" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
 def test_eisenstein_grid(tmp_path):
     out = tmp_path / "eis.csv"
     rc = main(["eisenstein", "--z", "1j", "--s", "2", "--out", str(out)])

@@ -30,6 +30,24 @@ def test_bump_profile_shape():
     v = bump_profile(t)
     assert np.all(v > 0) and np.all(v <= 1.0)
     assert np.allclose(v, v[::-1])  # even
+    assert np.allclose(v, np.exp(1.0 - 1.0 / (1.0 - t * t)), rtol=1e-13,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("box", [measures.DEFAULT_BOX, THIN_BOX])
+def test_box_bump_is_the_profile_product(box):
+    # the ray kernel's one exp equals px(x) * py(y), zero where they are
+    x_lo, x_hi, y_lo, y_hi = box
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.uniform(x_lo - 0.1, x_hi + 0.1, 1_000_000),
+                        [x_lo, x_hi, x_lo, 0.5 * (x_lo + x_hi)]])
+    y = np.concatenate([rng.uniform(y_lo - 0.1, y_hi + 0.1, 1_000_000),
+                        [y_lo, 0.5 * (y_lo + y_hi), y_hi, y_hi]])
+    px, py = measures._box_profiles(box)
+    want, got = px(x) * py(y), measures._box_bump(x, y, box)
+    assert np.count_nonzero(want) > 500_000
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.max(np.abs(got - want)) <= 4e-15
 
 
 def _images(gs, pts):
@@ -308,6 +326,45 @@ def test_mu_T_stable_under_tolerance(lattice_bump):
     assert abs(loose - tight) < 1e-6
 
 
+def test_mu_T_at_tol_1e5_runs_the_34_point_pass(lattice_bump):
+    # at tol 1e-5 the ladder used to stop at the 22-point pass, 2.0e-8
+    # from the tol-1e-9 value; it now goes on to 34 points, 8.2e-10 off
+    loose = mu_T(lattice_bump, 30.0, tol=1e-5)
+    tight = mu_T(lattice_bump, 30.0, tol=1e-9)
+    assert loose.tol_met and tight.tol_met
+    assert abs(loose.value - tight.value) < 5e-9
+
+
+# lattice mu_T at tol 1e-7 on the (14, 22, 34, 60, 100) ladder: value,
+# est_error and n_nodes; every one settled at 34
+LADDER_14 = [(300.0, 0.4669351442930376, 2.80754525183724e-09, 89460),
+             (1000.0, 0.5346333977587947, 1.6478671760467023e-09, 349230),
+             (-500.0, 0.4916653069084711, 8.284654351431442e-09, 161840)]
+
+
+@pytest.mark.parametrize("T, value, err, nodes", LADDER_14)
+def test_mu_T_ladder_starts_at_22(lattice_bump, T, value, err, nodes):
+    # the 14-point pass misses by 1e-5 at every T, so dropping it keeps the
+    # value and the estimate and spends 22 + 34 of every 70 nodes a spike
+    # took
+    s = mu_T(lattice_bump, T, tol=1e-7)
+    assert s.route == "unfolded" and s.tol_met
+    assert s.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert s.est_error == pytest.approx(err, rel=0.0, abs=1e-14)
+    assert s.n_nodes * 5 == nodes * 4
+
+
+@pytest.mark.parametrize("T, tol", [
+    (float("nan"), 1e-7), (float("inf"), 1e-7), (-float("inf"), 1e-7),
+    (300.0, 0.0), (300.0, -1.0), (300.0, float("nan")),
+    (300.0, float("inf")), (4.0, 0.0)])
+def test_mu_T_rejects_non_finite_T_and_bad_tol(lattice_bump, T, tol):
+    # nan and inf used to fail deep in the spike construction, and a tol
+    # of 0 ran every rung to return tol_met=False
+    with pytest.raises(ValueError, match="mu_T needs"):
+        mu_T(lattice_bump, T, tol)
+
+
 def test_mu_T_strip_routes_agree(lattice_bump):
     # without profiles the strip measure takes the literal 2-d quadrature
     auto = mu_T_strip(lattice_bump, 20.0)
@@ -506,10 +563,10 @@ def test_haar_mean_against_direct_quadrature(lattice_bump):
     # the single translate there and a plain 2-d quadrature is an
     # independent check of the product-profile route
     x_lo, x_hi, y_lo, y_hi = lattice_bump.support
-    val, err = integrate.dblquad(
-        lambda y, x: lattice_bump.batch(np.array([x]), np.array([y]))[0]
-        / (y * y),
-        x_lo, x_hi, y_lo, y_hi, epsabs=1e-12, epsrel=1e-11)
+    res = integrate.cubature(
+        lambda p: lattice_bump.batch(p[:, 0], p[:, 1]) / p[:, 1] ** 2,
+        [x_lo, y_lo], [x_hi, y_hi], atol=1e-12, rtol=1e-11)
+    val, err = res.estimate, res.error
     assert err < 1e-9
     assert haar_mean(lattice_bump) == pytest.approx(3.0 / math.pi * val,
                                                     abs=1e-9)

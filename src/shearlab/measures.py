@@ -409,10 +409,10 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8) -> float:
     Gauss-Legendre pass.  Strip functions and functions without
     profiles or support take the literal 2-d quadrature instead.
     InsufficientConvergenceError if either route misses tol; ValueError
-    for a tol below 1e-12.
+    unless T is finite and positive, or for a tol below 1e-12.
     """
-    if not T > 0:
-        raise ValueError("strip measure needs T > 0")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"strip measure needs finite T > 0: got {T}")
     if not tol >= 1e-12:
         # below it the finest grids differ by summation rounding alone
         raise ValueError(f"strip tol {tol:g} is below the 1e-12 floor")

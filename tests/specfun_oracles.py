@@ -1,11 +1,15 @@
-"""Independent routes to K_nu and Dedekind eta: the oracles that
-shearlab.specfun's trapezoid K_nu and its log|eta| product sum are
-checked against.  The Bessel routes are the ascending series (small x)
-and the asymptotic series (large x); eta comes from its q-product and
-from the pentagonal-number series."""
+"""Independent routes to K_nu, Dedekind eta and the Euler-Maclaurin
+integral G: the oracles that shearlab.specfun's trapezoid K_nu, its
+log|eta| product sum and the coset route's cumulative G pass are checked
+against.  The Bessel routes are the ascending series (small x) and the
+asymptotic series (large x); eta comes from its q-product and from the
+pentagonal-number series; G from the incomplete beta function."""
 
 import cmath
 import math
+
+import numpy as np
+from scipy import special as sps
 
 from shearlab.specfun import gamma_fn
 
@@ -82,3 +86,18 @@ def dedekind_eta_series(z: complex) -> complex:
             break
         k += 1
     return total
+
+
+def em_integral_G(v, s: float):
+    """G(v) = int_0^v (1 + t^2)^-s dt = G(inf) I_x(1/2, s - 1/2), with
+    x = v^2 / (1 + v^2) and G(inf) = (1/2) B(1/2, s - 1/2), elementwise
+    for v >= 0, s > 1/2, from scipy's regularized incomplete beta
+    function.  From v = 1 on it takes the complement, G(inf) minus
+    G(inf) I_(1 - x)(s - 1/2, 1/2), with 1 - x = 1 / (1 + v^2) exact to
+    rounding; G(inf) comes from scipy's gamma, which at s = 1.01 is 4e-16
+    closer than its beta."""
+    v = np.asarray(v, dtype=float)
+    g_inf = 0.5 * math.sqrt(math.pi) * sps.gamma(s - 0.5) / sps.gamma(s)
+    w = 1.0 / (1.0 + v * v)
+    return np.where(v < 1.0, g_inf * sps.betainc(0.5, s - 0.5, v * v * w),
+                    g_inf - g_inf * sps.betainc(s - 0.5, 0.5, w))

@@ -188,6 +188,34 @@ def test_eisenstein_pole_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["--s", "inf"], "needs finite"),
+    (["--z", "nan+1j"], "needs finite"),
+    (["--route", "coset", "--s", "nan"], "needs finite"),
+    (["--group", "thin4", "--s", "nan"], "needs finite"),
+    (["--route", "fourier", "--s", "1e6"], "fourier route cannot"),
+    (["--route", "coset", "--z", "3j", "--s", "700"], "coset route cannot"),
+])
+def test_eisenstein_unevaluable_input_is_config_error(tmp_path, capsys, argv,
+                                                      what):
+    # --s inf exited 1 with an OverflowError traceback, --z nan+1j exited 0
+    # and wrote nan, and --route fourier --s 1e6 exited 1 with a TypeError
+    out = tmp_path / "eis.csv"
+    assert main(["eisenstein"] + argv + ["--out", str(out)]) == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
+def test_eisenstein_coset_value_at_very_large_s(tmp_path):
+    # exited 1 with an OverflowError from math.gamma; E(i, s) tends to 2
+    out = tmp_path / "eis.csv"
+    assert main(["eisenstein", "--route", "coset", "--s", "1e6",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][3]) == 2.0
+
+
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"T": "4,8", "group": "psl2z"}))

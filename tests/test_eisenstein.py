@@ -2,6 +2,7 @@ import bisect
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sps
@@ -10,15 +11,18 @@ import shearlab.eisenstein
 import shearlab.measures
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
-                                 PairingError, _em_threshold, _fourier_value,
+                                 PairingError, _em_threshold,
+                                 _fourier_constants, _fourier_value, _G_near,
                                  _geometric_limit, _lattice_coset_value,
-                                 _row_sums, _thin_partial_heights,
+                                 _row_sums, _thin_coset_value,
+                                 _thin_partial_heights, _zeta_2s,
                                  completed_zeta, critical_exponent,
                                  eisenstein_sample, mu_eis, regularized_E1)
 from shearlab.groups import PSL2Z, THIN4, GroupSpec, WordBudget, bottom_rows
 from shearlab.measures import THIN_BOX, make_strip_bump, make_thin_bump
 from shearlab.quadrature import gl_nodes, refine
 from shearlab.specfun import bessel_k, divisor_sigma, zeta
+from specfun_oracles import em_integral_G
 from word_search import enumerate_words
 
 # mpmath, lattice sum with Kloosterman-free Fourier expansion, 30 digits
@@ -118,6 +122,94 @@ def test_lattice_rows_match_the_point_loop(y, radius, ss):
             got, err = _lattice_coset_value(x, y, s, radius)
             assert abs(got - want) <= 1e-13 * abs(want), (x, s)
             assert abs(err - want_err) <= 1e-14 * abs(want), (x, s)
+
+
+@pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 8.0, 20.0, 32.0])
+def test_cumulative_G_matches_the_incomplete_beta(s):
+    # five endpoints, whose gaps the multiples of 0.1 split, and 100
+    # endpoints, against scipy's incomplete beta
+    rng = np.random.default_rng(int(100 * s))
+    for t in (np.array([0.0, 0.05, 0.9, 2.3, 3.0]),
+              rng.uniform(0.0, 3.0, 100)):
+        assert np.abs(_G_near(t, s) - em_integral_G(t, s)).max() <= 1e-15
+    # 4000 endpoints, as many as a lattice call at R = 1024 and y = 0.25
+    # has.  Near v = 1 and s = 1.01 betainc is itself up to 1.3e-15 off,
+    # so the points farthest from it, and the ends, are checked at 30
+    # digits against v 2F1(1/2, s; 3/2; -v^2)
+    t = rng.uniform(0.0, 3.0, 4000)
+    got = _G_near(t, s)
+    gap = np.abs(got - em_integral_G(t, s))
+    assert gap.max() <= 2e-15
+    with mpmath.workdps(30):
+        for i in {*np.argsort(gap)[-6:], np.argmin(t), np.argmax(t)}:
+            v = mpmath.mpf(float(t[i]))
+            want = v * mpmath.hyp2f1(0.5, s, 1.5, -v * v)
+            assert abs(got[i] - float(want)) <= 2.3e-16, (t[i], s)
+
+
+def _em_segments(monkeypatch):
+    """Record the (u_lo, u_hi, a2) of every Euler-Maclaurin call."""
+    calls = []
+    orig = shearlab.eisenstein._em_row_sums
+
+    def spy(u_lo, u_hi, a2, s):
+        calls.append((u_lo, u_hi, a2))
+        return orig(u_lo, u_hi, a2, s)
+
+    monkeypatch.setattr(shearlab.eisenstein, "_em_row_sums", spy)
+    return calls
+
+
+# (y, R, s): at R = 32 every low row lies within |u| <= 3 _em_threshold(s),
+# so its tails are empty; from R = 64 the c = 0 row (a = 0) has a tail;
+# s = 40 sums every row point by point
+TAIL_GRID = [(0.5, 32.0, 2.0), (3.0, 32.0, 1.3), (1.0, 64.0, 2.0),
+             (0.3, 100.0, 8.0), (1.0, 200.0, 20.0), (0.7, 300.0, 32.0),
+             (1.0, 100.0, 40.0)]
+
+
+@pytest.mark.parametrize("y,radius,s", TAIL_GRID)
+def test_lattice_tails_match_the_point_loop(y, radius, s, monkeypatch):
+    calls = _em_segments(monkeypatch)
+    want, want_err = point_loop_lattice_value(0.5, y, s, 1.0, radius)
+    for x in (0.5, -0.5):
+        got, err = _lattice_coset_value(x, y, s, radius)
+        assert abs(got - want) <= 1e-13 * abs(want), x
+        assert abs(err - want_err) <= 1e-14 * abs(want), x
+    thr = _em_threshold(s)
+    a2 = np.concatenate([a for _, _, a in calls] or [np.zeros(0)])
+    if s > 32.0:
+        assert not calls
+    elif radius <= 3.0 * thr:
+        assert np.all(a2 >= thr * thr)
+    else:
+        # the c = 0 row's tails, which the binomial integral takes at a = 0
+        assert np.any(a2 == 0.0)
+
+
+@pytest.mark.parametrize("s", [1.01, 2.0, 20.0, 32.0])
+def test_row_sums_split_windows_at_the_band(s):
+    # low rows whose windows lie wholly in one tail, cross one edge of the
+    # point-by-point band |u| <= 3 _em_threshold(s), or cross both, one
+    # window and two stacked windows per row
+    band = 3.0 * _em_threshold(s)
+    rng = np.random.default_rng(int(10 * s))
+    a2 = np.square(rng.uniform(0.0, _em_threshold(s), 24))
+    a2[0] = 0.0
+    cx = rng.uniform(-1.0, 1.0, 24)
+    d_lo = np.stack([np.floor(rng.uniform(-3.0, 1.5, 24) * band),
+                     np.floor(rng.uniform(-1.2, 0.8, 24) * band)])
+    n = rng.integers(1, int(4 * band), (2, 24))
+    # the c = 0 row stays off u = 0
+    d_lo[:, 0] = np.where(d_lo[:, 0] <= 0.0, band + 1.0, d_lo[:, 0])
+    both = _row_sums(cx, d_lo, n, a2, s)
+    for k in range(2):
+        one = _row_sums(cx, d_lo[k], n[k], a2, s)
+        assert np.allclose(one, both[k], rtol=1e-14, atol=0.0)
+        for g, c, d, m, h2 in zip(one, cx, d_lo[k], n[k], a2):
+            u = c + np.arange(d, d + m)
+            want = math.fsum(((u * u + h2) ** -s).tolist())
+            assert abs(g - want) <= 1e-13 * want, (d, m, h2)
 
 
 def test_auto_route_picks_by_group():
@@ -348,6 +440,102 @@ def test_fourier_mode_count_grows_past_a_short_first_guess(monkeypatch):
     monkeypatch.setattr(shearlab.eisenstein, "bessel_k", inflated_once)
     assert _fourier_value(0.17, 0.3, 1.3, 4000) == want
     assert calls[1] == 2 * calls[0]
+
+
+def test_per_s_constants_give_the_bits_of_a_cold_call():
+    # the grid shares its s values, so all but the first point of each s
+    # read the cached constants; every value matches a cold one
+    pts = [(0.17, 0.3), (-0.4, 1.1), (0.05, 2.7)]
+    ss = (0.6, 1.3, 2.0, 3.0)
+    cold = {}
+    for x, y in pts:
+        for s in ss:
+            _fourier_constants.cache_clear()
+            _zeta_2s.cache_clear()
+            cold[x, y, s] = (_fourier_value(x, y, s, 4000),
+                             _lattice_coset_value(x, y, s, 1024.0)
+                             if s > 1.0 else None)
+    for x, y in pts:
+        for s in ss:
+            assert _fourier_value(x, y, s, 4000) == cold[x, y, s][0]
+            if s > 1.0:
+                assert _lattice_coset_value(x, y, s,
+                                            1024.0) == cold[x, y, s][1]
+    for s in ss:
+        xi2 = completed_zeta(2.0 * s)
+        assert _fourier_constants(s) == (
+            completed_zeta(2.0 * s - 1.0) / xi2, 4.0 / xi2)
+        assert _zeta_2s(s) == zeta(2.0 * s)
+
+
+def masked_thin_value(spec, x, y, s, max_height):
+    """The thin coset value as it was summed before the row table was
+    cached: the table cast to floats and masked by norm at every call."""
+    heights = _thin_partial_heights(max_height)
+    rows = bottom_rows(spec, heights[-1])
+    c = rows[:, 2].astype(float)
+    d = rows[:, 3].astype(float)
+    n2 = c * c + d * d
+    term = ((c * x + d) ** 2 + c * c * y * y) ** (-s)
+    partial = [float(term[n2 <= h * h].sum()) for h in heights]
+    lim_lo = _geometric_limit(*partial[:3])
+    lim_hi = _geometric_limit(*partial[1:])
+    val = y ** s * lim_hi / spec.omega
+    return val, y ** s * abs(lim_hi - lim_lo) / spec.omega + 1e-15 * abs(val)
+
+
+def test_thin_values_keep_the_masked_sums():
+    # 200 random (z, s) at both table heights: the cached table sums the
+    # same rows in the same order, so the values keep their bits
+    rng = np.random.default_rng(22)
+    for k in range(200):
+        x, y = rng.uniform(-2.0, 2.0), math.exp(rng.uniform(-1.0, 1.5))
+        s = rng.uniform(0.85, 3.0)
+        h = (512.0, 1024.0)[k % 2]
+        assert _thin_coset_value(THIN4, x, y, s, h) == masked_thin_value(
+            THIN4, x, y, s, h), (x, y, s, h)
+
+
+@pytest.mark.parametrize("route", ["fourier", "coset"])
+@pytest.mark.parametrize("z,s", [(1j, math.inf), (1j, -math.inf),
+                                 (1j, math.nan), (complex(math.nan, 1.0), 2.0),
+                                 (complex(math.inf, 1.0), 2.0),
+                                 (complex(0.0, math.inf), 2.0)])
+def test_non_finite_input_is_rejected(route, z, s):
+    for spec in (PSL2Z, THIN4):
+        if spec is THIN4 and route == "fourier":
+            continue
+        e = EisensteinEvaluator(spec=spec, route=route)
+        with pytest.raises(ValueError, match="needs finite x, y > 0 and s"):
+            eisenstein_sample(e, z, s)
+
+
+def test_non_positive_height_is_rejected():
+    for y in (0.0, -1.0):
+        with pytest.raises(ValueError, match="y > 0"):
+            eisenstein_sample(EisensteinEvaluator(), UTBPoint(0.1, y), 2.0)
+
+
+def test_values_out_of_float_range_are_convergence_errors():
+    # the completed zetas of the Fourier route overflow from s = 140 or so
+    four = EisensteinEvaluator(route="fourier")
+    for s in (171.0, 1e6):
+        with pytest.raises(ConvergenceError, match="fourier route cannot"):
+            eisenstein_sample(four, 1j, s)
+    # E(3i, s) ~ 3^s, past the largest float
+    for e in (EisensteinEvaluator(route="coset"),
+              EisensteinEvaluator(spec=THIN4)):
+        with pytest.raises(ConvergenceError, match="coset route cannot"):
+            eisenstein_sample(e, 3j, 700.0)
+
+
+def test_lattice_value_at_very_large_s():
+    # every row goes point by point above s = 32; at z = i only the
+    # identity and S lift i to height 1, so E(i, s) tends to 2, and at
+    # s = 1e6 every other term underflows
+    got = eisenstein_sample(EisensteinEvaluator(route="coset"), 1j, 1e6)
+    assert got.value == 2.0
+    assert got.est_error <= 1e-14
 
 
 # -- the regularized value at s = 1 ------------------------------------------

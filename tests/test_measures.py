@@ -365,6 +365,15 @@ def test_mu_T_rejects_non_finite_T_and_bad_tol(lattice_bump, T, tol):
         mu_T(lattice_bump, T, tol)
 
 
+@pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 0.0, -3.0])
+def test_mu_T_strip_rejects_non_finite_or_non_positive_T(lattice_bump, T):
+    # inf used to raise OverflowError from the strip rows (lattice bump)
+    # and numpy's "Geometric sequence cannot include zero" (strip bump)
+    for psi in (lattice_bump, make_strip_bump()):
+        with pytest.raises(ValueError, match="strip measure needs"):
+            mu_T_strip(psi, T)
+
+
 def test_mu_T_strip_routes_agree(lattice_bump):
     # without profiles the strip measure takes the literal 2-d quadrature
     auto = mu_T_strip(lattice_bump, 20.0)

@@ -26,7 +26,7 @@ from .groups import (Cusp, GroupSpec, PSL2Z, THIN4, WordBudget,
 from .measures import (RegressionResult, ShearSample, TestFunction,
                        equidistribution_regression, fourier_coefficient,
                        haar_mean, horocycle_average, make_lattice_bump,
-                       make_strip_bump, make_thin_bump, mu_T, mu_T_strip)
+                       make_thin_bump, mu_T, mu_T_strip)
 from .modforms import (InsufficientConvergenceError, LSeriesValue,
                        QExpansion, delta_qexp, eval_form, eval_psi_f,
                        form_observable, hecke_L, kronecker_check,
@@ -51,8 +51,8 @@ __all__ = [
     # measures
     "RegressionResult", "ShearSample", "TestFunction",
     "equidistribution_regression", "fourier_coefficient", "haar_mean",
-    "horocycle_average", "make_lattice_bump", "make_strip_bump",
-    "make_thin_bump", "mu_T", "mu_T_strip",
+    "horocycle_average", "make_lattice_bump", "make_thin_bump", "mu_T",
+    "mu_T_strip",
     # eisenstein
     "ConvergenceError", "EisensteinEvaluator", "EisensteinSample",
     "PairingError", "critical_exponent", "eisenstein_sample", "mu_eis",

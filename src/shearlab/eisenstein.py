@@ -20,20 +20,19 @@ translation subgroup, omega the cusp width.  Two evaluation routes:
   with eight Bernoulli terms, which is exact to rounding there.  Lower
   rows go point by point only for |u| up to three times that height;
   their two tails take the same Euler-Maclaurin sum, whose integral is
-  the binomial tail series, which holds at c = 0 too.  Above s = 32
-  every row goes point by point.  All endpoints share one derivative
-  recurrence and one sorted cumulative Gauss-Legendre pass for the
-  integral G.  So the work is O(R / y) rows instead of O(R^2 / y)
-  points: about 3 ms at R = 1024, y = 0.5, against 70-110 ms point by
-  point, and 11 ms for E(i, 2) at R = 8192, against 1.7 s.  The route
-  stays independent of the Fourier one: it sums the same truncated rows
-  the point-by-point sum would, to a few parts in 1e15, and takes no
-  Poisson or K-Bessel step.  For omega >= 2 the bottom-row
-  tables are summed at four nested height cutoffs and the geometric
-  decay of the block sums is extrapolated; each table is cached as
-  floats with the rows under each cutoff, so a value is one power pass
-  and four sums.  For the thin group the series converges at s = 1
-  outright because the critical exponent sits below 1.
+  a positive hypergeometric tail series, which holds at c = 0 too.  All endpoints
+  share one derivative recurrence and one sorted cumulative
+  Gauss-Legendre pass for the integral G.  So the work is O(R / y) rows
+  instead of O(R^2 / y) points: about 3 ms at R = 1024, y = 0.5,
+  against 70-110 ms point by point, and 11 ms for E(i, 2) at R = 8192,
+  against 1.7 s.  The route stays independent of the Fourier one: it
+  sums the same truncated rows the point-by-point sum would, to a few
+  parts in 1e15, and takes no Poisson or K-Bessel step.  For omega >= 2
+  the bottom-row tables are summed at four nested height cutoffs and the
+  geometric decay of the block sums is extrapolated; each table is
+  cached as floats with the rows under each cutoff, so a value is one
+  power pass and four sums.  For the thin group the series converges
+  at s = 1 outright because the critical exponent sits below 1.
 
 The regularized value at s = 1 (lattice) subtracts the pole and lands on
 a closed form in log|eta|.  The pairing functionals mu_eis integrate a
@@ -299,7 +298,7 @@ def _row_sums(cx, d_lo, n, a2, s):
     closed form by Euler-Maclaurin.  Lower rows go point by point where
     |u| <= 3 _em_threshold(s), and by Euler-Maclaurin in the two tails
     beyond, where the summand is as smooth on the scale of |u| as the
-    tall rows are on theirs.  Above s = 32 every row goes point by point.
+    tall rows are on theirs.
     """
     shape = np.shape(n)
     lo = np.atleast_2d(d_lo).astype(float)
@@ -345,10 +344,8 @@ def _row_sums(cx, d_lo, n, a2, s):
 def _em_threshold(s):
     """Least row height a at which the Euler-Maclaurin row sum is exact
     to rounding.  Near u = 0 the summand is a Gaussian of width
-    a / sqrt(2s), so the height grows like sqrt(s).  Above s = 32, the
-    largest s its rows are checked at against direct sums, every row is
-    summed point by point."""
-    return 16.0 * max(1.0, math.sqrt(s / 8.0)) if s <= 32.0 else math.inf
+    a / sqrt(2s), so the height grows like sqrt(s)."""
+    return 16.0 * max(1.0, math.sqrt(s / 8.0))
 
 
 # B_2j / (2j)! for j = 1..8
@@ -366,7 +363,7 @@ def _em_row_sums(u_lo, u_hi, a2, s):
     g f^(n+1) = -(2n + 2s) u f^(n) - n (n - 1 + 2s) f^(n-1), g = u^2 + a2.
     The integral is A(u_hi) - A(u_lo), A(u) = a^(1-2s) G(u / a) for
     |u| <= 3a.  Beyond 3a, A(u) = sign(u) (a^(1-2s) G(inf) - T(|u|)),
-    with T(t) = int_t^inf f by its binomial series, and the constant is
+    with T(t) = int_t^inf f by a positive series, and the constant is
     left out where both ends lie beyond 3a on one side: it cancels
     there, which admits a = 0.
     """
@@ -390,17 +387,23 @@ def _em_row_sums(u_lo, u_hi, a2, s):
     # the primitive A(u)
     prim = np.empty_like(u)
     prim[near] = a[near] * a2[near] ** (-s) * _G_near(t[near] / a[near], s)
-    # the tail integral: sum_k C(-s, k) a^2k t^(1 - 2s - 2k) / (2s + 2k - 1);
-    # with t >= 3a, 24 terms reach 9^-24 of the first
-    k = np.arange(24)
-    binom = np.cumprod(np.concatenate(([1.0], -(s + k[:-1]) / (k[1:]))))
-    tf = t[far]
-    prim[far] = -tf ** (1.0 - 2.0 * s) * np.polynomial.polynomial.polyval(
-        a2[far] / (tf * tf), binom / (2.0 * s + 2.0 * k - 1.0))
+    # the tail integral, Pfaff's transform of its 2F1: with h = g = t^2 + a2,
+    # T(t) = h^(1/2 - s) sum_k C(2k, k) 4^-k (a2 / h)^k / (2s - 1 + 2k);
+    # the terms are positive and, with t >= 3a, a2 / h <= 1/10, so 17 terms
+    # reach 10^-17 of the first at every s
+    k = np.arange(17)
+    coef = np.cumprod(np.concatenate(([1.0], (k[:-1] + 0.5) / k[1:])))
+    h = g[far]
+    prim[far] = -h ** (0.5 - s) * np.polynomial.polynomial.polyval(
+        a2[far] / h, coef / (2.0 * s - 1.0 + 2.0 * k))
     add = far & ~one_side
-    if add.any():
-        g_inf = 0.5 * math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s)
-        prim[add] += a[add] * a2[add] ** (-s) * g_inf
+    scale = a[add] * a2[add] ** (-s)
+    # _row_sums sends only windows of rows with a >= _em_threshold(s) >= 16
+    # across u = 0, so a^(1 - 2s) is 0 in floats from s = 135 on, before
+    # math.gamma(s) overflows at s = 171.6
+    if scale.any():
+        prim[add] += scale * (0.5 * math.sqrt(math.pi) * math.gamma(s - 0.5)
+                              / math.gamma(s))
     prim = np.where(u < 0.0, -prim, prim)
     return (prim[m:] - prim[:m] + 0.5 * (f[:m] + f[m:])
             + corr[m:] - corr[:m])
@@ -410,7 +413,7 @@ def _G_near(t, s):
     """G(t) = int_0^t (1 + v^2)^-s dv for each t in [0, 3], s > 1, in one
     sorted cumulative pass: 8-node Gauss-Legendre between neighbouring
     sorted t.  The multiples of 0.1 join the sort, so no piece is wider
-    than 0.1, where the rule is exact to rounding up to s = 32.  The
+    than 0.1, where the rule is exact to rounding (checked to s = 80).  The
     pieces are summed with each step's rounding error carried (TwoSum),
     so dense and sparse sets alike land within an ulp or two of G."""
     b = np.concatenate(([0.0], t, 0.1 * np.arange(1, 31)))
@@ -503,7 +506,7 @@ def mu_eis(psi, regularized: bool) -> float:
     function reads only (x, y), so the pairing is fibered over the base
     point by construction and needs no check of direction independence.
     """
-    if psi.spec is not None and psi.spec.omega == 1:
+    if psi.spec.omega == 1:
         if not regularized:
             raise PairingError(
                 "the lattice series has a pole at s = 1; pair against the "
@@ -515,7 +518,7 @@ def mu_eis(psi, regularized: bool) -> float:
                 "cusp decay alpha <= 1 cannot pay for the logarithmic "
                 "growth of the regularized series")
         return _pair_fd_lattice(psi)
-    if psi.spec is not None and not psi.spec.lattice:
+    if not psi.spec.lattice:
         if regularized:
             raise PairingError(
                 "the thin series is already finite at s = 1; nothing to "
@@ -523,7 +526,7 @@ def mu_eis(psi, regularized: bool) -> float:
         if psi.profiles is None:
             raise PairingError("thin pairing needs a seed-profile function")
         return _pair_box_thin(psi)
-    raise PairingError("strip and theta functions pair with neither functional")
+    raise PairingError("theta-group functions pair with neither functional")
 
 
 def _pair_box_lattice(psi):

@@ -85,14 +85,6 @@ THIN4 = GroupSpec("thin4", 4)
 BUILTINS = {"psl2z": PSL2Z, "thin4": THIN4}
 
 
-def builtin(name: str) -> GroupSpec:
-    try:
-        return BUILTINS[name]
-    except KeyError:
-        raise KeyError(f"no built-in group named {name!r}; "
-                       f"choose from {sorted(BUILTINS)}") from None
-
-
 @dataclass(frozen=True)
 class WordBudget:
     max_depth: int = 512
@@ -217,11 +209,9 @@ class CosetLabel:
 
 
 @lru_cache(maxsize=32)
-def coset_space(spec, q: int) -> frozenset:
+def coset_space(spec: GroupSpec, q: int) -> frozenset:
     """All labels of the image of the group at level q (closure of the
-    generator labels).  Accepts a GroupSpec or a built-in name."""
-    if isinstance(spec, str):
-        spec = builtin(spec)
+    generator labels)."""
     gens = [CosetLabel.of(g, q) for g in spec.gen_set()]
     seen = {CosetLabel.identity(q)}
     frontier = list(seen)

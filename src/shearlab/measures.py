@@ -31,8 +31,8 @@ from .quadrature import (InsufficientConvergenceError, adaptive, gl_nodes,
 
 __all__ = [
     "TestFunction", "ShearSample", "RegistrationError", "bump_profile",
-    "make_lattice_bump", "make_thin_bump", "make_strip_bump", "mu_T",
-    "mu_T_strip", "fourier_coefficient", "horocycle_average", "haar_mean",
+    "make_lattice_bump", "make_thin_bump", "mu_T", "mu_T_strip",
+    "fourier_coefficient", "horocycle_average", "haar_mean",
     "equidistribution_regression", "RegressionResult", "DEFAULT_BOX",
     "THIN_BOX",
 ]
@@ -69,11 +69,11 @@ class TestFunction:
     (P_x, P_y) product factors, the bump on each side of support: it lets
     the unfolded engines rebuild the single-translate profile instead of
     sampling the folded sum.  spec, the group the function is automorphic
-    under, gives every route its rows and its period omega; None marks a
-    function on the strip itself, of period 1.
+    under, gives every route its rows and its period omega; anything but a
+    GroupSpec raises TypeError.
     """
     name: str
-    spec: Optional[GroupSpec]
+    spec: GroupSpec
     batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     c_psi: float = 2.5
     alpha_psi: float = 2.0
@@ -81,14 +81,17 @@ class TestFunction:
     profiles: Optional[tuple] = None
     peak: float = 1.0
 
+    def __post_init__(self):
+        if not isinstance(self.spec, GroupSpec):
+            raise TypeError(f"spec must be a GroupSpec, got {self.spec!r}")
+
     @property
     def omega(self) -> float:
-        return 1.0 if self.spec is None else float(self.spec.omega)
+        return float(self.spec.omega)
 
     @property
     def mode(self) -> str:  # a label for reports; no route reads it
-        return "strip" if self.spec is None else (
-            "lattice" if self.spec.lattice else "thin")
+        return "lattice" if self.spec.lattice else "thin"
 
 
 def _register(tf: TestFunction, n_samples: int = 1000, tol: float = 1e-7,
@@ -97,8 +100,6 @@ def _register(tf: TestFunction, n_samples: int = 1000, tol: float = 1e-7,
     n_samples points (x in [-3, 3], log-uniform y in [0.1, 8]) against
     batch at their images under a random generator or product of two, in
     two calls.  A NaN anywhere fails the check."""
-    if tf.spec is None:
-        return tf
     rng = np.random.default_rng(seed)
     gens = tf.spec.gen_set()
     draws = []
@@ -185,20 +186,6 @@ def make_thin_bump(box=THIN_BOX, name: str = "thin_bump") -> TestFunction:
     return _reduced_bump(box, name, THIN4)
 
 
-def make_strip_bump(box=DEFAULT_BOX, name: str = "strip_bump") -> TestFunction:
-    """Bump on the strip itself (x of period 1, compact in y); not
-    automorphic.  Used by the coordinate-level strip checks."""
-    x_lo, x_hi, y_lo, y_hi = box
-    px, py = _box_profiles(box)
-
-    def batch(x, y):
-        x = np.mod(np.asarray(x, dtype=float) - x_lo, 1.0) + x_lo
-        return px(x) * py(np.asarray(y, dtype=float))
-
-    return TestFunction(name, None, batch, support=tuple(box),
-                        profiles=(px, py))
-
-
 # -- mu_T --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -230,7 +217,7 @@ def mu_T(psi: TestFunction, T: float, tol: float = 1e-7) -> ShearSample:
     """
     if not (math.isfinite(T) and 0.0 < tol < math.inf):
         raise ValueError(f"mu_T needs finite T, 0 < tol < inf: got {T}, {tol}")
-    if psi.profiles is not None and psi.spec is not None and abs(T) >= 8.0:
+    if psi.profiles is not None and abs(T) >= 8.0:
         return _mu_T_unfolded(psi, float(T), tol)
     return _mu_T_generic(psi, float(T), tol)
 
@@ -406,8 +393,8 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8) -> float:
     that sum is exact at any T.  Row (c, d) counts on a horoball disc
     over the box, whose crossings of the box edges split its y-range into
     panels with smooth integrands, all integrated in one batched
-    Gauss-Legendre pass.  Strip functions and functions without
-    profiles or support take the literal 2-d quadrature instead.
+    Gauss-Legendre pass.  Functions without profiles or support, such as
+    the form observables, take the literal 2-d quadrature instead.
     InsufficientConvergenceError if either route misses tol; ValueError
     unless T is finite and positive, or for a tol below 1e-12.
     """
@@ -416,26 +403,41 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8) -> float:
     if not tol >= 1e-12:
         # below it the finest grids differ by summation rounding alone
         raise ValueError(f"strip tol {tol:g} is below the 1e-12 floor")
-    if psi.spec is None or psi.profiles is None or psi.support is None:
+    if psi.profiles is None or psi.support is None:
         return _strip_direct(psi, T, tol)
     return _strip_unfolded(psi, T, tol)
 
 
 def _strip_direct(psi: TestFunction, T: float, tol: float) -> float:
-    """Adaptive panels in y over the mean of nx midpoints in x, nx doubled
-    from 1024 until two passes agree to tol: near y = 1/T the translates
-    are features of width about y, which a fixed grid misses."""
+    """Adaptive panels in y over the mean of the periodic trapezoid nodes
+    k omega / nx in x, nx doubled from 1024 until two passes agree to tol:
+    near y = 1/T the translates are features of width about y, which a
+    fixed grid misses.  The grids nest, so each y node keeps its running
+    sum, and a node seen at nx / 2 evaluates only the odd nodes."""
     y_top = _y_top(psi, tol)
     y_bot = 1.0 / T
     if y_top <= y_bot:
         return 0.0
+    seen = {}       # y node -> (x nodes summed, their sum)
 
     def run(nx):
-        xs = (np.arange(nx) + 0.5) * (psi.omega / nx)
-
         def f(y):
-            return np.array([np.mean(psi.batch(xs, np.full(nx, yy))) / yy
-                             for yy in np.atleast_1d(y)])
+            n, total = np.array([seen.get(v, (0, 0.0)) for v in y.tolist()]).T
+            while (n < nx).any():
+                m = n[n < nx].min()
+                at = np.flatnonzero(n == m)
+                if m == 0:      # a new node takes the whole grid
+                    m2, k = nx, np.arange(nx)
+                else:           # a seen one the odd nodes of the next grid
+                    m2, k = 2 * m, np.arange(1, 2 * m, 2)
+                x = k * (psi.omega / m2)
+                # many nodes per batch call of about 2^16 points
+                for i in np.array_split(at, -(-len(at) * len(x) >> 16)):
+                    v = psi.batch(np.tile(x, len(i)), np.repeat(y[i], len(x)))
+                    total[i] += v.reshape(len(i), len(x)).sum(axis=1)
+                n[at] = m2
+            seen.update(zip(y.tolist(), zip(n.tolist(), total.tolist())))
+            return total / (n * y)
 
         res = adaptive(f, y_bot, y_top, abs_tol=tol, rel_tol=tol,
                        initial_edges=np.geomspace(y_bot, y_top, 200))
@@ -453,11 +455,14 @@ def _strip_direct(psi: TestFunction, T: float, tol: float) -> float:
 
 
 def _strip_rows(psi: TestFunction, T: float):
-    """(c, d) int arrays of the rows, c > 0, whose translate can clear the
-    1/T height cut somewhere over the support box."""
+    """(c, d) int arrays of the rows, c > 0, whose translate clears the 1/T
+    height cut somewhere in the support box: (cx + d)^2 < yT - c^2 y^2 at
+    some (x, y) there.  The right side peaks at y* = T / 2c^2 clipped to
+    [y_lo, y_hi], and is positive somewhere only for c^2 < T / y_lo."""
     x_lo, x_hi, y_lo, y_hi = psi.support
-    reach = math.sqrt(T * y_hi)
-    cs = np.arange(1, int(reach / y_lo) + 2)
+    cs = np.arange(1, math.ceil(math.sqrt(T / y_lo)) + 1)
+    ys = np.clip(T / (2.0 * cs * cs), y_lo, y_hi)
+    reach = np.sqrt(np.maximum(ys * T - cs * cs * ys * ys, 0.0))
     span = (cs * max(abs(x_lo), abs(x_hi)) + reach).astype(np.int64) + 1
     return coset_rows(psi.spec, -span, span)[1:]
 
@@ -608,7 +613,7 @@ def haar_mean(psi: TestFunction) -> float:
     integrate their profiles over the box, everything else goes through
     integrate_fd, raising InsufficientConvergenceError if it does not
     converge."""
-    if psi.spec is None or psi.spec.omega != 1:
+    if psi.spec.omega != 1:
         raise ValueError("haar_mean integrates over psl2z's domain only")
     if psi.profiles is not None and psi.support is not None:
         x_lo, x_hi, y_lo, y_hi = psi.support

@@ -158,6 +158,18 @@ def test_shear_table(tmp_path):
         assert float(r[3]) < 0.1
 
 
+def test_shear_delta_takes_the_direct_strip_route(tmp_path):
+    # the form observable has a group but no box, so its strip column is
+    # the direct quadrature; both columns converge at both radii
+    out = tmp_path / "shear.csv"
+    assert main(["shear", "--psi", "delta", "--T", "10,300",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["10", "300"]
+    assert all(r[5] == "generic" for r in rows)
+    assert read_manifest(out)["partial"] is False
+
+
 @pytest.mark.parametrize("argv", [["--T", "inf"], ["--T", "10,nan"],
                                   ["--T", "30", "--tol", "0"]])
 def test_shear_non_finite_T_or_bad_tol_is_config_error(tmp_path, capsys,
@@ -208,12 +220,15 @@ def test_eisenstein_unevaluable_input_is_config_error(tmp_path, capsys, argv,
 
 
 def test_eisenstein_coset_value_at_very_large_s(tmp_path):
-    # exited 1 with an OverflowError from math.gamma; E(i, s) tends to 2
-    out = tmp_path / "eis.csv"
-    assert main(["eisenstein", "--route", "coset", "--s", "1e6",
-                 "--out", str(out)]) == 0
-    _, rows = read_csv(out)
-    assert float(rows[0][3]) == 2.0
+    # E(i, s) tends to 2, and the point loop over the same rows gives 2.0
+    # at s = 200 and 1000; there tall rows take G(inf), whose math.gamma
+    # would overflow, and at 1e6 no row is tall
+    for s in ("200", "1000", "1e6"):
+        out = tmp_path / f"eis-{s}.csv"
+        assert main(["eisenstein", "--route", "coset", "--s", s,
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert float(rows[0][3]) == 2.0, s
 
 
 def test_config_file_merge(tmp_path):

@@ -19,7 +19,8 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  completed_zeta, critical_exponent,
                                  eisenstein_sample, mu_eis, regularized_E1)
 from shearlab.groups import PSL2Z, THIN4, GroupSpec, WordBudget, bottom_rows
-from shearlab.measures import THIN_BOX, make_strip_bump, make_thin_bump
+from shearlab.measures import (DEFAULT_BOX, THIN_BOX, _reduced_bump,
+                               make_thin_bump)
 from shearlab.quadrature import gl_nodes, refine
 from shearlab.specfun import bessel_k, divisor_sigma, zeta
 from specfun_oracles import em_integral_G
@@ -78,16 +79,15 @@ def point_loop_lattice_value(x, y, s, omega, radius):
     return vr, abs(vr - vh) + 1e-15 * abs(vr)
 
 
-@pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 5.0, 20.0, 32.0, 50.0])
+@pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 5.0, 20.0, 32.0, 40.0, 50.0,
+                               80.0])
 def test_row_sums_match_direct_sums(s):
     # windows of 0 to 2R points at heights a from the Euler-Maclaurin
-    # switch upward, and one ulp below it, where rows go point by point
+    # switch upward, and one ulp below it, where rows go point by point;
+    # at large s the rows far above a0 underflow to 0 in both sums (30 a0
+    # from s = 64 on, 3 a0 at s = 80)
     rng = np.random.default_rng(int(100 * s))
     a0 = _em_threshold(s)
-    if s > 32.0:
-        # large s falls back to direct rows at every height
-        assert a0 == math.inf
-        a0 = 16.0 * math.sqrt(s / 8.0)
     radius = 1024
     a = np.repeat([a0, 3.0 * a0, 30.0 * a0, np.nextafter(a0, 0.0)], 12)
     n = np.exp(rng.uniform(0.0, math.log(2 * radius), len(a))).astype(np.int64)
@@ -124,7 +124,7 @@ def test_lattice_rows_match_the_point_loop(y, radius, ss):
             assert abs(err - want_err) <= 1e-14 * abs(want), (x, s)
 
 
-@pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 8.0, 20.0, 32.0])
+@pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 8.0, 20.0, 32.0, 40.0, 80.0])
 def test_cumulative_G_matches_the_incomplete_beta(s):
     # five endpoints, whose gaps the multiples of 0.1 split, and 100
     # endpoints, against scipy's incomplete beta
@@ -161,11 +161,15 @@ def _em_segments(monkeypatch):
 
 
 # (y, R, s): at R = 32 every low row lies within |u| <= 3 _em_threshold(s),
-# so its tails are empty; from R = 64 the c = 0 row (a = 0) has a tail;
-# s = 40 sums every row point by point
+# so its tails are empty; from R = 64 the c = 0 row (a = 0) has a tail,
+# except at s = 40, whose band |u| <= 107 holds R = 100.  At R = 1024 the
+# tall rows up to a = R / sqrt(10) have windows across u = 0 that reach
+# past |u| = 3a, whose integral takes G(inf); math.gamma alone overflows
+# there from s = 172
 TAIL_GRID = [(0.5, 32.0, 2.0), (3.0, 32.0, 1.3), (1.0, 64.0, 2.0),
              (0.3, 100.0, 8.0), (1.0, 200.0, 20.0), (0.7, 300.0, 32.0),
-             (1.0, 100.0, 40.0)]
+             (1.0, 100.0, 40.0), (1.0, 1024.0, 200.0), (0.5, 1024.0, 200.0),
+             (1.0, 1024.0, 1000.0)]
 
 
 @pytest.mark.parametrize("y,radius,s", TAIL_GRID)
@@ -178,16 +182,14 @@ def test_lattice_tails_match_the_point_loop(y, radius, s, monkeypatch):
         assert abs(err - want_err) <= 1e-14 * abs(want), x
     thr = _em_threshold(s)
     a2 = np.concatenate([a for _, _, a in calls] or [np.zeros(0)])
-    if s > 32.0:
-        assert not calls
-    elif radius <= 3.0 * thr:
+    if radius <= 3.0 * thr:
         assert np.all(a2 >= thr * thr)
     else:
-        # the c = 0 row's tails, which the binomial integral takes at a = 0
+        # the c = 0 row's tails, whose tail series holds at a = 0
         assert np.any(a2 == 0.0)
 
 
-@pytest.mark.parametrize("s", [1.01, 2.0, 20.0, 32.0])
+@pytest.mark.parametrize("s", [1.01, 2.0, 20.0, 32.0, 40.0, 80.0])
 def test_row_sums_split_windows_at_the_band(s):
     # low rows whose windows lie wholly in one tail, cross one edge of the
     # point-by-point band |u| <= 3 _em_threshold(s), or cross both, one
@@ -210,6 +212,31 @@ def test_row_sums_split_windows_at_the_band(s):
             u = c + np.arange(d, d + m)
             want = math.fsum(((u * u + h2) ** -s).tolist())
             assert abs(g - want) <= 1e-13 * want, (d, m, h2)
+
+
+@pytest.mark.parametrize("s", [1.01, 2.0, 20.0, 32.0, 40.0, 64.0, 80.0])
+def test_row_sums_far_windows_near_three_heights(s):
+    # windows wholly past |u| = 3a on either side, starting within one
+    # step of it, where the tail integral's series converges slowest:
+    # rows just under the Euler-Maclaurin threshold start at the band edge,
+    # rows at and above it at 3a.  At s = 80 every such term underflows to
+    # 0 in both sums; s = 64 is the largest s checked here where it does not
+    thr = _em_threshold(s)
+    a = np.repeat([np.nextafter(thr, 0.0), thr, 1.02 * thr, 1.1 * thr], 10)
+    start = np.where(a < thr, 3.0 * thr, 3.0 * a)
+    n = np.tile([1, 2, 5, 50, 2048], 8)
+    side = np.tile(np.repeat([1.0, -1.0], 5), 4)
+    cx = np.random.default_rng(int(10 * s)).uniform(-1.0, 1.0, len(a))
+    # right: u_lo in (start, start + 1]; left: u_hi in [-start - 1, -start)
+    d_lo = np.where(side > 0.0, np.floor(start - cx) + 1.0,
+                    np.ceil(-start - cx) - n)
+    got = _row_sums(cx, d_lo, n, a * a, s)
+    for g, c, d, k, h in zip(got, cx, d_lo, n, a):
+        u = c + np.arange(d, d + k)
+        assert np.all(np.abs(u) > (3.0 * thr if h < thr else 3.0 * h))
+        want = math.fsum(((u * u + h * h) ** -s).tolist())
+        assert abs(g - want) <= 1e-13 * want, (d, k, h)
+        assert want > 0.0 or s == 80.0
 
 
 def test_auto_route_picks_by_group():
@@ -530,12 +557,12 @@ def test_values_out_of_float_range_are_convergence_errors():
 
 
 def test_lattice_value_at_very_large_s():
-    # every row goes point by point above s = 32; at z = i only the
-    # identity and S lift i to height 1, so E(i, s) tends to 2, and at
-    # s = 1e6 every other term underflows
-    got = eisenstein_sample(EisensteinEvaluator(route="coset"), 1j, 1e6)
-    assert got.value == 2.0
-    assert got.est_error <= 1e-14
+    # at z = i only the identity and S lift i to height 1, so E(i, s)
+    # tends to 2, and from s = 200 on every other term is below its ulp
+    for s in (200.0, 1000.0, 1e6):
+        got = eisenstein_sample(EisensteinEvaluator(route="coset"), 1j, s)
+        assert got.value == 2.0, s
+        assert got.est_error <= 1e-14, s
 
 
 # -- the regularized value at s = 1 ------------------------------------------
@@ -599,8 +626,10 @@ def test_mu_eis_guards(lattice_bump, thin_bump):
         mu_eis(lattice_bump, regularized=False)
     with pytest.raises(PairingError):
         mu_eis(thin_bump, regularized=True)
-    with pytest.raises(PairingError):
-        mu_eis(make_strip_bump(), regularized=True)
+    theta_bump = _reduced_bump(DEFAULT_BOX, "theta", GroupSpec("theta", 2))
+    for regularized in (True, False):
+        with pytest.raises(PairingError, match="theta"):
+            mu_eis(theta_bump, regularized=regularized)
 
 
 def direct_thin_pairing(psi):

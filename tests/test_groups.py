@@ -9,19 +9,11 @@ from hypothesis import strategies as st
 
 from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
 from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, CosetLabel, Cusp,
-                             GroupSpec, WordBudget, bottom_rows, builtin,
-                             coset_space, reduce_points,
-                             reduce_to_fundamental_domain)
+                             GroupSpec, WordBudget, bottom_rows, coset_space,
+                             reduce_points, reduce_to_fundamental_domain)
 from word_search import SearchBudgetExceeded, enumerate_words
 
 # -- specs -------------------------------------------------------------------
-
-
-def test_builtin_names():
-    assert builtin("psl2z") is PSL2Z
-    assert builtin("thin4") is THIN4
-    with pytest.raises(KeyError):
-        builtin("nope")
 
 
 def test_psl2z_is_lattice_thin4_is_not():
@@ -273,7 +265,6 @@ def test_coset_space_sizes():
     # the width-4 shear reduces to the width-1 shear mod 3; at level 2
     # the shear generator dies and only the inversion survives
     assert len(coset_space(PSL2Z, 3)) == 12
-    assert len(coset_space("psl2z", 3)) == 12
     assert len(coset_space(THIN4, 3)) == 12
     assert len(coset_space(THIN4, 2)) < len(coset_space(PSL2Z, 2))
 

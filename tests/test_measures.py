@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammaincc
 
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec,
@@ -15,8 +16,7 @@ from shearlab import groups, measures, quadrature
 from shearlab.measures import (THIN_BOX, RegistrationError, bump_profile,
                                equidistribution_regression,
                                fourier_coefficient, haar_mean,
-                               horocycle_average, make_strip_bump, mu_T,
-                               mu_T_strip)
+                               horocycle_average, mu_T, mu_T_strip)
 from shearlab.quadrature import (InsufficientConvergenceError, adaptive,
                                  gl_nodes, refine)
 from thin_scan import thin_scan
@@ -131,12 +131,14 @@ def test_registration_is_two_batch_calls(lattice_bump, thin_bump):
 
 
 def test_spec_attachment(lattice_bump, thin_bump):
-    # the group is the one field; the width and the report label follow
-    strip = make_strip_bump()
-    assert (lattice_bump.spec, thin_bump.spec, strip.spec) == (
-        PSL2Z, THIN4, None)
-    assert [(f.omega, f.mode) for f in (lattice_bump, thin_bump, strip)] == [
-        (1.0, "lattice"), (4.0, "thin"), (1.0, "strip")]
+    # the group is the one field; the width and the report label follow,
+    # and a function without a group is refused
+    assert (lattice_bump.spec, thin_bump.spec) == (PSL2Z, THIN4)
+    assert [(f.omega, f.mode) for f in (lattice_bump, thin_bump)] == [
+        (1.0, "lattice"), (4.0, "thin")]
+    for spec in (None, "psl2z", 1):
+        with pytest.raises(TypeError, match="GroupSpec"):
+            measures.TestFunction("no_group", spec, batch=lattice_bump.batch)
 
 
 # -- shear integrals ---------------------------------------------------------
@@ -301,17 +303,52 @@ def test_mod_inverse_matches_pow(c, d):
 @pytest.mark.parametrize("T", [10.0, 30.0, 100.0, 300.0])
 def test_strip_rows_match_the_gcd_loop(lattice_bump, T):
     # mu_T_strip sums its panels in row order, so the rows and their order
-    # fix its last bits
+    # fix its last bits.  Row c reaches |d| <= c x_max + sqrt(y T - c^2 y^2)
+    # at y = T / 2c^2 clipped to the box, for c up to sqrt(T / y_lo)
     x_lo, x_hi, y_lo, y_hi = lattice_bump.support
-    reach = math.sqrt(T * y_hi)
     xm = max(abs(x_lo), abs(x_hi))
     want = []
-    for c in range(1, int(reach / y_lo) + 2):
-        span = int(c * xm + reach) + 1
+    for c in range(1, math.ceil(math.sqrt(T / y_lo)) + 1):
+        y = min(max(T / (2.0 * c * c), y_lo), y_hi)
+        span = int(c * xm + math.sqrt(max(y * T - c * c * y * y, 0.0))) + 1
         want.extend((c, d) for d in range(-span, span + 1)
                     if math.gcd(c, abs(d)) == 1)
     c, d = measures._strip_rows(lattice_bump, T)
     assert list(zip(c.tolist(), d.tolist())) == want
+
+
+def _wide_strip_rows(psi, T):
+    """The strip row region before it followed the live rows: c <= sqrt(T
+    y_hi) / y_lo + 1 and |d| <= c x_max + sqrt(T y_hi) + 1."""
+    x_lo, x_hi, y_lo, y_hi = psi.support
+    reach = math.sqrt(T * y_hi)
+    cs = np.arange(1, int(reach / y_lo) + 2)
+    span = (cs * max(abs(x_lo), abs(x_hi)) + reach).astype(np.int64) + 1
+    return groups.coset_rows(psi.spec, -span, span)[1:]
+
+
+@pytest.mark.parametrize("T", [3.0, 20.0, 300.0, 3e3, 3e4])
+def test_strip_rows_drop_only_rows_without_panels(lattice_bump, thin_bump,
+                                                  T, monkeypatch):
+    # every row the wide region adds yields no panel, so the panels, and
+    # with them the strip values, keep their bits
+    for psi in (lattice_bump, thin_bump):
+        narrow = measures._strip_panels(psi, T)
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_strip_rows", _wide_strip_rows)
+            wide = measures._strip_panels(psi, T)
+        assert all(np.array_equal(a, b) for a, b in zip(narrow, wide))
+
+
+def test_thin_strip_rows_reach_past_the_wide_region():
+    # the wide region's corner row needs the height-4096 table from T of
+    # about 8.3e5 on; the live rows fit the height-2048 one to T = 2e6
+    psi = measures.make_thin_bump()
+    for T in (8.4e5, 2e6):
+        with pytest.raises(BudgetExceeded):
+            _wide_strip_rows(psi, T)
+        c, d = measures._strip_rows(psi, T)
+        assert len(c) and np.all(c * c + d * d < 2048 ** 2)
 
 
 def test_mu_T_small_radius_uses_generic(lattice_bump):
@@ -367,9 +404,10 @@ def test_mu_T_rejects_non_finite_T_and_bad_tol(lattice_bump, T, tol):
 
 @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 0.0, -3.0])
 def test_mu_T_strip_rejects_non_finite_or_non_positive_T(lattice_bump, T):
-    # inf used to raise OverflowError from the strip rows (lattice bump)
-    # and numpy's "Geometric sequence cannot include zero" (strip bump)
-    for psi in (lattice_bump, make_strip_bump()):
+    # inf used to raise OverflowError from the strip rows (unfolded route)
+    # and numpy's "Geometric sequence cannot include zero" (direct route)
+    for psi in (lattice_bump, dataclasses.replace(lattice_bump,
+                                                  profiles=None)):
         with pytest.raises(ValueError, match="strip measure needs"):
             mu_T_strip(psi, T)
 
@@ -491,21 +529,43 @@ def test_haar_mean_raises_when_its_domain_pass_does_not_converge(
         haar_mean(delta_psi)
 
 
-def test_mu_T_strip_on_strip_function():
-    # the box is one period wide at most, so the measure factors into
-    # (1/omega) int px dx * int py(y)/y dy over y > max(y_lo, 1/T)
-    strip = make_strip_bump()
-    x_lo, x_hi, y_lo, y_hi = strip.support
-    px, py = strip.profiles
+def test_mu_T_strip_when_no_translate_clears_the_cut(lattice_bump):
+    # at T = 0.6 the 1/T cut lies inside the box and every row's horoball
+    # tops out below it, so only the box itself counts and both routes
+    # equal (1/omega) int px dx * int py(y)/y dy over y > 1/T
+    x_lo, x_hi, y_lo, y_hi = lattice_bump.support
+    px, py = lattice_bump.profiles
+    T = 0.6
+    assert y_lo < 1.0 / T < y_hi and not len(
+        measures._strip_panels(lattice_bump, T)[0])
     xg, wg = gl_nodes(400)
     ix = 0.5 * (x_hi - x_lo) * float(wg @ px(x_lo + 0.5 * (x_hi - x_lo)
                                              * (1.0 + xg)))
-    for T in (15.0, 0.6):
-        lo = max(y_lo, 1.0 / T)
-        y = lo + 0.5 * (y_hi - lo) * (1.0 + xg)
-        iy = 0.5 * (y_hi - lo) * float(wg @ (py(y) / y))
-        assert mu_T_strip(strip, T) == pytest.approx(ix * iy / strip.omega,
-                                                     rel=0.0, abs=1e-9)
+    y = 1.0 / T + 0.5 * (y_hi - 1.0 / T) * (1.0 + xg)
+    iy = 0.5 * (y_hi - 1.0 / T) * float(wg @ (py(y) / y))
+    for psi in (lattice_bump, dataclasses.replace(lattice_bump,
+                                                  profiles=None)):
+        assert mu_T_strip(psi, T) == pytest.approx(ix * iy / psi.omega,
+                                                   rel=0.0, abs=1e-9)
+
+
+def delta_strip_parseval(f, T):
+    """mu_T_strip of Psi_f for a weight-k cusp form f by Parseval: the x
+    mean of |f|^2 y^k at height y is sum a(n)^2 e^(-4 pi n y) y^k, so the
+    strip measure is sum a(n)^2 (4 pi n)^-k Gamma(k, 4 pi n / T)."""
+    k = f.weight
+    x = 4.0 * math.pi * np.arange(1, len(f.coeffs) + 1)
+    terms = (np.array(f.coeffs, dtype=float) ** 2 * x ** -float(k)
+             * math.gamma(k) * gammaincc(k, x / T))
+    return math.fsum(terms.tolist())
+
+
+@pytest.mark.parametrize("T", [10.0, 300.0])
+def test_delta_strip_meets_its_parseval_sum(delta, delta_psi, T):
+    # the form observable has no box, so it takes the direct route; the
+    # two land within 3.0e-15 relative at T = 10, 30, 100 and 300
+    assert mu_T_strip(delta_psi, T) == pytest.approx(
+        delta_strip_parseval(delta, T), rel=1e-10, abs=0.0)
 
 
 # -- horocycle and Fourier data ----------------------------------------------

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import FormVector
-from .groups import CosetLabel, GroupSpec, WordBudget, coset_space
+from .groups import (CosetLabel, GroupSpec, WordBudget, check_level,
+                     coset_space)
 
 
 class InsufficientDataError(ValueError):
@@ -53,6 +54,8 @@ class OrbitQuery:
                              f"got {self.x0.entries()}")
         if ints == (0, 0, 0):
             raise ValueError("x0 must be nonzero")
+        if not self.t_list:
+            raise ValueError("t_list must hold at least one radius")
         if any(b >= a for a, b in zip(self.t_list[1:], self.t_list)):
             raise ValueError("t_list must be strictly increasing")
         if not all(math.isfinite(t) for t in self.t_list):
@@ -61,6 +64,8 @@ class OrbitQuery:
             raise ValueError(f"unknown norm tag {self.norm!r}")
         if self.coset_filter is not None and self.q is None:
             raise ValueError("coset_filter requires q")
+        if self.q is not None:
+            check_level(self.q)
 
 
 @dataclass
@@ -89,8 +94,12 @@ class CountResult:
 _INT64_MAX = np.iinfo(np.int64).max
 _HALF = 1 << 20  # vectors pack into one exact int64 while |entries| < 2^20
 _SAFE = 2.0 ** 61  # float keys past this could wrap int64 arithmetic
-_CHUNK = 1 << 17  # walk candidates built at a time
+_CHUNK = 1 << 17  # walk candidates checked at a time
+_BLOCK = 1 << 20  # walk candidates built at a time
 _WIDE_GATE = 3.0  # gate radius over the largest ball's when D > 1
+_OUT = np.array([[1], [-1]])  # the outward step at a run's hi end and lo end
+_S_SIGN = np.array([[1], [-1], [1]])  # (p, q, r) S = (r, -q, p)
+_ZS_SIGN = np.array([[1], [-1], [1], [-1]])  # z S = (b, -a, d, -c)
 
 
 def label_codes(elements: np.ndarray, q: int) -> np.ndarray:
@@ -109,17 +118,18 @@ def _stabilizer(vec, first, later):
 
 
 def _pack(vecs: np.ndarray) -> np.ndarray:
-    """One int64 per (p, q, r) row: three 21-bit fields holding the entries
-    offset by 2^20.  Injective while every |entry| < 2^20, which the walk
-    checks before it packs."""
+    """One int64 per (p, q, r) column: three 21-bit fields holding the
+    entries offset by 2^20.  Injective while every |entry| < 2^20, which
+    the walk checks before it packs."""
     o = vecs + _HALF
-    return (o[:, 0] << 42) | (o[:, 1] << 21) | o[:, 2]
+    return (o[0] << 42) | (o[1] << 21) | o[2]
 
 
 def _shift(vecs: np.ndarray, k: np.ndarray, omega: int):
-    """Columns of (p, q, r) * T^(omega k) = (p, q + 2 p w k,
-    r + w k (q + p w k)), in the dtype of the inputs."""
-    p, q, r = vecs[:, 0], vecs[:, 1], vecs[:, 2]
+    """Rows of (p, q, r) * T^(omega k) = (p, q + 2 p w k,
+    r + w k (q + p w k)) for the (3, n) columns vecs, in their dtype; k
+    may hold several rows of n steps."""
+    p, q, r = vecs
     wk = omega * k
     return p, q + 2 * p * wk, r + wk * (q + p * wk)
 
@@ -128,6 +138,58 @@ def _key(p, q, r, sup: bool):
     if sup:
         return np.maximum(np.maximum(np.abs(p), np.abs(q)), np.abs(r))
     return p * p + q * q + r * r
+
+
+def _element(x0, vec, col):
+    """The element with first column col = (a, c), in the walk's sign
+    representative, that takes x0 to vec.  Elements sharing a first column
+    differ by a power of T, which moves every vector with p or q nonzero."""
+    a, c = (int(v) for v in col)
+    p, q, r = (int(v) for v in vec)
+    d = pow(a, -1, c) if c else 1  # c = 0 makes a = 1
+    b = (a * d - 1) // c if c else 0
+    p0, q0, r0 = x0
+    q1 = 2 * p0 * a * b + q0 * (a * d + b * c) + 2 * r0 * c * d
+    r1 = p0 * b * b + q0 * b * d + r0 * d * d
+    n = (q - q1) // (2 * p) if p else (r - r1) // q1
+    return a, b + n * a, c, d + n * c
+
+
+def _word_order(lo: np.ndarray, hi: np.ndarray, start: int, stop: int):
+    """(run, k) of the candidates start..stop-1 of the runs lo..hi, in walk
+    order: run by run, and within a run by word length, k = 0, 1, -1, ...,
+    m, -m for m = min(hi, -lo), then the longer side alone."""
+    n = hi - lo + 1
+    ends = np.cumsum(n)
+    i = np.arange(start, stop)
+    run = np.searchsorted(ends, i, side="right")
+    j = i - ends[run] + n[run]
+    m = np.minimum(hi, -lo)[run]
+    half = (j + 1) >> 1
+    side = np.where(hi > -lo, 1, -1)[run]
+    return run, np.where(j <= 2 * m, np.where(j & 1, half, -half),
+                         side * (j - m))
+
+
+def _elements(els: np.ndarray, cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """els[:, cols] T^wk = (a, b + a wk, c, d + c wk), for (4, n) columns."""
+    el = els[:, cols]
+    el[1::2] += el[::2] * wk
+    return el
+
+
+def _inserted(index: np.ndarray, at: np.ndarray, keys, cols) -> np.ndarray:
+    """The (3, n) index with the columns (keys, cols) inserted before its
+    columns at, which searchsorted gave on its sorted first row."""
+    pos = at + np.arange(len(at))
+    old = np.ones(index.shape[1] + len(at), dtype=bool)
+    old[pos] = False
+    old = np.flatnonzero(old)
+    merged = np.empty((3, len(old) + len(at)), dtype=np.int64)
+    for row, was in zip(merged, index):  # one contiguous row at a time
+        row[old] = was
+    merged[0, pos], merged[1:, pos] = keys, cols
+    return merged
 
 
 class _Walk:
@@ -149,47 +211,74 @@ class _Walk:
     so the key depends on k only through |k - k*|, k* = -q / (2 p w)
     (for p = 0, r is linear in k and k* is its zero).  The k in the gate
     are an interval around k*, less a hole around k* when the
-    discriminant D is large: the hole holds an integer iff the integer
-    nearest k* is outside the gate.  The run's ends come from that closed
-    form and then move one step at a time until the exact integer keys at
-    k and k +- 1 confirm them.  Vectors are deduplicated exactly and
-    globally; a vector reached by two different elements raises
-    StabilizerError, and a vector that T^omega fixes (p = q = 0) raises it
-    before its run would be endless.
+    discriminant D exceeds 1 (count_orbit shows why not below): the hole
+    holds an integer iff the integer nearest k* is outside the gate, which
+    one probe tests.  The run's ends come from that closed form, one exact
+    test of every end and of the k one step past it confirms them, and
+    only the ends it rejects then move one step at a time.
+
+    Vectors and elements are held as columns of (3, n) and (4, n) arrays.
+    A layer is a fixed sequence of whole-array passes over its candidates,
+    in blocks of _BLOCK that bound the memory of huge layers: their packed
+    vectors are sorted once, looked up in one sorted index of every vector
+    kept so far, and the new ones are merged into it.  Beside each vector
+    the index holds the first column (a, c) of its element, which decides
+    the clash test exactly: two elements with one vector and one first
+    column differ by a power of T, which fixes only vectors with
+    p = q = 0, and the walk never keeps one.  A vector reached by two
+    different elements raises StabilizerError, and a vector that T^omega
+    fixes raises it before its run would be endless.  Of each collected
+    element the walk keeps its tally key and, when a level q is set, its
+    coset label code; elements themselves live one layer.
+
+    Candidates are checked in walk order, _CHUNK at a time: a chunk checks
+    element size, then the dedup range, then clashes, then the node
+    budget, and the walk stops in the first chunk where a check fails, on
+    the first check that failed there.
     """
 
     def __init__(self, x0: tuple, omega: int, gate: int, sup: bool,
-                 budget: WordBudget):
+                 budget: WordBudget, q: Optional[int] = None):
         if omega >= _HALF:
             raise OverflowError("translation width past 2^20")
-        self.omega, self.sup, self.budget = omega, sup, budget
+        self.omega, self.sup, self.budget, self.q = omega, sup, budget, q
         self.x0 = x0
         p0, q0, r0 = x0
+        self.wide = q0 * q0 - 4 * p0 * r0 > 1
         self.disc = float(q0 * q0 - 4 * p0 * r0)
         self.gate = min(gate, _INT64_MAX)
         self.gate_f = float(gate)
         # every entry of an in-gate vector is at most this; below 2^20 the
         # runs' vectors fit the dedup key without a float check first
         self.small = (gate if sup else math.isqrt(max(gate, 0))) < _HALF
+        # only at such a gate can in_gate's overflow guard fire; the runs
+        # then probe as for D > 1 and confirm no end at once, so the guard
+        # meets the rows it always met
+        self.guard = self.gate >= _SAFE / 2
         self.cap = budget.max_nodes + 1  # a longer run overruns the budget
 
     def in_gate(self, vecs: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """key(vecs * T^(omega k)) <= gate for each row, in exact int64
-        where a float estimate shows the key fits."""
+        """key(vecs * T^(omega k)) <= gate for each column, in exact int64:
+        at once where the largest entry and |k| bound every term below
+        2^60, else where a float estimate shows the key fits."""
+        top = (int(np.abs(vecs).max())
+               * (1 + self.omega * int(np.abs(k).max())) ** 2)
+        if (top if self.sup else 3 * top * top) < _SAFE / 2:
+            return _key(*_shift(vecs, k, self.omega), self.sup) <= self.gate
         key_f = _key(*_shift(vecs.astype(float), k.astype(float), self.omega),
                      self.sup)
         big = key_f >= _SAFE
-        if big.any() and self.gate >= _SAFE / 2:
+        if big.any() and self.guard:
             raise OverflowError("orbit keys outgrow int64 arithmetic")
         key = _key(*_shift(vecs, np.where(big, 0, k), self.omega), self.sup)
         return ~big & (key <= self.gate)
 
     def runs(self, vecs: np.ndarray):
-        """(lo, hi, gap, k) for the in-gate rows of vecs: the run around
-        k = 0 of each row, an end more than self.cap from 0 clipped there,
-        and the rows whose hole is the single integer k."""
-        s = np.where(vecs[:, 0] != 0, np.sign(vecs[:, 0]), np.sign(vecs[:, 1]))
-        p, q, r = (s * vecs[:, i] for i in range(3))  # now p > 0, or p = 0 < q
+        """(lo, hi, gap, k) for the in-gate columns of vecs: the run around
+        k = 0 of each, an end more than self.cap from 0 clipped there, and
+        the columns whose hole is the single integer k."""
+        # now p > 0, or p = 0 < q
+        p, q, r = vecs * np.sign(2 * vecs[0] + np.sign(vecs[1]))
         w, g, d = self.omega, self.gate_f, self.disc
         lin = p == 0
         pf, qf = p.astype(float), q.astype(float)
@@ -206,152 +295,174 @@ class _Walk:
             a_lin = np.sqrt(np.maximum(g - qf * qf, 0.0))
         tf = t.astype(float)
         a = np.where(lin, a_lin, np.sqrt(np.maximum(s_hi, 0.0))) / tf
-        b = np.where(lin, 0.0, np.sqrt(np.maximum(s_lo, 0.0))) / tf
         kc = -num / tf
-        near = (t - 2 * num) // (2 * t)  # the integer nearest k*
-        hole = ~self.in_gate(vecs, near)
-        gap = np.flatnonzero(hole)
-        if len(gap):
-            gap = gap[self.in_gate(vecs[gap], near[gap] - 1)
-                      & self.in_gate(vecs[gap], near[gap] + 1)]
-        right = num > 0  # k = 0 lies right of k*
-        ends_f = np.concatenate([np.where(hole & ~right, kc - b, kc + a),
-                                 np.where(hole & right, kc + b, kc - a)])
-        cap, n = float(self.cap), len(vecs)
-        # hi then lo: step +1 or -1 moves outward, from 0
-        ends = np.clip(ends_f, -cap, cap)
-        ends = np.concatenate([np.maximum(np.floor(ends[:n]), 0),
-                               np.minimum(np.ceil(ends[n:]), 0)]).astype(np.int64)
-        step = np.repeat(np.array([1, -1]), n)
-        row = np.tile(np.arange(n), 2)
-        free = np.flatnonzero(np.abs(ends_f) <= cap)
-        idx = free
-        while len(idx):  # toward 0 while the end is outside
-            idx = idx[~self.in_gate(vecs[row[idx]], ends[idx])]
-            ends[idx] -= step[idx]
-        idx = free
-        while len(idx):  # outward while the next k is inside
-            idx = idx[self.in_gate(vecs[row[idx]], ends[idx] + step[idx])]
-            ends[idx] += step[idx]
-        return ends[n:], ends[:n], gap, near[gap]
+        ends_f = kc + _OUT * a  # hi, lo
+        gap = near = np.zeros(0, dtype=np.int64)
+        if self.wide or self.guard:
+            b = np.where(lin, 0.0, np.sqrt(np.maximum(s_lo, 0.0))) / tf
+            near = (t - 2 * num) // (2 * t)  # the integer nearest k*
+            hole = ~self.in_gate(vecs, near)
+            gap = np.flatnonzero(hole)
+            if len(gap):
+                gap = gap[self.in_gate(vecs[:, gap], near[gap] - 1)
+                          & self.in_gate(vecs[:, gap], near[gap] + 1)]
+            right = num > 0  # k = 0 lies right of k*
+            ends_f = np.where(hole & np.array([~right, right]),
+                              kc - _OUT * b, ends_f)
+        cap, n = float(self.cap), len(p)
+        ends = _OUT * np.maximum(np.floor(np.minimum(_OUT * ends_f, cap)),
+                                 0).astype(np.int64)
+        free = np.abs(ends_f) <= cap
+        if not self.guard:  # the end in and the next k out confirm it
+            ok = self.in_gate(vecs, np.concatenate([ends, ends + _OUT]))
+            free &= ~ok[:2] | ok[2:]
+        idx = np.flatnonzero(free)  # of ends.ravel(): hi ends, then lo
+        if len(idx):
+            ends = ends.ravel()
+            row, step = idx % n, np.where(idx < n, 1, -1)
+            e, sel = ends[idx], np.arange(len(idx))
+            while len(sel):  # toward 0 while the end is outside
+                sel = sel[~self.in_gate(vecs[:, row[sel]], e[sel])]
+                e[sel] -= step[sel]
+            sel = np.arange(len(idx))
+            while len(sel):  # outward while the next k is inside
+                sel = sel[self.in_gate(vecs[:, row[sel]], e[sel] + step[sel])]
+                e[sel] += step[sel]
+            ends[idx] = e
+            ends = ends.reshape(2, n)
+        return ends[1], ends[0], gap, near[gap]
 
     def walk(self):
-        """(elements, keys, saturated, nodes, depth), in walk order."""
+        """(keys, codes, saturated, nodes, depth): the tally key of every
+        collected element in walk order and, when q is set, its coset
+        label code (else codes is None)."""
         w, budget = self.omega, self.budget
-        base_el = np.array([[1, 0, 0, 1]], dtype=np.int64)
-        base_vec = np.array([self.x0], dtype=np.int64)
-        base_nb = np.zeros((1, 2), dtype=bool)
-        seen = []  # sorted runs of packed vectors, with their elements
-        out_el = [np.zeros((0, 4), dtype=np.int64)]
-        out_key = [np.zeros(0, dtype=np.int64)]  # tally keys
+        base_el = np.array([[1], [0], [0], [1]], dtype=np.int64)
+        base_vec = np.array(self.x0, dtype=np.int64)[:, None]
+        base_nb = np.zeros((2, 1), dtype=bool)
+        # the packed vectors kept so far, sorted, over their elements' (a, c)
+        index = np.zeros((3, 0), dtype=np.int64)
+        out_key = [np.zeros(0, dtype=np.int64)]
+        out_code = [np.zeros(0, dtype=np.int64)]
         gaps = []  # (vector, element) in single-integer holes
         nodes = depth = 0
         saturated = True
-        while len(base_el):
+        while base_el.shape[1]:
             if depth >= budget.max_depth:
                 saturated = False
                 break
-            fixed = np.flatnonzero((base_vec[:, 0] == 0) & (base_vec[:, 1] == 0))
-            if len(fixed):
-                i = fixed[0]
-                a, b, c, d = base_el[i]
-                _stabilizer(base_vec[i], base_el[i], (a, b + a * w, c, d + c * w))
+            moved = (base_vec[0] | base_vec[1]) != 0  # by T^omega
+            if not moved.all():
+                i = np.argmin(moved)
+                a, b, c, d = base_el[:, i]
+                _stabilizer(base_vec[:, i], (a, b, c, d),
+                            (a, b + a * w, c, d + c * w))
             lo, hi, gap, gap_k = self.runs(base_vec)
-            n = hi - lo + 1
-            ends = np.cumsum(n)
-            total = int(ends[-1])
+            total = int((hi - lo + 1).sum())
+            col = base_el[::2]  # (a, c), shared along each run
+            top = int(np.abs(base_el).max()) * (
+                1 + w * int(np.maximum(hi, -lo).max()))
             next_el, next_vec, next_nb = [], [], []
-            for c0 in range(0, total, _CHUNK):  # bounded memory per chunk
-                idx = np.arange(c0, min(c0 + _CHUNK, total))
-                par = np.searchsorted(ends, idx, side="right")
-                j = idx - ends[par] + n[par]
-                lo_j, hi_j = lo[par], hi[par]
-                # word-length order within a run: 0, 1, -1, 2, -2, ...
-                m = np.minimum(hi_j, -lo_j)
-                k = np.where(j % 2 == 1, (j + 1) // 2, -(j // 2))
-                k = np.where(j <= 2 * m, k,
-                             np.where(hi_j > -lo_j, j - m, m - j))
-                el = base_el[par]
-                top = (int(np.abs(el).max()) * (1 + w * int(np.abs(k).max())))
-                if top >= _SAFE:
-                    raise OverflowError("group elements outgrow int64")
-                if not self.small:
-                    big = np.abs(np.column_stack(_shift(
-                        base_vec[par].astype(float), k.astype(float), w)))
-                    if big.max() >= _HALF:
-                        raise OverflowError("orbit vectors outgrow the exact "
-                                            "dedup key (entries past 2^20)")
-                wk = w * k
-                el = np.column_stack([el[:, 0], el[:, 1] + el[:, 0] * wk,
-                                      el[:, 2], el[:, 3] + el[:, 2] * wk])
-                vec = np.column_stack(_shift(base_vec[par], k, w))
+            for c0 in range(0, total, _BLOCK):
+                par, k = _word_order(lo, hi, c0, min(c0 + _BLOCK, total))
+                vec = np.array(_shift(base_vec[:, par], k, w))
                 key = _pack(vec)
-                # the element each vector must have: the one already seen
-                # with it, else its first holder in this chunk
-                uk, first, inv = np.unique(key, return_index=True,
-                                           return_inverse=True)
-                hit = np.zeros(len(uk), dtype=bool)
-                ref = el[first]
-                for keys, els in seen:
-                    at = np.minimum(np.searchsorted(keys, uk), len(keys) - 1)
-                    now = keys[at] == uk
-                    hit |= now
-                    ref[now] = els[at[now]]
-                clash = np.flatnonzero((el != ref[inv]).any(axis=1))
-                if len(clash):
-                    i = clash[0]
-                    _stabilizer(vec[i], ref[inv[i]], el[i])
-                fresh = np.flatnonzero(~hit)  # unique keys, in key order
+                order = np.argsort(key, kind="stable")
+                sk = key[order]
+                head = np.empty(len(sk), dtype=bool)
+                head[0] = True
+                np.not_equal(sk[1:], sk[:-1], out=head[1:])
+                first, uk = order[head], sk[head]  # each vector's first holder
+                seen = index[0]
+                at = np.searchsorted(seen, uk)
+                hit = (seen.take(at, mode="clip") == uk if len(seen)
+                       else np.zeros(len(uk), dtype=bool))
+                fresh = ~hit
                 new = np.sort(first[fresh])  # in walk order
                 room = budget.max_nodes - nodes
+                # (chunk, check) where each check first fails; the checks
+                # are 0 element size, 1 dedup range, 2 clash, 3 budget
+                fails = []
+                if top >= _SAFE:
+                    for s0 in range(0, len(k), _CHUNK):
+                        s1 = s0 + _CHUNK
+                        if (int(np.abs(base_el[:, par[s0:s1]]).max())
+                                * (1 + w * int(np.abs(k[s0:s1]).max())) >= _SAFE):
+                            fails.append((s0 // _CHUNK, 0))
+                            break
+                if not self.small:
+                    big = np.abs(np.array(_shift(base_vec[:, par].astype(float),
+                                                 k.astype(float), w)))
+                    big = np.flatnonzero(big.max(axis=0) >= _HALF)
+                    if len(big):
+                        fails.append((big[0] // _CHUNK, 1))
+                # a clash: a later holder's (a, c) differs from the one
+                # before it in key order, or a first holder's from the index
+                later = np.flatnonzero(~head) if len(uk) < len(k) else new[:0]
+                hits = np.flatnonzero(hit) if len(new) < len(uk) else new[:0]
+                if ((len(later) and (col[:, par[order[later]]]
+                                     != col[:, par[order[later - 1]]]).any())
+                        or (len(hits) and (col[:, par[first[hits]]]
+                                           != index[1:, at[hits]]).any())):
+                    ref = col[:, par[first]]
+                    ref[:, hits] = index[1:, at[hits]]
+                    bad = order[(col[:, par[order]] != ref[:, np.cumsum(head) - 1])
+                                .any(axis=0)].min()
+                    fails.append((bad // _CHUNK, 2))
                 if len(new) > room:
+                    fails.append((new[room] // _CHUNK, 3))
+                if fails:
+                    check = min(fails)[1]
+                    if check == 0:
+                        raise OverflowError("group elements outgrow int64")
+                    if check == 1:
+                        raise OverflowError("orbit vectors outgrow the exact "
+                                            "dedup key (entries past 2^20)")
+                    if check == 2:
+                        g = np.searchsorted(uk, key[bad])
+                        two = np.array([first[g], bad])
+                        el = _elements(base_el, par[two], w * k[two])
+                        _stabilizer(vec[:, bad], _element(
+                            self.x0, vec[:, bad], ref[:, g]) if hit[g]
+                            else el[:, 0], el[:, 1])
                     saturated = False
                     new = new[:room]
-                    fresh = fresh[np.isin(first[fresh], new)]
-                if len(fresh):
-                    seen.append((uk[fresh], el[first[fresh]]))
-                # merge runs of like size up to 2^19 vectors, which keeps the
-                # runs few without copying the large ones again and again
-                while (len(seen) > 1 and len(seen[-2][0]) <= 2 * len(seen[-1][0])
-                       and len(seen[-2][0]) + len(seen[-1][0]) <= 1 << 19):
-                    (kb, eb), (ka, ea) = seen.pop(), seen.pop()
-                    keys = np.concatenate([ka, kb])
-                    order = np.argsort(keys)
-                    seen.append((keys[order], np.concatenate([ea, eb])[order]))
+                else:  # index the new vectors for the candidates to come
+                    index = _inserted(index, at[fresh], uk[fresh],
+                                      col[:, par[first[fresh]]])
                 nodes += len(new)
-                out_el.append(el[new])
-                out_key.append(_key(*vec[new].T, self.sup))
                 kn, pn = k[new], par[new]
-                grow = kn != 0
-                if w == 1:
-                    grow &= ~(((kn == 1) & base_nb[pn, 0])
-                              | ((kn == -1) & base_nb[pn, 1]))
-                grow = new[grow | (depth == 0)]
-                next_el.append(el[grow])
-                next_vec.append(vec[grow])
-                next_nb.append(np.column_stack([k[grow] > lo_j[grow],
-                                                k[grow] < hi_j[grow]]))
+                out_key.append(_key(*vec[:, new], self.sup))
+                if self.q is not None:
+                    out_code.append(label_codes(
+                        _elements(base_el, pn, w * kn).T, self.q))
                 if not saturated:
                     break
+                grow = kn != 0
+                if w == 1:
+                    grow &= ~(((kn == 1) & base_nb[0, pn])
+                              | ((kn == -1) & base_nb[1, pn]))
+                grow = new[grow | (depth == 0)]
+                pg, kg = par[grow], k[grow]
+                next_el.append(_elements(base_el, pg, w * kg))
+                next_vec.append(vec[:, grow])
+                next_nb.append(np.array([kg > lo[pg], kg < hi[pg]]))
             depth += 1
             if not saturated:
                 break
             for i, k in zip(gap.tolist(), gap_k.tolist()):
-                a, b, c, d = base_el[i].tolist()
-                p, q, r = base_vec[i].tolist()
+                a, b, c, d = base_el[:, i].tolist()
+                p, q, r = base_vec[:, i].tolist()
                 wk = w * k
                 gaps.append(((p, q + 2 * p * wk, r + wk * (q + p * wk)),
                              (a, b + a * wk, c, d + c * wk)))
-            el = np.concatenate(next_el)
-            vec = np.concatenate(next_vec)
-            # z S = (b, -a, d, -c) in the sign representative; (p, q, r) S
-            # = (r, -q, p)
-            flip = np.where((el[:, 3] < 0) | ((el[:, 3] == 0) & (el[:, 1] < 0)),
-                            -1, 1)[:, None]
-            base_el = flip * np.column_stack([el[:, 1], -el[:, 0],
-                                              el[:, 3], -el[:, 2]])
-            base_vec = np.column_stack([vec[:, 2], -vec[:, 1], vec[:, 0]])
-            base_nb = np.concatenate(next_nb)
+            el = np.concatenate(next_el, axis=1)
+            # z S = (b, -a, d, -c) and (p, q, r) S = (r, -q, p), with the
+            # sign representative c > 0, or c = 0 < a (b != 0 when d = 0)
+            base_el = el[[1, 0, 3, 2]] * (
+                _ZS_SIGN * np.sign(2 * el[3] + np.sign(el[1])))
+            base_vec = np.concatenate(next_vec, axis=1)[::-1] * _S_SIGN
+            base_nb = np.concatenate(next_nb, axis=1)
         # a vector in a one-integer hole lies just outside the gate between
         # two runs; a search one letter at a time reaches it from both,
         # so two different elements there are a stabilizer too
@@ -359,9 +470,8 @@ class _Walk:
         for vec, el in gaps:
             if found.setdefault(vec, el) != el:
                 _stabilizer(vec, found[vec], el)
-        del seen  # free the dedup index before joining the output
-        return (np.concatenate(out_el), np.concatenate(out_key), saturated,
-                nodes, depth)
+        codes = None if self.q is None else np.concatenate(out_code)
+        return np.concatenate(out_key), codes, saturated, nodes, depth
 
 
 def count_orbit(query: OrbitQuery) -> CountResult:
@@ -385,13 +495,15 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     every in-ball element is reached through in-ball elements is checked
     in the tests, by a divisor count and a word search, not proven.
 
-    The tally is one numpy pass: each vector gets one integer key (sup
-    norm, or the sum of squares for the Euclidean ball), the keys are
-    sorted once, and one searchsorted against the integer thresholds
-    ceil(t) - 1 (or ceil(t * t) - 1) counts every radius, so each test
-    is the exact integer form of key < t (or < t * t).  Per-coset counts
-    do the same within each label's block.  Entries that do not fit int64
-    raise OverflowError, and so do walk vectors with an entry past 2^20.
+    The walk hands over one integer key per element (sup norm, or the sum
+    of squares for the Euclidean ball) and, only when q is set, its coset
+    label code; it keeps no element past its layer.  The tally is one
+    numpy pass: one searchsorted puts each key in its bucket among the
+    integer thresholds ceil(t) - 1 (or ceil(t * t) - 1), so each test is
+    the exact integer form of key < t (or < t * t), and the cumulative
+    bucket counts count every radius.  Per-coset counts bucket by label
+    and key together.  Entries that do not fit int64 raise OverflowError,
+    and so do walk vectors with an entry past 2^20.
     """
     t0 = time.perf_counter()
     x0n = query.x0.sup_norm() if query.norm == "sup" else query.x0.euclid_norm()
@@ -400,32 +512,30 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     gate_r = max(max(query.t_list), x0n + 1.0) * (_WIDE_GATE if wide else 1.0)
     sup = query.norm == "sup"
     gate = math.ceil(gate_r if sup else gate_r * gate_r) - 1  # key <= gate
-    elements, keys, saturated, nodes, depth = _Walk(
-        x0, query.spec.omega, gate, sup, query.budget).walk()
+    keys, codes, saturated, nodes, depth = _Walk(
+        x0, query.spec.omega, gate, sup, query.budget, query.q).walk()
     thresholds = np.array(
         [min(max(math.ceil(t if sup else t * t) - 1, -1), _INT64_MAX)
          for t in query.t_list], dtype=np.int64)
 
+    # key <= thresholds[i] exactly for the i at or past each key's bucket
+    bucket = np.searchsorted(thresholds, keys)
+    width = len(thresholds) + 1
     breakdown = None
     if query.q is None:
-        counts = np.searchsorted(np.sort(keys), thresholds, side="right")
+        counts = np.cumsum(np.bincount(bucket, minlength=width))[:-1]
     else:
         labels = sorted(coset_space(query.spec, query.q),
                         key=lambda lab: lab.entries)
-        codes = label_codes(elements, query.q)
-        order = np.lexsort((keys, codes))
-        codes, keys = codes[order], keys[order]
         label_code = label_codes(np.array([lab.entries for lab in labels],
                                           dtype=np.int64), query.q)
-        counts = np.zeros(len(thresholds), dtype=np.int64)
-        breakdown = {}
-        for lab, code in zip(labels, label_code):
-            lo, hi = np.searchsorted(codes, [code, code + 1])
-            cs = np.searchsorted(keys[lo:hi], thresholds, side="right")
-            if query.coset_filter is not None and lab != query.coset_filter:
-                cs[:] = 0
-            counts += cs
-            breakdown[lab] = tuple(int(n) for n in cs)
+        cell = np.searchsorted(label_code, codes) * width + bucket
+        table = np.cumsum(np.bincount(cell, minlength=len(labels) * width)
+                          .reshape(len(labels), width), axis=1)[:, :-1]
+        if query.coset_filter is not None:
+            table[[lab != query.coset_filter for lab in labels]] = 0
+        counts = table.sum(axis=0)
+        breakdown = {lab: tuple(row) for lab, row in zip(labels, table.tolist())}
     return CountResult(query.t_list, tuple(int(n) for n in counts),
                        tuple(saturated for _ in query.t_list),
                        time.perf_counter() - t0, x0n, query.q, breakdown,

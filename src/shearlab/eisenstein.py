@@ -231,6 +231,16 @@ def _zeta_2s(s):
     return zeta(2.0 * s)
 
 
+@lru_cache(maxsize=256)
+def _sigma_vector(s, top):
+    """sigma_(1 - 2s)(n) for n = 1..top, once per (s, top), read-only."""
+    # Python ints: numpy scalars make divisor_sigma's loop 5x slower
+    sigma = np.array([divisor_sigma(1.0 - 2.0 * s, k)
+                      for k in range(1, top + 1)])
+    sigma.flags.writeable = False
+    return sigma
+
+
 def _fourier_value(x, y, s, cap):
     phi, pref = _fourier_constants(s)
     total = y ** s + phi * y ** (1.0 - s)
@@ -240,10 +250,7 @@ def _fourier_value(x, y, s, cap):
     top = min(cap, math.ceil((40.0 + 2.0 * s) / (2.0 * math.pi * y)) + 2)
     while True:
         n = np.arange(1, top + 1)
-        # Python ints: numpy scalars make divisor_sigma's loop 5x slower
-        sigma = np.array([divisor_sigma(1.0 - 2.0 * s, k)
-                          for k in range(1, top + 1)])
-        terms = pref * n ** (s - 0.5) * sigma * bessel_k(
+        terms = pref * n ** (s - 0.5) * _sigma_vector(s, top) * bessel_k(
             s - 0.5, 2.0 * math.pi * y * n)
         env = np.abs(terms)
         # the cosine can vanish by accident, so the cut is judged on the

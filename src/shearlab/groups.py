@@ -208,10 +208,44 @@ class CosetLabel:
         return CosetLabel(q, min(prod, minus))
 
 
+# coset_space enumerates at most this many labels.  Every level up to 126
+# stays within it and none past 144; q = 126 has 653,184 labels, which
+# took 7 s and about 170 MB.  Base-q label codes fit int64 far beyond.
+MAX_COSETS = 10 ** 6
+
+
+def psl2_order(q: int) -> int:
+    """|PSL2(Z/q)| = q^3 prod_{p | q} (1 - p^-2), halved for q > 2, where
+    -1 != 1 mod q: the number of labels at level q of every group whose
+    image is all of PSL2(Z/q), and a bound on the others."""
+    n, m, p = q ** 3, q, 2
+    while p * p <= m:
+        if m % p == 0:
+            n = n // (p * p) * (p * p - 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        n = n // (m * m) * (m * m - 1)
+    return n // 2 if q > 2 else n
+
+
+def check_level(q: int) -> None:
+    """ValueError unless 1 <= q and |PSL2(Z/q)| <= MAX_COSETS."""
+    if q < 1:
+        raise ValueError("level must be >= 1")
+    # |PSL2(Z/q)| >= q^3 (6 / pi^2) / 2 > q^3 / 4, so the large q are
+    # refused before any factoring
+    if q ** 3 > 4 * MAX_COSETS or psl2_order(q) > MAX_COSETS:
+        raise ValueError(f"level q = {q} has more congruence classes than "
+                         f"the {MAX_COSETS:,} that are enumerated")
+
+
 @lru_cache(maxsize=32)
 def coset_space(spec: GroupSpec, q: int) -> frozenset:
     """All labels of the image of the group at level q (closure of the
-    generator labels)."""
+    generator labels).  ValueError past MAX_COSETS, before enumerating."""
+    check_level(q)
     gens = [CosetLabel.of(g, q) for g in spec.gen_set()]
     seen = {CosetLabel.identity(q)}
     frontier = list(seen)

@@ -96,6 +96,20 @@ def test_coset_count_partitions(tmp_path):
         assert sum(int(r[i]) for i in coset_cols) == int(r[1])
 
 
+@pytest.mark.parametrize("q", ["0", "127", "40000"])
+def test_coset_count_level_past_the_ceiling_exits_2_and_writes_nothing(
+        tmp_path, q):
+    # the level's class count is checked in closed form before any label
+    # is enumerated: PSL2(Z/40000) has about 4.6e13 of them
+    out = tmp_path / "cosets.csv"
+    t0 = time.perf_counter()
+    assert main(["coset-count", "--q", q, "--T", "10,20",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
 def test_invalid_group_leaves_no_artifacts(tmp_path):
     out = tmp_path / "never.csv"
     rc = main(["count", "--group", "so3", "--T", "4,8", "--out", str(out)])

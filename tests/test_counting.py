@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                OrbitQuery, StabilizerError, coset_disparity,
                                count_orbit, fit_counting_law,
                                identity_coset_factor, label_codes)
+from shearlab.counting import _element, _Walk
 from shearlab.groups import PSL2Z, THIN4, CosetLabel, GroupSpec, WordBudget
 from divisor_count import quadric_counts
 from word_search import SearchBudgetExceeded, enumerate_words
@@ -637,3 +640,183 @@ def test_fit_ignores_radii_below_asymptotic_floor():
     res = synthetic_counts(lambda t: 3.0 * t, t_list)
     fit = fit_counting_law(res, "linear")
     assert min(fit.t_used) >= 10.0
+
+
+# -- the walk's run ends, gate test and clash test ---------------------------
+#
+# _Walk.runs finds each run's ends in closed form and confirms them with
+# one exact test; in_gate skips its float pre-pass where a bound on the
+# entries and steps shows int64 cannot overflow.  Both are checked here
+# against exact integer keys, on rows of the quadric of x0.
+
+RUN_FORMS = [(0, 1, 0), (1, 1, 1), (2, 1, 3), (1, 2, 1),  # D = 1, -3, -23, 0
+             (1, 3, 1), (0, 5, 2), (1, 13, -3)]  # D = 5, 25, 181: holes
+
+
+def exact_key(v, sup):
+    return max(map(abs, v)) if sup else sum(c * c for c in v)
+
+
+def quadric_rows(x0, omega, sup, gate, rng, n):
+    """In-gate vectors x0 * g for n random words g of <T^omega, S>, and
+    some with p = 0 when x0 has such: (3, m) int64, T^omega moving each."""
+    reach = 3 if gate < 10 ** 4 else 40
+    rows = set()
+    if x0[0] == 0:  # (0, q0, r) lies on the quadric for every r
+        span = min(gate, 10 ** 6)
+        rows |= {(0, s * x0[1], int(r)) for s in (1, -1)
+                 for r in rng.integers(-span, span + 1, 2)}
+    for _ in range(40 * n):
+        p, q, r = x0
+        for _ in range(int(rng.integers(0, 9))):
+            wk = omega * int(rng.integers(-reach, reach + 1))
+            p, q, r = r, -q, p
+            p, q, r = p, q + 2 * p * wk, r + wk * (q + p * wk)
+        rows.add((p, q, r))
+        if len(rows) >= n:
+            break
+    rows = [v for v in rows if exact_key(v, sup) <= gate and (v[0] or v[1])]
+    return np.array(sorted(rows), dtype=np.int64).T
+
+
+def keys_along(v, omega, sup, k):
+    """Exact keys of v * T^(omega k) for an int64 array k (keys here stay
+    far below 2^63)."""
+    p, q, r = (int(c) for c in v)
+    wk = omega * k
+    qq, rr = q + 2 * p * wk, r + wk * (q + p * wk)
+    if sup:
+        return np.maximum(np.maximum(abs(p), np.abs(qq)), np.abs(rr))
+    return p * p + qq * qq + rr * rr
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+@pytest.mark.parametrize("large", [False, True])
+def test_run_ends_match_a_brute_force_scan(omega, norm, large):
+    # radius 60 keeps every confirmation inside in_gate's int64 bound; at
+    # radius 1.2e6 (sup) or 1e5 (Euclidean) the rows' entries and long runs
+    # take it past the bound, onto the float pre-pass
+    sup = norm == "sup"
+    radius = (12 * 10 ** 5 if sup else 10 ** 5) if large else 60
+    gate = radius if sup else radius * radius
+    rng = np.random.default_rng(omega * 7 + radius)
+    for x0 in RUN_FORMS:
+        walk = _Walk(x0, omega, gate, sup, WordBudget(4096, 10 ** 9))
+        vecs = quadric_rows(x0, omega, sup, gate, rng, 40)
+        lo, hi, gap, gap_k = walk.runs(vecs)
+        holes = {}
+        for i, v in enumerate(vecs.T.tolist()):
+            assert lo[i] <= 0 <= hi[i]
+            k = np.arange(lo[i] - 1, hi[i] + 2)
+            inside = keys_along(v, omega, sup, k) <= gate
+            assert inside[1:-1].all() and not inside[0] and not inside[-1], v
+            # the integer nearest k*, from the sign-normalised row
+            p, q, r = v if (v[0] > 0 or (v[0] == 0 and v[1] > 0)) else (
+                [-c for c in v])
+            num, t = (r, q * omega) if p == 0 else (q, 2 * p * omega)
+            near = math.floor(Fraction(-num, t) + Fraction(1, 2))
+            hole = keys_along(v, omega, sup, np.arange(near - 1, near + 2)) > gate
+            if hole.tolist() == [False, True, False]:
+                holes[i] = near
+        assert dict(zip(gap.tolist(), gap_k.tolist())) == holes
+        if x0[1] ** 2 - 4 * x0[0] * x0[2] <= 1:
+            assert not holes  # no hole for D <= 1
+
+
+@pytest.mark.parametrize("sup, omega, top, steps, fast", [
+    (True, 1, 2 ** 10, 2 ** 8, True), (True, 3, 2 ** 16, 2 ** 10, True),
+    (True, 1, 2 ** 36, 2 ** 12, False), (True, 5, 2 ** 30, 2 ** 14, False),
+    (False, 1, 2 ** 6, 2 ** 4, True), (False, 2, 2 ** 8, 2 ** 5, True),
+    (False, 1, 2 ** 20, 2 ** 6, False), (False, 4, 2 ** 12, 2 ** 10, False)])
+def test_in_gate_is_exact_on_both_sides_of_its_bound(sup, omega, top, steps,
+                                                     fast):
+    # the bound: largest entry times (1 + omega |k|)^2 for the sup key, and
+    # three times its square for the Euclidean key, below 2^60; past it
+    # some keys pass 2^63, and the float pre-pass keeps them out
+    bound = top * (1 + omega * steps) ** 2
+    assert ((bound if sup else 3 * bound * bound) < 2 ** 60) == fast
+    rng = np.random.default_rng(top + steps)
+    vecs = rng.integers(-top, top + 1, (3, 400))
+    vecs[:, 0] = top
+    k = rng.integers(-steps, steps + 1, (2, 400))
+    k[:, 0] = steps
+    want = [[exact_key(_shift_exact(v, omega * int(kk)), sup)
+             for v, kk in zip(vecs.T.tolist(), row)] for row in k.tolist()]
+    gate = min(int(np.median(want)), 2 ** 59)
+    got = _Walk((0, 1, 0), omega, gate, sup, WordBudget()).in_gate(vecs, k)
+    assert got.tolist() == [[key <= gate for key in row] for row in want]
+    assert 0 < got.sum() < got.size
+
+
+def _shift_exact(v, wk):
+    p, q, r = v
+    return p, q + 2 * p * wk, r + wk * (q + p * wk)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=0, max_size=6),
+       st.tuples(*[st.integers(-9, 9)] * 3))
+@settings(deadline=None, max_examples=200)
+def test_element_is_recovered_from_its_vector_and_first_column(exps, x0):
+    # the index keeps only (a, c); with the vector that names the element
+    a, b, c, d = 1, 0, 0, 1
+    for k in exps:  # g T^k S = (b + a k, -a, d + c k, -c)
+        a, b, c, d = b + a * k, -a, d + c * k, -c
+    if c < 0 or (c == 0 and a < 0):
+        a, b, c, d = -a, -b, -c, -d
+    p0, q0, r0 = x0
+    vec = (p0 * a * a + q0 * a * c + r0 * c * c,
+           2 * p0 * a * b + q0 * (a * d + b * c) + 2 * r0 * c * d,
+           p0 * b * b + q0 * b * d + r0 * d * d)
+    assume(vec[0] or vec[1])
+    assert _element(x0, vec, (a, c)) == (a, b, c, d)
+
+
+@pytest.mark.parametrize("x0, spec, message", [
+    # D = -3 and -4: elliptic stabilizers of order 3 and 2, met where the
+    # first holder is an element of an earlier layer, read from the index
+    ((7, 5, 1), PSL2Z, "vector (1, 1, 1) reached by (0, -1, 1, 3) and "
+                       "(-1, 0, 2, -1)"),
+    ((5, 4, 1), GroupSpec("theta", 2), "vector (1, 0, 1) reached by "
+                                       "(0, -1, 1, 2) and (-1, 0, 2, -1)"),
+    # D = -4 with both holders in one layer
+    ((2, 2, 1), PSL2Z, "vector (1, 2, 2) reached by (0, -1, 1, 2) and "
+                       "(-1, -1, 1, 0)")])
+def test_definite_form_with_a_stabilizer_raises(x0, spec, message):
+    for norm in ("sup", "euclidean"):
+        with pytest.raises(StabilizerError) as exc:
+            count_orbit(OrbitQuery(spec, FormVector(*x0), (50.0,), norm=norm))
+        if norm == "sup":
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec", [PSL2Z, THIN4, GroupSpec("w3", 3)])
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+def test_walks_with_and_without_labels_count_alike(spec, norm):
+    # the walk keeps label codes only when q is set; nothing else moves
+    # D = 1, -11 and 529, none with a stabilizer; the last has holes
+    for x0 in ((0, 1, 0), (1, 1, 3), (0, 23, 4)):
+        t_list = (60.0, 150.0, 400.0)
+        bare = count_orbit(OrbitQuery(spec, FormVector(*x0), t_list, norm=norm))
+        for q in (2, 5):
+            lab = count_orbit(OrbitQuery(spec, FormVector(*x0), t_list,
+                                         norm=norm, q=q))
+            assert lab.counts == bare.counts
+            assert (lab.search_nodes, lab.search_depth, lab.saturated) == (
+                bare.search_nodes, bare.search_depth, bare.saturated)
+            assert tuple(map(sum, zip(*lab.breakdown.values()))) == bare.counts
+
+
+def test_query_rejects_an_empty_radius_list():
+    with pytest.raises(ValueError, match="at least one radius"):
+        OrbitQuery(PSL2Z, X0, ())
+
+
+def test_query_rejects_levels_past_the_coset_ceiling():
+    # |PSL2(Z/40000)| is about 4.6e13; the query refuses it in closed form
+    # instead of enumerating the labels when the count starts
+    t0 = time.perf_counter()
+    for q in (0, 127, 40000):
+        with pytest.raises(ValueError):
+            OrbitQuery(PSL2Z, X0, (4.0,), q=q)
+    assert time.perf_counter() - t0 < 1.0

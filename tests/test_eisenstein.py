@@ -14,7 +14,7 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  PairingError, _em_threshold,
                                  _fourier_constants, _fourier_value, _G_near,
                                  _geometric_limit, _lattice_coset_value,
-                                 _row_sums, _thin_coset_value,
+                                 _row_sums, _sigma_vector, _thin_coset_value,
                                  _thin_partial_heights, _zeta_2s,
                                  completed_zeta, critical_exponent,
                                  eisenstein_sample, mu_eis, regularized_E1)
@@ -467,6 +467,29 @@ def test_fourier_mode_count_grows_past_a_short_first_guess(monkeypatch):
     monkeypatch.setattr(shearlab.eisenstein, "bessel_k", inflated_once)
     assert _fourier_value(0.17, 0.3, 1.3, 4000) == want
     assert calls[1] == 2 * calls[0]
+
+
+def test_fourier_sigma_vector_is_built_once_per_s_and_top(monkeypatch):
+    calls = []
+
+    def counting(s, n):
+        calls.append(n)
+        return divisor_sigma(s, n)
+
+    _sigma_vector.cache_clear()
+    monkeypatch.setattr(shearlab.eisenstein, "divisor_sigma", counting)
+    first = _fourier_value(0.17, 1.0, 1.3, 4000)
+    built = len(calls)
+    assert built > 0
+    # another x, same (s, top): no divisor_sigma call, the same bits
+    assert _fourier_value(0.17, 1.0, 1.3, 4000) == first
+    _fourier_value(-0.43, 1.0, 1.3, 4000)
+    assert len(calls) == built
+    top = max(calls)
+    sigma = _sigma_vector(1.3, top)
+    assert not sigma.flags.writeable
+    assert sigma.tolist() == [divisor_sigma(1.0 - 2.0 * 1.3, k)
+                              for k in range(1, top + 1)]
 
 
 def test_per_s_constants_give_the_bits_of_a_cold_call():

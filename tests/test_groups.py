@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
-from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, CosetLabel, Cusp,
-                             GroupSpec, WordBudget, bottom_rows, coset_space,
-                             reduce_points, reduce_to_fundamental_domain)
+from shearlab.groups import (MAX_COSETS, PSL2Z, THIN4, BudgetExceeded,
+                             CosetLabel, Cusp, GroupSpec, WordBudget,
+                             bottom_rows, check_level, coset_space,
+                             psl2_order, reduce_points,
+                             reduce_to_fundamental_domain)
 from word_search import SearchBudgetExceeded, enumerate_words
 
 # -- specs -------------------------------------------------------------------
@@ -267,6 +269,31 @@ def test_coset_space_sizes():
     assert len(coset_space(PSL2Z, 3)) == 12
     assert len(coset_space(THIN4, 3)) == 12
     assert len(coset_space(THIN4, 2)) < len(coset_space(PSL2Z, 2))
+
+
+def test_psl2_order_counts_the_psl2z_labels():
+    # SL2(Z) maps onto SL2(Z/q), so the psl2z labels are all of PSL2(Z/q)
+    for q in range(1, 25):
+        assert len(coset_space(PSL2Z, q)) == psl2_order(q), q
+        assert len(coset_space(THIN4, q)) <= psl2_order(q)
+    assert psl2_order(40) == 23040
+
+
+def test_coset_space_refuses_levels_past_its_ceiling():
+    # every level up to 126 fits MAX_COSETS (126 has 653,184 labels), 127
+    # does not (1,024,128); the check is closed form, so a level whose
+    # enumeration would never finish is refused at once
+    assert psl2_order(126) <= MAX_COSETS < psl2_order(127)
+    assert max(q for q in range(1, 200) if psl2_order(q) <= MAX_COSETS) == 144
+    t0 = time.perf_counter()
+    for q in (127, 40000, 10 ** 18):
+        with pytest.raises(ValueError, match="congruence classes"):
+            coset_space(PSL2Z, q)
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="level must be"):
+            check_level(q)
+    assert time.perf_counter() - t0 < 1.0
+    check_level(126)
 
 
 # -- bottom rows -------------------------------------------------------------

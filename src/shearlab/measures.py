@@ -7,10 +7,13 @@ box bumps it is computed by unfolding: the bump is a Poincare series of
 one compactly supported profile, so the integral is a finite sum over the
 translates whose image meets the box, each a short smooth "spike" whose
 ends solve a quadratic (a spike that ends at a cut is given that cut
-exactly, so the spikes tile the support).  One numpy pass builds every
-spike, and Gauss-Legendre runs over them in bounded blocks on 22, 34, 60
-and 100 nodes until two passes agree, evaluating the box bump as one
-exponential; the lattice bump reaches T = 1e5 in about 2 s.  Blind
+exactly, so the spikes tile the support).  The rows come in chunks of
+a few thousand, and one pass builds each chunk's spikes and integrates
+them on the 22- and 34-node Gauss-Legendre rules at once, in reused
+buffers, evaluating the box bump as one exponential; 60 and then 100
+nodes take a pass each only if the rules before disagree.  The lattice
+bump reaches T = 1e5 in about 1.5 s and 50 MB, and T = 1e6 in about 40 s
+and 100 MB.  Blind
 quadrature cannot find a support of tens of thousands of intervals as
 thin as 1e-6 (T = 1000); the adaptive path remains for small |T|,
 cusp-decaying functions, and as an independent cross-check.
@@ -24,8 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import (PSL2Z, THIN4, GroupSpec, _ragged, coset_rows,
-                     reduce_points)
+from .groups import (PSL2Z, THIN4, GroupSpec, _ragged, coset_row_chunks,
+                     coset_rows, reduce_points)
 from .quadrature import (InsufficientConvergenceError, adaptive, gl_nodes,
                          integrate_fd, refine)
 
@@ -38,13 +41,33 @@ __all__ = [
 ]
 
 
+def _inv_gap(v, lo, hi, tmp):
+    """v <- (hi - lo)^2 / 4 (v - lo)(hi - v) in place, and inf where v is
+    not inside (lo, hi), NaN included: the bump at v scaled from (lo, hi)
+    to (-1, 1) is exp(1 - v), with 1 - t^2 as 4 (v - lo) (hi - v) / (hi -
+    lo)^2, no cancellation near the edges.  tmp is scratch of v's shape;
+    the caller silences the division by zero."""
+    np.subtract(hi, v, out=tmp)
+    v -= lo
+    v *= tmp
+    # fmax takes NaN to 0 but may keep -0.0 (an edge at 0, v = -0.0),
+    # which would divide to -inf: absolute makes it 0
+    np.fmax(v, 0.0, out=v)
+    np.absolute(v, out=v)
+    return np.divide(0.25 * (hi - lo) ** 2, v, out=v)
+
+
+def _bump_in_place(v, lo, hi, tmp):
+    """v <- bump_profile of v scaled from (lo, hi) to (-1, 1); returns v."""
+    np.subtract(1.0, _inv_gap(v, lo, hi, tmp), out=v)
+    return np.exp(v, out=v)
+
+
 def _profile(v, lo, hi):
-    """bump_profile of v scaled from (lo, hi) to (-1, 1), with 1 - t^2 as
-    4 (v - lo) (hi - v) / (hi - lo)^2: no cancellation near the edges."""
-    q = (v - lo) * (hi - v)
-    # exp on every node beats gathering the inside ones (spikes lie inside)
+    """bump_profile of v scaled from (lo, hi) to (-1, 1), as a new array."""
+    v = np.array(v, dtype=float)   # a copy, 0-d for a scalar
     with np.errstate(divide="ignore", over="ignore"):
-        return np.where(q > 0.0, np.exp(1.0 - 0.25 * (hi - lo) ** 2 / q), 0.0)
+        return _bump_in_place(v, lo, hi, np.empty_like(v))
 
 
 def bump_profile(t):
@@ -135,14 +158,14 @@ def _box_profiles(box):
     return (lambda x: _profile(x, *box[:2]), lambda y: _profile(y, *box[2:]))
 
 
-def _box_bump(x, y, box):
-    """px(x) * py(y) of _box_profiles(box) as one exp under one mask."""
+def _box_bump(x, y, box, tmp):
+    """px(x) * py(y) of _box_profiles(box) as one exp, in place: x gets
+    the product, y and tmp (x's shape) are scratch.  Returns x."""
     x_lo, x_hi, y_lo, y_hi = box
-    qx, qy = (x - x_lo) * (x_hi - x), (y - y_lo) * (y_hi - y)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = np.exp(2.0 - 0.25 * (x_hi - x_lo) ** 2 / qx
-                   - 0.25 * (y_hi - y_lo) ** 2 / qy)
-    return np.where((qx > 0.0) & (qy > 0.0), v, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.subtract(2.0, _inv_gap(x, x_lo, x_hi, tmp), out=x)
+        x -= _inv_gap(y, y_lo, y_hi, tmp)
+        return np.exp(x, out=x)
 
 
 def _reduced_bump(box, name: str, spec: GroupSpec) -> TestFunction:
@@ -241,32 +264,32 @@ def _mu_T_generic(psi: TestFunction, T: float, tol: float) -> ShearSample:
 
 
 def _window_rows(psi: TestFunction, T: float, y_lo: float):
-    """(c, d, a/c) arrays of the cosets whose ray window reaches y_lo.
+    """(c, d, a/c) arrays of the cosets whose ray window reaches y_lo, in
+    the consecutive chunks of groups.coset_row_chunks.
 
     The window exists iff c|d| < (sqrt(T^2+1)+|T|)/(2 y_lo), with d of
     sign opposite to T; the rows under that hyperbola come from the
-    group's coset_rows, and a/c is the cusp offset, needed mod omega.
+    group's coset rows, and a/c is the cusp offset, needed mod omega.
     """
     peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
     span = (peak / np.arange(1, int(peak) + 2)).astype(np.int64) + 1
     one = np.ones_like(span)
-    a, c, d = coset_rows(psi.spec, *((-span, -one) if T > 0 else (one, span)))
-    return c, d, a / c
+    for a, c, d in coset_row_chunks(
+            psi.spec, *((-span, -one) if T > 0 else (one, span))):
+        yield c, d, a / c
 
 
-def _spikes(psi: TestFunction, T: float):
-    """The pieces of the unfolded ray integral at T, as arrays: (spikes,
-    trans).  spikes are the u-intervals where one translate's folded x
-    lands in the box shifted by k_offset, as columns (u_a, u_b, a/c - k_offset,
-    d/c, A, B, C): with D(u) = A u^2 + B u + C = |c u (T + i) + d|^2 the
-    point in the box is (a/c - k_offset - (u T + d/c) / D, u / D).  trans are
-    (u_a, u_b, k_offset) of the ray crossing a translated box.  Together they
-    tile the ray's part of the support."""
+def _spikes(psi: TestFunction, T: float, c, d, ac):
+    """The spikes of one chunk of _window_rows, (c, d, a/c), as arrays:
+    the u-intervals where one translate's folded x lands in the box
+    shifted by k_offset, as columns (u_a, u_b, a/c - k_offset, d/c, A, B,
+    C).  With D(u) = A u^2 + B u + C = |c u (T + i) + d|^2 the point in
+    the box is (a/c - k_offset - (u T + d/c) / D, u / D).  The spikes of
+    every chunk and the _crossings tile the ray's part of the support."""
     x_lo, x_hi, y_lo, y_hi = psi.support
     omega = psi.omega
     t2p1 = T * T + 1.0
     u_min = 1.0 / math.sqrt(t2p1)
-    c, d, ac = _window_rows(psi, T, y_lo)
     c, d = c.astype(float), d.astype(float)
     A, B, C = c * c * t2p1, 2.0 * c * d * T, d * d
 
@@ -329,56 +352,126 @@ def _spikes(psi: TestFunction, T: float):
     ua = g_inverse(np.where(rising, xi0, xi1))
     ub = g_inverse(np.where(rising, xi1, xi0))
     keep = (xi1 > xi0) & (ub > ua)
-    spikes = tuple(v[keep] for v in (ua, ub, ac - kk, d / c, A, B, C))
+    return tuple(v[keep] for v in (ua, ub, ac - kk, d / c, A, B, C))
 
-    # translation family: the ray itself crossing the box translates
-    u_lo_t = max(u_min, y_lo)
+
+# nodes per evaluated block.  A pass allocates its few block buffers once
+# and computes in place, so no temporary is allocated per block; 2^14
+# nodes (128 KiB a buffer) ran the shear rounds faster than 2^13
+_BLOCK = 1 << 14
+
+
+def _crossings(psi: TestFunction, T: float):
+    """(u_a, u_b, k_offset) of the ray itself crossing the box translated
+    by k_offset: the translation family of the unfolded integral, in
+    chunks of at most _BLOCK offsets."""
+    x_lo, x_hi, y_lo, y_hi = psi.support
+    omega = psi.omega
+    u_lo_t = max(1.0 / math.sqrt(T * T + 1.0), y_lo)
     xe = sorted((T * u_lo_t, T * y_hi))
-    kk = np.arange(math.ceil((xe[0] - x_hi) / omega),
-                   math.floor((xe[1] - x_lo) / omega) + 1) * omega
-    ea, eb = (kk + x_lo) / T, (kk + x_hi) / T
-    ua = np.maximum(np.minimum(ea, eb), u_lo_t)
-    ub = np.minimum(np.maximum(ea, eb), y_hi)
-    keep = ub > ua
-    return spikes, (ua[keep], ub[keep], kk[keep])
+    k_end = math.floor((xe[1] - x_lo) / omega) + 1
+    for k in range(math.ceil((xe[0] - x_hi) / omega), k_end, _BLOCK):
+        kk = np.arange(k, min(k + _BLOCK, k_end)) * omega
+        ea, eb = (kk + x_lo) / T, (kk + x_hi) / T
+        ua = np.maximum(np.minimum(ea, eb), u_lo_t)
+        ub = np.minimum(np.maximum(ea, eb), y_hi)
+        keep = ub > ua
+        yield ua[keep], ub[keep], kk[keep]
+
+
+def _blocks(chunks, size):
+    """The rows of a stream of column tuples in blocks of size rows, the
+    last one shorter: the blocks do not depend on where the chunks end."""
+    left = ()
+    for cols in chunks:
+        if left:
+            cols = tuple(np.concatenate(v) for v in zip(left, cols))
+        n = len(cols[0]) - len(cols[0]) % size
+        for lo in range(0, n, size):
+            yield tuple(v[lo:lo + size] for v in cols)
+        left = tuple(v[n:] for v in cols)
+    if left and len(left[0]):
+        yield left
+
+
+def _ray_sums(psi: TestFunction, T: float, ns):
+    """The unfolded ray integral at T on each Gauss-Legendre rule of sizes
+    ns, all in one pass over the row chunks and the crossings, with the
+    number of spikes and crossings it integrated: (values, pieces).  Each
+    block's sums come from numpy's own reductions and are added exactly,
+    so the values do not depend on the row chunks."""
+    box = psi.support
+    # the rules side by side: one row of nodes and weights, and where each
+    # rule starts in it
+    xg, wg = (np.concatenate(v) for v in zip(*map(gl_nodes, ns)))
+    starts = np.cumsum((0,) + tuple(ns[:-1]))
+    step = max(1, _BLOCK // len(xg))    # pieces per block
+    bufs = np.empty((4, step, len(xg)))
+    parts = [np.zeros(len(ns))]         # per block, a sum for each rule
+
+    def nodes(ua, ub):
+        # the pieces' nodes U and the buffers for the box point (X, Y)
+        U, X, Y, tmp = bufs[:, :len(ua)]
+        half = 0.5 * (ub - ua)
+        np.multiply(half[:, None], xg, out=U)
+        U += 0.5 * (ua + ub)[:, None]
+        return U, X, Y, tmp, half
+
+    def add(U, X, Y, tmp, half):
+        # half * bump / U at every node, summed over the block and each rule
+        X = _box_bump(X, Y, box, tmp)
+        X /= U
+        X *= half[:, None]
+        parts.append(np.add.reduceat(X.sum(axis=0) * wg, starts))
+
+    spikes = (_spikes(psi, T, *rows) for rows in _window_rows(psi, T, box[2]))
+    pieces = 0
+    for ua, ub, off, dc, A, B, C in _blocks(spikes, step):
+        U, X, R, tmp, half = nodes(ua, ub)
+        np.multiply(A[:, None], U, out=R)
+        R += B[:, None]
+        R *= U
+        R += C[:, None]
+        np.reciprocal(R, out=R)
+        np.multiply(U, T, out=X)
+        X += dc[:, None]
+        X *= R
+        np.subtract(off[:, None], X, out=X)
+        R *= U
+        add(U, X, R, tmp, half)
+        pieces += len(ua)
+    for ua, ub, kk in _blocks(_crossings(psi, T), step):
+        U, X, Y, tmp, half = nodes(ua, ub)
+        np.multiply(U, T, out=X)
+        X -= kk[:, None]
+        Y[:] = U
+        add(U, X, Y, tmp, half)
+        pieces += len(ua)
+    return [math.fsum(v) for v in zip(*parts)], pieces
 
 
 def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
-    box = psi.support
-    (ua, ub, off, dc, A, B, C), (ta, tb, tk) = _spikes(psi, T)
-    spikes = (0.5 * (ua + ub), 0.5 * (ub - ua), off, dc, A, B, C)
-    trans = (0.5 * (ta + tb), 0.5 * (tb - ta), tk)
-    nodes = [0]         # summed over every grid that refine runs
+    """mu_T by unfolding: the ladder (22, 34, 60, 100) of refine, whose
+    first two rules share one pass of _ray_sums over the row chunks; 60
+    and then 100 nodes stream the chunks again while |I34 - I22|, then
+    |I60 - I34|, exceed tol.  n_nodes counts every rule run."""
+    ladder = (22, 34, 60, 100)
+    nodes = [0]         # summed over every rule run
+    ready = {}          # values of a pass that refine has not asked for
 
     def total(n):
-        xg, wg = gl_nodes(n)
-        step = max(1, (1 << 16) // n)   # nodes per summed block
-        # evaluated 2^13 nodes at a time into one buffer: temporaries of 64
-        # KiB stay below glibc's mmap threshold and reuse heap memory
-        piece, buf = max(1, (1 << 13) // n), np.empty((step, n))
-        acc = 0.0
-        for lo in range(0, len(spikes[0]), step):
-            hi = min(lo + step, len(spikes[0]))
-            for p0 in range(lo, hi, piece):
-                mid, half, off, dc, A, B, C = (
-                    v[p0:min(p0 + piece, hi), None] for v in spikes)
-                U = mid + half * xg
-                R = 1.0 / ((A * U + B) * U + C)
-                xr = off - (U * T + dc) * R
-                buf[p0 - lo:p0 - lo + len(U)] = \
-                    half * wg * _box_bump(xr, U * R, box) / U
-            acc += float(np.sum(buf[:hi - lo]))
-        for lo in range(0, len(trans[0]), step):
-            mid, half, kk = (v[lo:lo + step, None] for v in trans)
-            U = mid + half * xg
-            acc += float(np.sum(half * wg * _box_bump(U * T - kk, U, box) / U))
-        nodes[0] += n * (len(spikes[0]) + len(trans[0]))
-        return acc
+        if n not in ready:
+            # refine always asks for the first two rules: one pass runs both
+            ns = ladder[:2] if n == ladder[0] else (n,)
+            vals, pieces = _ray_sums(psi, T, ns)
+            nodes[0] += sum(ns) * pieces
+            ready.update(zip(ns, vals))
+        return ready.pop(n)
 
     # each spike is the box bump through a near-affine map, so a rung's
     # error is T-free: |GL14 - GL22| is 1.0-1.5e-5 (lattice), 2.4-2.6e-6
     # (thin) at T = 10-3000, and a 14-point rung settles no smaller tol
-    val, err, ok = refine(total, (22, 34, 60, 100), abs_tol=tol)
+    val, err, ok = refine(total, ladder, abs_tol=tol)
     return ShearSample(T, val, max(err, 1e-16), nodes[0], ok, "unfolded")
 
 
@@ -526,9 +619,10 @@ def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
         # its window sqrt(y (q - p)) u closes smoothly
         u, wu = 0.5 * (1.0 + yg), 0.5 * wy
         step = max(1, (1 << 16) // (ny * len(xg)))     # panels per sum
-        # evaluated 2^13 nodes at a time into one buffer, as in mu_T
-        piece = max(1, (1 << 13) // len(xg))          # y-nodes per piece
+        # evaluated _BLOCK nodes at a time in reused buffers, as in mu_T
+        piece = max(1, _BLOCK // len(xg))              # y-nodes per piece
         buf = np.empty(step * ny)
+        X, D, tmp = np.empty((3, piece, len(xg)))
         for lo in range(0, n_panels, step):
             p, q, c, d, top, capped = (v[lo:lo + step, None] for v in panels)
             w = q - p
@@ -543,10 +637,20 @@ def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
             c, d = (np.repeat(v, ny) for v in (c, d))
             for k in range(0, len(y), piece):
                 sl = slice(k, min(k + piece, len(y)))
-                X = mid[sl, None] + hx[sl, None] * xg
+                Xs, Ds, ts = (v[:sl.stop - k] for v in (X, D, tmp))
+                np.multiply(hx[sl, None], xg, out=Xs)
+                Xs += mid[sl, None]
+                # the x-integrand px(X) / |c z + d|^2 in place, px being
+                # the bump on the box's x-side
+                np.multiply(c[sl, None], Xs, out=Ds)
+                Ds += d[sl, None]
+                Ds *= Ds
                 cy = c[sl] * y[sl]
-                buf[sl] = (px(X) / ((c[sl, None] * X + d[sl, None]) ** 2
-                                    + (cy * cy)[:, None])) @ wx
+                Ds += (cy * cy)[:, None]
+                with np.errstate(divide="ignore", over="ignore"):
+                    _bump_in_place(Xs, x_lo, x_hi, ts)
+                Xs /= Ds
+                buf[sl] = Xs @ wx
             total += float(wyn.ravel() @ buf[:len(y)])
         return total / psi.omega
 

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from shearlab import groups
 from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
 from shearlab.groups import (MAX_COSETS, PSL2Z, THIN4, BudgetExceeded,
                              CosetLabel, Cusp, GroupSpec, WordBudget,
-                             bottom_rows, check_level, coset_space,
-                             psl2_order, reduce_points,
+                             bottom_rows, check_level, coset_row_chunks,
+                             coset_rows, coset_space, psl2_order, reduce_points,
                              reduce_to_fundamental_domain)
 from word_search import SearchBudgetExceeded, enumerate_words
 
@@ -411,6 +412,29 @@ def test_bottom_rows_cap_raises_at_once():
     # just below the cap, where the word search ran out of depth, the tree
     # still builds
     assert len(bottom_rows(THIN4, 4095.0)) > len(bottom_rows(THIN4, 2048.0))
+
+
+# each example patches ROW_CHUNK in its own monkeypatch context
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d_lo=st.lists(st.integers(-60, 60), max_size=40),
+       width=st.integers(-3, 90), size=st.sampled_from([1, 3, 7, 50, 2048]),
+       spec=st.sampled_from([PSL2Z, THIN4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_chunks_concatenate_to_the_region_query(d_lo, width, size, spec,
+                                                    seed, monkeypatch):
+    # the same rows in the same order, in non-empty chunks of at most
+    # ROW_CHUNK rows; d-ranges of up to 90 candidates split inside a c
+    d_lo = np.array(d_lo, dtype=np.int64)
+    d_hi = d_lo + np.random.default_rng(seed).integers(-3, width + 1,
+                                                      len(d_lo))
+    want = coset_rows(spec, d_lo, d_hi)
+    with monkeypatch.context() as m:
+        m.setattr(groups, "ROW_CHUNK", size)
+        chunks = list(coset_row_chunks(spec, d_lo, d_hi))
+    assert all(0 < len(c) <= size for _, c, _ in chunks)
+    got = [np.concatenate([ch[i] for ch in chunks] or [np.zeros(0, int)])
+           for i in range(3)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_bottom_rows_thin_subset_of_lattice():

@@ -34,6 +34,20 @@ def test_bump_profile_shape():
                        atol=0.0)
 
 
+def test_bump_profile_takes_scalars_and_maps_nan_to_zero():
+    for t in (0.5, np.float64(0.5), np.array(0.5)):
+        v = bump_profile(t)
+        assert np.shape(v) == () and v == pytest.approx(math.exp(1 - 1 / 0.75))
+    v = bump_profile([np.nan, -np.inf, np.inf, 0.0, -0.0])
+    assert v.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+    assert bump_profile(np.nan) == 0.0
+    # an edge at 0 meets a point at -0.0: the gap is -0.0, still outside
+    assert measures._profile(np.array([-0.0, 0.0] * 8), 0.0, 1.0).tolist() \
+        == [0.0] * 16
+    assert measures._profile(np.array([0.0, -0.0] * 8), -1.0, -0.0).tolist() \
+        == [0.0] * 16
+
+
 @pytest.mark.parametrize("box", [measures.DEFAULT_BOX, THIN_BOX])
 def test_box_bump_is_the_profile_product(box):
     # the ray kernel's one exp equals px(x) * py(y), zero where they are
@@ -44,7 +58,8 @@ def test_box_bump_is_the_profile_product(box):
     y = np.concatenate([rng.uniform(y_lo - 0.1, y_hi + 0.1, 1_000_000),
                         [y_lo, 0.5 * (y_lo + y_hi), y_hi, y_hi]])
     px, py = measures._box_profiles(box)
-    want, got = px(x) * py(y), measures._box_bump(x, y, box)
+    want = px(x) * py(y)
+    got = measures._box_bump(x.copy(), y.copy(), box, np.empty_like(x))
     assert np.count_nonzero(want) > 500_000
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.max(np.abs(got - want)) <= 4e-15
@@ -203,10 +218,52 @@ def test_mu_T_lattice_meets_tol_1e9(lattice_bump):
     assert abs(s.value - _ray_reference(lattice_bump, 300.0)) < 1e-9
 
 
+def test_mu_T_lattice_ladder_runs_every_rung(lattice_bump):
+    # tol 1e-13 is below what the 100-node rung settles at T = 300: the
+    # 22/34 pass, then 60 and 100 nodes, and tol_met stays False.  n_nodes
+    # and est_error are those of the rung-by-rung passes before the 22- and
+    # 34-node rules shared one
+    s = mu_T(lattice_bump, 300.0, tol=1e-13)
+    assert s.route == "unfolded" and not s.tol_met
+    assert s.n_nodes == 276048 == (22 + 34 + 60 + 100) * 1278
+    assert abs(s.est_error - 6.691869280928131e-13) <= 1e-14
+    assert abs(s.value - _ray_reference(lattice_bump, 300.0)) < 1e-9
+
+
+@pytest.mark.parametrize("size", [3, 50])
+def test_mu_T_does_not_depend_on_the_row_chunks(lattice_bump, thin_bump,
+                                               size, monkeypatch):
+    # chunks of 3 and 50 rows split the row region inside c and leave
+    # chunks without spikes; the spikes are still summed in the same fixed
+    # blocks, so the results come out bitwise equal, well inside these bounds
+    cases = [(lattice_bump, T) for T in (300.0, -500.0, 1000.0)]
+    cases.append((thin_bump, 500.0))
+    want = [mu_T(psi, T) for psi, T in cases]
+    monkeypatch.setattr(groups, "ROW_CHUNK", size)
+    for (psi, T), w in zip(cases, want):
+        s = mu_T(psi, T)
+        assert s.n_nodes == w.n_nodes
+        assert abs(s.value - w.value) <= 1e-15 * abs(w.value)
+        assert abs(s.est_error - w.est_error) <= 1e-16
+
+
+def test_mu_T_of_a_ray_that_misses_every_translate_is_zero():
+    # a box 1e-4 high and 0.02 wide inside the thin domain meets neither a
+    # spike nor a crossing at these radii
+    psi = measures.make_thin_bump(box=(-0.01, 0.01, 1.3, 1.3001))
+    for T in (8.0, -8.0, 50.0):
+        s = mu_T(psi, T)
+        assert (s.value, s.n_nodes, s.tol_met) == (0.0, 0, True)
+
+
 def _uncovered(psi, T):
     """Points inside every gap, wider than 1e-14 relative, that the spikes
     and the translation intervals leave on the ray's u-range."""
-    (ua, ub, *_), (ta, tb, _) = measures._spikes(psi, T)
+    chunks = [measures._spikes(psi, T, *rows)
+              for rows in measures._window_rows(psi, T, psi.support[2])]
+    ua, ub = (np.concatenate([s[i] for s in chunks]) for i in (0, 1))
+    ta, tb = (np.concatenate([c[i] for c in measures._crossings(psi, T)])
+              for i in (0, 1))
     u_min, u_top = 1.0 / math.sqrt(T * T + 1.0), psi.support[3]
     lo = np.concatenate([ua, ta, [0.0, u_top]])
     hi = np.concatenate([ub, tb, [u_min, 2.0 * u_top]])
@@ -235,7 +292,8 @@ def test_spikes_tile_the_support(lattice_bump, thin_bump):
        c=st.integers(1, 400))
 def test_window_rows_match_the_gcd_loop(lattice_bump, T, c):
     y_lo = lattice_bump.support[2]
-    rows_c, rows_d, rows_ac = measures._window_rows(lattice_bump, T, y_lo)
+    rows_c, rows_d, rows_ac = (np.concatenate(v) for v in zip(
+        *measures._window_rows(lattice_bump, T, y_lo)))
     assert np.all(np.diff(rows_c) >= 0)
     peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
     want = []
@@ -259,7 +317,8 @@ def test_thin_window_rows_match_the_table_scan(thin_bump, T):
     want = [(c, d, a / c) for a, _, c, d in bottom_rows(THIN4, 2048).tolist()
             if 1 <= c <= int(peak) + 1 and (d < 0 if T > 0 else d > 0)
             and abs(d) <= int(peak / c) + 1]
-    got = zip(*(v.tolist() for v in measures._window_rows(thin_bump, T, y_lo)))
+    got = zip(*(np.concatenate(v).tolist()
+                for v in zip(*measures._window_rows(thin_bump, T, y_lo))))
     assert list(got) == want
 
 
@@ -490,6 +549,19 @@ def test_mu_T_strip_stays_small_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_mu_T_lattice_stays_small_in_memory(lattice_bump):
+    # the spikes are built and summed one row chunk at a time; building
+    # every spike at once traced a 56.7 MB peak at T = 3e4
+    mu_T(lattice_bump, 3e4)
+    tracemalloc.start()
+    try:
+        mu_T(lattice_bump, 3e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_mu_T_strip_raises_when_refinement_does_not_converge(

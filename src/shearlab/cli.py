@@ -174,20 +174,17 @@ def _cmd_count(ns) -> int:
         "count": "exact number of orbit points x0*gamma in the open ball",
         "saturated": "1 if the syllable walk closed within its budget",
     }
-    label_cols = []
-    if per_coset:
-        labels = sorted(res.breakdown, key=lambda lab: lab.entries)
-        for lab in labels:
-            tag = "coset_" + "_".join(str(v) for v in lab.entries)
-            label_cols.append((tag, lab))
-            columns[tag] = (f"orbit points in the congruence class "
-                            f"{lab.entries} mod {q}")
+    labels = list(res.breakdown) if per_coset else []  # in entry order
+    for lab in labels:
+        tag = "coset_" + "_".join(str(v) for v in lab.entries)
+        header.append(tag)
+        columns[tag] = (f"orbit points in the congruence class "
+                        f"{lab.entries} mod {q}")
     rows = []
     for i, t in enumerate(res.t_list):
         row = [t, res.counts[i], res.saturated[i]]
-        row += [res.breakdown[lab][i] for _, lab in label_cols]
+        row += [res.breakdown[lab][i] for lab in labels]
         rows.append(row)
-    header += [tag for tag, _ in label_cols]
 
     _write_csv(ns.out, header, rows)
     partial = not all(res.saturated)

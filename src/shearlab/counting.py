@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import FormVector
 from .groups import (CosetLabel, GroupSpec, WordBudget, check_level,
-                     coset_space)
+                     coset_space, label_codes, label_entries)
 
 
 class InsufficientDataError(ValueError):
@@ -76,7 +76,7 @@ class CountResult:
     wall_time: float
     x0_norm: float = 1.0
     q: Optional[int] = None
-    breakdown: Optional[dict] = None  # CosetLabel -> per-T counts
+    breakdown: Optional[dict] = None  # CosetLabel -> per-T counts, code order
     search_nodes: int = 0  # group elements the walk collected
     search_depth: int = 0  # syllable layers the walk reached
 
@@ -100,14 +100,6 @@ _WIDE_GATE = 3.0  # gate radius over the largest ball's when D > 1
 _OUT = np.array([[1], [-1]])  # the outward step at a run's hi end and lo end
 _S_SIGN = np.array([[1], [-1], [1]])  # (p, q, r) S = (r, -q, p)
 _ZS_SIGN = np.array([[1], [-1], [1], [-1]])  # z S = (b, -a, d, -c)
-
-
-def label_codes(elements: np.ndarray, q: int) -> np.ndarray:
-    """Base-q code of CosetLabel.of(g, q).entries for each row g of an
-    (n, 4) int array: the smaller of the codes of g mod q and -g mod q,
-    which is the lexicographically smaller entry tuple."""
-    weights = np.array([q ** 3, q ** 2, q, 1], dtype=np.int64)
-    return np.minimum((elements % q) @ weights, ((-elements) % q) @ weights)
 
 
 def _stabilizer(vec, first, later):
@@ -502,10 +494,21 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     integer thresholds ceil(t) - 1 (or ceil(t * t) - 1), so each test is
     the exact integer form of key < t (or < t * t), and the cumulative
     bucket counts count every radius.  Per-coset counts bucket by label
-    and key together.  Entries that do not fit int64 raise OverflowError,
-    and so do walk vectors with an entry past 2^20.
+    code (one searchsorted in coset_space) and key together; the
+    breakdown lists every label of the image in code order, and a
+    coset_filter that is none of them raises ValueError.  Entries that do
+    not fit int64 raise OverflowError, and so do walk vectors with an
+    entry past 2^20.
     """
     t0 = time.perf_counter()
+    q, f = query.q, query.coset_filter
+    if q is not None:
+        space = coset_space(query.spec, q)
+        entries = zip(*label_entries(space, q).T.tolist())
+        labels = [CosetLabel(q, e) for e in entries]
+        if f is not None and (type(f) is not CosetLabel or f not in labels):
+            raise ValueError(f"coset_filter {f!r} is not a label of "
+                             f"{query.spec.name} at level {q}")
     x0n = query.x0.sup_norm() if query.norm == "sup" else query.x0.euclid_norm()
     x0 = tuple(int(v) for v in query.x0.entries())
     wide = x0[1] * x0[1] - 4 * x0[0] * x0[2] > 1
@@ -513,7 +516,7 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     sup = query.norm == "sup"
     gate = math.ceil(gate_r if sup else gate_r * gate_r) - 1  # key <= gate
     keys, codes, saturated, nodes, depth = _Walk(
-        x0, query.spec.omega, gate, sup, query.budget, query.q).walk()
+        x0, query.spec.omega, gate, sup, query.budget, q).walk()
     thresholds = np.array(
         [min(max(math.ceil(t if sup else t * t) - 1, -1), _INT64_MAX)
          for t in query.t_list], dtype=np.int64)
@@ -522,23 +525,19 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     bucket = np.searchsorted(thresholds, keys)
     width = len(thresholds) + 1
     breakdown = None
-    if query.q is None:
+    if q is None:
         counts = np.cumsum(np.bincount(bucket, minlength=width))[:-1]
     else:
-        labels = sorted(coset_space(query.spec, query.q),
-                        key=lambda lab: lab.entries)
-        label_code = label_codes(np.array([lab.entries for lab in labels],
-                                          dtype=np.int64), query.q)
-        cell = np.searchsorted(label_code, codes) * width + bucket
-        table = np.cumsum(np.bincount(cell, minlength=len(labels) * width)
-                          .reshape(len(labels), width), axis=1)[:, :-1]
-        if query.coset_filter is not None:
-            table[[lab != query.coset_filter for lab in labels]] = 0
+        cell = np.searchsorted(space, codes) * width + bucket
+        table = np.cumsum(np.bincount(cell, minlength=len(space) * width)
+                          .reshape(len(space), width), axis=1)[:, :-1]
+        if f is not None:
+            table[np.arange(len(space)) != labels.index(f)] = 0
         counts = table.sum(axis=0)
-        breakdown = {lab: tuple(row) for lab, row in zip(labels, table.tolist())}
+        breakdown = dict(zip(labels, zip(*table.T.tolist())))
     return CountResult(query.t_list, tuple(int(n) for n in counts),
                        tuple(saturated for _ in query.t_list),
-                       time.perf_counter() - t0, x0n, query.q, breakdown,
+                       time.perf_counter() - t0, x0n, q, breakdown,
                        nodes, depth)
 
 
@@ -644,28 +643,29 @@ def fit_counting_law(result: CountResult, model: str) -> FitResult:
 
 # -- congruence coset statistics ---------------------------------------------
 
-def coset_disparity(result: CountResult) -> float:
-    """Largest per-coset count divided by the mean over the whole coset
-    space (empty cosets included) at the largest saturated radius."""
-    if result.breakdown is None:
-        raise ValueError("result has no coset breakdown; set q in the query")
-    i = result.largest_saturated_index()
-    vals = [cs[i] for cs in result.breakdown.values()]
-    mean = sum(vals) / len(vals)
-    if mean == 0:
-        return 1.0 if max(vals) == 0 else math.inf
-    return max(vals) / mean
-
-
-def identity_coset_factor(result: CountResult) -> float:
-    """Identity-coset count over the coset-space mean at the largest
-    saturated radius."""
+def _over_mean(result: CountResult, label=None) -> float:
+    """The count of the coset label(q), or the largest count when label is
+    None, over the mean over the whole coset space (empty cosets
+    included), at the largest saturated radius."""
     if result.breakdown is None or result.q is None:
         raise ValueError("result has no coset breakdown; set q in the query")
     i = result.largest_saturated_index()
     vals = [cs[i] for cs in result.breakdown.values()]
+    n = max(vals) if label is None else result.breakdown[label(result.q)][i]
     mean = sum(vals) / len(vals)
-    ident = result.breakdown[CosetLabel.identity(result.q)][i]
     if mean == 0:
-        return 1.0 if ident == 0 else math.inf
-    return ident / mean
+        return 1.0 if n == 0 else math.inf
+    return n / mean
+
+
+def coset_disparity(result: CountResult) -> float:
+    """Largest per-coset count over the coset-space mean (_over_mean)."""
+    return _over_mean(result)
+
+
+def identity_coset_factor(result: CountResult) -> float:
+    """Identity-coset count over the coset-space mean (_over_mean)."""
+    def identity(q):
+        code = label_codes(np.array([[1, 0, 0, 1]]), q)
+        return CosetLabel(q, tuple(label_entries(code, q)[0].tolist()))
+    return _over_mean(result, identity)

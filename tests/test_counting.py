@@ -11,9 +11,11 @@ from shearlab.algebra import INT_S, FormVector, IntGroupElement
 from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                OrbitQuery, StabilizerError, coset_disparity,
                                count_orbit, fit_counting_law,
-                               identity_coset_factor, label_codes)
+                               identity_coset_factor)
 from shearlab.counting import _element, _Walk
-from shearlab.groups import PSL2Z, THIN4, CosetLabel, GroupSpec, WordBudget
+from shearlab.groups import (PSL2Z, THIN4, CosetLabel, GroupSpec, WordBudget,
+                             label_codes)
+from coset_oracle import label_of
 from divisor_count import quadric_counts
 from word_search import SearchBudgetExceeded, enumerate_words
 
@@ -305,7 +307,7 @@ def scan_counts(pts, t_list, norm):
 def scan_breakdown(pts, g, t_list, norm, q):
     rows = {}
     for i, row in enumerate(g.tolist()):
-        rows.setdefault(CosetLabel.of(IntGroupElement(*row), q), []).append(i)
+        rows.setdefault(label_of(IntGroupElement(*row), q), []).append(i)
     return {lab: scan_counts(pts[sel], t_list, norm)
             for lab, sel in rows.items()}
 
@@ -450,7 +452,7 @@ def word_search_counts(spec, x0, t_list, norm, q, factor=3.0):
     counts = tuple(sum(key(v) < b for v in seen) for b in bound)
     breakdown = {}
     for v, g in seen.items():
-        lab = CosetLabel.of(IntGroupElement(*g), q)
+        lab = label_of(IntGroupElement(*g), q)
         cs = breakdown.setdefault(lab, [0] * len(t_list))
         for i, b in enumerate(bound):
             cs[i] += key(v) < b
@@ -549,7 +551,8 @@ def test_theta_walk_counts_are_the_psl2z_i_and_s_cosets():
     t_list = (50.0, 100.0, 200.0, 400.0, 3000.0)
     theta = count_orbit(OrbitQuery(GroupSpec("theta", 2), X0, t_list))
     full = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=2)).breakdown
-    two = [full[CosetLabel.identity(2)], full[CosetLabel.of(INT_S, 2)]]
+    two = [full[label_of(IntGroupElement.identity(), 2)],
+           full[label_of(INT_S, 2)]]
     assert all(theta.saturated)
     assert theta.counts == tuple(map(sum, zip(*two)))
     assert theta.counts == (346, 794, 1794, 3930, 37986)
@@ -557,12 +560,22 @@ def test_theta_walk_counts_are_the_psl2z_i_and_s_cosets():
 
 def test_coset_filter_keeps_one_label():
     full = count_orbit(OrbitQuery(THIN4, X0, (40.0, 80.0), q=3))
-    ident = CosetLabel.identity(3)
+    ident = label_of(IntGroupElement.identity(), 3)
     one = count_orbit(OrbitQuery(THIN4, X0, (40.0, 80.0), q=3,
                                  coset_filter=ident))
     assert one.counts == full.breakdown[ident]
     assert one.breakdown[ident] == full.breakdown[ident]
     assert all(not any(cs) for lab, cs in one.breakdown.items() if lab != ident)
+
+
+def test_coset_filter_outside_the_image_raises():
+    # another level, a tuple that is no label of the image (det 0) and a
+    # bare tuple would each select nothing and count 0
+    for bad in (CosetLabel(5, (1, 0, 0, 1)), CosetLabel(3, (2, 2, 2, 2)),
+                (1, 0, 0, 1)):
+        query = OrbitQuery(PSL2Z, X0, (10.0, 20.0), q=3, coset_filter=bad)
+        with pytest.raises(ValueError, match="not a label"):
+            count_orbit(query)
 
 
 words = st.lists(st.integers(-40, 40), min_size=1, max_size=8)
@@ -577,7 +590,7 @@ def test_label_codes_match_coset_label(exps, q, negate):
     row = np.array([g.entries()], dtype=np.int64)
     code = int(label_codes(-row if negate else row, q)[0])
     digits = tuple((code // q ** k) % q for k in (3, 2, 1, 0))
-    assert digits == CosetLabel.of(g, q).entries
+    assert digits == label_of(g, q).entries
 
 
 # -- growth-law fitting ------------------------------------------------------
@@ -815,8 +828,10 @@ def test_query_rejects_an_empty_radius_list():
 def test_query_rejects_levels_past_the_coset_ceiling():
     # |PSL2(Z/40000)| is about 4.6e13; the query refuses it in closed form
     # instead of enumerating the labels when the count starts
+    # a level must be an int: True would count at level 1 and 3.0 give
+    # float entries
     t0 = time.perf_counter()
-    for q in (0, 127, 40000):
+    for q in (0, 127, 40000, True, 3.0, "3", 2.5, np.int64(3)):
         with pytest.raises(ValueError):
             OrbitQuery(PSL2Z, X0, (4.0,), q=q)
     assert time.perf_counter() - t0 < 1.0

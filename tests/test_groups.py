@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from shearlab import groups
 from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
 from shearlab.groups import (MAX_COSETS, PSL2Z, THIN4, BudgetExceeded,
-                             CosetLabel, Cusp, GroupSpec, WordBudget,
-                             bottom_rows, check_level, coset_row_chunks,
-                             coset_rows, coset_space, psl2_order, reduce_points,
+                             Cusp, GroupSpec, WordBudget, bottom_rows,
+                             check_level, coset_row_chunks, coset_rows,
+                             coset_space, label_codes, label_entries,
+                             psl2_order, reduce_points,
                              reduce_to_fundamental_domain)
+from coset_oracle import coset_closure
 from word_search import SearchBudgetExceeded, enumerate_words
 
 # -- specs -------------------------------------------------------------------
@@ -258,9 +260,25 @@ def test_reduce_points_raises_rather_than_return_unreduced(x, y):
 
 
 def test_coset_label_kills_sign():
-    g = IntGroupElement(1, 2, 0, 1)
-    minus = IntGroupElement(-1, -2, 0, -1)  # canonicalized on construction
-    assert CosetLabel.of(g, 3) == CosetLabel.of(minus, 3)
+    # g and -g are one element of PSL2, so they get one code at every level
+    g = np.array([[1, 2, 0, 1], [-1, -2, 0, -1],
+                  [4, 7, 5, 9], [-4, -7, -5, -9]])
+    for q in range(1, 12):
+        codes = label_codes(g, q)
+        assert codes[0] == codes[1] and codes[2] == codes[3], q
+
+
+@pytest.mark.parametrize("spec", [PSL2Z, THIN4, GroupSpec("theta", 2),
+                                  GroupSpec("w3", 3)])
+def test_coset_space_codes_match_the_object_closure(spec):
+    for q in range(1, 25):
+        space = coset_space(spec, q)
+        assert space.dtype == np.int64 and not space.flags.writeable
+        digits = np.stack([space // q ** k % q for k in (3, 2, 1, 0)], axis=1)
+        assert (label_entries(space, q) == digits).all()
+        # sorted codes are the labels' entries in lexicographic order
+        assert [tuple(e) for e in digits.tolist()] == sorted(
+            lab.entries for lab in coset_closure(spec, q)), q
 
 
 def test_coset_space_sizes():
@@ -295,6 +313,12 @@ def test_coset_space_refuses_levels_past_its_ceiling():
             check_level(q)
     assert time.perf_counter() - t0 < 1.0
     check_level(126)
+    # a level that is no int is refused, also where the cache holds the
+    # int it equals (True == 1, 3.0 == 3)
+    coset_space(PSL2Z, 1), coset_space(PSL2Z, 3)
+    for q in (True, 3.0, "3", 2.5):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            coset_space(PSL2Z, q)
 
 
 # -- bottom rows -------------------------------------------------------------

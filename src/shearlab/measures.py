@@ -561,8 +561,8 @@ def _strip_rows(psi: TestFunction, T: float):
 
 
 def _strip_panels(psi: TestFunction, T: float):
-    """y-panels (p, q, c, d, top, capped) over which each row's x-window
-    in the box is smooth, as arrays in row order.
+    """y-panels (p, q, c, d, top, capped, full) over which each row's
+    x-window in the box is smooth, as arrays in row order.
 
     Row (c, d) counts where Im(g z) > 1/T, on the horoball disc
     |x + d/c|^2 + (y - top/2)^2 < (top/2)^2, top = T/c^2.  Its window
@@ -570,7 +570,8 @@ def _strip_panels(psi: TestFunction, T: float):
     c^2 y^2 - T y + (c x_e + d)^2 = 0, which cut [y_lo, min(y_hi, top)]
     into panels; a panel whose window misses the box is dropped.  capped
     marks the panel ending at the disc top, where the window closes like
-    sqrt(top - y).
+    sqrt(top - y); full marks the panels whose window covers the box's
+    whole x-range, and no capped one does.
     """
     x_lo, x_hi, y_lo, y_hi = psi.support
     c, d = (v.astype(float) for v in _strip_rows(psi, T))
@@ -593,71 +594,97 @@ def _strip_panels(psi: TestFunction, T: float):
     m = 0.5 * (p + q)
     s = np.sqrt(np.maximum(m * (top - m), 0.0))
     keep = (q > p) & (-d / c - s < x_hi) & (-d / c + s > x_lo)
-    p, q, c, d, top = (v[keep] for v in (p, q, c, d, top))
-    return p, q, c, d, top, q == top
+    p, q, c, d, top, s = (v[keep] for v in (p, q, c, d, top, s))
+    capped = q == top
+    full = (-d / c - s <= x_lo) & (-d / c + s >= x_hi) & ~capped
+    return p, q, c, d, top, capped, full
+
+
+# (ny, nx) Gauss-Legendre nodes per panel on each rung of the strip ladder.
+# Against 128 x 128 nodes at T = 10 to 3000 the x-rule sets the error: 3e-6
+# to 6e-6 at nx = 16, 2e-7 to 5e-7 at 24, 6e-10 to 1.4e-9 at 40 and 8e-11
+# to 1.8e-10 at 48, while ny = nx + 8 keeps the y error a seventh of it or
+# less.  (48, 40) and (56, 48) differ by 9e-10 at T = 100 and 1.9e-9 at
+# T = 1e5, so tol 1e-8 stops on (56, 48) at every T up to there; after
+# (40, 32) instead it took one rung more from T = 3e4 on
+_STRIP_RUNGS = ((24, 16), (32, 24), (48, 40), (56, 48), (72, 64), (104, 96))
 
 
 def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
     x_lo, x_hi, y_lo, y_hi = psi.support
     px, py = psi.profiles
-    panels = _strip_panels(psi, T)
-    n_panels = len(panels[0])
+    p, q, c, d, top, capped, full = _strip_panels(psi, T)
+    # the translate carries Im(g z) / y^2 = 1 / (y |cz + d|^2), with
+    # |cz + d|^2 = c^2 ((x - x0)^2 + y^2) about the window's centre x0
+    x0, c2 = -d / c, c * c
+    fulls = [v[full, None] for v in (p, q - p, x0, c2)]
+    parts = [v[~full, None] for v in (p, q, x0, c2, top, capped)]
     # identity translate: its height is y itself, cut at 1/T
     y_id = max(y_lo, 1.0 / T)
 
-    def run(ny):
+    def run(rung):
+        ny, nx = rung
         yg, wy = gl_nodes(ny)
-        xg, wx = gl_nodes(ny // 2)
+        xg, wx = gl_nodes(nx)
         half = 0.5 * (x_hi - x_lo)
-        ix = half * float(wx @ px(x_lo + half * (1.0 + xg)))
+        # a full panel's x-nodes are the box's, so px and the x-weights
+        # make one fixed vector per rung
+        xb = x_lo + half * (1.0 + xg)
+        wpx = half * wx * px(xb)
         total = 0.0
         if y_hi > y_id:
             hy = 0.5 * (y_hi - y_id)
             ym = y_id + hy * (1.0 + yg)
-            total = ix * hy * float(wy @ (py(ym) / ym))
-        # the capped panel maps by y = q - (q - p) u^2, u in [0, 1], so
-        # its window sqrt(y (q - p)) u closes smoothly
+            total = float(wpx.sum()) * hy * float(wy @ (py(ym) / ym))
         u, wu = 0.5 * (1.0 + yg), 0.5 * wy
-        step = max(1, (1 << 16) // (ny * len(xg)))     # panels per sum
-        # evaluated _BLOCK nodes at a time in reused buffers, as in mu_T
-        piece = max(1, _BLOCK // len(xg))              # y-nodes per piece
-        buf = np.empty(step * ny)
-        X, D, tmp = np.empty((3, piece, len(xg)))
-        for lo in range(0, n_panels, step):
-            p, q, c, d, top, capped = (v[lo:lo + step, None] for v in panels)
+        # panels per piece, whose nodes are evaluated in reused buffers
+        step = max(1, (1 << 15) // (ny * nx))
+        X, D, tmp = np.empty((3, step * ny * nx))
+        # full panels: a node is wpx over (x - x0)^2 + y^2, whose first
+        # term is fixed per panel
+        for lo in range(0, len(fulls[0]), step):
+            p, w, x0, c2 = (v[lo:lo + step] for v in fulls)
+            y = p + w * u
+            # each y-node's weight is dy and py / c^2 y
+            wyn = w * wu * py(y) / (c2 * y)
+            Ds = D[:y.size * nx].reshape(len(y), ny, nx)
+            np.add(((xb - x0) ** 2)[:, None, :], (y * y)[:, :, None], out=Ds)
+            np.divide(1.0, Ds, out=Ds)
+            total += float(wyn.ravel() @ (Ds.reshape(-1, nx) @ wpx))
+        # partial panels: the capped one maps by y = q - (q - p) u^2, u in
+        # [0, 1], so its window sqrt(y (q - p)) u closes smoothly.  Nodes
+        # are (x-node, y-node) arrays, so per-y-node factors broadcast
+        # along rows
+        xg = xg[:, None]
+        for lo in range(0, len(parts[0]), step):
+            p, q, x0, c2, top, capped = (v[lo:lo + step] for v in parts)
             w = q - p
             y = np.where(capped, q - w * u * u, p + w * u)
             s = np.sqrt(y * np.where(capped, w * u * u, top - y))
-            a = np.maximum(-d / c - s, x_lo)
-            hx = 0.5 * (np.minimum(-d / c + s, x_hi) - a)
-            # the translate carries Im(g z) / y^2 = 1 / (y |cz + d|^2); each
-            # y-node's weight is dy, the window's half-width and py / y
-            wyn = np.where(capped, 2.0 * w * u, w) * wu * hx * py(y) / y
-            mid, hx, y = (v.ravel() for v in (a + hx, hx, y))
-            c, d = (np.repeat(v, ny) for v in (c, d))
-            for k in range(0, len(y), piece):
-                sl = slice(k, min(k + piece, len(y)))
-                Xs, Ds, ts = (v[:sl.stop - k] for v in (X, D, tmp))
-                np.multiply(hx[sl, None], xg, out=Xs)
-                Xs += mid[sl, None]
-                # the x-integrand px(X) / |c z + d|^2 in place, px being
-                # the bump on the box's x-side
-                np.multiply(c[sl, None], Xs, out=Ds)
-                Ds += d[sl, None]
-                Ds *= Ds
-                cy = c[sl] * y[sl]
-                Ds += (cy * cy)[:, None]
-                with np.errstate(divide="ignore", over="ignore"):
-                    _bump_in_place(Xs, x_lo, x_hi, ts)
-                Xs /= Ds
-                buf[sl] = Xs @ wx
-            total += float(wyn.ravel() @ buf[:len(y)])
+            a = np.maximum(x0 - s, x_lo)
+            hx = 0.5 * (np.minimum(x0 + s, x_hi) - a)
+            mid = a + hx
+            # and on these the window's half-width too
+            wyn = np.where(capped, 2.0 * w * u, w) * wu * hx * py(y) / (c2 * y)
+            Xs, Ds, ts = (v[:y.size * nx].reshape(nx, y.size)
+                          for v in (X, D, tmp))
+            np.multiply(xg, hx.ravel(), out=Ds)
+            np.add(Ds, mid.ravel(), out=Xs)
+            Ds += (mid - x0).ravel()
+            Ds *= Ds
+            Ds += (y * y).ravel()
+            # px at the window's nodes in place, px being the bump on the
+            # box's x-side
+            with np.errstate(divide="ignore", over="ignore"):
+                _bump_in_place(Xs, x_lo, x_hi, ts)
+            Xs /= Ds
+            total += float(wyn.ravel() @ (wx @ Xs))
         return total / psi.omega
 
-    # every panel's integrand is smooth, so Gauss-Legendre converges fast:
-    # 96 nodes land within 2e-10 of the fixed-grid references and 128
-    # within 2e-12, and refinement is the error handle
-    val, err, ok = refine(run, (32, 48, 64, 96, 128, 192), abs_tol=tol)
+    # every panel's integrand is smooth, so Gauss-Legendre converges fast,
+    # and refinement is the error handle: at tol 1e-8 the fixed-grid
+    # references are met within 1.3e-10
+    val, err, ok = refine(run, _STRIP_RUNGS, abs_tol=tol)
     if not ok:
         raise InsufficientConvergenceError(
             f"strip measure at T = {T:g}: the last two grids differ by "

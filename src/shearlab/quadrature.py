@@ -70,6 +70,15 @@ def _panel_eval(f, lo: np.ndarray, hi: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
+def _seed_edges(a: float, b: float, seeds) -> np.ndarray:
+    """a, b and the seeds clipped to [a, b], sorted and without repeats:
+    np.unique's result by a sort and a mask of neighbours that differ,
+    since numpy 2.4's np.unique imports numpy.ma, about 20 ms, on its
+    first call in a process."""
+    edges = np.sort(np.clip(np.concatenate([[a, b], seeds]), a, b))
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+
+
 def adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
              rel_tol: float = 1e-10, initial_edges=None,
              max_panels: int = 20000) -> QuadResult:
@@ -84,8 +93,7 @@ def adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
     stop once toterr <= tol, or when the panel count reaches max_panels;
     converged reports whether the first of these held.
     """
-    seeds = [] if initial_edges is None else initial_edges
-    edges = np.unique(np.clip(np.concatenate([[a, b], seeds]), a, b))
+    edges = _seed_edges(a, b, [] if initial_edges is None else initial_edges)
     lo, hi = edges[:-1], edges[1:].copy()   # hi is split in place below
     vals, errs = _panel_eval(f, lo, hi)
     n_evals = 15 * len(lo)

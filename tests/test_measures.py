@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +538,61 @@ def test_mu_T_strip_meets_the_fixed_grid_values(lattice_bump, thin_bump,
     # and 7.1e-8
     psi = lattice_bump if mode == "lattice" else thin_bump
     assert mu_T_strip(psi, T, 1e-8) == pytest.approx(ref, rel=0.0, abs=1e-9)
+
+
+def test_mu_T_strip_meets_every_fixed_grid_value(lattice_bump, thin_bump):
+    # the 35 lattice and 3 thin references of perfbench/refs.json; the
+    # ladder's last rung has 48 x-nodes, whose error, 1.2e-10 at T = 100,
+    # sets how close they come
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "refs.json").read_text())
+    for psi, table, n in ((lattice_bump, "lattice_strip", 35),
+                          (thin_bump, "thin_strip", 3)):
+        assert len(refs[table]) == n
+        for T, (ref, _) in refs[table].items():
+            assert mu_T_strip(psi, float(T), 1e-8) == pytest.approx(
+                ref, rel=0.0, abs=1.5e-10), (table, T)
+
+
+def _strip_rung_values(psi, T, monkeypatch):
+    """The strip sum on every rung of the ladder, whatever the tol."""
+    runs = []
+
+    def every_rung(run, sizes, **tol):
+        runs.extend(run(n) for n in sizes)
+        return runs[-1], 0.0, True
+
+    with monkeypatch.context() as m:
+        m.setattr(measures, "refine", every_rung)
+        measures._strip_unfolded(psi, T, 1e-8)
+    return np.array(runs)
+
+
+@pytest.mark.parametrize("T", [10.0, 100.0, 1000.0,
+                               pytest.param(None, id="no-full-panel")])
+def test_strip_full_windows_match_the_window_loop(lattice_bump, thin_bump,
+                                                  T, monkeypatch):
+    # panels whose window covers the box's x-range take the box's own
+    # x-nodes and a fixed px vector; through the window loop instead, the
+    # same nodes and weights give every rung within 1e-13 relative.  At
+    # T just above y_lo every window is narrower than the box
+    panels = measures._strip_panels
+
+    def no_full(psi, T):
+        *rest, full = panels(psi, T)
+        return (*rest, np.zeros_like(full))
+
+    width3 = measures._reduced_bump(THIN_BOX, "w3_bump", GroupSpec("w3", 3))
+    for psi in (lattice_bump, thin_bump, width3):
+        t = psi.support[2] + 0.05 if T is None else T
+        full = panels(psi, t)[-1]
+        assert len(full) and (full.any() if T else not full.any())
+        split = _strip_rung_values(psi, t, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_strip_panels", no_full)
+            loop = _strip_rung_values(psi, t, monkeypatch)
+        assert len(split) == len(measures._STRIP_RUNGS)
+        np.testing.assert_allclose(split, loop, rtol=1e-13, atol=0.0)
 
 
 def test_mu_T_strip_stays_small_in_memory():

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearlab import modforms
+from shearlab import modforms, quadrature
 from shearlab.quadrature import (InsufficientConvergenceError, adaptive,
                                  gl_nodes, integrate_fd, refine)
 
@@ -53,6 +57,35 @@ def test_adaptive_splits_seed_panels_without_overlap():
                    initial_edges=np.linspace(0.0, 1.0, 5))
     assert res.converged
     assert abs(res.value - (0.25 ** 1.5 + 0.75 ** 1.5) / 1.5) < 1e-12
+
+
+@pytest.mark.parametrize("seeds", [
+    [0.5, 0.25, 0.5, 0.25, 0.75, 0.5],          # repeats
+    [0.0, 1.0, 0.3, 0.0, 1.0],                  # seeds at a and b
+    [1.7, -0.3, 0.6, 0.2, 0.6, -2.0, 0.9],      # unsorted, some outside
+    [],
+    np.round(np.random.default_rng(5).uniform(-0.2, 1.2, 400), 2),
+])
+def test_seed_edges_are_np_unique_bit_for_bit(seeds):
+    got = quadrature._seed_edges(0.0, 1.0, seeds)
+    want = np.unique(np.clip(np.concatenate([[0.0, 1.0], seeds]), 0.0, 1.0))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_adaptive_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, about 20 ms of every
+    # process that integrates adaptively
+    code = ("import sys, numpy as np\n"
+            "from shearlab.quadrature import adaptive\n"
+            "adaptive(np.exp, 0.0, 1.0, initial_edges=[0.5, 0.25, 0.5])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(quadrature.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_adaptive_reports_nonconvergence():

@@ -62,6 +62,12 @@ class QExpansion:
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("normalization requires a(1) = 1")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        # every lru_cache keyed on f hashes it per call: hash the 4,000
+        # big-integer coefficients once here, not there
+        object.__setattr__(self, "_hash", hash((self.weight, self.coeffs)))
+
+    def __hash__(self):
+        return self._hash
 
     def a(self, n: int):
         return self.coeffs[n - 1]
@@ -124,22 +130,28 @@ def delta_qexp(n: int) -> QExpansion:
     return QExpansion(12, _tau_tuple(n))
 
 
+def _term_count(f: QExpansion, y: float) -> int:
+    """Terms of f's q-series the tail bound keeps at heights y and above:
+    the first n whose next term is below 1e-18.  Raises ValueError when
+    f has fewer coefficients than that."""
+    qmax = math.exp(-2.0 * math.pi * y)
+    bound = 1.0
+    for n in range(1, len(f.coeffs) + 1):
+        bound *= qmax
+        # a(m) <= m^(weight/2 + 1) comfortably covers the Deligne range
+        if (n + 1.0) ** (0.5 * f.weight + 1.0) * bound * qmax < 1e-18:
+            return n
+    raise ValueError(f"{len(f.coeffs)} coefficients do not reach the "
+                     f"tail bound at y = {y:.3g}")
+
+
 def _qexp_eval(f: QExpansion, x, y):
     """sum a(n) e(n z) on arrays of points by Horner's rule in place, the
     term count fixed by the tail bound at the smallest y; raises
     ValueError when f has fewer coefficients than the bound needs."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    qmax = math.exp(-2.0 * math.pi * float(np.min(y)))
-    bound = 1.0
-    for n in range(1, len(f.coeffs) + 1):
-        bound *= qmax
-        # a(m) <= m^(weight/2 + 1) comfortably covers the Deligne range
-        if (n + 1.0) ** (0.5 * f.weight + 1.0) * bound * qmax < 1e-18:
-            break
-    else:
-        raise ValueError(f"{len(f.coeffs)} coefficients do not reach the "
-                         f"tail bound at y = {float(np.min(y)):.3g}")
+    n = _term_count(f, float(np.min(y)))
     q = np.exp(2j * math.pi * (x + 1j * y))
     total = np.full(q.shape, float(f.coeffs[n - 1]), dtype=complex)
     for a in reversed(f.coeffs[:n - 1]):
@@ -358,6 +370,64 @@ def weight_W(k: int, s, t: float) -> complex:
 # -- the second moment along the sheared ray ---------------------------------
 
 
+# height from which the moment is summed termwise on the ray, in closed
+# form; below it the ray meets the cusps and is integrated adaptively
+_SPLIT = 0.2
+# seed panels one moment may lay below _SPLIT, 3.64 T of them: this
+# admits T up to 5.75e5, where the pass peaks at 873 MB in 34 s (about
+# 1.47 KB per unit of T past the 31 MB import)
+MAX_SEED_PANELS = 1 << 21
+
+
+@lru_cache(maxsize=8)
+def _ray_pairs(f: QExpansion, a: float):
+    """The pairs m <= n <= N of the closed form from height a on, N the
+    tail bound's term count there: the weights w = a(m) a(n), doubled off
+    the diagonal, m + n and m - n as floats, and the sums of |w| over the
+    pairs with m + n = 2, 3, ..., 2N."""
+    n = _term_count(f, a)
+    i, j = np.triu_indices(n)
+    c = np.array(f.coeffs[:n], dtype=float)
+    w = c[i] * c[j] * np.where(i == j, 1.0, 2.0)
+    s = i + j + 2
+    return (w, s.astype(float), (i - j).astype(float),
+            np.bincount(s, np.abs(w))[2:])
+
+
+def _ray_tail(f: QExpansion, t: float, b: float):
+    """int_b^inf |f(Ty + iy)|^2 y^K dy for b >= _SPLIT, K = k - 1, in
+    closed form, and a bound on its rounding error.
+
+    Each pair m <= n of the q-series adds w Re J(lambda), where lambda =
+    2 pi((m + n) - i(m - n)T) and J(lambda) = int_b^inf e^(-lambda y)
+    y^K dy = e^(-lambda b) sum_{j<=K} K!/(K-j)! b^(K-j) lambda^-(j+1),
+    summed by Horner's rule in 1/lambda.
+
+    The sum's coefficients are positive and |1/lambda| <= x =
+    1/(2 pi (m + n)), so a pair's terms are at most |w| e^(-b/x) x P(x),
+    P the Horner polynomial.  Rounding moves them by (4K + 24) eps of
+    that at most: K complex Horner steps and the final sum.  The phase
+    b Im(lambda) is rounded by eps b |lambda|, which moves the pair by at
+    most eps b |w| e^(-b/x) P(x).  So the bound does not grow with T.
+    """
+    w, s, d, w_abs = _ray_pairs(f, _SPLIT)
+    big_k = f.weight - 1
+    coef = [math.perm(big_k, j) * b ** (big_k - j) for j in range(big_k + 1)]
+    lam = (2.0 * math.pi) * (s - 1j * t * d)
+    r = 1.0 / lam
+    x = 1.0 / (2.0 * math.pi * np.arange(2.0, len(w_abs) + 2.0))
+    acc = np.full(lam.shape, coef[-1], dtype=complex)
+    size = np.full(x.shape, coef[-1])
+    for c in reversed(coef[:-1]):
+        acc *= r
+        acc += c
+        size *= x
+        size += c
+    acc *= r * np.exp(-b * lam)
+    size *= w_abs * np.exp(-b / x) * ((4.0 * big_k + 24.0) * x + b)
+    return float(w @ acc.real), float(np.finfo(float).eps * size.sum())
+
+
 def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
     """integral over 0 < y of |f(Ty + iy)|^2 y^k dy/y.
 
@@ -365,47 +435,69 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
     x -> -x brings that back onto the ray.  Psi_f is invariant under
     both (under x -> -x because the coefficients are real), and y -> y'
     keeps dy/y and fixes the apex u0 = 1/sqrt(T^2+1).  So the halves
-    below and above u0 are equal and the moment is 2 int_{u0}^{5}; the
-    tail beyond y = 5 is below 1e-20.
+    below and above u0 are equal and the moment is 2 int_{u0}^inf.
 
-    Up to y = 2 the panels are seeded at the period crossings
-    y = (n + 1/2)/T, where Ty passes a half-integer, and geometrically
-    above.  Below y = 1 the ray crosses the edges of the domain's
-    translates, the Farey arcs between neighbours p/q and r/s, of radius
-    1/(2qs): at height y a period meets the arcs with qs < 1/(2y), about
-    (3/pi^2) log(1/y) / y of them.  So a period that starts at height
-    y < 1 is split into ceil(1/y) equal panels, at most 64.  On twelve
-    radii from 20 to 3000 this cut the evaluations from 1.30 M to 0.91 M;
-    ceil(a/y) took 1.05, 1.06, 1.04 and 1.25 M at a = 0.5, 0.7, 1.4 and
-    2.  An unconverged pass raises InsufficientConvergenceError.
+    From a = _SPLIT up (from u0 up when u0 >= a, T <= 4.9), the
+    q-series converges on the ray itself, and _ray_tail sums the integral
+    termwise over the pairs of the terms the tail bound keeps at a: 55 at
+    a = 0.2.  Its rounding bound, at most 4e-14 of the moment, raises
+    InsufficientConvergenceError when it exceeds tol times the moment.
+
+    Below a the panels are seeded at the period crossings y =
+    (n + 1/2)/T, where Ty passes a half-integer.  There the ray crosses
+    the edges of the domain's translates, the Farey arcs between
+    neighbours p/q and r/s, of radius 1/(2qs): at height y a period
+    meets the arcs with qs < 1/(2y), about (3/pi^2) log(1/y) / y of
+    them.  So each period is split into ceil(1/y) equal panels, at most
+    64.  More than MAX_SEED_PANELS seed panels raise
+    InsufficientConvergenceError before any is built, and so does an
+    unconverged pass.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"T must be finite, got {t}")
     if not t > 1.0:
         raise ValueError("the split needs T > 1")
-    psi = form_observable(f)
     u0 = 1.0 / math.sqrt(t * t + 1.0)
+    tail, tail_err = _ray_tail(f, t, max(u0, _SPLIT))
+    head = 0.0
+    if u0 < _SPLIT:
+        n_lo, n_hi = math.ceil(u0 * t - 0.5), math.ceil(_SPLIT * t - 0.5)
+        if n_hi - n_lo > MAX_SEED_PANELS:
+            raise InsufficientConvergenceError(
+                f"second moment at T = {t}: {n_hi - n_lo} periods below "
+                f"y = {_SPLIT} pass the ceiling of {MAX_SEED_PANELS} seed "
+                f"panels")
+        crossings = (np.arange(n_lo, n_hi) + 0.5) / t
+        lo = np.concatenate([[u0], crossings[crossings > u0]])
+        hi = np.append(lo[1:], _SPLIT)
+        # ceil(1/y) panels for the Farey arcs a period [lo, hi] meets
+        m = np.minimum(np.ceil(1.0 / lo), 64).astype(int)
+        if m.sum() > MAX_SEED_PANELS:
+            raise InsufficientConvergenceError(
+                f"second moment at T = {t}: {m.sum()} seed panels below "
+                f"y = {_SPLIT} pass the ceiling of {MAX_SEED_PANELS}")
+        i, j = _ragged(np.zeros(len(m), dtype=int), m)
+        psi = form_observable(f)
 
-    def ray(ys):
-        return psi.batch(t * ys, ys) / ys
+        def ray(ys):
+            return psi.batch(t * ys, ys) / ys
 
-    y_mid, y_hi = 2.0, 5.0
-    crossings = (np.arange(math.ceil(u0 * t - 0.5), y_mid * t - 0.5) + 0.5) / t
-    lo = np.concatenate([[u0], crossings[crossings > u0]])
-    hi = np.append(lo[1:], y_mid)
-    # ceil(1/y) panels for the Farey arcs a period [lo, hi] meets
-    m = np.where(lo < 1.0, np.minimum(np.ceil(1.0 / lo), 64), 1).astype(int)
-    i, j = _ragged(np.zeros(len(m), dtype=int), m)
-    edges = np.concatenate([lo[i] + (hi - lo)[i] * (j / m[i]),
-                            np.geomspace(y_mid, y_hi, 8)])
-    # the ray needs about 10 panels per unit of T (9.1 at T = 3e3 and
-    # 11.3 at 3e4, slowly growing like log T); the cap allows twice that
-    res = adaptive(ray, u0, y_hi, abs_tol=tol * 1e-3, rel_tol=tol,
-                   initial_edges=edges, max_panels=20000 + int(20.0 * t))
-    if not res.converged:
+        # the ray needs about 10 panels per unit of T (9.1 at T = 3e3 and
+        # 11.3 at 3e4, slowly growing like log T); the cap allows twice that
+        res = adaptive(ray, u0, _SPLIT, abs_tol=tol * 1e-3, rel_tol=tol,
+                       initial_edges=lo[i] + (hi - lo)[i] * (j / m[i]),
+                       max_panels=20000 + int(20.0 * t))
+        if not res.converged:
+            raise InsufficientConvergenceError(
+                f"second moment at T = {t}: ray quadrature error "
+                f"{res.est_error:.3e} over {res.n_panels} panels misses "
+                f"tol {tol:.0e}")
+        head = res.value
+    if not tail_err <= tol * abs(head + tail):
         raise InsufficientConvergenceError(
-            f"second moment at T = {t}: ray quadrature error "
-            f"{res.est_error:.3e} over {res.n_panels} panels misses "
-            f"tol {tol:.0e}")
-    return 2.0 * res.value
+            f"second moment at T = {t}: the closed form's rounding bound "
+            f"{tail_err:.3e} misses tol {tol:.0e}")
+    return 2.0 * (head + tail)
 
 
 def second_moment_prediction(f: QExpansion, t: float) -> float:

@@ -416,6 +416,23 @@ def test_moment_wall_time_covers_qexp(tmp_path, monkeypatch):
     assert read_manifest(out)["wall_time_s"] >= 0.3
 
 
+def test_moment_t_must_be_finite(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["moment", "--T", "inf", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
+def test_moment_past_the_seed_ceiling_is_partial(tmp_path):
+    out = tmp_path / "m.csv"
+    assert main(["moment", "--T", "1e12", "--out", str(out)]) == 3
+    assert not out.exists()
+    man = read_manifest(out)
+    assert man["partial"] is True and man["outputs"] == []
+    assert "ceiling" in man["error"]
+
+
 def test_moment_guards(tmp_path):
     out = tmp_path / "m.csv"
     assert main(["moment", "--T", "20", "--qexp-n", "100",

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from shearlab.eisenstein import mu_eis
 from shearlab.groups import PSL2Z, reduce_points
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
-                               _fd_pairing, _qexp_eval, _square_series,
+                               _fd_pairing, _qexp_eval, _ray_tail,
+                               _square_series,
                                delta_qexp,
                                eval_form, eval_psi_f, form_observable, hecke_L,
                                kronecker_check,
@@ -140,6 +143,16 @@ def test_qexpansion_guards():
         QExpansion(12, (2, -24))
     with pytest.raises(ValueError):
         delta_qexp(0)
+
+
+def test_equal_expansions_share_one_cache_entry(delta):
+    a = QExpansion(12, delta.coeffs[:60])
+    b = QExpansion(12, list(delta.coeffs[:60]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert form_observable(a) is form_observable(b)
+    c = QExpansion(12, delta.coeffs[:59])
+    assert c != a and hash(c) != hash(a)
+    assert form_observable(c) is not form_observable(a)
 
 
 @pytest.mark.parametrize("bad", [1500.0, "1500", None])
@@ -504,6 +517,89 @@ def test_second_moment_converges_at_t_2e4(delta, monkeypatch):
 def test_second_moment_raises_when_unconverged(delta):
     with pytest.raises(InsufficientConvergenceError):
         second_moment_lhs(delta, 2.0, tol=1e-300)
+
+
+# the moment by one adaptive pass over [u0, 5] at the default tol
+MOMENT_BY_QUADRATURE = {2.0: 5.301335065559197e-06, 4.0: 6.549761877319258e-06}
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("the ray quadrature ran")
+
+
+@pytest.mark.parametrize("t", sorted(MOMENT_BY_QUADRATURE))
+def test_second_moment_is_all_closed_form_low_in_t(delta, monkeypatch, t):
+    # u0 >= _SPLIT: the closed form alone, against the quadrature it replaced
+    monkeypatch.setattr(shearlab.modforms, "adaptive", _no_quadrature)
+    assert second_moment_lhs(delta, t) == pytest.approx(
+        MOMENT_BY_QUADRATURE[t], rel=1e-12, abs=0.0)
+
+
+def test_closed_form_rounding_bound_sets_the_least_tol(delta):
+    # about 2.5e-14 relative at T = 2, where the moment is all closed form
+    value, err = _ray_tail(delta, 2.0, 1.0 / math.sqrt(5.0))
+    assert 0.0 < err < 1e-13 * value
+    second_moment_lhs(delta, 2.0, tol=1e-12)
+    with pytest.raises(InsufficientConvergenceError, match="rounding"):
+        second_moment_lhs(delta, 2.0, tol=1e-14)
+
+
+@pytest.mark.parametrize("t", [20.0, 300.0, 3000.0])
+def test_closed_form_matches_ray_quadrature(delta, delta_psi, t):
+    # int_a^5 of the observable itself, seeded at the period crossings;
+    # beyond y = 5 the integrand is below e^(-20 pi) y^11
+    a = shearlab.modforms._SPLIT
+    value, err = _ray_tail(delta, t, a)
+    crossings = (np.arange(math.ceil(a * t - 0.5), 5.0 * t - 0.5) + 0.5) / t
+    res = adaptive(lambda ys: delta_psi.batch(t * ys, ys) / ys, a, 5.0,
+                   abs_tol=1e-22, rel_tol=1e-13, initial_edges=crossings,
+                   max_panels=200000)
+    assert res.converged
+    assert value == pytest.approx(res.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [30.0, 674.4, 3000.0])
+def test_second_moment_does_not_depend_on_the_split(delta, monkeypatch, t):
+    values = []
+    for a in (0.1, 0.2, 0.3):
+        monkeypatch.setattr(shearlab.modforms, "_SPLIT", a)
+        values.append(second_moment_lhs(delta, t))
+    assert max(values) - min(values) <= 1e-9 * min(values)
+
+
+def test_second_moment_meets_the_references(delta):
+    # the 51 fixed-grid moments of perfbench/refs.json, built by
+    # perfbench/make_refs.py, at the tolerance the moment is called with
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "refs.json").read_text())["moment"]
+    assert len(refs) == 51
+    for t, (ref, _) in refs.items():
+        assert second_moment_lhs(delta, float(t)) == pytest.approx(
+            ref, rel=1e-8, abs=0.0), t
+
+
+def test_second_moment_split_saves_evaluations(delta, monkeypatch):
+    # the pass over [u0, 5] took 528,450 evaluations here
+    _, res = _moment_pass(delta, 3000.0, monkeypatch)
+    assert res.converged
+    assert res.n_evals <= 0.75 * 528450
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_second_moment_needs_a_finite_t(delta, t):
+    with pytest.raises(ValueError, match="finite"):
+        second_moment_lhs(delta, t)
+
+
+def test_second_moment_seed_ceiling(delta, monkeypatch):
+    # 1e12 asks for 2e11 periods: refused before anything is built
+    monkeypatch.setattr(shearlab.modforms, "adaptive", _no_quadrature)
+    with pytest.raises(InsufficientConvergenceError, match="ceiling"):
+        second_moment_lhs(delta, 1e12)
+    # 600 periods split into 10,935 seed panels at T = 3000
+    monkeypatch.setattr(shearlab.modforms, "MAX_SEED_PANELS", 10934)
+    with pytest.raises(InsufficientConvergenceError, match="10935 seed"):
+        second_moment_lhs(delta, 3000.0)
 
 
 def test_second_moment_grows_with_t(delta):

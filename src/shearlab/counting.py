@@ -1,13 +1,16 @@
 """Orbit counting on discriminant quadrics and growth-law fitting.
 
 The orbit of an integer form vector under a discrete group is enumerated
-inside a gate about the largest counted ball, deduplicated exactly, and
-counted inside norm balls.  The group <T^omega, S> is enumerated by a
-numpy walk over syllables S T^(omega k), one layer per S, each layer
-emitting whole runs along T^omega.  The two built-in scenarios (full
-modular group and the thin subgroup, both acting on x0 = (0, 1, 0)) have
-trivial stabilizer, so vectors, group elements, and congruence cosets are
-in bijection and per-coset counts are well defined.
+inside a gate about the largest counted ball and counted inside norm
+balls.  The group <T^omega, S> is enumerated by a numpy walk over
+syllables S T^(omega k), one layer per S, each layer emitting whole runs
+along T^omega.  The walk spells every element in one normal form, so it
+visits each element once; a vector can then repeat only through a
+stabilizer of x0, and the exact dedup that reports one runs only where
+x0 can have one.  The two built-in scenarios (full modular group and the
+thin subgroup, both acting on x0 = (0, 1, 0)) have trivial stabilizer,
+so vectors, group elements, and congruence cosets are in bijection and
+per-coset counts are well defined.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .algebra import FormVector
 from .groups import (CosetLabel, GroupSpec, WordBudget, check_level,
-                     coset_space, label_codes, label_entries)
+                     coset_labels, coset_space, label_codes, label_entries)
 
 
 class InsufficientDataError(ValueError):
@@ -94,19 +97,19 @@ class CountResult:
 _INT64_MAX = np.iinfo(np.int64).max
 _HALF = 1 << 20  # vectors pack into one exact int64 while |entries| < 2^20
 _SAFE = 2.0 ** 61  # float keys past this could wrap int64 arithmetic
-_CHUNK = 1 << 17  # walk candidates checked at a time
-_BLOCK = 1 << 20  # walk candidates built at a time
+_BLOCK = 1 << 17  # walk candidates built and checked at a time
 _WIDE_GATE = 3.0  # gate radius over the largest ball's when D > 1
 _OUT = np.array([[1], [-1]])  # the outward step at a run's hi end and lo end
 _S_SIGN = np.array([[1], [-1], [1]])  # (p, q, r) S = (r, -q, p)
-_ZS_SIGN = np.array([[1], [-1], [1], [-1]])  # z S = (b, -a, d, -c)
+_ZS_ROWS = np.array([[1], [0], [3], [2]])  # z S = (b, -a, d, -c)
+_ZS_SIGN = np.array([[1], [-1], [1], [-1]])
 
 
-def _stabilizer(vec, first, later):
+def _stabilizer(vec, first, later) -> StabilizerError:
     def ints(row):
         return tuple(int(v) for v in row)
-    raise StabilizerError(f"vector {ints(vec)} reached by {ints(first)} "
-                          f"and {ints(later)}")
+    return StabilizerError(f"vector {ints(vec)} reached by {ints(first)} "
+                           f"and {ints(later)}")
 
 
 def _pack(vecs: np.ndarray) -> np.ndarray:
@@ -170,6 +173,15 @@ def _elements(els: np.ndarray, cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
     return el
 
 
+def _times_s(els: np.ndarray, cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """els[:, cols] T^wk S for (4, n) columns, in the sign representative
+    c > 0, or c = 0 < a: z S = (b, -a, d, -c), and b != 0 when d = 0."""
+    el = els[_ZS_ROWS, cols]
+    el[::2] += el[1::2] * wk
+    el *= _ZS_SIGN * np.sign(2 * el[2] + np.sign(el[0]))
+    return el
+
+
 def _inserted(index: np.ndarray, at: np.ndarray, keys, cols) -> np.ndarray:
     """The (3, n) index with the columns (keys, cols) inserted before its
     columns at, which searchsorted gave on its sorted first row."""
@@ -193,11 +205,17 @@ class _Walk:
     norm, or sum of squares) is at most the integer gate.  S permutes and
     negates (p, q, r), so zS is in the gate whenever z is.  The k = 0
     child is zS itself; it is kept but not expanded, because its S-image
-    z is walked already.  For omega = 1, (ST)^3 = 1 gives
-    zS T^(+-1) S = (z T^(-+1)) S T^(-+1), one step along the line of the
-    parent's neighbour's S-image; when that neighbour z T^(-+1) is in the
-    parent's run, the child's run is the neighbour's, so the child is kept
-    but not expanded either.
+    z is walked already.
+
+    The words walked are normal forms T^(w k0) S T^(w k1) ... S T^(w kn)
+    with every inner k nonzero, so the walk reaches each element once.
+    For omega >= 2 the group is the free product of <T^omega> and <S>
+    (Serre, Trees), whose normal forms these words are.  For omega = 1,
+    PSL2(Z) is the free product of <S> and <ST>, of orders 2 and 3, and
+    T S T = S T^-1 S, so two neighbouring exponents of one sign spell an
+    element that a longer word spells too.  The normal forms are the
+    words whose exponents alternate in sign: each run is clipped to the
+    side of k = 0 opposite the last exponent of its parent.
 
     Along a run p is fixed and, with Q = q + 2 p w k, r = (Q^2 - D) / 4p,
     so the key depends on k only through |k - k*|, k* = -q / (2 p w)
@@ -211,41 +229,50 @@ class _Walk:
 
     Vectors and elements are held as columns of (3, n) and (4, n) arrays.
     A layer is a fixed sequence of whole-array passes over its candidates,
-    in blocks of _BLOCK that bound the memory of huge layers: their packed
+    in blocks of _BLOCK that bound the memory of huge layers.  Each block
+    tallies its collected elements as it finishes, by the bucket of their
+    tally key and, when a level q is set, the row of their coset label
+    code, so no per-element array outlives its layer.
+
+    With each element reached once, two candidates share a vector only
+    when an element of the group other than 1 fixes x0.  Where D is a
+    positive square, Pell's t^2 - D u^2 = 4 has only t = +-2, u = 0, so
+    x0's stabilizer in PSL2(Z) is trivial and the walk keeps no record of
+    its vectors.  Elsewhere it deduplicates exactly: each block's packed
     vectors are sorted once, looked up in one sorted index of every vector
     kept so far, and the new ones are merged into it.  Beside each vector
     the index holds the first column (a, c) of its element, which decides
     the clash test exactly: two elements with one vector and one first
     column differ by a power of T, which fixes only vectors with
     p = q = 0, and the walk never keeps one.  A vector reached by two
-    different elements raises StabilizerError, and a vector that T^omega
-    fixes raises it before its run would be endless.  Of each collected
-    element the walk keeps its tally key and, when a level q is set, its
-    coset label code; elements themselves live one layer.
+    different elements raises StabilizerError, and so does a vector that
+    T^omega fixes, before its run would be endless.  Packing needs every
+    entry below 2^20 and raises OverflowError past it.
 
-    Candidates are checked in walk order, _CHUNK at a time: a chunk checks
-    element size, then the dedup range, then clashes, then the node
-    budget, and the walk stops in the first chunk where a check fails, on
+    Candidates are checked in walk order, a block at a time: a block
+    checks element size, then the dedup range, then clashes, then the node
+    budget, and the walk stops in the first block where a check fails, on
     the first check that failed there.
     """
 
     def __init__(self, x0: tuple, omega: int, gate: int, sup: bool,
-                 budget: WordBudget, q: Optional[int] = None):
+                 budget: WordBudget):
         if omega >= _HALF:
             raise OverflowError("translation width past 2^20")
-        self.omega, self.sup, self.budget, self.q = omega, sup, budget, q
+        self.omega, self.sup, self.budget = omega, sup, budget
         self.x0 = x0
         p0, q0, r0 = x0
-        self.wide = q0 * q0 - 4 * p0 * r0 > 1
-        self.disc = float(q0 * q0 - 4 * p0 * r0)
+        disc = q0 * q0 - 4 * p0 * r0
+        self.wide = disc > 1
+        self.disc = float(disc)
+        self.dedup = disc <= 0 or math.isqrt(disc) ** 2 != disc
         self.gate = min(gate, _INT64_MAX)
         self.gate_f = float(gate)
         # every entry of an in-gate vector is at most this; below 2^20 the
         # runs' vectors fit the dedup key without a float check first
         self.small = (gate if sup else math.isqrt(max(gate, 0))) < _HALF
         # only at such a gate can in_gate's overflow guard fire; the runs
-        # then probe as for D > 1 and confirm no end at once, so the guard
-        # meets the rows it always met
+        # then probe as for D > 1 and confirm no end at once
         self.guard = self.gate >= _SAFE / 2
         self.cap = budget.max_nodes + 1  # a longer run overruns the budget
 
@@ -265,32 +292,43 @@ class _Walk:
         key = _key(*_shift(vecs, np.where(big, 0, k), self.omega), self.sup)
         return ~big & (key <= self.gate)
 
-    def runs(self, vecs: np.ndarray):
+    def runs(self, vecs: np.ndarray, side: Optional[np.ndarray] = None):
         """(lo, hi, gap, k) for the in-gate columns of vecs: the run around
-        k = 0 of each, an end more than self.cap from 0 clipped there, and
-        the columns whose hole is the single integer k."""
+        k = 0 of each, clipped to k >= 0 where side is 1 and to k <= 0
+        where it is -1, an end more than self.cap from 0 clipped there, and
+        the columns whose hole is the single integer k.  _BLOCK columns at
+        a time, which bounds the temporaries."""
+        if vecs.shape[1] <= _BLOCK:
+            return self._runs(vecs, side, 0)
+        parts = [self._runs(vecs[:, s:s + _BLOCK],
+                            None if side is None else side[s:s + _BLOCK], s)
+                 for s in range(0, vecs.shape[1], _BLOCK)]
+        return tuple(np.concatenate(v, axis=-1) for v in zip(*parts))
+
+    def _runs(self, vecs, side, offset):
+        """runs of one block of columns, the first at column offset."""
         # now p > 0, or p = 0 < q
         p, q, r = vecs * np.sign(2 * vecs[0] + np.sign(vecs[1]))
         w, g, d = self.omega, self.gate_f, self.disc
         lin = p == 0
-        pf, qf = p.astype(float), q.astype(float)
+        pf = p.astype(float)
         num = np.where(lin, r, q)  # k* = -num / t
-        t = np.where(lin, q * w, 2 * p * w)
+        t = np.where(lin, q, 2 * p) * w
         if self.sup:  # |Q| <= G and -G <= r <= G
-            s_hi = np.minimum(g * g, d + 4.0 * pf * g)
-            s_lo = d - 4.0 * pf * g
+            s_hi = np.minimum(g * g, d + 4.0 * g * pf)
             a_lin = g
         else:  # the roots in Q^2 of p^2 + Q^2 + r^2 = G
             root = 4.0 * pf * np.sqrt(np.maximum(3.0 * pf * pf - d + g, 0.0))
             s_hi = d - 8.0 * pf * pf + root
-            s_lo = d - 8.0 * pf * pf - root
-            a_lin = np.sqrt(np.maximum(g - qf * qf, 0.0))
+            a_lin = np.sqrt(np.maximum(g - q.astype(float) ** 2, 0.0))
         tf = t.astype(float)
         a = np.where(lin, a_lin, np.sqrt(np.maximum(s_hi, 0.0))) / tf
         kc = -num / tf
         ends_f = kc + _OUT * a  # hi, lo
         gap = near = np.zeros(0, dtype=np.int64)
         if self.wide or self.guard:
+            s_lo = (d - 4.0 * g * pf if self.sup
+                    else d - 8.0 * pf * pf - root)
             b = np.where(lin, 0.0, np.sqrt(np.maximum(s_lo, 0.0))) / tf
             near = (t - 2 * num) // (2 * t)  # the integer nearest k*
             hole = ~self.in_gate(vecs, near)
@@ -301,17 +339,21 @@ class _Walk:
             right = num > 0  # k = 0 lies right of k*
             ends_f = np.where(hole & np.array([~right, right]),
                               kc - _OUT * b, ends_f)
-        cap, n = float(self.cap), len(p)
-        ends = _OUT * np.maximum(np.floor(np.minimum(_OUT * ends_f, cap)),
-                                 0).astype(np.int64)
-        free = np.abs(ends_f) <= cap
-        if not self.guard:  # the end in and the next k out confirm it
-            ok = self.in_gate(vecs, np.concatenate([ends, ends + _OUT]))
-            free &= ~ok[:2] | ok[2:]
-        idx = np.flatnonzero(free)  # of ends.ravel(): hi ends, then lo
+        n = len(p)
+        clip = (np.zeros((2, n), dtype=bool) if side is None
+                else np.array([side < 0, side > 0]))
+        ends_f = np.where(clip, 0.0, ends_f)
+        cap = float(self.cap)
+        ends = (_OUT * np.maximum(np.floor(np.minimum(_OUT * ends_f, cap)),
+                                  0).astype(np.int64)).ravel()
+        # of ends: hi ends, then lo; an end at k = 0 by the clip stays
+        idx = np.flatnonzero((np.abs(ends_f) <= cap) & ~clip)
+        row, step = idx % n, np.where(idx < n, 1, -1)
+        if len(idx) and not self.guard:  # the end in and the next k out
+            e = ends[idx]
+            ok = self.in_gate(vecs[:, row], np.array([e, e + step]))
+            idx, row, step = (v[~ok[0] | ok[1]] for v in (idx, row, step))
         if len(idx):
-            ends = ends.ravel()
-            row, step = idx % n, np.where(idx < n, 1, -1)
             e, sel = ends[idx], np.arange(len(idx))
             while len(sel):  # toward 0 while the end is outside
                 sel = sel[~self.in_gate(vecs[:, row[sel]], e[sel])]
@@ -321,21 +363,74 @@ class _Walk:
                 sel = sel[self.in_gate(vecs[:, row[sel]], e[sel] + step[sel])]
                 e[sel] += step[sel]
             ends[idx] = e
-            ends = ends.reshape(2, n)
-        return ends[1], ends[0], gap, near[gap]
+        return ends[n:], ends[:n], gap + offset, near[gap]
 
-    def walk(self):
-        """(keys, codes, saturated, nodes, depth): the tally key of every
-        collected element in walk order and, when q is set, its coset
-        label code (else codes is None)."""
+    def unseen(self, index, base_el, base_vec, par, k, vec, fails):
+        """(new, index): the candidates (par, k) of a block whose vector
+        neither the index nor an earlier candidate holds, in walk order,
+        and the index with them merged in.  Enters the dedup range and
+        clash checks' failures in fails."""
+        w = self.omega
+        col = base_el[::2]  # (a, c), shared along each run
+        key = _pack(vec)
+        order = np.argsort(key, kind="stable")
+        sk = key[order]
+        head = np.empty(len(sk), dtype=bool)
+        head[0] = True
+        np.not_equal(sk[1:], sk[:-1], out=head[1:])
+        first, uk = order[head], sk[head]  # each vector's first holder
+        seen = index[0]
+        at = np.searchsorted(seen, uk)
+        hit = (seen.take(at, mode="clip") == uk if len(seen)
+               else np.zeros(len(uk), dtype=bool))
+        fresh = ~hit
+        new = np.sort(first[fresh])  # in walk order
+        if not self.small and (np.abs(np.array(_shift(
+                base_vec[:, par].astype(float), k.astype(float), w)))
+                >= _HALF).any():
+            fails[1] = lambda: OverflowError(
+                "orbit vectors outgrow the exact dedup key (entries past 2^20)")
+        # a clash: a later holder's (a, c) differs from the one before it
+        # in key order, or a first holder's from the index
+        later = np.flatnonzero(~head) if len(uk) < len(k) else new[:0]
+        hits = np.flatnonzero(hit) if len(new) < len(uk) else new[:0]
+        if ((len(later) and (col[:, par[order[later]]]
+                             != col[:, par[order[later - 1]]]).any())
+                or (len(hits) and (col[:, par[first[hits]]]
+                                   != index[1:, at[hits]]).any())):
+            ref = col[:, par[first]]
+            ref[:, hits] = index[1:, at[hits]]
+            bad = order[(col[:, par[order]] != ref[:, np.cumsum(head) - 1])
+                        .any(axis=0)].min()
+
+            def clash():
+                g = np.searchsorted(uk, key[bad])
+                two = np.array([first[g], bad])
+                el = _elements(base_el, par[two], w * k[two])
+                return _stabilizer(vec[:, bad], _element(
+                    self.x0, vec[:, bad], ref[:, g]) if hit[g]
+                    else el[:, 0], el[:, 1])
+            fails[2] = clash
+        return new, _inserted(index, at[fresh], uk[fresh],
+                              col[:, par[first[fresh]]])
+
+    def walk(self, thresholds: np.ndarray, q: Optional[int] = None,
+             space: Optional[np.ndarray] = None):
+        """(table, saturated, nodes, depth): table[i, j] counts the
+        collected elements whose label code at level q is space[i] (one
+        row when q is None) and whose tally key is at most thresholds[j]
+        and above thresholds[j - 1]."""
         w, budget = self.omega, self.budget
+        width = len(thresholds) + 1
+        table = np.zeros((1 if q is None else len(space)) * width,
+                         dtype=np.int64)
         base_el = np.array([[1], [0], [0], [1]], dtype=np.int64)
         base_vec = np.array(self.x0, dtype=np.int64)[:, None]
-        base_nb = np.zeros((2, 1), dtype=bool)
+        # for omega = 1, the sign of k each base's run keeps: opposite to
+        # its parent's last exponent (either sign for the identity's run)
+        base_side = np.zeros(1, dtype=np.int64) if w == 1 else None
         # the packed vectors kept so far, sorted, over their elements' (a, c)
         index = np.zeros((3, 0), dtype=np.int64)
-        out_key = [np.zeros(0, dtype=np.int64)]
-        out_code = [np.zeros(0, dtype=np.int64)]
         gaps = []  # (vector, element) in single-integer holes
         nodes = depth = 0
         saturated = True
@@ -347,123 +442,90 @@ class _Walk:
             if not moved.all():
                 i = np.argmin(moved)
                 a, b, c, d = base_el[:, i]
-                _stabilizer(base_vec[:, i], (a, b, c, d),
-                            (a, b + a * w, c, d + c * w))
-            lo, hi, gap, gap_k = self.runs(base_vec)
+                raise _stabilizer(base_vec[:, i], (a, b, c, d),
+                                  (a, b + a * w, c, d + c * w))
+            lo, hi, gap, gap_k = self.runs(base_vec, base_side)
             total = int((hi - lo + 1).sum())
-            col = base_el[::2]  # (a, c), shared along each run
             top = int(np.abs(base_el).max()) * (
                 1 + w * int(np.maximum(hi, -lo).max()))
-            next_el, next_vec, next_nb = [], [], []
+            next_el, next_vec, next_side = [], [], []
             for c0 in range(0, total, _BLOCK):
                 par, k = _word_order(lo, hi, c0, min(c0 + _BLOCK, total))
                 vec = np.array(_shift(base_vec[:, par], k, w))
-                key = _pack(vec)
-                order = np.argsort(key, kind="stable")
-                sk = key[order]
-                head = np.empty(len(sk), dtype=bool)
-                head[0] = True
-                np.not_equal(sk[1:], sk[:-1], out=head[1:])
-                first, uk = order[head], sk[head]  # each vector's first holder
-                seen = index[0]
-                at = np.searchsorted(seen, uk)
-                hit = (seen.take(at, mode="clip") == uk if len(seen)
-                       else np.zeros(len(uk), dtype=bool))
-                fresh = ~hit
-                new = np.sort(first[fresh])  # in walk order
+                # check -> error of each check that fails: 0 element size,
+                # 1 dedup range, 2 clash and 3 budget, which cuts the walk
+                # without an error
+                fails = {}
+                if top >= _SAFE and int(np.abs(base_el[:, par]).max()) * (
+                        1 + w * int(np.abs(k).max())) >= _SAFE:
+                    fails[0] = lambda: OverflowError(
+                        "group elements outgrow int64")
+                if self.dedup:
+                    new, index = self.unseen(index, base_el, base_vec, par,
+                                             k, vec, fails)
+                    par, k, vec = par[new], k[new], vec[:, new]
                 room = budget.max_nodes - nodes
-                # (chunk, check) where each check first fails; the checks
-                # are 0 element size, 1 dedup range, 2 clash, 3 budget
-                fails = []
-                if top >= _SAFE:
-                    for s0 in range(0, len(k), _CHUNK):
-                        s1 = s0 + _CHUNK
-                        if (int(np.abs(base_el[:, par[s0:s1]]).max())
-                                * (1 + w * int(np.abs(k[s0:s1]).max())) >= _SAFE):
-                            fails.append((s0 // _CHUNK, 0))
-                            break
-                if not self.small:
-                    big = np.abs(np.array(_shift(base_vec[:, par].astype(float),
-                                                 k.astype(float), w)))
-                    big = np.flatnonzero(big.max(axis=0) >= _HALF)
-                    if len(big):
-                        fails.append((big[0] // _CHUNK, 1))
-                # a clash: a later holder's (a, c) differs from the one
-                # before it in key order, or a first holder's from the index
-                later = np.flatnonzero(~head) if len(uk) < len(k) else new[:0]
-                hits = np.flatnonzero(hit) if len(new) < len(uk) else new[:0]
-                if ((len(later) and (col[:, par[order[later]]]
-                                     != col[:, par[order[later - 1]]]).any())
-                        or (len(hits) and (col[:, par[first[hits]]]
-                                           != index[1:, at[hits]]).any())):
-                    ref = col[:, par[first]]
-                    ref[:, hits] = index[1:, at[hits]]
-                    bad = order[(col[:, par[order]] != ref[:, np.cumsum(head) - 1])
-                                .any(axis=0)].min()
-                    fails.append((bad // _CHUNK, 2))
-                if len(new) > room:
-                    fails.append((new[room] // _CHUNK, 3))
+                if len(k) > room:
+                    fails[3] = None
                 if fails:
-                    check = min(fails)[1]
-                    if check == 0:
-                        raise OverflowError("group elements outgrow int64")
-                    if check == 1:
-                        raise OverflowError("orbit vectors outgrow the exact "
-                                            "dedup key (entries past 2^20)")
-                    if check == 2:
-                        g = np.searchsorted(uk, key[bad])
-                        two = np.array([first[g], bad])
-                        el = _elements(base_el, par[two], w * k[two])
-                        _stabilizer(vec[:, bad], _element(
-                            self.x0, vec[:, bad], ref[:, g]) if hit[g]
-                            else el[:, 0], el[:, 1])
+                    error = fails[min(fails)]
+                    if error is not None:
+                        raise error()
                     saturated = False
-                    new = new[:room]
-                else:  # index the new vectors for the candidates to come
-                    index = _inserted(index, at[fresh], uk[fresh],
-                                      col[:, par[first[fresh]]])
-                nodes += len(new)
-                kn, pn = k[new], par[new]
-                out_key.append(_key(*vec[:, new], self.sup))
-                if self.q is not None:
-                    out_code.append(label_codes(
-                        _elements(base_el, pn, w * kn).T, self.q))
+                    par, k, vec = par[:room], k[:room], vec[:, :room]
+                nodes += len(k)
+                cell = np.searchsorted(thresholds, _key(*vec, self.sup))
+                if q is not None:
+                    codes = label_codes(_elements(base_el, par, w * k).T, q)
+                    cell += np.searchsorted(space, codes) * width
+                np.add.at(table, cell, 1)
                 if not saturated:
                     break
-                grow = kn != 0
-                if w == 1:
-                    grow &= ~(((kn == 1) & base_nb[0, pn])
-                              | ((kn == -1) & base_nb[1, pn]))
-                grow = new[grow | (depth == 0)]
+                grow = (k != 0) | (depth == 0)
                 pg, kg = par[grow], k[grow]
-                next_el.append(_elements(base_el, pg, w * kg))
-                next_vec.append(vec[:, grow])
-                next_nb.append(np.array([kg > lo[pg], kg < hi[pg]]))
+                next_el.append(_times_s(base_el, pg, w * kg))
+                v = vec[::-1, grow]  # (p, q, r) S = (r, -q, p)
+                v *= _S_SIGN
+                next_vec.append(v)
+                if w == 1:
+                    next_side.append(-np.sign(kg))
             depth += 1
             if not saturated:
                 break
-            for i, k in zip(gap.tolist(), gap_k.tolist()):
-                a, b, c, d = base_el[:, i].tolist()
-                p, q, r = base_vec[:, i].tolist()
-                wk = w * k
-                gaps.append(((p, q + 2 * p * wk, r + wk * (q + p * wk)),
-                             (a, b + a * wk, c, d + c * wk)))
-            el = np.concatenate(next_el, axis=1)
-            # z S = (b, -a, d, -c) and (p, q, r) S = (r, -q, p), with the
-            # sign representative c > 0, or c = 0 < a (b != 0 when d = 0)
-            base_el = el[[1, 0, 3, 2]] * (
-                _ZS_SIGN * np.sign(2 * el[3] + np.sign(el[1])))
-            base_vec = np.concatenate(next_vec, axis=1)[::-1] * _S_SIGN
-            base_nb = np.concatenate(next_nb, axis=1)
+            if self.dedup:
+                for i, k in zip(gap.tolist(), gap_k.tolist()):
+                    a, b, c, d = base_el[:, i].tolist()
+                    vp, vq, vr = base_vec[:, i].tolist()
+                    wk = w * k
+                    gaps.append(((vp, vq + 2 * vp * wk,
+                                  vr + wk * (vq + vp * wk)),
+                                 (a, b + a * wk, c, d + c * wk)))
+            base_el = np.concatenate(next_el, axis=1)
+            base_vec = np.concatenate(next_vec, axis=1)
+            if w == 1:
+                base_side = np.concatenate(next_side)
         # a vector in a one-integer hole lies just outside the gate between
         # two runs; a search one letter at a time reaches it from both,
         # so two different elements there are a stabilizer too
         found = {}
         for vec, el in gaps:
             if found.setdefault(vec, el) != el:
-                _stabilizer(vec, found[vec], el)
-        codes = None if self.q is None else np.concatenate(out_code)
-        return np.concatenate(out_key), codes, saturated, nodes, depth
+                raise _stabilizer(vec, found[vec], el)
+        return table.reshape(-1, width), saturated, nodes, depth
+
+
+def _label_row(labels: tuple, space: np.ndarray, label) -> Optional[int]:
+    """The row of labels (the CosetLabels of the codes space) that equals
+    label, or None: the row of the code its entries spell, if any."""
+    q = labels[0].q
+    try:
+        code = int(np.array(label.entries, dtype=np.int64)
+                   @ np.array([q ** 3, q ** 2, q, 1]))
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return None
+    i = int(np.searchsorted(space, code))
+    ok = type(label) is CosetLabel and i < len(space) and labels[i] == label
+    return i if ok else None
 
 
 def count_orbit(query: OrbitQuery) -> CountResult:
@@ -474,6 +536,9 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     gate: the ball of radius B = max(largest radius, |x0| + 1) when x0's
     discriminant D = q0^2 - 4 p0 r0 is at most 1 (the walk then collects
     exactly that ball's points), and three times that ball when D > 1.
+    It spells each element in one normal form, and deduplicates vectors
+    only where D is not a positive square: only such x0 can have a
+    stabilizer.
     search_nodes and search_depth count the elements it collects and its
     layers, budget.max_nodes and max_depth cap them, a cut walk keeps
     exactly its first max_nodes elements in walk order, and a budget
@@ -487,26 +552,25 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     every in-ball element is reached through in-ball elements is checked
     in the tests, by a divisor count and a word search, not proven.
 
-    The walk hands over one integer key per element (sup norm, or the sum
-    of squares for the Euclidean ball) and, only when q is set, its coset
-    label code; it keeps no element past its layer.  The tally is one
-    numpy pass: one searchsorted puts each key in its bucket among the
-    integer thresholds ceil(t) - 1 (or ceil(t * t) - 1), so each test is
-    the exact integer form of key < t (or < t * t), and the cumulative
-    bucket counts count every radius.  Per-coset counts bucket by label
-    code (one searchsorted in coset_space) and key together; the
-    breakdown lists every label of the image in code order, and a
+    The walk tallies each block of elements as it collects it: one
+    searchsorted puts each element's integer key (sup norm, or the sum of
+    squares for the Euclidean ball) in its bucket among the integer
+    thresholds ceil(t) - 1 (or ceil(t * t) - 1), so each test is the
+    exact integer form of key < t (or < t * t), and the cumulative bucket
+    counts count every radius.  Per-coset counts bucket by label code
+    (one searchsorted in coset_space) and key together; the breakdown
+    lists every label of the image (coset_labels) in code order, and a
     coset_filter that is none of them raises ValueError.  Entries that do
     not fit int64 raise OverflowError, and so do walk vectors with an
-    entry past 2^20.
+    entry past 2^20 where the walk deduplicates.
     """
     t0 = time.perf_counter()
     q, f = query.q, query.coset_filter
+    space = None
     if q is not None:
-        space = coset_space(query.spec, q)
-        entries = zip(*label_entries(space, q).T.tolist())
-        labels = [CosetLabel(q, e) for e in entries]
-        if f is not None and (type(f) is not CosetLabel or f not in labels):
+        space, labels = coset_space(query.spec, q), coset_labels(query.spec, q)
+        row = None if f is None else _label_row(labels, space, f)
+        if f is not None and row is None:
             raise ValueError(f"coset_filter {f!r} is not a label of "
                              f"{query.spec.name} at level {q}")
     x0n = query.x0.sup_norm() if query.norm == "sup" else query.x0.euclid_norm()
@@ -515,27 +579,19 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     gate_r = max(max(query.t_list), x0n + 1.0) * (_WIDE_GATE if wide else 1.0)
     sup = query.norm == "sup"
     gate = math.ceil(gate_r if sup else gate_r * gate_r) - 1  # key <= gate
-    keys, codes, saturated, nodes, depth = _Walk(
-        x0, query.spec.omega, gate, sup, query.budget, q).walk()
     thresholds = np.array(
         [min(max(math.ceil(t if sup else t * t) - 1, -1), _INT64_MAX)
          for t in query.t_list], dtype=np.int64)
-
+    walk = _Walk(x0, query.spec.omega, gate, sup, query.budget)
+    table, saturated, nodes, depth = walk.walk(thresholds, q, space)
     # key <= thresholds[i] exactly for the i at or past each key's bucket
-    bucket = np.searchsorted(thresholds, keys)
-    width = len(thresholds) + 1
+    table = np.cumsum(table, axis=1)[:, :-1]
     breakdown = None
-    if q is None:
-        counts = np.cumsum(np.bincount(bucket, minlength=width))[:-1]
-    else:
-        cell = np.searchsorted(space, codes) * width + bucket
-        table = np.cumsum(np.bincount(cell, minlength=len(space) * width)
-                          .reshape(len(space), width), axis=1)[:, :-1]
+    if q is not None:
         if f is not None:
-            table[np.arange(len(space)) != labels.index(f)] = 0
-        counts = table.sum(axis=0)
+            table[np.arange(len(space)) != row] = 0
         breakdown = dict(zip(labels, zip(*table.T.tolist())))
-    return CountResult(query.t_list, tuple(int(n) for n in counts),
+    return CountResult(query.t_list, tuple(int(n) for n in table.sum(axis=0)),
                        tuple(saturated for _ in query.t_list),
                        time.perf_counter() - t0, x0n, q, breakdown,
                        nodes, depth)

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -256,6 +257,15 @@ def coset_space(spec: GroupSpec, q: int) -> np.ndarray:
         seen = np.insert(seen, at[fresh], frontier)
     seen.setflags(write=False)
     return seen
+
+
+# q = 97 holds 456,288 labels, about 90 MB of objects, so few levels stay
+@lru_cache(maxsize=2, typed=True)
+def coset_labels(spec: GroupSpec, q: int) -> tuple:
+    """The CosetLabel of every code of coset_space(spec, q), in code
+    order: the keys of a count's per-coset breakdown."""
+    entries = zip(*label_entries(coset_space(spec, q), q).T.tolist())
+    return tuple(map(CosetLabel, repeat(q), entries))
 
 
 # -- coset rows --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                identity_coset_factor)
 from shearlab.counting import _element, _Walk
 from shearlab.groups import (PSL2Z, THIN4, CosetLabel, GroupSpec, WordBudget,
-                             label_codes)
+                             coset_labels, label_codes)
 from coset_oracle import label_of
 from divisor_count import quadric_counts
 from word_search import SearchBudgetExceeded, enumerate_words
@@ -394,14 +395,20 @@ def test_divisor_count_matches_quadric_scan(norm):
     assert quadric_counts(t_list, norm) == scan_counts(pts, t_list, norm)
 
 
-@pytest.mark.parametrize("norm, pinned", [("sup", (32354, 418394)),
-                                          ("euclidean", (27114, 350314))])
+@pytest.mark.parametrize("norm, pinned", [
+    ("sup", (32354, 418394, 1391010)),
+    ("euclidean", (27114, 350314, 1163834))])
 def test_lattice_counts_match_divisor_count(norm, pinned):
-    t_list = (1000.0, 10000.0)
-    res = count_orbit(OrbitQuery(PSL2Z, X0, t_list, norm=norm))
+    # the walk keeps no record of its vectors for x0 = (0, 1, 0), so each
+    # element must come once: the counts are the quadric's, every collected
+    # element is counted, and the classes mod 3 split the counts exactly
+    t_list = (1000.0, 10000.0, 30000.0)
+    res = count_orbit(OrbitQuery(PSL2Z, X0, t_list, norm=norm, q=3))
     assert all(res.saturated)
     assert res.counts == quadric_counts(t_list, norm) == pinned
     assert res.search_nodes == res.counts[-1]
+    assert len(res.breakdown) == 12
+    assert tuple(map(sum, zip(*res.breakdown.values()))) == res.counts
 
 
 # -- the walk against the word search ----------------------------------------
@@ -513,6 +520,58 @@ def test_walk_matches_word_search(x0, spec, norm, t, factor):
     assert {lab: cs for lab, cs in res.breakdown.items() if any(cs)} == want[1]
 
 
+# -- the normal forms the walk spells ----------------------------------------
+#
+# The walk reaches each element once because its words are normal forms:
+# T^(w k0) S T^(w k1) ... S T^(w kn) with every inner k nonzero, and for
+# w = 1 neighbouring exponents of opposite signs.  Here the words are
+# multiplied out by hand, apart from the walk.
+
+
+def _mat_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _sign_rep(m):
+    a, b, c, d = m
+    return m if c > 0 or (c == 0 and a > 0) else (-a, -b, -c, -d)
+
+
+def normal_form_words(omega, length, kmax):
+    """The matrices, in the sign representative, of every normal-form word
+    with at most `length` letters S and every |k| <= kmax."""
+    out = []
+
+    def extend(m, last, n):
+        out.append(_sign_rep(m))
+        if n == length or (n and not last):  # k = 0 past k0 ends a word
+            return
+        for k in range(-kmax, kmax + 1):
+            if omega == 1 and last * k > 0:
+                continue
+            extend(_mat_mul(_mat_mul(m, (0, -1, 1, 0)), (1, omega * k, 0, 1)),
+                   k, n + 1)
+
+    for k0 in range(-kmax, kmax + 1):
+        extend((1, omega * k0, 0, 1), k0, 0)
+    return out
+
+
+@pytest.mark.parametrize("omega, length", [(1, 6), (2, 3), (3, 3), (4, 3)])
+def test_normal_form_words_spell_distinct_elements(omega, length):
+    words = normal_form_words(omega, length, 4)
+    assert len(set(words)) == len(words)
+    if omega == 1:
+        # and they spell all of PSL2(Z): every element with entries in
+        # [-3, 3] is among them
+        assert len(words) == 68258
+        small = {_sign_rep(m) for m in itertools.product(range(-3, 4), repeat=4)
+                 if m[0] * m[3] - m[1] * m[2] == 1}
+        assert small <= set(words)
+
+
 def test_walk_depth_counts_syllable_layers():
     full = count_orbit(OrbitQuery(PSL2Z, X0, (240.0,)))
     assert all(full.saturated) and full.search_depth > 3
@@ -534,14 +593,22 @@ def test_fixed_cusp_vector_raises_instead_of_walking_forever():
 
 
 def test_walk_vectors_past_the_dedup_range_raise():
-    # the walk packs each vector into one int64, exactly for entries below
-    # 2^20, and refuses larger ones rather than let two vectors collide
+    # where x0 may have a stabilizer (here D = 1 - 2^22 and 1 - 4 10^6, not
+    # squares) the walk packs each vector into one int64, exactly for
+    # entries below 2^20, and refuses larger ones rather than let two
+    # vectors collide
     with pytest.raises(OverflowError, match="2\\^20"):
-        count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 1 << 20), (4.0,)))
+        count_orbit(OrbitQuery(PSL2Z, FormVector(1, 1, 1 << 20), (4.0,)))
     # x0 is inside the range, but at a radius past 2^20 its run
-    # (0, 1, 10^6 + k) leaves it
+    # (1, 1 + 2k, 10^6 + k + k^2) leaves it
     with pytest.raises(OverflowError, match="2\\^20"):
-        count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 10 ** 6), (1.1e6,)))
+        count_orbit(OrbitQuery(PSL2Z, FormVector(1, 1, 10 ** 6), (1.1e6,)))
+    # D = 1 is a square: no stabilizer, no packed vectors, no 2^20 range;
+    # the run of x0 is (0, 1, 2^20 - j) for j = 0, 1, ..., cut by the budget
+    res = count_orbit(OrbitQuery(PSL2Z, FormVector(0, 1, 1 << 20), (4.0,),
+                                 budget=WordBudget(64, 10 ** 4)))
+    assert res.counts == (0,) and not any(res.saturated)
+    assert (res.search_nodes, res.search_depth) == (10 ** 4, 1)
 
 
 def test_theta_walk_counts_are_the_psl2z_i_and_s_cosets():
@@ -574,6 +641,33 @@ def test_coset_filter_outside_the_image_raises():
     for bad in (CosetLabel(5, (1, 0, 0, 1)), CosetLabel(3, (2, 2, 2, 2)),
                 (1, 0, 0, 1)):
         query = OrbitQuery(PSL2Z, X0, (10.0, 20.0), q=3, coset_filter=bad)
+        with pytest.raises(ValueError, match="not a label"):
+            count_orbit(query)
+
+
+def test_coset_filter_is_looked_up_by_its_code():
+    # the breakdown's keys are the cached labels of the level, in code
+    # order, and a filter selects the label it equals: by the code its
+    # entries spell, so integral floats name the label as ints do
+    t_list = (10.0, 20.0)
+    full = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=3))
+    labels = coset_labels(PSL2Z, 3)
+    assert all(a is b for a, b in zip(full.breakdown, labels))
+    assert len(full.breakdown) == len(labels) == 12
+    for lab in labels:
+        one = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=3, coset_filter=lab))
+        assert one.counts == full.breakdown[lab]
+    lab = labels[5]
+    same = CosetLabel(3.0, tuple(float(e) for e in lab.entries))
+    one = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=3, coset_filter=same))
+    assert one.counts == full.breakdown[lab]
+    # entries in a list, three entries, digits past q - 1 (the same class
+    # mod 3, but no label's code) and entries no int equals
+    for entries in (list(lab.entries), lab.entries[:3],
+                    tuple(e + 3 for e in lab.entries), (0.5, 0, 0, 1),
+                    ("1", 0, 0, 1), (math.nan, 0, 0, 1)):
+        query = OrbitQuery(PSL2Z, X0, t_list, q=3,
+                           coset_filter=CosetLabel(3, entries))
         with pytest.raises(ValueError, match="not a label"):
             count_orbit(query)
 

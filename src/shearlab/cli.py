@@ -295,8 +295,6 @@ def _cmd_eisenstein(ns) -> int:
 
 
 def _check_qexp_n(ns) -> None:
-    if not isinstance(ns.qexp_n, int):
-        raise ConfigError(f"--qexp-n must be an integer, got {ns.qexp_n!r}")
     if ns.qexp_n < QEXP_N_MIN:
         raise ConfigError(f"--qexp-n below {QEXP_N_MIN} cannot reach the "
                           f"L-value tolerances")
@@ -567,7 +565,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(ns) -> None:
+def _config_value(flag: argparse.Action, val):
+    """A config value as its flag's parser gives it: an int (not a bool),
+    a float from any number, or a string, among the flag's choices."""
+    kind = flag.type or str
+    if not (type(val) is kind or kind is float and type(val) is int):
+        what = {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise ConfigError(f"config value {flag.dest} = {val!r} must be {what}")
+    if flag.choices is not None and val not in flag.choices:
+        raise ConfigError(f"config value {flag.dest} = {val!r} is not one "
+                          f"of {sorted(flag.choices)}")
+    return kind(val)
+
+
+def _resolve(ns, parser: argparse.ArgumentParser) -> None:
     defaults = dict(DEFAULTS[ns.cmd])
     if ns.config is not None:
         try:
@@ -575,11 +586,17 @@ def _resolve(ns) -> None:
                 loaded = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {ns.config!r}: {e}")
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {ns.config!r} is not a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ConfigError(f"config keys {sorted(unknown)} not valid "
                               f"for {ns.cmd!r}")
-        defaults.update(loaded)
+        sub = next(a for a in parser._actions if a.dest == "cmd")
+        flags = {a.dest: a for a in sub.choices[ns.cmd]._actions}
+        # null leaves a key at its default
+        defaults.update((k, _config_value(flags[k], v))
+                        for k, v in loaded.items() if v is not None)
     for key, val in defaults.items():
         if getattr(ns, key, None) is None:
             setattr(ns, key, val)
@@ -599,7 +616,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        _resolve(ns)
+        _resolve(ns, parser)
         return RUNNERS[ns.cmd](ns)
     except (ValueError, StabilizerError) as e:
         # bad configuration: ConfigError is a ValueError; a stabilizer of x0

@@ -43,7 +43,6 @@ class OrbitQuery:
     t_list: tuple
     norm: str = "sup"
     q: Optional[int] = None
-    coset_filter: Optional[CosetLabel] = None
     budget: WordBudget = field(default_factory=lambda: WordBudget(4096, 10 ** 7))
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class OrbitQuery:
             raise ValueError("radii must be finite")
         if self.norm not in ("sup", "euclidean"):
             raise ValueError(f"unknown norm tag {self.norm!r}")
-        if self.coset_filter is not None and self.q is None:
-            raise ValueError("coset_filter requires q")
         if self.q is not None:
             check_level(self.q)
 
@@ -514,20 +511,6 @@ class _Walk:
         return table.reshape(-1, width), saturated, nodes, depth
 
 
-def _label_row(labels: tuple, space: np.ndarray, label) -> Optional[int]:
-    """The row of labels (the CosetLabels of the codes space) that equals
-    label, or None: the row of the code its entries spell, if any."""
-    q = labels[0].q
-    try:
-        code = int(np.array(label.entries, dtype=np.int64)
-                   @ np.array([q ** 3, q ** 2, q, 1]))
-    except (AttributeError, TypeError, ValueError, OverflowError):
-        return None
-    i = int(np.searchsorted(space, code))
-    ok = type(label) is CosetLabel and i < len(space) and labels[i] == label
-    return i if ok else None
-
-
 def count_orbit(query: OrbitQuery) -> CountResult:
     """Exact ball counts of the orbit x0 * spin_cover(Gamma).
 
@@ -559,20 +542,15 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     exact integer form of key < t (or < t * t), and the cumulative bucket
     counts count every radius.  Per-coset counts bucket by label code
     (one searchsorted in coset_space) and key together; the breakdown
-    lists every label of the image (coset_labels) in code order, and a
-    coset_filter that is none of them raises ValueError.  Entries that do
-    not fit int64 raise OverflowError, and so do walk vectors with an
-    entry past 2^20 where the walk deduplicates.
+    lists every label of the image (coset_labels) in code order.  Entries
+    that do not fit int64 raise OverflowError, and so do walk vectors with
+    an entry past 2^20 where the walk deduplicates.
     """
     t0 = time.perf_counter()
-    q, f = query.q, query.coset_filter
+    q = query.q
     space = None
     if q is not None:
         space, labels = coset_space(query.spec, q), coset_labels(query.spec, q)
-        row = None if f is None else _label_row(labels, space, f)
-        if f is not None and row is None:
-            raise ValueError(f"coset_filter {f!r} is not a label of "
-                             f"{query.spec.name} at level {q}")
     x0n = query.x0.sup_norm() if query.norm == "sup" else query.x0.euclid_norm()
     x0 = tuple(int(v) for v in query.x0.entries())
     wide = x0[1] * x0[1] - 4 * x0[0] * x0[2] > 1
@@ -588,8 +566,6 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     table = np.cumsum(table, axis=1)[:, :-1]
     breakdown = None
     if q is not None:
-        if f is not None:
-            table[np.arange(len(space)) != row] = 0
         breakdown = dict(zip(labels, zip(*table.T.tolist())))
     return CountResult(query.t_list, tuple(int(n) for n in table.sum(axis=0)),
                        tuple(saturated for _ in query.t_list),

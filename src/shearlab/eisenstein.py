@@ -133,14 +133,17 @@ class EisensteinEvaluator:
     def __post_init__(self):
         if self.route not in ("auto", "fourier", "coset"):
             raise ValueError(f"unknown route {self.route!r}")
-        if not 0 <= self.cusp_index < len(self.spec.cusps):
-            raise ValueError(f"cusp index {self.cusp_index} out of range: "
+        # bool is an int subclass; True is no index or mode count
+        if type(self.cusp_index) is not int \
+                or not 0 <= self.cusp_index < len(self.spec.cusps):
+            raise ValueError(f"cusp index {self.cusp_index!r} out of range: "
                              f"{self.spec.name!r} has "
                              f"{len(self.spec.cusps)} cusp(s)")
         if not 32 <= self.max_height < math.inf:
             raise ValueError(f"max_height {self.max_height!r} not in [32, inf)")
-        if self.max_mode < 1:
-            raise ValueError("max_mode must be at least 1")
+        if type(self.max_mode) is not int or self.max_mode < 1:
+            raise ValueError(f"max_mode must be an integer >= 1, got "
+                             f"{self.max_mode!r}")
 
     def value(self, z, s: float) -> float:
         return eisenstein_sample(self, z, s).value

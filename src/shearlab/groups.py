@@ -92,6 +92,11 @@ class WordBudget:
     max_depth: int = 512
     max_nodes: int = 4_000_000
 
+    def __post_init__(self):
+        # bool is an int subclass; True is no budget
+        if not all(type(v) is int and v >= 0 for v in vars(self).values()):
+            raise ValueError(f"word budgets must be integers >= 0: {self}")
+
 
 class BudgetExceeded(Exception):
     """Raised when a row table hits its budget."""
@@ -279,22 +284,6 @@ def _ragged(start, n):
     return i, start[i] + (np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n))
 
 
-def _coprime_rows(d_lo, n, end, first, stop):
-    """(c, d) int arrays of the coprime pairs among candidates first ..
-    stop - 1, where c = 1..len(d_lo) has the n[c-1] candidates d =
-    d_lo[c-1] onwards, end = cumsum(n), and candidates run in order of c
-    and then d."""
-    if stop <= first:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    i0, i1 = np.searchsorted(end, [first, stop - 1], side="right")
-    end, begin = end[i0:i1 + 1], end[i0:i1 + 1] - n[i0:i1 + 1]
-    lo = np.maximum(begin, first)
-    i, d = _ragged(d_lo[i0:i1 + 1] + (lo - begin), np.minimum(end, stop) - lo)
-    c = i + (i0 + 1)
-    keep = np.gcd(c, d) == 1
-    return c[keep], d[keep]
-
-
 def _mod_inverse(d, c):
     """d^-1 mod c in [0, c) for coprime int arrays (0 where c = 1), by the
     extended Euclidean algorithm run on the unfinished entries at once."""
@@ -344,11 +333,11 @@ def bottom_rows(spec: GroupSpec, height: float) -> np.ndarray:
     Left multiplication by a translation fixes the bottom row, and two
     elements share a row (up to sign) exactly when they lie in the same
     coset, so the rows label the cosets.  For omega = 1 they are the
-    coprime pairs in the disc, with a = d^-1 mod c (coset_rows); for omega
-    >= 2, the free product of <T^omega> and <S>, each coset's shortest
-    word (the one a breadth-first search finds first) is the identity or
-    starts with S, and _syllable_tree builds those.  Heights from
-    ROW_HEIGHT_CAP on raise BudgetExceeded.  Returns a read-only (n, 4)
+    coprime pairs in the disc, with a = d^-1 mod c (coset_row_chunks);
+    for omega >= 2, the free product of <T^omega> and <S>, each coset's
+    shortest word (the one a breadth-first search finds first) is the
+    identity or starts with S, and _syllable_tree builds those.  Heights
+    from ROW_HEIGHT_CAP on raise BudgetExceeded.  Returns a read-only (n, 4)
     int array of [a, b, c, d], c > 0 or c = 0 and a = d = 1, sorted by row.
     """
     if not height < ROW_HEIGHT_CAP:
@@ -358,7 +347,7 @@ def bottom_rows(spec: GroupSpec, height: float) -> np.ndarray:
     if spec.omega == 1:
         cs = np.arange(1, int(math.sqrt(h2)) + 2)
         span = np.sqrt(np.maximum(h2 - cs * cs, 0.0)).astype(np.int64) + 1
-        a, c, d = coset_rows(spec, -span, span)
+        a, c, d = np.concatenate([*coset_row_chunks(spec, -span, span)], 1)
         rest = np.column_stack([a, (a * d - 1) // c, c, d])
     else:
         rest = _syllable_tree(spec.omega, h2)
@@ -370,35 +359,6 @@ def bottom_rows(spec: GroupSpec, height: float) -> np.ndarray:
     return out
 
 
-def _candidates(d_lo, d_hi):
-    """(n, end, total) of _coprime_rows for the region d_lo..d_hi."""
-    n = np.maximum(d_hi - d_lo + 1, 0)
-    end = np.cumsum(n)
-    return n, end, int(end[-1]) if len(end) else 0
-
-
-def coset_rows(spec: GroupSpec, d_lo, d_hi):
-    """(a, c, d) int arrays of the coset rows with c = 1..len(d_lo) and
-    d_lo[c-1] <= d <= d_hi[c-1], ordered by c and then d; a is needed mod
-    omega c.  omega = 1 builds them (a = d^-1 mod c); omega >= 2 masks the
-    cached bottom_rows table of the least power-of-two height that holds
-    the region, which raises BudgetExceeded past the cap."""
-    d_lo, d_hi = np.asarray(d_lo, np.int64), np.asarray(d_hi, np.int64)
-    if spec.omega == 1:
-        n, end, total = _candidates(d_lo, d_hi)
-        c, d = _coprime_rows(d_lo, n, end, 0, total)
-        return _mod_inverse(d, c), c, d
-    cs = np.arange(1, len(d_lo) + 1)
-    n2 = cs * cs + np.maximum(d_lo * d_lo, d_hi * d_hi)
-    n2 = int(n2[d_lo <= d_hi].max(initial=1))
-    # (2^k)^2 >= n2 for k = ceil(log2(n2) / 2) = ceil(bitlen(n2 - 1) / 2)
-    a, _, c, d = bottom_rows(spec, 1 << ((n2 - 1).bit_length() + 1) // 2).T
-    first, stop = np.searchsorted(c, [1, len(d_lo) + 1])
-    a, c, d = a[first:stop], c[first:stop], d[first:stop]
-    keep = (d_lo[c - 1] <= d) & (d <= d_hi[c - 1])
-    return a[keep], c[keep], d[keep]
-
-
 # rows per chunk of coset_row_chunks.  A chunk's per-row arrays take 32
 # KiB and the spike engine's per-piece ones 5 times the coprime share of
 # that, near glibc's 128 KiB mmap threshold, so they reuse heap memory;
@@ -408,21 +368,42 @@ ROW_CHUNK = 4096
 
 
 def coset_row_chunks(spec: GroupSpec, d_lo, d_hi):
-    """coset_rows(spec, d_lo, d_hi) as consecutive (a, c, d) chunks of at
-    most ROW_CHUNK rows: the same rows in the same order, none empty.
-    omega = 1 builds each chunk on its own from the next ROW_CHUNK
-    candidates (d_hi - d_lo + 1 for each c), so a long d-range is split
-    inside its c; omega >= 2 slices the rows masked from the table."""
-    if spec.omega != 1:
-        a, c, d = coset_rows(spec, d_lo, d_hi)
-        for first in range(0, len(c), ROW_CHUNK):
-            chunk = slice(first, first + ROW_CHUNK)
-            yield a[chunk], c[chunk], d[chunk]
-        return
+    """(a, c, d) int array chunks of the coset rows with c = 1..len(d_lo)
+    and d_lo[c-1] <= d <= d_hi[c-1], ordered by c and then d, in
+    consecutive chunks of at most ROW_CHUNK rows, none empty; a is needed
+    mod omega c.  omega = 1 builds each chunk on its own from the next
+    ROW_CHUNK candidates (d_hi - d_lo + 1 for each c), a = d^-1 mod c, so
+    a long d-range is split inside its c; omega >= 2 masks the cached
+    bottom_rows table of the least power-of-two height that holds the
+    region, which raises BudgetExceeded past the cap, and slices the rows
+    it keeps."""
     d_lo, d_hi = np.asarray(d_lo, np.int64), np.asarray(d_hi, np.int64)
-    n, end, total = _candidates(d_lo, d_hi)
-    for first in range(0, total, ROW_CHUNK):
-        c, d = _coprime_rows(d_lo, n, end, first,
-                             min(first + ROW_CHUNK, total))
-        if len(c):
-            yield _mod_inverse(d, c), c, d
+    if spec.omega == 1:
+        n = np.maximum(d_hi - d_lo + 1, 0)
+        end = np.cumsum(n)
+        total = int(end[-1]) if len(end) else 0
+        for first in range(0, total, ROW_CHUNK):
+            stop = min(first + ROW_CHUNK, total)
+            i0, i1 = np.searchsorted(end, [first, stop - 1], side="right")
+            hi, begin = end[i0:i1 + 1], end[i0:i1 + 1] - n[i0:i1 + 1]
+            lo = np.maximum(begin, first)
+            i, d = _ragged(d_lo[i0:i1 + 1] + (lo - begin),
+                           np.minimum(hi, stop) - lo)
+            c = i + (i0 + 1)
+            keep = np.gcd(c, d) == 1
+            if keep.any():
+                c, d = c[keep], d[keep]
+                yield _mod_inverse(d, c), c, d
+        return
+    cs = np.arange(1, len(d_lo) + 1)
+    n2 = cs * cs + np.maximum(d_lo * d_lo, d_hi * d_hi)
+    n2 = int(n2[d_lo <= d_hi].max(initial=1))
+    # (2^k)^2 >= n2 for k = ceil(log2(n2) / 2) = ceil(bitlen(n2 - 1) / 2)
+    a, _, c, d = bottom_rows(spec, 1 << ((n2 - 1).bit_length() + 1) // 2).T
+    first, stop = np.searchsorted(c, [1, len(d_lo) + 1])
+    a, c, d = a[first:stop], c[first:stop], d[first:stop]
+    keep = (d_lo[c - 1] <= d) & (d <= d_hi[c - 1])
+    a, c, d = a[keep], c[keep], d[keep]
+    for first in range(0, len(c), ROW_CHUNK):
+        chunk = slice(first, first + ROW_CHUNK)
+        yield a[chunk], c[chunk], d[chunk]

@@ -27,8 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import (PSL2Z, THIN4, GroupSpec, _ragged, coset_row_chunks,
-                     coset_rows, reduce_points)
+from .groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec, _ragged,
+                     coset_row_chunks, reduce_points)
 from .quadrature import (InsufficientConvergenceError, adaptive, gl_nodes,
                          integrate_fd, refine)
 
@@ -221,6 +221,11 @@ class ShearSample:
     route: str
 
 
+# the unfolded routes' row regions at most, checked before they are built:
+# c's of the ray (lattice T < 1.09e7), strip candidates (lattice T < 2.94e6)
+MAX_ROW_BOUNDS = MAX_STRIP_CANDIDATES = 1 << 23
+
+
 def _y_top(psi: TestFunction, tol: float) -> float:
     """Where integrals in y stop: the top of the support box, else the
     cusp cut above which the tail against dy/y drops below tol/2, given
@@ -272,6 +277,9 @@ def _window_rows(psi: TestFunction, T: float, y_lo: float):
     group's coset rows, and a/c is the cusp offset, needed mod omega.
     """
     peak = (math.sqrt(T * T + 1.0) + abs(T)) / (2.0 * y_lo)
+    if not peak < MAX_ROW_BOUNDS:
+        raise BudgetExceeded(f"mu_T at T = {T:g}: {peak:.3g} row bounds, "
+                             f"past the ceiling of {MAX_ROW_BOUNDS}")
     span = (peak / np.arange(1, int(peak) + 2)).astype(np.int64) + 1
     one = np.ones_like(span)
     for a, c, d in coset_row_chunks(
@@ -548,21 +556,30 @@ def _strip_direct(psi: TestFunction, T: float, tol: float) -> float:
 
 
 def _strip_rows(psi: TestFunction, T: float):
-    """(c, d) int arrays of the rows, c > 0, whose translate clears the 1/T
-    height cut somewhere in the support box: (cx + d)^2 < yT - c^2 y^2 at
-    some (x, y) there.  The right side peaks at y* = T / 2c^2 clipped to
-    [y_lo, y_hi], and is positive somewhere only for c^2 < T / y_lo."""
+    """The (a, c, d) chunks of the rows, c > 0, whose translate clears the
+    1/T height cut somewhere in the support box: (cx + d)^2 < yT - c^2 y^2
+    at some (x, y) there.  The right side peaks at y* = T / 2c^2 clipped
+    to [y_lo, y_hi], and is positive somewhere only for c^2 < T / y_lo.
+    The region has at most n (x_max (n + 1) + 2 sqrt(y_hi T) + 3)
+    candidates, n = sqrt(T / y_lo) + 1."""
     x_lo, x_hi, y_lo, y_hi = psi.support
+    xm = max(abs(x_lo), abs(x_hi))
+    n = math.sqrt(T / y_lo) + 1.0
+    bound = n * (xm * (n + 1.0) + 2.0 * math.sqrt(y_hi * T) + 3.0)
+    if not bound <= MAX_STRIP_CANDIDATES:
+        raise BudgetExceeded(f"strip measure at T = {T:g}: {bound:.3g} "
+                             f"candidate rows, past the ceiling of "
+                             f"{MAX_STRIP_CANDIDATES}")
     cs = np.arange(1, math.ceil(math.sqrt(T / y_lo)) + 1)
     ys = np.clip(T / (2.0 * cs * cs), y_lo, y_hi)
     reach = np.sqrt(np.maximum(ys * T - cs * cs * ys * ys, 0.0))
-    span = (cs * max(abs(x_lo), abs(x_hi)) + reach).astype(np.int64) + 1
-    return coset_rows(psi.spec, -span, span)[1:]
+    span = (cs * xm + reach).astype(np.int64) + 1
+    return coset_row_chunks(psi.spec, -span, span)
 
 
 def _strip_panels(psi: TestFunction, T: float):
     """y-panels (p, q, c, d, top, capped, full) over which each row's
-    x-window in the box is smooth, as arrays in row order.
+    x-window in the box is smooth, as arrays in row order, chunk by chunk.
 
     Row (c, d) counts where Im(g z) > 1/T, on the horoball disc
     |x + d/c|^2 + (y - top/2)^2 < (top/2)^2, top = T/c^2.  Its window
@@ -574,30 +591,34 @@ def _strip_panels(psi: TestFunction, T: float):
     whole x-range, and no capped one does.
     """
     x_lo, x_hi, y_lo, y_hi = psi.support
-    c, d = (v.astype(float) for v in _strip_rows(psi, T))
-    top = T / (c * c)
-    live = top > y_lo
-    c, d, top = c[live], d[live], top[live]
-    y_end = np.minimum(top, y_hi)
-    cuts = [np.full(len(c), y_lo), y_end]
-    for xe in (x_lo, x_hi):
-        k2 = (c * xe + d) ** 2
-        disc = T * T - 4.0 * c * c * k2
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        # the small root in the cancellation-free form 2 k2 / (T + sq)
-        for r in (2.0 * k2 / (T + sq), (T + sq) / (2.0 * c * c)):
-            cuts.append(np.where(disc > 0.0, np.clip(r, y_lo, y_end), y_end))
-    cuts = np.sort(np.column_stack(cuts), axis=1)
-    p, q = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-    c, d, top = (np.repeat(v, 5) for v in (c, d, top))
-    # which edges bind is fixed inside a panel, so test at its middle
-    m = 0.5 * (p + q)
-    s = np.sqrt(np.maximum(m * (top - m), 0.0))
-    keep = (q > p) & (-d / c - s < x_hi) & (-d / c + s > x_lo)
-    p, q, c, d, top, s = (v[keep] for v in (p, q, c, d, top, s))
-    capped = q == top
-    full = (-d / c - s <= x_lo) & (-d / c + s >= x_hi) & ~capped
-    return p, q, c, d, top, capped, full
+    panels = []
+    for _, c, d in _strip_rows(psi, T):
+        c, d = c.astype(float), d.astype(float)
+        top = T / (c * c)
+        live = top > y_lo
+        c, d, top = c[live], d[live], top[live]
+        y_end = np.minimum(top, y_hi)
+        cuts = [np.full(len(c), y_lo), y_end]
+        for xe in (x_lo, x_hi):
+            k2 = (c * xe + d) ** 2
+            disc = T * T - 4.0 * c * c * k2
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            # the small root in the cancellation-free form 2 k2 / (T + sq)
+            for r in (2.0 * k2 / (T + sq), (T + sq) / (2.0 * c * c)):
+                cuts.append(np.where(disc > 0.0, np.clip(r, y_lo, y_end),
+                                     y_end))
+        cuts = np.sort(np.column_stack(cuts), axis=1)
+        p, q = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        c, d, top = (np.repeat(v, 5) for v in (c, d, top))
+        # which edges bind is fixed inside a panel, so test at its middle
+        m = 0.5 * (p + q)
+        s = np.sqrt(np.maximum(m * (top - m), 0.0))
+        keep = (q > p) & (-d / c - s < x_hi) & (-d / c + s > x_lo)
+        p, q, c, d, top, s = (v[keep] for v in (p, q, c, d, top, s))
+        capped = q == top
+        full = (-d / c - s <= x_lo) & (-d / c + s >= x_hi) & ~capped
+        panels.append((p, q, c, d, top, capped, full))
+    return tuple(np.concatenate(v) for v in zip(*panels))
 
 
 # (ny, nx) Gauss-Legendre nodes per panel on each rung of the strip ladder.

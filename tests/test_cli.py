@@ -261,6 +261,63 @@ def test_config_file_merge(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("cmd,loaded,what", [
+    ("eisenstein", {"max_mode": 2.5}, "must be an integer"),
+    ("eisenstein", {"cusp": True}, "must be an integer"),
+    ("count", {"T": 5}, "must be a string"),
+    ("count", {"budget_nodes": 1e7}, "must be an integer"),
+    ("count", {"norm": "l1"}, "is not one of"),
+    ("shear", {"tol": "abc"}, "must be a number"),
+    ("shear", {"T": ["10", "30"]}, "must be a string"),
+])
+def test_config_values_parse_as_their_flags(tmp_path, capsys, cmd, loaded,
+                                            what):
+    # a config value skipped the flag parsers: these exited 1 with a
+    # TypeError or an AttributeError
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(loaded))
+    out = tmp_path / "x.csv"
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
+def test_config_numbers_take_their_flag_types(tmp_path):
+    # an integral number for a float flag, and null for the default
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"T": "10", "tol": 1, "psi": None}))
+    out = tmp_path / "shear.csv"
+    assert main(["shear", "--config", str(cfg), "--out", str(out)]) == 0
+    config = read_manifest(out)["config"]
+    assert config["tol"] == 1.0 and config["psi"] == "bump:default"
+    cfg.write_text("[1]")
+    assert main(["shear", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+def test_negative_word_budget_is_config_error(tmp_path, capsys):
+    # it walked nothing and exited 3 with counts of 0
+    out = tmp_path / "counts.csv"
+    for flag in ("--budget-nodes", "--budget-words"):
+        assert main(["count", flag, "-5", "--out", str(out)]) == 2
+        assert "integers >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T", ["1e10", "1e300"])
+def test_shear_past_the_row_ceiling_is_partial(tmp_path, capsys, T):
+    # 1e10 asked for 57 GiB of row bounds and 1e300 overflowed int(peak),
+    # each exiting 1
+    out = tmp_path / "shear.csv"
+    t0 = time.perf_counter()
+    assert main(["shear", "--T", T, "--out", str(out)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "past the ceiling" in capsys.readouterr().err
+    man = read_manifest(out)
+    assert man["partial"] is True and man["outputs"] == []
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"radii": "4,8"}))

@@ -14,7 +14,7 @@ from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                count_orbit, fit_counting_law,
                                identity_coset_factor)
 from shearlab.counting import _element, _Walk
-from shearlab.groups import (PSL2Z, THIN4, CosetLabel, GroupSpec, WordBudget,
+from shearlab.groups import (PSL2Z, THIN4, GroupSpec, WordBudget,
                              coset_labels, label_codes)
 from coset_oracle import label_of
 from divisor_count import quadric_counts
@@ -134,8 +134,6 @@ def test_query_validation():
         OrbitQuery(PSL2Z, X0, (8.0, 4.0))
     with pytest.raises(ValueError):
         OrbitQuery(PSL2Z, X0, (4.0,), norm="manhattan")
-    with pytest.raises(ValueError):
-        OrbitQuery(PSL2Z, X0, (4.0,), coset_filter=(1, 0, 0, 1))
 
 
 def test_query_rejects_non_integral_x0():
@@ -625,51 +623,14 @@ def test_theta_walk_counts_are_the_psl2z_i_and_s_cosets():
     assert theta.counts == (346, 794, 1794, 3930, 37986)
 
 
-def test_coset_filter_keeps_one_label():
-    full = count_orbit(OrbitQuery(THIN4, X0, (40.0, 80.0), q=3))
-    ident = label_of(IntGroupElement.identity(), 3)
-    one = count_orbit(OrbitQuery(THIN4, X0, (40.0, 80.0), q=3,
-                                 coset_filter=ident))
-    assert one.counts == full.breakdown[ident]
-    assert one.breakdown[ident] == full.breakdown[ident]
-    assert all(not any(cs) for lab, cs in one.breakdown.items() if lab != ident)
-
-
-def test_coset_filter_outside_the_image_raises():
-    # another level, a tuple that is no label of the image (det 0) and a
-    # bare tuple would each select nothing and count 0
-    for bad in (CosetLabel(5, (1, 0, 0, 1)), CosetLabel(3, (2, 2, 2, 2)),
-                (1, 0, 0, 1)):
-        query = OrbitQuery(PSL2Z, X0, (10.0, 20.0), q=3, coset_filter=bad)
-        with pytest.raises(ValueError, match="not a label"):
-            count_orbit(query)
-
-
-def test_coset_filter_is_looked_up_by_its_code():
-    # the breakdown's keys are the cached labels of the level, in code
-    # order, and a filter selects the label it equals: by the code its
-    # entries spell, so integral floats name the label as ints do
-    t_list = (10.0, 20.0)
-    full = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=3))
+def test_breakdown_keys_are_the_cached_labels():
+    # the breakdown lists the cached labels of the level, in code order,
+    # and its per-label counts sum to the counts
+    full = count_orbit(OrbitQuery(PSL2Z, X0, (10.0, 20.0), q=3))
     labels = coset_labels(PSL2Z, 3)
     assert all(a is b for a, b in zip(full.breakdown, labels))
     assert len(full.breakdown) == len(labels) == 12
-    for lab in labels:
-        one = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=3, coset_filter=lab))
-        assert one.counts == full.breakdown[lab]
-    lab = labels[5]
-    same = CosetLabel(3.0, tuple(float(e) for e in lab.entries))
-    one = count_orbit(OrbitQuery(PSL2Z, X0, t_list, q=3, coset_filter=same))
-    assert one.counts == full.breakdown[lab]
-    # entries in a list, three entries, digits past q - 1 (the same class
-    # mod 3, but no label's code) and entries no int equals
-    for entries in (list(lab.entries), lab.entries[:3],
-                    tuple(e + 3 for e in lab.entries), (0.5, 0, 0, 1),
-                    ("1", 0, 0, 1), (math.nan, 0, 0, 1)):
-        query = OrbitQuery(PSL2Z, X0, t_list, q=3,
-                           coset_filter=CosetLabel(3, entries))
-        with pytest.raises(ValueError, match="not a label"):
-            count_orbit(query)
+    assert tuple(map(sum, zip(*full.breakdown.values()))) == full.counts
 
 
 words = st.lists(st.integers(-40, 40), min_size=1, max_size=8)

@@ -401,6 +401,20 @@ def test_route_guards():
         eisenstein_sample(e, 0.5 - 1.0j, 2.0)
 
 
+def test_evaluator_takes_only_int_modes_and_cusps():
+    # a float mode count failed later in arange or a comparison, and a
+    # fractional cusp index passed the range check and read as cusp 1
+    for bad in (2.5, 4000.0, math.nan, math.inf, True, "40"):
+        with pytest.raises(ValueError, match="max_mode"):
+            EisensteinEvaluator(max_mode=bad)
+    for spec, bad in ((THIN4, 0.5), (THIN4, 1.0), (THIN4, True),
+                      (PSL2Z, False), (PSL2Z, math.nan)):
+        with pytest.raises(ValueError, match="cusp index"):
+            EisensteinEvaluator(spec=spec, cusp_index=bad)
+    ev = EisensteinEvaluator(spec=THIN4, cusp_index=1, max_mode=1)
+    assert (ev.cusp_index, ev.max_mode) == (1, 1)
+
+
 def test_mode_cap_failure_is_loud():
     e = EisensteinEvaluator(route="fourier", max_mode=3)
     with pytest.raises(ConvergenceError):

@@ -11,10 +11,9 @@ from shearlab import groups
 from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
 from shearlab.groups import (MAX_COSETS, PSL2Z, THIN4, BudgetExceeded,
                              Cusp, GroupSpec, WordBudget, bottom_rows,
-                             check_level, coset_row_chunks, coset_rows,
-                             coset_space, label_codes, label_entries,
-                             psl2_order, reduce_points,
-                             reduce_to_fundamental_domain)
+                             check_level, coset_row_chunks, coset_space,
+                             label_codes, label_entries, psl2_order,
+                             reduce_points, reduce_to_fundamental_domain)
 from coset_oracle import coset_closure
 from word_search import SearchBudgetExceeded, enumerate_words
 
@@ -92,6 +91,16 @@ def test_enumerate_words_tuples_are_sign_representatives():
     res = enumerate_words(THIN4, expand=lambda g: frob2(g) < 40 ** 2)
     assert all(type(g) is tuple and IntGroupElement(*g).entries() == g
                for g in res.elements)
+
+
+def test_word_budget_takes_ints_at_least_zero():
+    # a negative budget walked nothing and reported counts of 0
+    for bad in (-5, -1, 2.0, 1.5, math.nan, True, None, "10"):
+        for kw in ({"max_depth": bad}, {"max_nodes": bad}):
+            with pytest.raises(ValueError, match="integers >= 0"):
+                WordBudget(**kw)
+    assert WordBudget(0) == WordBudget(0, 4_000_000)
+    assert WordBudget(0, 0).max_nodes == 0
 
 
 def test_enumerate_words_budget_carries_partial():
@@ -438,6 +447,20 @@ def test_bottom_rows_cap_raises_at_once():
     assert len(bottom_rows(THIN4, 4095.0)) > len(bottom_rows(THIN4, 2048.0))
 
 
+def _region_rows(spec, d_lo, d_hi):
+    """(a, c, d) lists of the region's rows by independent routes: for
+    psl2z the coprime pairs with a = d^-1 mod c, for thin4 a scan of the
+    height-256 table, which holds every region the test below draws."""
+    if spec.omega == 1:
+        rows = [(pow(d, -1, c), c, d) for c in range(1, len(d_lo) + 1)
+                for d in range(int(d_lo[c - 1]), int(d_hi[c - 1]) + 1)
+                if math.gcd(c, abs(d)) == 1]
+    else:
+        rows = [(a, c, d) for a, _, c, d in bottom_rows(THIN4, 256).tolist()
+                if 1 <= c <= len(d_lo) and d_lo[c - 1] <= d <= d_hi[c - 1]]
+    return [list(v) for v in zip(*rows)] or [[], [], []]
+
+
 # each example patches ROW_CHUNK in its own monkeypatch context
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -446,19 +469,19 @@ def test_bottom_rows_cap_raises_at_once():
        spec=st.sampled_from([PSL2Z, THIN4]), seed=st.integers(0, 2 ** 32 - 1))
 def test_row_chunks_concatenate_to_the_region_query(d_lo, width, size, spec,
                                                     seed, monkeypatch):
-    # the same rows in the same order, in non-empty chunks of at most
-    # ROW_CHUNK rows; d-ranges of up to 90 candidates split inside a c
+    # the region's rows in order of c and then d, in non-empty chunks of
+    # at most ROW_CHUNK rows; d-ranges of up to 90 candidates split inside
+    # a c
     d_lo = np.array(d_lo, dtype=np.int64)
     d_hi = d_lo + np.random.default_rng(seed).integers(-3, width + 1,
                                                       len(d_lo))
-    want = coset_rows(spec, d_lo, d_hi)
     with monkeypatch.context() as m:
         m.setattr(groups, "ROW_CHUNK", size)
         chunks = list(coset_row_chunks(spec, d_lo, d_hi))
     assert all(0 < len(c) <= size for _, c, _ in chunks)
     got = [np.concatenate([ch[i] for ch in chunks] or [np.zeros(0, int)])
            for i in range(3)]
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert [g.tolist() for g in got] == _region_rows(spec, d_lo, d_hi)
 
 
 def test_bottom_rows_thin_subset_of_lattice():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -324,9 +325,15 @@ def test_thin_window_rows_match_the_table_scan(thin_bump, T):
     assert list(got) == want
 
 
+def _concat(chunks):
+    """The arrays of a stream of row chunks, joined column by column."""
+    return tuple(np.concatenate(v) for v in zip(*chunks))
+
+
 def test_thin_table_is_the_next_power_of_two(thin_bump, monkeypatch):
-    # coset_rows masks the table of the least power-of-two height that
-    # holds its region: here the row (c, d) = (1, d_hi), of norm^2 1 + d_hi^2
+    # coset_row_chunks masks the table of the least power-of-two height
+    # that holds its region: here the row (c, d) = (1, d_hi), of norm^2
+    # 1 + d_hi^2
     heights = []
 
     def recorded(spec, height):
@@ -336,11 +343,11 @@ def test_thin_table_is_the_next_power_of_two(thin_bump, monkeypatch):
     monkeypatch.setattr(groups, "bottom_rows", recorded)
     for d_hi, top in ((0, 1), (1, 2), (31, 32), (32, 64), (1000, 1024),
                       (2047, 2048)):
-        a, c, d = groups.coset_rows(THIN4, [-d_hi], [d_hi])
+        a, c, d = _concat(groups.coset_row_chunks(THIN4, [-d_hi], [d_hi]))
         assert heights.pop() == top
         assert c.tolist() == [1] * len(d) and abs(d).max() <= d_hi
     with pytest.raises(BudgetExceeded, match="past the cap"):
-        groups.coset_rows(THIN4, [-2048], [2048])
+        list(groups.coset_row_chunks(THIN4, [-2048], [2048]))
     monkeypatch.undo()
     # thin mu_T's window region fits the height-2048 table up to T = 2149
     for T in (2040.0, 2149.0):
@@ -374,7 +381,7 @@ def test_strip_rows_match_the_gcd_loop(lattice_bump, T):
         span = int(c * xm + math.sqrt(max(y * T - c * c * y * y, 0.0))) + 1
         want.extend((c, d) for d in range(-span, span + 1)
                     if math.gcd(c, abs(d)) == 1)
-    c, d = measures._strip_rows(lattice_bump, T)
+    _, c, d = _concat(measures._strip_rows(lattice_bump, T))
     assert list(zip(c.tolist(), d.tolist())) == want
 
 
@@ -385,7 +392,7 @@ def _wide_strip_rows(psi, T):
     reach = math.sqrt(T * y_hi)
     cs = np.arange(1, int(reach / y_lo) + 2)
     span = (cs * max(abs(x_lo), abs(x_hi)) + reach).astype(np.int64) + 1
-    return groups.coset_rows(psi.spec, -span, span)[1:]
+    return groups.coset_row_chunks(psi.spec, -span, span)
 
 
 @pytest.mark.parametrize("T", [3.0, 20.0, 300.0, 3e3, 3e4])
@@ -407,9 +414,58 @@ def test_thin_strip_rows_reach_past_the_wide_region():
     psi = measures.make_thin_bump()
     for T in (8.4e5, 2e6):
         with pytest.raises(BudgetExceeded):
-            _wide_strip_rows(psi, T)
-        c, d = measures._strip_rows(psi, T)
+            list(_wide_strip_rows(psi, T))
+        _, c, d = _concat(measures._strip_rows(psi, T))
         assert len(c) and np.all(c * c + d * d < 2048 ** 2)
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_mu_T_strip_does_not_depend_on_the_row_chunks(lattice_bump, thin_bump,
+                                                     size, monkeypatch):
+    # the panels are built chunk by chunk and joined in row order, so they
+    # are the same arrays at every chunk size, and so are the values
+    cases = [(lattice_bump, 300.0), (lattice_bump, 3e3), (thin_bump, 300.0)]
+    want = [mu_T_strip(psi, T) for psi, T in cases]
+    monkeypatch.setattr(groups, "ROW_CHUNK", size)
+    assert [mu_T_strip(psi, T) for psi, T in cases] == want
+
+
+def test_huge_radii_raise_before_building_rows(lattice_bump, thin_bump):
+    # T = 1e10 asked _window_rows for 57 GiB of row bounds, T = 1e300
+    # overflowed int(peak), and the strip at T = 1e13 ran out of memory
+    t0 = time.perf_counter()
+    for T in (1e10, -1e10, 1e300):
+        with pytest.raises(BudgetExceeded, match="row bounds, past the "):
+            mu_T(lattice_bump, T)
+    for psi, T in ((lattice_bump, 1e13), (thin_bump, 1e13),
+                   (lattice_bump, 1e300)):
+        with pytest.raises(BudgetExceeded, match="candidate rows, past the"):
+            mu_T_strip(psi, T)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_row_ceilings_admit_T_1e6(lattice_bump, thin_bump, monkeypatch):
+    # both bumps' row regions at T = 1e6 pass either ceiling, and the thin
+    # strip's at 2e6; the lattice ray's is refused from T = 1.1e7 and its
+    # strip's from 3e6.  The row query is stubbed: only the region counts
+    regions = []
+
+    def region(spec, d_lo, d_hi):
+        regions.append(len(d_lo))
+        return iter(())
+
+    monkeypatch.setattr(measures, "coset_row_chunks", region)
+    for psi in (lattice_bump, thin_bump):
+        for T in (1e6, -1e6):
+            list(measures._window_rows(psi, T, psi.support[2]))
+        list(measures._strip_rows(psi, 1e6))
+    list(measures._strip_rows(thin_bump, 2e6))
+    assert len(regions) == 7 and min(regions) > 500
+    with pytest.raises(BudgetExceeded):
+        list(measures._window_rows(lattice_bump, 1.1e7, 1.3))
+    with pytest.raises(BudgetExceeded):
+        measures._strip_rows(lattice_bump, 3e6)
+    assert len(regions) == 7
 
 
 def test_mu_T_small_radius_uses_generic(lattice_bump):

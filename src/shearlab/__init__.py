@@ -21,8 +21,7 @@ from .counting import (CountResult, FitResult, InsufficientDataError,
 from .eisenstein import (ConvergenceError, EisensteinEvaluator,
                          EisensteinSample, PairingError, critical_exponent,
                          eisenstein_sample, mu_eis, regularized_E1)
-from .groups import (Cusp, GroupSpec, PSL2Z, THIN4, WordBudget,
-                     reduce_points, reduce_to_fundamental_domain)
+from .groups import Cusp, GroupSpec, PSL2Z, THIN4, WordBudget, reduce_points
 from .measures import (RegressionResult, ShearSample, TestFunction,
                        equidistribution_regression, fourier_coefficient,
                        haar_mean, horocycle_average, make_lattice_bump,
@@ -43,7 +42,6 @@ __all__ = [
     "iwasawa_recompose", "mobius_act", "shear_element", "spin_cover",
     # groups
     "Cusp", "GroupSpec", "PSL2Z", "THIN4", "WordBudget", "reduce_points",
-    "reduce_to_fundamental_domain",
     # counting
     "CountResult", "FitResult", "InsufficientDataError", "OrbitQuery",
     "StabilizerError", "coset_disparity", "count_orbit", "fit_counting_law",

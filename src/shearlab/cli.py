@@ -16,9 +16,11 @@ Every file-writing run produces `<out>` plus `<out stem>.manifest.json`
 holding the resolved configuration, package version, and wall time.
 Identical configuration gives byte-identical CSV output; only the
 manifest timestamp and wall time vary.  selftest --seed picks its
-randomized sweep.  Exit codes: 0 success, 2 bad configuration (nothing
-written), 3 budget or tolerance exhausted (manifest flagged partial; a
-run stopped by the error lists no outputs and records the error text).
+randomized sweep.  Exit codes: 0 success, 2 bad configuration, an
+unreadable --in file or an --out that names a directory or lies in a
+missing or unwritable one (nothing written), 3 budget or tolerance
+exhausted (manifest flagged partial; a run stopped by the error lists no
+outputs and records the error text).
 """
 
 from __future__ import annotations
@@ -196,14 +198,19 @@ def _cmd_count(ns) -> int:
 
 def _cmd_fit(ns) -> int:
     t0 = time.perf_counter()
-    with open(ns.infile, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        try:
-            it, ic = header.index("T"), header.index("count")
-        except ValueError:
-            raise ConfigError(f"{ns.infile!r} lacks T/count columns")
-        data = [(float(r[it]), int(r[ic])) for r in reader]
+    try:
+        with open(ns.infile, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, ValueError, csv.Error) as e:
+        raise ConfigError(f"cannot read counts file {ns.infile!r}: {e}")
+    header = rows[0] if rows else []
+    if "T" not in header or "count" not in header:
+        raise ConfigError(f"{ns.infile!r} lacks T/count columns")
+    it, ic = header.index("T"), header.index("count")
+    try:
+        data = [(float(r[it]), int(r[ic])) for r in rows[1:]]
+    except (IndexError, ValueError) as e:
+        raise ConfigError(f"bad row in counts file {ns.infile!r}: {e}")
     if len(data) < 2:
         raise ConfigError("need at least two count rows to fit")
     try:
@@ -602,6 +609,14 @@ def _resolve(ns, parser: argparse.ArgumentParser) -> None:
             setattr(ns, key, val)
     if ns.cmd != "selftest" and ns.out is None:
         raise ConfigError("an output path is required")
+    if ns.out is not None:
+        # checked before any work, which an unwritable path would throw away
+        folder = os.path.dirname(ns.out) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"cannot write {ns.out!r}: {folder!r} is not "
+                              f"a writable directory")
+        if os.path.isdir(ns.out):
+            raise ConfigError(f"cannot write {ns.out!r}: it is a directory")
 
 
 def _echo(ns) -> dict:

@@ -59,10 +59,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .algebra import INT_S, UTBPoint, mobius_act, point_xy
-from .groups import GroupSpec, PSL2Z, _ragged, bottom_rows
+from .groups import GroupSpec, PSL2Z, _ragged, bottom_rows, reduce_points
 from .quadrature import gl_nodes, integrate_fd, refine
 from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
-                      log_abs_eta, log_abs_eta_arr, zeta, zeta_prime)
+                      log_abs_eta_arr, zeta, zeta_prime)
 
 __all__ = [
     "EisensteinEvaluator", "EisensteinSample", "ConvergenceError",
@@ -492,11 +492,10 @@ def _thin_coset_value(spec, x, y, s, max_height):
 
 def regularized_E1(z) -> float:
     """Value at s = 1 after removing the (3/pi)/(s-1) pole, full modular
-    group: (3/pi) (2 gamma - 2 zeta'(2)/zeta(2) - log(4 y |eta(z)|^4))."""
+    group: (3/pi) (2 gamma - 2 zeta'(2)/zeta(2) - log(4 y |eta(z)|^4)),
+    which is invariant, so it is taken at the reduced point."""
     x, y = point_xy(z)
-    const = 2.0 * EULER_GAMMA - 2.0 * zeta_prime(2.0) / zeta(2.0)
-    return (3.0 / math.pi) * (const - math.log(4.0 * y)
-                              - 4.0 * log_abs_eta(x, y))
+    return float(_regularized_E1_arr(*reduce_points([x], [y]))[0])
 
 
 def _regularized_E1_arr(x, y):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import INT_S, IntGroupElement, UTBPoint
+from .algebra import INT_S, IntGroupElement
 
 INF = float("inf")
 
@@ -107,40 +107,6 @@ class BudgetExceeded(Exception):
 REDUCE_MAX_STEPS = 200  # inversions a point may take before reduction raises
 
 
-def reduce_to_fundamental_domain(p: UTBPoint):
-    """Move p into |x| <= 1/2, |z| >= 1 and return (point, word).
-
-    The point moves by the arithmetic of reduce_points at omega = 1, so
-    the two raise ValueError on the same inputs and agree on the height.
-    Boundary conventions: the x = +1/2 edge is excluded (mapped to -1/2),
-    and on the unit circle the x < 0 half is excluded (mapped across by the
-    inversion).  The returned integer word gamma satisfies gamma p = point.
-    """
-    x, y, theta = p.x, p.y, p.theta
-    word = IntGroupElement.identity()
-    for inversions in range(REDUCE_MAX_STEPS + 2):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            break
-        n = math.floor(x + 0.5)
-        if n:
-            x -= n
-            word = IntGroupElement(1, -n, 0, 1) * word
-        r2 = x * x + y * y
-        # on the unit circle the negative-x half maps across, except the
-        # corner at x = -1/2 which is the canonical representative
-        edge = abs(r2 - 1.0) <= 1e-15 and -0.5 + 1e-15 < x < 0.0
-        if r2 >= 1.0 - 1e-15 and not edge:
-            return UTBPoint(x, y, theta), word
-        if (inversions == REDUCE_MAX_STEPS and not edge) or r2 == 0.0:
-            break
-        theta -= 2.0 * math.atan2(y, x)
-        inv = 1.0 / r2
-        x, y = -x * inv, y * inv
-        word = INT_S * word
-    raise ValueError(f"cannot reduce ({p.x!r}, {p.y!r}): not finite, or "
-                     f"unreduced after {REDUCE_MAX_STEPS} inversions")
-
-
 def reduce_points(x, y, omega=1):
     """Vectorized translate/invert reduction into |x| <= omega/2, |z| >= 1.
 
@@ -160,16 +126,28 @@ def reduce_points(x, y, omega=1):
     exact reduction of the input (7e-9 at y = 1e-8), and from y of about
     1e-15 on it is the reduction of a nearby point instead.
     """
+    return _walk(x, y, omega, False)[:2]
+
+
+def _walk(x, y, omega, factor):
+    """reduce_points' walk, returning (x, y, j).  With factor, j is the
+    automorphy factor +-(cz + d) of the element that moves each point:
+    an inversion w -> -1/w multiplies it by w, since j(S g, z) =
+    (g z) j(g, z), and a translation leaves it alone.  Without, j is
+    None: tracking it took 20-70% longer on 8192-point batches."""
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0).all()):
         raise ValueError("reduce_points needs finite points with y > 0")
     np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
     idx = np.flatnonzero(x * x + y * y < 1.0 - 1e-15)
+    j = np.ones(x.shape, dtype=complex) if factor else None
     for _ in range(REDUCE_MAX_STEPS):
         if not len(idx):
             break
         xi, yi = x[idx], y[idx]
+        if factor:
+            j[idx] *= xi + 1j * yi
         inv = 1.0 / (xi * xi + yi * yi)
         xi = -xi * inv
         yi *= inv
@@ -180,7 +158,7 @@ def reduce_points(x, y, omega=1):
         raise ValueError(f"reduce_points left points outside the domain "
                          f"after {REDUCE_MAX_STEPS} inversions")
     np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
-    return x, y
+    return x, y, j
 
 
 # -- congruence structure ----------------------------------------------------

@@ -33,9 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import UTBPoint, point_xy
-from .groups import (PSL2Z, _ragged, reduce_points,
-                     reduce_to_fundamental_domain)
+from .algebra import point_xy
+from .groups import PSL2Z, _ragged, _walk, reduce_points
 from .measures import TestFunction
 from .quadrature import (InsufficientConvergenceError, adaptive, integrate_fd,
                          refine)
@@ -168,13 +167,11 @@ def _psi(f: QExpansion, x, y):
 
 
 def eval_form(f: QExpansion, z) -> complex:
-    """f(z) anywhere: reduce to the fundamental domain, evaluate the
-    expansion there, and unwind the weight-k cocycle."""
+    """f(z) anywhere: f(z) = j^-k f(gz), where g moves z into the
+    fundamental domain and j = cz + d is read off the reduction's walk."""
     x, y = point_xy(z)
-    p, word = reduce_to_fundamental_domain(UTBPoint(x, y, 0.0))
-    val = complex(_qexp_eval(f, p.x, p.y))
-    den = complex(word.c * x + word.d, word.c * y)
-    return val * den ** (-f.weight)
+    rx, ry, j = _walk([x], [y], 1, True)
+    return complex(_qexp_eval(f, rx, ry)[0]) * complex(j[0]) ** (-f.weight)
 
 
 def eval_psi_f(f: QExpansion, z) -> float:

@@ -157,6 +157,41 @@ def test_fit_rejects_non_monotone(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("text", [None, "T,count\n10,5\n20\n", ""],
+                         ids=["missing", "short-row", "empty"])
+def test_unreadable_counts_file_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                           text):
+    # these ended in a FileNotFoundError, IndexError or StopIteration
+    # traceback with exit 1
+    counts = tmp_path / "counts.csv"
+    if text is not None:
+        counts.write_text(text)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(counts), "--out", str(out)]) == 2
+    assert "counts.csv" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["shear", "--T", "10"], ["selftest"]],
+                         ids=["shear", "selftest"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys,
+                                                monkeypatch, argv):
+    # both computed everything, then exited 1 on the open
+    def work(*_):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "mu_T", work)
+    monkeypatch.setattr(cli, "SELFTEST_SUITES", (("work", work),))
+    out = tmp_path / "missing" / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "not a writable directory" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_shear_table(tmp_path):
     out = tmp_path / "shear.csv"
     rc = main(["shear", "--psi", "bump:default", "--T", "10,30",

@@ -8,12 +8,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shearlab import groups
-from shearlab.algebra import INT_S, INT_T, IntGroupElement, UTBPoint, mobius_act
+from shearlab.algebra import INT_S, INT_T, IntGroupElement
 from shearlab.groups import (MAX_COSETS, PSL2Z, THIN4, BudgetExceeded,
                              Cusp, GroupSpec, WordBudget, bottom_rows,
                              check_level, coset_row_chunks, coset_space,
                              label_codes, label_entries, psl2_order,
-                             reduce_points, reduce_to_fundamental_domain)
+                             reduce_points)
 from coset_oracle import coset_closure
 from word_search import SearchBudgetExceeded, enumerate_words
 
@@ -129,24 +129,10 @@ def test_thin_words_are_a_strict_subgroup_sample():
 points = st.tuples(st.floats(-40.0, 40.0), st.floats(1e-6, 60.0))
 
 
-@given(points)
-@settings(deadline=None)
-def test_reduce_word_acts_correctly(pt):
-    p = UTBPoint(pt[0], pt[1], 0.2)
-    red, word = reduce_to_fundamental_domain(p)
-    assert red.x <= 0.5 + 1e-12 and red.x >= -0.5 - 1e-12
-    assert red.x * red.x + red.y * red.y >= 1.0 - 1e-9
-    img = mobius_act(word, p)
-    # conditioning: applying the word in one shot loses digits in cz + d
-    # when the point sits deep in a cusp, so scale with the magnification
-    tol = 1e-9 + 5e-15 * red.y / p.y
-    assert abs(img.x - red.x) < tol * (1.0 + abs(red.x))
-    assert abs(img.y - red.y) < tol * red.y
-
-
 def _exact_height(x, y):
-    """Height of the reduction of the double point x + iy, in exact
-    rational arithmetic on the word: each step re-evaluates Im(g z)."""
+    """Height of the reduction of the double point x + iy and the bottom
+    row (c, d) of the reducing element, in exact rational arithmetic on
+    the word: each step re-evaluates g z."""
     X, Y = Fraction(x), Fraction(y)
     a, b, c, d = 1, 0, 0, 1
     while True:
@@ -156,8 +142,22 @@ def _exact_height(x, y):
         n = math.floor(gx + Fraction(1, 2))
         a, b, gx = a - n * c, b - n * d, gx - n
         if gx * gx + gy * gy >= 1:
-            return float(gy)
+            return float(gy), c, d
         a, b, c, d = -c, -d, a, b
+
+
+@given(points)
+@settings(deadline=None)
+def test_reduce_factor_is_the_exact_bottom_row(pt):
+    x, y = pt
+    rx, ry, j = groups._walk([x], [y], 1, True)
+    assert np.array_equal((rx, ry), reduce_points([x], [y]))
+    _, c, d = _exact_height(x, y)
+    cz_d = complex(c * Fraction(x) + d, c * Fraction(y))
+    # the walk magnifies the rounding of x by about Y / y, Y the reduced
+    # height
+    tol = 1e-9 + 5e-15 * ry[0] / y
+    assert min(abs(j[0] - cz_d), abs(j[0] + cz_d)) < tol * abs(cz_d)
 
 
 # heights from the domain down to below the underflow of y^2
@@ -167,26 +167,24 @@ heights = (st.floats(1e-6, 60.0)
 
 @given(st.floats(-40.0, 40.0), heights)
 @example(0.3, 1e-310)
+@example(0.5, 1e-310)
 @settings(deadline=None)
 def test_reduce_points_matches_scalar_height(x, y):
-    p = UTBPoint(x, y)
     try:
         rx, ry = reduce_points(np.array([x]), np.array([y]))
     except ValueError:
-        # where y^2 underflows the scalar route must give up too, not
-        # return a wrong point (y = 5.8e5 at 0.3 + 1e-310 i, where exact
-        # arithmetic reduces to y = 3.08e277)
-        with pytest.raises(ValueError):
-            reduce_to_fundamental_domain(p)
+        # only where y^2 underflows to a subnormal or 0, as at 0.5 +
+        # 1e-310 i, which the walk takes to x = 0; 0.3 + 1e-310 i reduces
+        # to y = 877.5, the height of a nearby point (exact arithmetic:
+        # 3.08e277)
+        assert y * y < np.finfo(float).tiny
         return
-    red, _ = reduce_to_fundamental_domain(p)
-    # heights agree even when boundary points pick different representatives
-    assert abs(ry[0] - red.y) < 1e-9 * red.y
     # the reduction magnifies the rounding of x by about 1/y, so exact
-    # arithmetic pins the height only while 1e-15 / y is small
+    # arithmetic pins the height only while 1e-15 / y is small; heights
+    # agree even when boundary points pick different representatives
     if y >= 1e-13:
-        exact = _exact_height(x, y)
-        assert abs(red.y - exact) <= (1e-12 + 1e-15 / y) * exact
+        exact, _, _ = _exact_height(x, y)
+        assert abs(ry[0] - exact) <= (1e-12 + 1e-15 / y) * exact
 
 
 def _reduce_points_whole_array(x, y, omega, max_steps=200):

@@ -246,6 +246,27 @@ def test_modularity_cocycle(delta):
     assert abs(lhs - rhs) < 1e-14 * abs(lhs) + 1e-25
 
 
+def test_eval_form_meets_psi_at_every_height(delta):
+    # eval_form unwinds the walk's own factor j, so |f|^2 y^12 is Psi_f to
+    # rounding however low the point; the reducing word's cz + d lost
+    # digits in c x + d, up to 2.5e-2 of Psi at y near 1e-12
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-40.0, 40.0, 400)
+    ys = np.exp(rng.uniform(math.log(1e-12), math.log(60.0), 400))
+    ys[:2] = 1e-12, 60.0
+    _, rys = reduce_points(xs, ys)
+    tested = 0
+    for x, y, ry in zip(xs, ys, rys):
+        psi = eval_psi_f(delta, complex(x, y))
+        # skip where |f|^2 at the reduced point underflows, Psi with it
+        if psi < np.finfo(float).tiny * ry ** 12:
+            continue
+        assert abs(eval_form(delta, complex(x, y))) ** 2 * y ** 12 \
+            == pytest.approx(psi, rel=1e-12)
+        tested += 1
+    assert tested > 350
+
+
 def test_observable_batch_matches_scalar(delta, delta_psi):
     xs = np.array([0.1, -0.4, 1.3, 0.02])
     ys = np.array([1.1, 0.6, 2.2, 0.9])

@@ -37,17 +37,19 @@ translation subgroup, omega the cusp width.  Two evaluation routes:
 The regularized value at s = 1 (lattice) subtracts the pole and lands on
 a closed form in log|eta|.  The pairing functionals mu_eis integrate a
 test function against the regularized series (lattice) or the plain
-series at s = 1 (thin) with respect to dx dy / y^2.  The thin pairing
-reads the row sums S_h(z) = sum of 1 / |cz + d|^2 over the rows of norm
-<= h at h = 256, 512 and 1024.  They are analytic well past the box
-(their poles lie at imaginary distance >= y_lo in x and pi/2 in log y),
-so they are summed on a small Chebyshev grid, linear in x and
+series at s = 1 (thin) with respect to dx dy / y^2.  The thin series
+is y S_h(z) / omega, S_h = sum of 1 / |cz + d|^2 over the rows of norm
+<= h, read at h = 256, 512 and 1024.  Both are analytic well past a
+box (log|eta| and the row sums alike need Re y > |Im x|, so they reach
+imaginary distance y_lo in x and pi/2 in log y), so for both groups
+they are sampled once on a small Chebyshev grid, linear in x and
 logarithmic in y, whose size the box's half-widths set (16 x 16 on
-THIN_BOX, 40 x 16 on (-1.8, 1.8, 1.05, 3)), and cached per group and
-box.  Each Gauss-Legendre grid of the refinement folds its weights onto
-that grid by barycentric interpolation.  A first call on THIN_BOX takes
-7-11 ms and a warm one about 1 ms, where summing all 5,238 rows at every
-Gauss-Legendre node took 0.35-0.42 s.
+DEFAULT_BOX and THIN_BOX, 40 x 16 on (-1.8, 1.8, 1.05, 3)), and cached
+per group and box.  Each Gauss-Legendre grid of the refinement folds
+its weights onto that grid by barycentric interpolation.  A warm
+pairing takes about 1 ms for either group; the lattice one took 4 ms
+with log|eta| at each of its 13,312 nodes, and summing all 5,238 thin
+rows at every node took 0.35-0.42 s.
 """
 
 from __future__ import annotations
@@ -511,9 +513,11 @@ def mu_eis(psi, regularized: bool) -> float:
     value over the fundamental domain (box-supported functions reduce to
     their seed box).  regularized=False: omega >= 3 only, unfolds the
     pairing through the seed profile, so the coset images do the folding
-    and the series never needs its own fundamental domain.  A test
-    function reads only (x, y), so the pairing is fibered over the base
-    point by construction and needs no check of direction independence.
+    and the series never needs its own fundamental domain.  Box pairings
+    of either kind read the series off one cached Chebyshev grid per
+    group and box (module docstring).  A test function reads only (x, y),
+    so the pairing is fibered over the base point by construction and
+    needs no check of direction independence.
     """
     if psi.spec.omega == 1:
         if not regularized:
@@ -521,7 +525,7 @@ def mu_eis(psi, regularized: bool) -> float:
                 "the lattice series has a pole at s = 1; pair against the "
                 "regularized value instead")
         if psi.support is not None:
-            return _pair_box_lattice(psi)
+            return _pair_box(psi)
         if not psi.alpha_psi > 1.0:
             raise PairingError(
                 "cusp decay alpha <= 1 cannot pay for the logarithmic "
@@ -534,27 +538,8 @@ def mu_eis(psi, regularized: bool) -> float:
                 "regularize")
         if psi.profiles is None:
             raise PairingError("thin pairing needs a seed-profile function")
-        return _pair_box_thin(psi)
+        return _pair_box(psi)
     raise PairingError("theta-group functions pair with neither functional")
-
-
-def _pair_box_lattice(psi):
-    x_lo, x_hi, y_lo, y_hi = psi.support
-
-    def run(n):
-        gx, wx = gl_nodes(n)
-        gy, wy = gl_nodes(n)
-        xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * gx
-        ys = 0.5 * (y_lo + y_hi) + 0.5 * (y_hi - y_lo) * gy
-        sx = 0.5 * (x_hi - x_lo)
-        sy = 0.5 * (y_hi - y_lo)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        vals = psi.batch(X.ravel(), Y.ravel()).reshape(X.shape)
-        core = vals * _regularized_E1_arr(X, Y) / Y ** 2
-        return sx * sy * float(wx @ core @ wy)
-
-    return _converged(refine(run, (64, 96, 144), abs_tol=1e-9,
-                             rel_tol=1e-9), "lattice box")
 
 
 def _pair_fd_lattice(psi):
@@ -569,53 +554,51 @@ def _pair_fd_lattice(psi):
 
 
 @lru_cache(maxsize=8)
-def _thin_box_grid(spec: GroupSpec, box: tuple):
-    """(tx, ty, sums): the Chebyshev grid over box and the row sums of
-    spec on it at the three cutoffs _geometric_limit reads, as read-only
-    arrays.  They depend on the group and the box alone, so warm pairings
-    reuse them."""
+def _box_grid(spec: GroupSpec, box: tuple):
+    """(tx, ty, grids): the Chebyshev grid over box and E(z, 1) on it, as
+    read-only arrays: the regularized value for psl2z, and for omega >= 3
+    y S_h / omega at the three cutoffs _geometric_limit reads.  They
+    depend on the group and the box alone, so warm pairings reuse them."""
     x_lo, x_hi, y_lo, y_hi = box
-    heights = _thin_partial_heights(1024.0)[1:]
-    # x on its own scale, y on a log scale, where every pole of the row
-    # sums sits at imaginary distance at least y_lo (in x) or pi/2 (in
-    # log y) from the box
+    # x on its own scale, y on a log scale: both series are analytic out
+    # to imaginary distance y_lo in x and pi/2 in log y from the box
     lx, ly = math.log(y_lo), math.log(y_hi)
     tx = _cheb_points(_cheb_size(2.0 * y_lo / (x_hi - x_lo)))
     ty = _cheb_points(_cheb_size(math.pi / (ly - lx)))
-    sums = _thin_row_sums(
-        bottom_rows(spec, heights[-1]), heights,
-        0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * tx,
-        np.exp(0.5 * (lx + ly) + 0.5 * (ly - lx) * ty))
-    for a in (tx, ty, *sums):
+    xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * tx
+    ys = np.exp(0.5 * (lx + ly) + 0.5 * (ly - lx) * ty)
+    if spec.omega == 1:
+        grids = [_regularized_E1_arr(*np.meshgrid(xs, ys, indexing="ij"))]
+    else:
+        heights = _thin_partial_heights(1024.0)[1:]
+        grids = [s * (ys / spec.omega) for s in _thin_row_sums(
+            bottom_rows(spec, heights[-1]), heights, xs, ys)]
+    for a in (tx, ty, *grids):
         a.flags.writeable = False
-    return tx, ty, tuple(sums)
+    return tx, ty, tuple(grids)
 
 
-def _pair_box_thin(psi):
+def _pair_box(psi):
     x_lo, x_hi, y_lo, y_hi = psi.support
     lx, ly = math.log(y_lo), math.log(y_hi)
-    tx, ty, sums = _thin_box_grid(psi.spec, tuple(psi.support))
+    tx, ty, grids = _box_grid(psi.spec, tuple(psi.support))
 
     def run(n):
-        gx, wx = gl_nodes(n)
-        gy, wy = gl_nodes(n)
-        xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * gx
-        ys = 0.5 * (y_lo + y_hi) + 0.5 * (y_hi - y_lo) * gy
-        sx = 0.5 * (x_hi - x_lo)
-        sy = 0.5 * (y_hi - y_lo)
+        g, w = gl_nodes(n)
+        xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * g
+        ys = 0.5 * (y_lo + y_hi) + 0.5 * (y_hi - y_lo) * g
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        W = np.outer(wx, wy) * sx * sy
+        W = np.outer(w, w) * (0.25 * (x_hi - x_lo) * (y_hi - y_lo))
         phi = psi.batch(X.ravel(), Y.ravel()).reshape(X.shape)
-        # seed against Im(gamma z) / y^2 = (row term) / y, the row sums
-        # interpolated from the Chebyshev grid: the weights fold onto it
-        base = W * phi / Y
-        fold = _bary_matrix(tx, gx).T @ base @ _bary_matrix(
+        # E(z, 1) interpolated from the Chebyshev grid: the weights of
+        # dx dy / y^2 fold onto it
+        fold = _bary_matrix(tx, g).T @ (W * phi / Y ** 2) @ _bary_matrix(
             ty, (2.0 * np.log(ys) - lx - ly) / (ly - lx))
-        return _geometric_limit(*(float(np.sum(fold * s)) for s in sums))
+        vals = [float(np.sum(fold * e)) for e in grids]
+        return vals[0] if len(vals) == 1 else _geometric_limit(*vals)
 
-    value = _converged(refine(run, (60, 90, 135), abs_tol=1e-8,
-                              rel_tol=1e-8), "thin box")
-    return value / psi.omega
+    return _converged(refine(run, (60, 90, 135), abs_tol=1e-9,
+                             rel_tol=1e-9), f"{psi.spec.name} box")
 
 
 def _converged(result, what):

@@ -105,6 +105,7 @@ class BudgetExceeded(Exception):
 # -- fundamental domains -----------------------------------------------------
 
 REDUCE_MAX_STEPS = 200  # inversions a point may take before reduction raises
+_Y_MIN = 2.0 ** -511  # least height whose square is a normal float
 
 
 def reduce_points(x, y, omega=1):
@@ -118,13 +119,14 @@ def reduce_points(x, y, omega=1):
     points still inside the unit disc, until none is left; the last
     translation is applied to all.  Boundary points may land on either
     representative; automorphic integrands do not care.  Non-finite
-    input, y <= 0, and points still unreduced after REDUCE_MAX_STEPS
-    inversions raise ValueError: y below about 1e-300, where y^2
-    underflows, and at omega = 2 points near the domain's second cusp, at
-    +-1, which take about 1/y inversions.  The walk magnifies the rounding
-    of x by about 1/y: the height is about 1e-15 / y relative off the
-    exact reduction of the input (7e-9 at y = 1e-8), and from y of about
-    1e-15 on it is the reduction of a nearby point instead.
+    input, y <= 0, y below 2^-511 (about 1.49e-154, the least height whose
+    square is a normal float) and points still unreduced after
+    REDUCE_MAX_STEPS inversions raise ValueError.  The last are points
+    near the theta group's second cusp, at +-1 (omega = 2), which take
+    about 1/y inversions.  The walk magnifies the rounding of x by about
+    1/y: the height is about 1e-15 / y relative off the exact reduction of
+    the input (7e-9 at y = 1e-8), and from y of about 1e-15 on it is the
+    reduction of a nearby point instead.
     """
     return _walk(x, y, omega, False)[:2]
 
@@ -137,8 +139,12 @@ def _walk(x, y, omega, factor):
     None: tracking it took 20-70% longer on 8192-point batches."""
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0).all()):
-        raise ValueError("reduce_points needs finite points with y > 0")
+    # below _Y_MIN, |z|^2 loses digits or underflows, so the walk would
+    # return the heights of other points
+    if not (np.isfinite(x).all() and np.isfinite(y).all()
+            and (y >= _Y_MIN).all()):
+        raise ValueError("reduce_points needs finite points with y >= 2^-511 "
+                         "(about 1.49e-154), where y^2 is a normal float")
     np.subtract(x, omega * np.floor(x / omega + 0.5), out=x)
     idx = np.flatnonzero(x * x + y * y < 1.0 - 1e-15)
     j = np.ones(x.shape, dtype=complex) if factor else None

@@ -14,13 +14,14 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  PairingError, _em_threshold,
                                  _fourier_constants, _fourier_value, _G_near,
                                  _geometric_limit, _lattice_coset_value,
-                                 _row_sums, _sigma_vector, _thin_coset_value,
+                                 _regularized_E1_arr, _row_sums,
+                                 _sigma_vector, _thin_coset_value,
                                  _thin_partial_heights, _zeta_2s,
                                  completed_zeta, critical_exponent,
                                  eisenstein_sample, mu_eis, regularized_E1)
 from shearlab.groups import PSL2Z, THIN4, GroupSpec, WordBudget, bottom_rows
 from shearlab.measures import (DEFAULT_BOX, THIN_BOX, _reduced_bump,
-                               make_thin_bump)
+                               make_lattice_bump, make_thin_bump)
 from shearlab.quadrature import gl_nodes, refine
 from shearlab.specfun import bessel_k, divisor_sigma, zeta
 from specfun_oracles import em_integral_G
@@ -669,6 +670,37 @@ def test_mu_eis_guards(lattice_bump, thin_bump):
             mu_eis(theta_bump, regularized=regularized)
 
 
+def direct_lattice_pairing(psi):
+    """The lattice box pairing with the regularized series evaluated at
+    every Gauss-Legendre node, refined on (64, 96, 144): the reference for
+    the Chebyshev-grid route of mu_eis."""
+    x_lo, x_hi, y_lo, y_hi = psi.support
+
+    def run(n):
+        g, w = gl_nodes(n)
+        xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * g
+        ys = 0.5 * (y_lo + y_hi) + 0.5 * (y_hi - y_lo) * g
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        vals = psi.batch(X.ravel(), Y.ravel()).reshape(X.shape)
+        core = vals * _regularized_E1_arr(X, Y) / Y ** 2
+        return 0.25 * (x_hi - x_lo) * (y_hi - y_lo) * float(w @ core @ w)
+
+    value, _, converged = refine(run, (64, 96, 144), abs_tol=1e-9,
+                                 rel_tol=1e-9)
+    assert converged
+    return value
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX, (-0.45, 0.45, 1.01, 3.0),
+                                 (-0.3, 0.2, 1.05, 6.0)])
+def test_lattice_pairing_matches_the_direct_node_sum(box):
+    # the regularized value interpolated from a Chebyshev grid of at most
+    # 16 x 17 points against its value at every Gauss-Legendre node
+    psi = make_lattice_bump(box=box)
+    assert mu_eis(psi, regularized=True) == pytest.approx(
+        direct_lattice_pairing(psi), rel=1e-12, abs=0.0)
+
+
 def direct_thin_pairing(psi):
     """The thin box pairing with every row summed at every Gauss-Legendre
     node, 256 rows at a time, cumulatively over the rows sorted by norm:
@@ -731,7 +763,7 @@ def test_thin_pairing_stays_small_in_memory(thin_bump):
     # summing every row at every node traced a 50 MB peak; the grid cache
     # is cleared so the traced call sums the rows again
     mu_eis(thin_bump, regularized=False)
-    shearlab.eisenstein._thin_box_grid.cache_clear()
+    shearlab.eisenstein._box_grid.cache_clear()
     tracemalloc.start()
     try:
         mu_eis(thin_bump, regularized=False)
@@ -742,7 +774,7 @@ def test_thin_pairing_stays_small_in_memory(thin_bump):
 
 
 def test_warm_thin_pairing_reuses_its_row_sums(thin_bump, monkeypatch):
-    shearlab.eisenstein._thin_box_grid.cache_clear()
+    shearlab.eisenstein._box_grid.cache_clear()
     cold = mu_eis(thin_bump, regularized=False)
 
     def resum(*args):
@@ -750,9 +782,22 @@ def test_warm_thin_pairing_reuses_its_row_sums(thin_bump, monkeypatch):
 
     monkeypatch.setattr(shearlab.eisenstein, "_thin_row_sums", resum)
     assert mu_eis(thin_bump, regularized=False) == cold
-    _, _, sums = shearlab.eisenstein._thin_box_grid(thin_bump.spec,
-                                                    thin_bump.support)
+    _, _, sums = shearlab.eisenstein._box_grid(thin_bump.spec,
+                                               thin_bump.support)
     assert not any(s.flags.writeable for s in sums)
+
+
+def test_warm_lattice_pairing_reuses_its_grid(lattice_bump, monkeypatch):
+    # the regularized series is sampled once per box, on its Chebyshev
+    # grid; a warm pairing only folds the quadrature weights onto it
+    cold = mu_eis(lattice_bump, regularized=True)
+
+    def reevaluate(*args):
+        raise AssertionError("the regularized series was evaluated again")
+
+    monkeypatch.setattr(shearlab.eisenstein, "_regularized_E1_arr",
+                        reevaluate)
+    assert mu_eis(lattice_bump, regularized=True) == cold
 
 
 def test_domain_pairing_raises_when_unconverged():

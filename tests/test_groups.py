@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -173,10 +174,7 @@ def test_reduce_points_matches_scalar_height(x, y):
     try:
         rx, ry = reduce_points(np.array([x]), np.array([y]))
     except ValueError:
-        # only where y^2 underflows to a subnormal or 0, as at 0.5 +
-        # 1e-310 i, which the walk takes to x = 0; 0.3 + 1e-310 i reduces
-        # to y = 877.5, the height of a nearby point (exact arithmetic:
-        # 3.08e277)
+        # only where y^2 underflows to a subnormal or 0
         assert y * y < np.finfo(float).tiny
         return
     # the reduction magnifies the rounding of x by about 1/y, so exact
@@ -185,6 +183,29 @@ def test_reduce_points_matches_scalar_height(x, y):
     if y >= 1e-13:
         exact, _, _ = _exact_height(x, y)
         assert abs(ry[0] - exact) <= (1e-12 + 1e-15 / y) * exact
+
+
+@pytest.mark.parametrize("y", [1e-310, 1e-200, 1.4e-154])
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.5])
+def test_reduce_points_raises_below_normal_squares(x, y):
+    # below 2^-511 y^2 is subnormal or 0, where the walk would take
+    # 0.3 + 1e-310 i to y = 877.5 (exact arithmetic: 3.08e277), and
+    # 0.5 + 1e-310 i through 200 inversions and a division by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="normal float"):
+            reduce_points([x], [y])
+
+
+@pytest.mark.parametrize("y", [1.5e-154, 2e-154, 1e-150])
+def test_reduce_points_reduces_just_above_normal_squares(y):
+    x = np.concatenate([np.linspace(-40.0, 40.0, 2000),
+                        [0.0, 0.3, 0.5, 1.0 / 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rx, ry = reduce_points(x, np.full(len(x), y))
+    assert np.all(np.abs(rx) <= 0.5)
+    assert np.all(rx * rx + ry * ry >= 1.0 - 1e-15)
 
 
 def _reduce_points_whole_array(x, y, omega, max_steps=200):

@@ -121,18 +121,21 @@ def _register(tf: TestFunction, n_samples: int = 1000, tol: float = 1e-7,
               seed: int = 20140823) -> TestFunction:
     """Spot-check automorphy before handing the function out: batch at
     n_samples points (x in [-3, 3], log-uniform y in [0.1, 8]) against
-    batch at their images under a random generator or product of two, in
-    two calls.  A NaN anywhere fails the check."""
+    batch at their images under a random generator or, on a fair coin,
+    product of two, in two calls.  The group elements come from one table
+    of the spec's generators and their two-letter products, indexed by
+    draws made as whole arrays.  A NaN anywhere fails the check."""
     rng = np.random.default_rng(seed)
     gens = tf.spec.gen_set()
-    draws = []
-    for _ in range(n_samples):
-        g = gens[rng.integers(len(gens))]
-        if rng.random() < 0.5:
-            g = g * gens[rng.integers(len(gens))]
-        draws.append((g.a, g.b, g.c, g.d, rng.uniform(-3.0, 3.0),
-                      math.exp(rng.uniform(math.log(0.1), math.log(8.0)))))
-    a, b, c, d, x, y = np.array(draws, dtype=float).T
+    k = len(gens)
+    table = np.array([g.entries() for g in gens]
+                     + [(g * h).entries() for g in gens for h in gens],
+                     dtype=float)
+    first, second = rng.integers(k, size=(2, n_samples))
+    pair = rng.random(n_samples) < 0.5
+    x = rng.uniform(-3.0, 3.0, n_samples)
+    y = np.exp(rng.uniform(math.log(0.1), math.log(8.0), n_samples))
+    a, b, c, d = table[np.where(pair, k + k * first + second, first)].T
     den = (c * x + d) ** 2 + (c * y) ** 2
     gx = ((a * x + b) * (c * x + d) + a * c * y * y) / den
     worst = float(np.max(np.abs(tf.batch(gx, y / den) - tf.batch(x, y))))

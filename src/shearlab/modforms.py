@@ -1,7 +1,8 @@
 """The discriminant cusp form and the sheared second moment.
 
 Exact integer q-expansion of Delta: the cube of eta by Jacobi's
-identity, then three squarings by Kronecker substitution, each one
+identity, its sixth, ninth and twelfth powers as sparse-times-dense
+int64 products, then one squaring by Kronecker substitution, a single
 big-integer square.  Around it: weight-aware evaluation anywhere in the
 upper half plane by reduction, the Petersson norm, the symmetric-square
 L-function at and right of the edge, the archimedean weight for the
@@ -103,18 +104,34 @@ def _square_series(arr, n_terms):
             for k in range(0, n_terms * nb, nb)]
 
 
+def _sparse_times(t, c, dense):
+    """The first len(dense) coefficients of (sum c_k q^t_k) * dense, exactly
+    in int64: one slice-add per sparse term.  Raises OverflowError unless
+    max |dense| * sum |c_k| < 2^63, which bounds every partial sum."""
+    n = len(dense)
+    keep = t < n
+    t, c = t[keep], c[keep]
+    if int(np.abs(dense).max()) * int(np.abs(c).sum()) >= 1 << 63:
+        raise OverflowError(f"a sparse product of {n} terms may pass int64")
+    out = np.zeros(n, dtype=np.int64)
+    for tk, ck in zip(t.tolist(), c.tolist()):
+        out[tk:] += ck * dense[:n - tk]
+    return out
+
+
 @lru_cache(maxsize=8)
 def _tau_tuple(n_max: int) -> tuple:
-    # Delta / q = (eta-cube)^8 with eta-cube given by Jacobi's identity,
-    # so three squarings finish the job
-    j3 = [0] * n_max
-    k = 0
-    while k * (k + 1) // 2 < n_max:
-        j3[k * (k + 1) // 2] = (2 * k + 1) * (-1 if k % 2 else 1)
-        k += 1
-    j6 = _square_series(j3, n_max)
-    j12 = _square_series(j6, n_max)
-    return tuple(_square_series(j12, n_max))
+    # Delta / q = (eta-cube)^8, eta-cube sum (-1)^k (2k+1) q^(k(k+1)/2) by
+    # Jacobi's identity: its about sqrt(2 n) terms multiply 1 up to
+    # eta^12 in int64, and one squaring finishes the job
+    k = np.arange(math.isqrt(2 * n_max) + 1, dtype=np.int64)
+    t = k * (k + 1) // 2
+    c = np.where(k % 2 == 1, -(2 * k + 1), 2 * k + 1)
+    j = np.zeros(n_max, dtype=np.int64)
+    j[0] = 1
+    for _ in range(4):
+        j = _sparse_times(t, c, j)
+    return tuple(_square_series(j.tolist(), n_max))
 
 
 def delta_qexp(n: int) -> QExpansion:
@@ -252,38 +269,33 @@ def _lambda_norm(f: QExpansion) -> np.ndarray:
     return np.array(f.coeffs, dtype=float) / n ** ((f.weight - 1) / 2.0)
 
 
-@lru_cache(maxsize=32)
-def _spf_sieve(m: int) -> np.ndarray:
-    spf = np.zeros(m + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, m + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    return spf
-
-
 def _mobius(m: int) -> np.ndarray:
-    spf = _spf_sieve(m)
-    mu = np.zeros(m + 1, dtype=np.int64)
-    mu[1] = 1
-    for n in range(2, m + 1):
-        p = spf[n]
-        r = n // p
-        mu[n] = 0 if r % p == 0 else -mu[r]
+    """mu(0..m) by a sieve over the primes up to m."""
+    is_p = np.ones(m + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(m) + 1):
+        if is_p[p]:
+            is_p[p * p::p] = False
+    mu = np.ones(m + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in np.flatnonzero(is_p).tolist():
+        mu[::p] *= -1
+        mu[::p * p] = 0
     return mu
 
 
 @lru_cache(maxsize=8)
 def _sym2_coeffs(f: QExpansion) -> np.ndarray:
     """Dirichlet coefficients of L(sym2 f, s): square lambda, divide by
-    zeta via Moebius, multiply by zeta(2s) via square indices."""
+    zeta via Moebius, multiply by zeta(2s) via square indices.  The
+    Moebius sum is one bincount over the pairs (d, k), n = d k, listed
+    d-major, so each b(n) adds its terms in increasing d."""
     m = len(f.coeffs)
     lam2 = _lambda_norm(f) ** 2
     mu = _mobius(m)
-    b = np.zeros(m)
-    for d in range(1, m + 1):
-        if mu[d]:
-            b[d - 1::d] += mu[d] * lam2[:m // d]
+    d = np.flatnonzero(mu)
+    i, j = _ragged(np.zeros(len(d), dtype=np.int64), m // d)
+    b = np.bincount(d[i] * (j + 1) - 1, mu[d[i]] * lam2[j], minlength=m)
     c = np.zeros(m)
     for k in range(1, math.isqrt(m) + 1):
         c[k * k - 1::k * k] += b[:m // (k * k)]

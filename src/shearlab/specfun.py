@@ -17,7 +17,6 @@ import warnings
 
 import numpy as np
 
-from .groups import reduce_points
 
 # Lanczos (g = 7), published coefficient set; relative error ~1e-15 on the
 # real axis right of 0.5.
@@ -208,18 +207,6 @@ def divisor_sigma(s: float, n: int) -> float:
                 total += float(e) ** s
         d += 1
     return total
-
-
-def log_abs_eta(x: float, y: float) -> float:
-    """log|eta(x + iy)| for any y > 0, via y|eta|^4 reduction invariance."""
-    if y <= 0:
-        raise ValueError("log_abs_eta needs y > 0")
-    if y >= 0.05:
-        return float(log_abs_eta_arr(x, y))
-    rx, ry = reduce_points([x], [y])
-    # y |eta(z)|^4 is constant on the orbit
-    return (float(log_abs_eta_arr(rx, ry)[0])
-            + 0.25 * (math.log(ry[0]) - math.log(y)))
 
 
 def log_abs_eta_arr(x, y) -> np.ndarray:

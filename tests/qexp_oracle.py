@@ -1,11 +1,20 @@
-"""The forward-sum q-series, the oracle that shearlab.modforms' Horner
-kernel is checked against.  It multiplies out q^n term by term and adds
-each a(n) q^n in increasing n, stopping where the same tail bound the
-kernel uses is met."""
+"""Oracles for shearlab.modforms' q-expansion arithmetic.
+
+The forward-sum q-series is what the Horner kernel is checked against.
+It multiplies out q^n term by term and adds each a(n) q^n in increasing
+n, stopping where the same tail bound the kernel uses is met.
+
+tau_by_squarings is the earlier route to Delta: the cube of eta by
+Jacobi's identity, then three Kronecker squarings on Python integers.
+The Moebius function by a smallest-prime-factor sieve and the sym2
+coefficients summed one squarefree d at a time are the earlier loops;
+the library's whole-array passes must match them bit for bit."""
 
 import math
 
 import numpy as np
+
+from shearlab.modforms import _lambda_norm, _square_series
 
 
 def qexp_forward(f, x, y):
@@ -25,3 +34,51 @@ def qexp_forward(f, x, y):
         if (n + 1.0) ** (0.5 * f.weight + 1.0) * bound * qmax < 1e-18:
             break
     return total
+
+
+def tau_by_squarings(n_max):
+    """tau(1..n_max) as a tuple: (eta-cube)^8 by three squarings."""
+    j3 = [0] * n_max
+    k = 0
+    while k * (k + 1) // 2 < n_max:
+        j3[k * (k + 1) // 2] = (2 * k + 1) * (-1 if k % 2 else 1)
+        k += 1
+    j6 = _square_series(j3, n_max)
+    j12 = _square_series(j6, n_max)
+    return tuple(_square_series(j12, n_max))
+
+
+def _spf_sieve(m):
+    spf = np.zeros(m + 1, dtype=np.int64)
+    spf[1] = 1
+    for p in range(2, m + 1):
+        if spf[p] == 0:
+            spf[p::p][spf[p::p] == 0] = p
+    return spf
+
+
+def mobius_by_spf(m):
+    """mu(0..m), one n at a time from its smallest prime factor."""
+    spf = _spf_sieve(m)
+    mu = np.zeros(m + 1, dtype=np.int64)
+    mu[1] = 1
+    for n in range(2, m + 1):
+        p = spf[n]
+        r = n // p
+        mu[n] = 0 if r % p == 0 else -mu[r]
+    return mu
+
+
+def sym2_coeffs_by_loop(f):
+    """Dirichlet coefficients of L(sym2 f, s), one squarefree d a pass."""
+    m = len(f.coeffs)
+    lam2 = _lambda_norm(f) ** 2
+    mu = mobius_by_spf(m)
+    b = np.zeros(m)
+    for d in range(1, m + 1):
+        if mu[d]:
+            b[d - 1::d] += mu[d] * lam2[:m // d]
+    c = np.zeros(m)
+    for k in range(1, math.isqrt(m) + 1):
+        c[k * k - 1::k * k] += b[:m // (k * k)]
+    return c

@@ -3,7 +3,8 @@ integral G: the oracles that shearlab.specfun's trapezoid K_nu, its
 log|eta| product sum and the coset route's cumulative G pass are checked
 against.  The Bessel routes are the ascending series (small x) and the
 asymptotic series (large x); eta comes from its q-product and from the
-pentagonal-number series; G from the incomplete beta function."""
+pentagonal-number series, and log|eta| at any height from the product
+sum at the reduced point; G from the incomplete beta function."""
 
 import cmath
 import math
@@ -11,7 +12,8 @@ import math
 import numpy as np
 from scipy import special as sps
 
-from shearlab.specfun import gamma_fn
+from shearlab.groups import reduce_points
+from shearlab.specfun import gamma_fn, log_abs_eta_arr
 
 
 def bessel_k_series(nu: float, x: float, terms: int = 60) -> float:
@@ -45,6 +47,20 @@ def bessel_k_asymptotic(nu: float, x: float) -> float:
         if abs(term) < 1e-17 * abs(total):
             break
     return math.sqrt(0.5 * math.pi / x) * math.exp(-x) * total
+
+
+def log_abs_eta(x: float, y: float) -> float:
+    """log|eta(x + iy)| for any y > 0, via y|eta|^4 reduction invariance:
+    the scalar route that shearlab.specfun.log_abs_eta_arr is checked
+    against."""
+    if y <= 0:
+        raise ValueError("log_abs_eta needs y > 0")
+    if y >= 0.05:
+        return float(log_abs_eta_arr(x, y))
+    rx, ry = reduce_points([x], [y])
+    # y |eta(z)|^4 is constant on the orbit
+    return (float(log_abs_eta_arr(rx, ry)[0])
+            + 0.25 * (math.log(ry[0]) - math.log(y)))
 
 
 def dedekind_eta(z: complex) -> complex:

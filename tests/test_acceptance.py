@@ -29,8 +29,8 @@ from shearlab.modforms import (kronecker_check, petersson_norm,
                                second_moment_lhs, second_moment_prediction,
                                sym2_L)
 from shearlab.specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
-                              log_abs_eta, zeta, zeta_prime)
-from specfun_oracles import dedekind_eta, dedekind_eta_series
+                              zeta, zeta_prime)
+from specfun_oracles import dedekind_eta, dedekind_eta_series, log_abs_eta
 
 X0 = FormVector(0.0, 1.0, 0.0)
 

@@ -136,6 +136,20 @@ def test_registration_rejects_non_automorphic():
             measures._register(fake)
 
 
+def test_registration_rejects_non_automorphic_at_width_4():
+    # the draws index a table of THIN4's own generators and products
+    for batch in (
+            # invariant under T^4 but not under S
+            lambda x, y: np.cos(0.5 * np.pi * x) * y,
+            # invariant under S but not under T^4
+            lambda x, y: y + y / (x * x + y * y),
+            # automorphic where it is defined, NaN high in the cusp
+            lambda x, y: np.where(np.asarray(y) > 7.0, np.nan, 1.0)):
+        fake = measures.TestFunction("broken", THIN4, batch=batch)
+        with pytest.raises(RegistrationError):
+            measures._register(fake)
+
+
 def test_registration_is_two_batch_calls(lattice_bump, thin_bump):
     for tf in (lattice_bump, thin_bump):
         calls = []

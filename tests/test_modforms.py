@@ -8,14 +8,16 @@ import pytest
 
 import shearlab.modforms
 import shearlab.quadrature
-from qexp_oracle import qexp_forward
+from qexp_oracle import (mobius_by_spf, qexp_forward, sym2_coeffs_by_loop,
+                         tau_by_squarings)
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import mu_eis
 from shearlab.groups import PSL2Z, reduce_points
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
-                               _fd_pairing, _qexp_eval, _ray_tail,
-                               _square_series,
+                               _fd_pairing, _mobius, _qexp_eval, _ray_tail,
+                               _sparse_times, _square_series, _sym2_coeffs,
+                               _tau_tuple,
                                delta_qexp,
                                eval_form, eval_psi_f, form_observable, hecke_L,
                                kronecker_check,
@@ -184,6 +186,54 @@ def test_square_series_small_cases():
     assert _square_series([], 2) == [0, 0]
     assert _square_series([5, -1], 0) == []
     assert _square_series((1, -1), 4) == [1, -2, 1, 0]
+
+
+BIT_IDENTITY_SIZES = [1, 2, 3, 10, 1500, 4000, 6000]
+
+
+@pytest.mark.parametrize("n", BIT_IDENTITY_SIZES)
+def test_tau_matches_the_three_squarings(n):
+    # the int64 sparse steps and one squaring give the very integers of
+    # three squarings on Python integers
+    assert _tau_tuple(n) == tau_by_squarings(n)
+
+
+@pytest.mark.parametrize("n", BIT_IDENTITY_SIZES)
+def test_sym2_coeffs_match_the_loop(n):
+    # the prime sieve and one bincount give the same mu and the same bits
+    # as the smallest-prime-factor sieve and the loop over squarefree d
+    assert np.array_equal(_mobius(n), mobius_by_spf(n))
+    f = delta_qexp(n)
+    got, want = _sym2_coeffs(f), sym2_coeffs_by_loop(f)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sparse_step_refuses_int64_overflow():
+    t = np.array([0, 1, 3], dtype=np.int64)
+    c = np.array([1, -3, 4], dtype=np.int64)
+    # max |dense| * sum |c| = 2^63 exactly: refused before any slice-add
+    dense = np.array([1 << 60, -(1 << 59), 7, 0], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _sparse_times(t, c, dense)
+    # just below the bound: the exact product, whose last term reaches
+    # 2^63 - 8 with nothing wrapped
+    m = (1 << 60) - 1
+    dense = np.array([m, -5, -m, m], dtype=np.int64)
+    want = [0] * 4
+    for tk, ck in zip(t.tolist(), c.tolist()):
+        for i in range(tk, 4):
+            want[i] += ck * int(dense[i - tk])
+    assert want[3] == (1 << 63) - 8
+    assert _sparse_times(t, c, dense).tolist() == want
+    # a sparse term past the dense length neither counts toward the bound
+    # nor adds anything
+    far = np.array([0, 10], dtype=np.int64)
+    dense = np.array([(1 << 62) + 1, 3], dtype=np.int64)
+    assert _sparse_times(far, np.array([1, 1], dtype=np.int64),
+                         dense).tolist() == dense.tolist()
+    with pytest.raises(OverflowError):
+        _sparse_times(far, np.array([2, 1], dtype=np.int64), dense)
 
 
 def test_tau_prefix_is_stable():

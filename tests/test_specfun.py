@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from scipy import special as sps
 
 from shearlab.specfun import (EULER_GAMMA, bessel_k, digamma, divisor_sigma,
-                              gamma_fn, log_abs_eta, log_abs_eta_arr, zeta,
-                              zeta_prime)
+                              gamma_fn, log_abs_eta_arr, zeta, zeta_prime)
 from specfun_oracles import (bessel_k_asymptotic, bessel_k_series,
-                             dedekind_eta, dedekind_eta_series)
+                             dedekind_eta, dedekind_eta_series, log_abs_eta)
 
 # reference values to 20 digits
 ZETA_3 = 1.2020569031595942854

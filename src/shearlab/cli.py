@@ -16,11 +16,14 @@ Every file-writing run produces `<out>` plus `<out stem>.manifest.json`
 holding the resolved configuration, package version, and wall time.
 Identical configuration gives byte-identical CSV output; only the
 manifest timestamp and wall time vary.  selftest --seed picks its
-randomized sweep.  Exit codes: 0 success, 2 bad configuration, an
-unreadable --in file or an --out that names a directory or lies in a
-missing or unwritable one (nothing written), 3 budget or tolerance
-exhausted (manifest flagged partial; a run stopped by the error lists no
-outputs and records the error text).
+randomized sweep.  Each flag's default is declared once, in the parser.
+A --config JSON file, keyed by the flags' dest names, sets the
+subcommand's defaults and may set every flag it takes, selftest's seed
+included; a flag given on the command line beats the file.  Exit codes:
+0 success, 2 bad configuration, an unreadable --in file or an --out that
+names a directory or lies in a missing or unwritable one (nothing
+written), 3 budget or tolerance exhausted (manifest flagged partial; a
+run stopped by the error lists no outputs and records the error text).
 """
 
 from __future__ import annotations
@@ -121,33 +124,40 @@ def _psi(tag: str):
                       f"bump:thin, or delta")
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+def _write_json(path: str, doc: dict):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
-def _write_manifest(out_path: str, cfg: dict, columns: dict, wall: float,
-                    partial: bool, extra: dict | None = None):
-    stem, _ = os.path.splitext(out_path)
+def _write_manifest(ns, columns: dict, t0: float, partial: bool,
+                    extra: dict | None = None):
     doc = {
-        "config": cfg,
+        "config": _echo(ns),
         "columns": columns,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
-        "wall_time_s": round(wall, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
         "partial": partial,
-        "outputs": [os.path.basename(out_path)],
+        "outputs": [os.path.basename(ns.out)],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if extra:
         doc.update(extra)
-    with open(stem + ".manifest.json", "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.splitext(ns.out)[0] + ".manifest.json", doc)
+
+
+def _write_table(ns, columns: dict, rows, t0: float, partial: bool,
+                 extra: dict | None = None) -> int:
+    """The CSV, headed by the column names, and its manifest."""
+    with open(ns.out, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(list(columns))
+        for row in rows:
+            w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+    _write_manifest(ns, columns, t0, partial, extra)
+    return EXIT_BUDGET if partial else EXIT_OK
 
 
 # -- subcommand runners ------------------------------------------------------
@@ -170,7 +180,6 @@ def _cmd_count(ns) -> int:
         raise ConfigError(f"orbit outgrows the exact int64 tally: {e}")
 
     per_coset = ns.cmd == "coset-count"
-    header = ["T", "count", "saturated"]
     columns = {
         "T": f"ball radius, {ns.norm} norm on form vectors",
         "count": "exact number of orbit points x0*gamma in the open ball",
@@ -179,7 +188,6 @@ def _cmd_count(ns) -> int:
     labels = list(res.breakdown) if per_coset else []  # in entry order
     for lab in labels:
         tag = "coset_" + "_".join(str(v) for v in lab.entries)
-        header.append(tag)
         columns[tag] = (f"orbit points in the congruence class "
                         f"{lab.entries} mod {q}")
     rows = []
@@ -187,13 +195,9 @@ def _cmd_count(ns) -> int:
         row = [t, res.counts[i], res.saturated[i]]
         row += [res.breakdown[lab][i] for lab in labels]
         rows.append(row)
-
-    _write_csv(ns.out, header, rows)
-    partial = not all(res.saturated)
-    _write_manifest(ns.out, _echo(ns), columns, time.perf_counter() - t0,
-                    partial, {"search_nodes": res.search_nodes,
-                              "search_depth": res.search_depth})
-    return EXIT_BUDGET if partial else EXIT_OK
+    return _write_table(ns, columns, rows, t0, not all(res.saturated),
+                        {"search_nodes": res.search_nodes,
+                         "search_depth": res.search_depth})
 
 
 def _cmd_fit(ns) -> int:
@@ -237,12 +241,9 @@ def _cmd_fit(ns) -> int:
             "delta_hat": fit.delta_hat,
             "t_used": list(fit.t_used),
         }
-    with open(ns.out, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_manifest(ns.out, _echo(ns),
-                    {m: "least-squares fit report" for m in doc["models"]},
-                    time.perf_counter() - t0, False)
+    _write_json(ns.out, doc)
+    _write_manifest(ns, {m: "least-squares fit report" for m in doc["models"]},
+                    t0, False)
     return EXIT_OK
 
 
@@ -258,7 +259,6 @@ def _cmd_shear(ns) -> int:
         rows.append([t, sample.value, strip, abs(sample.value - strip),
                      sample.est_error, sample.route])
         partial = partial or not sample.tol_met
-    header = ["T", "mu_T", "mu_T_strip", "gap", "est_error", "route"]
     columns = {
         "T": "shear parameter",
         "mu_T": "sheared-ray measure of the test function",
@@ -267,10 +267,7 @@ def _cmd_shear(ns) -> int:
         "est_error": "quadrature error estimate for mu_T",
         "route": "evaluation route the integrator chose",
     }
-    _write_csv(ns.out, header, rows)
-    _write_manifest(ns.out, _echo(ns), columns, time.perf_counter() - t0,
-                    partial)
-    return EXIT_BUDGET if partial else EXIT_OK
+    return _write_table(ns, columns, rows, t0, partial)
 
 
 def _cmd_eisenstein(ns) -> int:
@@ -286,7 +283,6 @@ def _cmd_eisenstein(ns) -> int:
             sample = eisenstein_sample(ev, UTBPoint(z.real, z.imag), s)
             rows.append([z.real, z.imag, s, sample.value, sample.route,
                          sample.est_error])
-    header = ["x", "y", "s", "value", "route", "est_error"]
     columns = {
         "x": "real part of the evaluation point",
         "y": "imaginary part of the evaluation point",
@@ -295,10 +291,7 @@ def _cmd_eisenstein(ns) -> int:
         "route": "fourier or coset, whichever evaluated",
         "est_error": "tail and truncation estimate",
     }
-    _write_csv(ns.out, header, rows)
-    _write_manifest(ns.out, _echo(ns), columns, time.perf_counter() - t0,
-                    False)
-    return EXIT_OK
+    return _write_table(ns, columns, rows, t0, False)
 
 
 def _check_qexp_n(ns) -> None:
@@ -320,7 +313,6 @@ def _cmd_moment(ns) -> int:
         pred = second_moment_prediction(f, t)
         rows.append([t, lhs, pred, abs(lhs - pred),
                      abs(lhs - pred) / abs(lhs)])
-    header = ["T", "lhs", "prediction", "gap", "rel_gap"]
     columns = {
         "T": "shear parameter of the ray y(T + i)",
         "lhs": "geometric second-moment integral of |f|^2 y^k on the ray",
@@ -329,10 +321,7 @@ def _cmd_moment(ns) -> int:
         "gap": "absolute difference",
         "rel_gap": "gap relative to lhs",
     }
-    _write_csv(ns.out, header, rows)
-    _write_manifest(ns.out, _echo(ns), columns, time.perf_counter() - t0,
-                    False)
-    return EXIT_OK
+    return _write_table(ns, columns, rows, t0, False)
 
 
 def _cmd_kronecker(ns) -> int:
@@ -340,18 +329,13 @@ def _cmd_kronecker(ns) -> int:
     t0 = time.perf_counter()
     f = delta_qexp(ns.qexp_n)
     lhs, rhs, gap = kronecker_check(f)
-    doc = {"lhs_eta_pairing": lhs, "rhs_l_function": rhs, "gap": gap,
-           "qexp_n": ns.qexp_n}
-    with open(ns.out, "w") as f_out:
-        json.dump(doc, f_out, indent=2, sort_keys=True)
-        f_out.write("\n")
-    _write_manifest(ns.out, _echo(ns),
-                    {"lhs_eta_pairing": "eta-weighted Petersson pairing "
-                                        "over the fundamental domain",
-                     "rhs_l_function": "gamma minus the completed "
-                                       "symmetric-square log-derivative",
-                     "gap": "absolute difference"},
-                    time.perf_counter() - t0, False)
+    _write_json(ns.out, {"lhs_eta_pairing": lhs, "rhs_l_function": rhs,
+                         "gap": gap, "qexp_n": ns.qexp_n})
+    _write_manifest(ns, {"lhs_eta_pairing": "eta-weighted Petersson pairing "
+                                            "over the fundamental domain",
+                         "rhs_l_function": "gamma minus the completed "
+                                           "symmetric-square log-derivative",
+                         "gap": "absolute difference"}, t0, False)
     return EXIT_OK
 
 
@@ -463,47 +447,13 @@ def _cmd_selftest(ns) -> int:
             report[name] = f"fail: {e}"
             failures += 1
     if ns.out:
-        with open(ns.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        _write_manifest(ns.out, _echo(ns),
-                        {k: "suite outcome" for k in report},
-                        time.perf_counter() - t_all, failures > 0)
+        _write_json(ns.out, report)
+        _write_manifest(ns, {k: "suite outcome" for k in report}, t_all,
+                        failures > 0)
     return EXIT_OK if failures == 0 else 1
 
 
 # -- argument plumbing -------------------------------------------------------
-
-# argparse defaults stay None so a JSON config file can fill unset flags;
-# the real fallbacks live here
-DEFAULTS = {
-    "count": {"group": "psl2z", "x0": "0,1,0", "T": "4,8,16", "norm": "sup",
-              "q": None, "budget_words": 4096, "budget_nodes": 10 ** 7,
-              "out": "counts.csv"},
-    "coset-count": {"group": "psl2z", "x0": "0,1,0", "T": "10,20,40",
-                    "norm": "sup", "q": 3, "budget_words": 4096,
-                    "budget_nodes": 10 ** 7, "out": "coset_counts.csv"},
-    "fit": {"infile": "counts.csv", "model": "all", "out": "fit.json"},
-    "shear": {"psi": "bump:default", "T": "10,30,100,300", "tol": 1e-7,
-              "out": "shear.csv"},
-    "eisenstein": {"group": "psl2z", "z": "1j", "s": "2", "route": "auto",
-                   "cusp": 0, "max_mode": 4000, "max_height": 1024.0,
-                   "out": "eisenstein.csv"},
-    "moment": {"T": "20,50,100,200", "qexp_n": 4000, "out": "moment.csv"},
-    "kronecker": {"qexp_n": 4000, "out": "kronecker.json"},
-    "selftest": {"out": None},
-}
-
-RUNNERS = {
-    "count": _cmd_count,
-    "coset-count": _cmd_count,
-    "fit": _cmd_fit,
-    "shear": _cmd_shear,
-    "eisenstein": _cmd_eisenstein,
-    "moment": _cmd_moment,
-    "kronecker": _cmd_kronecker,
-    "selftest": _cmd_selftest,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,59 +464,62 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help_text):
+    def add(name, run, out, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None,
-                       help="JSON file of flag defaults")
-        p.add_argument("--out", default=None, help="output path")
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON file of flag defaults")
+        p.add_argument("--out", default=out, help="output path")
         return p
 
-    for name in ("count", "coset-count"):
-        p = add(name, "orbit ball counts" if name == "count"
-                else "orbit counts split by congruence coset")
-        p.add_argument("--group", default=None)
-        p.add_argument("--x0", default=None, help="form vector p,q,r")
-        p.add_argument("--T", default=None, help="radii, comma separated")
-        p.add_argument("--norm", choices=("sup", "euclidean"), default=None)
-        p.add_argument("--q", type=int, default=None, help="congruence level")
-        p.add_argument("--budget-words", dest="budget_words", type=int,
-                       default=None,
+    for name, out, radii, q, help_text in (
+            ("count", "counts.csv", "4,8,16", None, "orbit ball counts"),
+            ("coset-count", "coset_counts.csv", "10,20,40", 3,
+             "orbit counts split by congruence coset")):
+        p = add(name, _cmd_count, out, help_text)
+        p.add_argument("--group", default="psl2z")
+        p.add_argument("--x0", default="0,1,0", help="form vector p,q,r")
+        p.add_argument("--T", default=radii, help="radii, comma separated")
+        p.add_argument("--norm", choices=("sup", "euclidean"), default="sup")
+        p.add_argument("--q", type=int, default=q, help="congruence level")
+        p.add_argument("--budget-words", type=int, default=4096,
                        help="most search layers, each one syllable "
                             "S T^(w k)")
-        p.add_argument("--budget-nodes", dest="budget_nodes", type=int,
-                       default=None,
+        p.add_argument("--budget-nodes", type=int, default=10 ** 7,
                        help="most group elements the search collects")
 
-    p = add("fit", "growth-law fits on a counts CSV")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--model", choices=FIT_MODELS + ("all",), default=None)
+    p = add("fit", _cmd_fit, "fit.json", "growth-law fits on a counts CSV")
+    p.add_argument("--in", dest="infile", default="counts.csv")
+    p.add_argument("--model", choices=FIT_MODELS + ("all",), default="all")
 
-    p = add("shear", "mu_T and its strip approximant over a T grid")
-    p.add_argument("--psi", default=None,
+    p = add("shear", _cmd_shear, "shear.csv",
+            "mu_T and its strip approximant over a T grid")
+    p.add_argument("--psi", default="bump:default",
                    help="bump:default, bump:thin, or delta")
-    p.add_argument("--T", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--T", default="10,30,100,300")
+    p.add_argument("--tol", type=float, default=1e-7)
 
-    p = add("eisenstein", "Eisenstein values on a (z, s) grid")
-    p.add_argument("--group", default=None)
-    p.add_argument("--z", default=None, help="points like 0.2+1.4j, comma "
+    p = add("eisenstein", _cmd_eisenstein, "eisenstein.csv",
+            "Eisenstein values on a (z, s) grid")
+    p.add_argument("--group", default="psl2z")
+    p.add_argument("--z", default="1j", help="points like 0.2+1.4j, comma "
                                              "separated")
-    p.add_argument("--s", default=None, help="spectral parameters")
+    p.add_argument("--s", default="2", help="spectral parameters")
     p.add_argument("--route", choices=("auto", "fourier", "coset"),
-                   default=None)
-    p.add_argument("--cusp", type=int, default=None)
-    p.add_argument("--max-mode", dest="max_mode", type=int, default=None)
-    p.add_argument("--max-height", dest="max_height", type=float,
-                   default=None)
+                   default="auto")
+    p.add_argument("--cusp", type=int, default=0)
+    p.add_argument("--max-mode", type=int, default=4000)
+    p.add_argument("--max-height", type=float, default=1024.0)
 
-    p = add("moment", "second moment vs prediction over a T grid")
-    p.add_argument("--T", default=None)
-    p.add_argument("--qexp-n", dest="qexp_n", type=int, default=None)
+    p = add("moment", _cmd_moment, "moment.csv",
+            "second moment vs prediction over a T grid")
+    p.add_argument("--T", default="20,50,100,200")
+    p.add_argument("--qexp-n", type=int, default=4000)
 
-    p = add("kronecker", "limit-formula check for the discriminant form")
-    p.add_argument("--qexp-n", dest="qexp_n", type=int, default=None)
+    p = add("kronecker", _cmd_kronecker, "kronecker.json",
+            "limit-formula check for the discriminant form")
+    p.add_argument("--qexp-n", type=int, default=4000)
 
-    p = add("selftest", "run the fast invariant suites")
+    p = add("selftest", _cmd_selftest, None, "run the fast invariant suites")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the randomized sweep")
     return parser
@@ -585,8 +538,10 @@ def _config_value(flag: argparse.Action, val):
     return kind(val)
 
 
-def _resolve(ns, parser: argparse.ArgumentParser) -> None:
-    defaults = dict(DEFAULTS[ns.cmd])
+def _resolve(ns, parser: argparse.ArgumentParser,
+             argv) -> argparse.Namespace:
+    """ns again, parsed with the --config file's values as the
+    subcommand's defaults: a flag beats the file, the file the default."""
     if ns.config is not None:
         try:
             with open(ns.config) as f:
@@ -595,20 +550,18 @@ def _resolve(ns, parser: argparse.ArgumentParser) -> None:
             raise ConfigError(f"cannot read config {ns.config!r}: {e}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {ns.config!r} is not a JSON object")
-        unknown = set(loaded) - set(defaults)
+        cmds = next(a for a in parser._actions if a.dest == "cmd")
+        sub = cmds.choices[ns.cmd]
+        flags = {a.dest: a for a in sub._actions
+                 if a.dest not in ("help", "config")}
+        unknown = set(loaded) - set(flags)
         if unknown:
             raise ConfigError(f"config keys {sorted(unknown)} not valid "
                               f"for {ns.cmd!r}")
-        sub = next(a for a in parser._actions if a.dest == "cmd")
-        flags = {a.dest: a for a in sub.choices[ns.cmd]._actions}
         # null leaves a key at its default
-        defaults.update((k, _config_value(flags[k], v))
-                        for k, v in loaded.items() if v is not None)
-    for key, val in defaults.items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, val)
-    if ns.cmd != "selftest" and ns.out is None:
-        raise ConfigError("an output path is required")
+        sub.set_defaults(**{k: _config_value(flags[k], v)
+                            for k, v in loaded.items() if v is not None})
+        ns = parser.parse_args(argv)
     if ns.out is not None:
         # checked before any work, which an unwritable path would throw away
         folder = os.path.dirname(ns.out) or "."
@@ -617,11 +570,12 @@ def _resolve(ns, parser: argparse.ArgumentParser) -> None:
                               f"a writable directory")
         if os.path.isdir(ns.out):
             raise ConfigError(f"cannot write {ns.out!r}: it is a directory")
+    return ns
 
 
 def _echo(ns) -> dict:
-    skip = {"cmd", "config"}
-    cfg = {k: v for k, v in sorted(vars(ns).items()) if k not in skip}
+    cfg = {k: v for k, v in sorted(vars(ns).items())
+           if k not in ("cmd", "config", "run")}
     cfg["subcommand"] = ns.cmd
     return cfg
 
@@ -631,8 +585,8 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        _resolve(ns, parser)
-        return RUNNERS[ns.cmd](ns)
+        ns = _resolve(ns, parser, argv)
+        return ns.run(ns)
     except (ValueError, StabilizerError) as e:
         # bad configuration: ConfigError is a ValueError; a stabilizer of x0
         print(f"error: {e}", file=sys.stderr)
@@ -640,8 +594,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, InsufficientConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         if ns.out:
-            _write_manifest(ns.out, _echo(ns), {}, time.perf_counter() - t0,
-                            True, {"error": str(e), "outputs": []})
+            _write_manifest(ns, {}, t0, True, {"error": str(e), "outputs": []})
         return EXIT_BUDGET
 
 

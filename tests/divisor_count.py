@@ -1,14 +1,19 @@
-"""Integer points of the discriminant-1 quadric q^2 - 4pr = 1 in a ball,
-by divisor counting: the oracle that the psl2z orbit counts of (0, 1, 0)
-are checked against at large radii.  Every integral form of discriminant
-1 lies in that orbit with trivial stabilizer, so the orbit's ball count
-is the quadric's point count.  It shares no code with the package.
+"""Integer points of the quadric q^2 - 4pr = D in a ball, by divisor
+counting, for D = 1 and every D < 0: the oracle that the psl2z orbit
+counts are checked against at large radii.  For D = 1 every integral
+form lies in the orbit of (0, 1, 0) with trivial stabilizer, so the
+orbit's ball count is the quadric's point count; for D < 0 the quadric
+is the union of the orbits of one form per class and of their negatives.
+It shares no code with the package.
 
-For odd |q| >= 3 the points are (d, q, m / d) and (-d, q, -m / d) over
-the divisors d of m = (q^2 - 1) / 4 = ((q - 1) / 2) ((q + 1) / 2), whose
-two coprime factors a smallest-prime-factor sieve up to T / 2 factors.
-For q = +-1, p r = 0, so p = 0 or r = 0.  The cost is about T log^2 T,
-against T^2 for a scan of the box."""
+For D = 1 and odd |q| >= 3 the points are (d, q, m / d) and
+(-d, q, -m / d) over the divisors d of m = (q^2 - 1) / 4 =
+((q - 1) / 2) ((q + 1) / 2), whose two coprime factors a
+smallest-prime-factor sieve up to T / 2 factors.  For q = +-1, p r = 0,
+so p = 0 or r = 0.  For D < 0 the points are the same two over the
+divisors of m = (q^2 - D) / 4, for every q = D mod 2, and the sieve runs
+up to T^2 / 4.  The cost is about T log^2 T, against T^2 for a scan of
+the box."""
 
 import math
 from bisect import bisect_left
@@ -23,13 +28,13 @@ def _smallest_prime_factors(n):
         if spf[p] == p:
             block = spf[p * p::p]
             block[block == np.arange(p * p, n + 1, p)] = p
-    return spf.tolist()
+    return spf
 
 
 def _divisors(n, spf, divs):
     """Every product of an entry of divs and a divisor of n."""
     while n > 1:
-        p, e = spf[n], 0
+        p, e = int(spf[n]), 0
         while n % p == 0:
             n //= p
             e += 1
@@ -37,23 +42,33 @@ def _divisors(n, spf, divs):
     return divs
 
 
-def quadric_counts(t_list, norm="sup"):
-    """The number of points with sup (or Euclidean) norm strictly below t,
-    for each t in t_list."""
+def quadric_counts(t_list, norm="sup", disc=1):
+    """The number of points of discriminant disc (1 or negative) with sup
+    (or Euclidean) norm strictly below t, for each t in t_list."""
     sup = norm == "sup"
     lim = int(math.ceil(max(t_list))) - 1  # every counted entry is <= lim
-    spf = _smallest_prime_factors(max(lim // 2 + 1, 1))
     # keys of points that come four to a key and two to a key
     four, two = [], []
-    for s in range(-lim, lim + 1):  # q = +-1: (0, q, s), and (s, q, 0)
-        key = max(1, abs(s)) if sup else 1 + s * s
-        (two if s == 0 else four).append(key)
-    for q in range(3, lim + 1, 2):  # (+-d, +-q, +-m / d), p and r alike
-        m = (q * q - 1) // 4
-        low = _divisors((q - 1) // 2, spf, [1])
-        for d in _divisors((q + 1) // 2, spf, low):
+    if disc == 1:
+        spf = _smallest_prime_factors(max(lim // 2 + 1, 1))
+        for s in range(-lim, lim + 1):  # q = +-1: (0, q, s), and (s, q, 0)
+            key = max(1, abs(s)) if sup else 1 + s * s
+            (two if s == 0 else four).append(key)
+        qs = range(3, lim + 1, 2)
+    else:
+        spf = _smallest_prime_factors((lim * lim - disc) // 4)
+        qs = range(-disc % 2, lim + 1, 2)
+    for q in qs:  # (+-d, +-q, +-m / d), p and r alike
+        m = (q * q - disc) // 4
+        if disc == 1:
+            low = _divisors((q - 1) // 2, spf, [1])
+            divs = _divisors((q + 1) // 2, spf, low)
+        else:
+            divs = _divisors(m, spf, [1])
+        for d in divs:
             e = m // d
-            four.append(max(d, e, q) if sup else d * d + e * e + q * q)
+            key = max(d, e, q) if sup else d * d + e * e + q * q
+            (four if q else two).append(key)
     four.sort()
     two.sort()
     return tuple(4 * bisect_left(four, b) + 2 * bisect_left(two, b)

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -369,7 +373,7 @@ def test_exhausted_budget_or_tolerance_is_partial(tmp_path, monkeypatch, exc):
     def runner(ns):
         raise exc
 
-    monkeypatch.setitem(cli.RUNNERS, "shear", runner)
+    monkeypatch.setattr(cli, "_cmd_shear", runner)
     out = tmp_path / "shear.csv"
     assert main(["shear", "--out", str(out)]) == 3
     assert not out.exists()
@@ -485,7 +489,7 @@ def test_stabilizer_error_is_config_error(tmp_path, monkeypatch):
     def runner(ns):
         raise StabilizerError("vector reached by two elements")
 
-    monkeypatch.setitem(cli.RUNNERS, "count", runner)
+    monkeypatch.setattr(cli, "_cmd_count", runner)
     out = tmp_path / "counts.csv"
     assert main(["count", "--out", str(out)]) == 2
     assert not out.exists()
@@ -568,3 +572,55 @@ def test_seed_is_a_selftest_flag_only(tmp_path, capsys):
     report = tmp_path / "self.json"
     assert main(["selftest", "--seed", "3", "--out", str(report)]) == 0
     assert read_manifest(report)["config"]["seed"] == 3
+
+
+def test_config_file_sets_selftest_seed(tmp_path):
+    # the seed was a flag with no config key: this exited 2 with "config
+    # keys ['seed'] not valid for 'selftest'"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    report = tmp_path / "self.json"
+    assert main(["selftest", "--config", str(cfg), "--out", str(report)]) == 0
+    assert read_manifest(report)["config"]["seed"] == 3
+
+
+def test_manifest_config_is_the_subcommand_flags(tmp_path, monkeypatch):
+    # every flag the parser takes is echoed, and nothing else: a default or
+    # a config key declared beside the parser would show here
+    monkeypatch.setattr(cli, "SELFTEST_SUITES", ())
+    counts = tmp_path / "counts.csv"
+    runs = {
+        "count": ["--T", "4"],
+        "coset-count": ["--T", "4"],
+        "fit": ["--in", str(counts)],
+        "shear": ["--T", "10"],
+        "eisenstein": [],
+        "moment": ["--T", "20", "--qexp-n", "1500"],
+        "kronecker": ["--qexp-n", "1500"],
+        "selftest": [],
+    }
+    cmds = next(a for a in cli.build_parser()._actions if a.dest == "cmd")
+    assert set(cmds.choices) == set(runs)
+    assert main(["count", "--T", "4,8,16", "--out", str(counts)]) == 0
+    for cmd, argv in runs.items():
+        out = tmp_path / f"{cmd}.out"
+        assert main([cmd, *argv, "--out", str(out)]) == 0, cmd
+        flags = {a.dest for a in cmds.choices[cmd]._actions}
+        want = flags - {"config", "help"} | {"subcommand"}
+        assert set(read_manifest(out)["config"]) == want, cmd
+
+
+def test_shear_leaves_numpy_random_unimported(tmp_path):
+    # bump registration draws its points from a fixed sequence; loading
+    # numpy.random costs a fresh process 12-18 ms
+    code = ("import sys\n"
+            "from shearlab.cli import main\n"
+            "rc = main(['shear', '--T', '10', '--out', sys.argv[1]])\n"
+            "print(rc, 'numpy.random' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code,
+                          str(tmp_path / "shear.csv")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]

@@ -59,12 +59,12 @@ def orbit_closure(t_max, gens=(act_T, act_Tinv, act_S), gate_factor=6.0):
     return seen
 
 
-def quadric_scan(t):
-    """Integer points of q^2 - 4pr = 1 with sup norm strictly below t."""
+def quadric_scan(t, disc=1):
+    """Integer points of q^2 - 4pr = disc with sup norm strictly below t."""
     lim = int(math.ceil(t)) - 1
     pts = set()
     for q in range(-lim, lim + 1):
-        rhs = q * q - 1
+        rhs = q * q - disc
         for p in range(-lim, lim + 1):
             if p == 0:
                 if rhs == 0:
@@ -407,6 +407,40 @@ def test_lattice_counts_match_divisor_count(norm, pinned):
     assert res.search_nodes == res.counts[-1]
     assert len(res.breakdown) == 12
     assert tuple(map(sum, zip(*res.breakdown.values()))) == res.counts
+
+
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+@pytest.mark.parametrize("disc", [-4, -7, -20, -23])
+def test_divisor_count_matches_quadric_scan_below_zero(norm, disc):
+    t_list = (0.5, 1.0, 1.5, 2.5, 12.0, 13.0, 60.5, 240.0)
+    pts = np.array(sorted(quadric_scan(t_list[-1], disc)))
+    assert quadric_counts(t_list, norm, disc) == scan_counts(pts, t_list, norm)
+
+
+# one form per proper class of discriminant D; every D here has h(D) <= 3
+# and no form with a stabilizer in PSL2(Z), so the orbits of these forms
+# and of their negatives partition the quadric, and the walk reaches each
+# point through its dedup index
+CLASSES = {
+    -7: [(1, 1, 2)], -8: [(1, 0, 2)], -11: [(1, 1, 3)], -19: [(1, 1, 5)],
+    -15: [(1, 1, 4), (2, 1, 2)], -20: [(1, 0, 5), (2, 2, 3)],
+    -23: [(1, 1, 6), (2, 1, 3), (2, -1, 3)],
+}
+
+
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+@pytest.mark.parametrize("disc", sorted(CLASSES, reverse=True))
+def test_definite_orbit_counts_match_divisor_count(norm, disc):
+    t_list = (100.0, 1000.0, 3000.0)
+    total = [0, 0, 0]
+    for x0 in CLASSES[disc]:
+        for sign in (1, -1):
+            res = count_orbit(OrbitQuery(
+                PSL2Z, FormVector(*(sign * c for c in x0)), t_list,
+                norm=norm))
+            assert all(res.saturated)
+            total = [a + b for a, b in zip(total, res.counts)]
+    assert tuple(total) == quadric_counts(t_list, norm, disc)
 
 
 # -- the walk against the word search ----------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from shearlab import cli, measures
+import shearlab
+from shearlab import cli, measures, modforms
 from shearlab.algebra import FormVector
 from shearlab.cli import main
 from shearlab.counting import OrbitQuery, StabilizerError, count_orbit
@@ -185,7 +187,7 @@ def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys,
     def work(*_):
         raise AssertionError("ran before the output path was checked")
 
-    monkeypatch.setattr(cli, "mu_T", work)
+    monkeypatch.setattr(measures, "mu_T", work)
     monkeypatch.setattr(cli, "SELFTEST_SUITES", (("work", work),))
     out = tmp_path / "missing" / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
@@ -497,15 +499,16 @@ def test_stabilizer_error_is_config_error(tmp_path, monkeypatch):
 
 
 def test_moment_wall_time_covers_qexp(tmp_path, monkeypatch):
-    real = cli.delta_qexp
+    real = modforms.delta_qexp
 
     def slow_qexp(n):
         time.sleep(0.3)
         return real(n)
 
-    monkeypatch.setattr(cli, "delta_qexp", slow_qexp)
-    monkeypatch.setattr(cli, "second_moment_lhs", lambda f, t: 1.0)
-    monkeypatch.setattr(cli, "second_moment_prediction", lambda f, t: 1.0)
+    monkeypatch.setattr(modforms, "delta_qexp", slow_qexp)
+    monkeypatch.setattr(modforms, "second_moment_lhs", lambda f, t: 1.0)
+    monkeypatch.setattr(modforms, "second_moment_prediction",
+                        lambda f, t: 1.0)
     out = tmp_path / "m.csv"
     assert main(["moment", "--T", "20", "--qexp-n", "1500",
                  "--out", str(out)]) == 0
@@ -610,17 +613,83 @@ def test_manifest_config_is_the_subcommand_flags(tmp_path, monkeypatch):
         assert set(read_manifest(out)["config"]) == want, cmd
 
 
-def test_shear_leaves_numpy_random_unimported(tmp_path):
-    # bump registration draws its points from a fixed sequence; loading
-    # numpy.random costs a fresh process 12-18 ms
-    code = ("import sys\n"
-            "from shearlab.cli import main\n"
-            "rc = main(['shear', '--T', '10', '--out', sys.argv[1]])\n"
-            "print(rc, 'numpy.random' in sys.modules)\n")
+def child(args, cwd):
+    """A fresh python process given args, with this checkout's shearlab
+    on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code,
-                          str(tmp_path / "shear.csv")], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "False"]
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+SUBMODULES = {f"shearlab.{m}" for m in (
+    "algebra", "groups", "counting", "measures", "eisenstein", "modforms",
+    "quadrature", "specfun", "cli")}
+COUNTING = {"shearlab.cli", "shearlab.algebra", "shearlab.groups",
+            "shearlab.counting"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (None, SUBMODULES),
+    (["count", "--T", "4,8,16"], SUBMODULES - COUNTING),
+    (["coset-count", "--T", "4,8"], SUBMODULES - COUNTING),
+    (["fit", "--in", "counts.csv"], SUBMODULES - COUNTING),
+    # bump registration draws its points from a fixed sequence; loading
+    # numpy.random costs a fresh process 12-18 ms
+    (["shear", "--T", "10"], {"shearlab.counting", "shearlab.eisenstein",
+                              "shearlab.modforms", "shearlab.specfun",
+                              "numpy.random"}),
+    (["eisenstein"], {"shearlab.counting", "shearlab.measures",
+                      "shearlab.modforms"}),
+    (["moment", "--T", "20", "--qexp-n", "1500"],
+     {"shearlab.counting", "shearlab.eisenstein"}),
+], ids=["import", "count", "coset-count", "fit", "shear", "eisenstein",
+        "moment"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
+    # the package resolves its exports on first access and each runner
+    # imports what it uses, so a process compiles only its subcommand's
+    # modules
+    (tmp_path / "counts.csv").write_text("T,count,saturated\n"
+                                         "4,34,1\n8,98,1\n16,242,1\n")
+    code = ("import json, sys\n"
+            "import shearlab\n"
+            "rc = None\n"
+            "if sys.argv[1:]:\n"
+            "    from shearlab.cli import main\n"
+            "    rc = main(sys.argv[1:] + ['--out', 'run.out'])\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    out = child(["-c", code, *(argv or [])], tmp_path)
+    rc, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert rc == (None if argv is None else 0), out.stderr
+    assert unloaded & set(loaded) == set()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_unknown_fit_model_exits_2(tmp_path, how):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("T,count,saturated\n4,34,1\n8,98,1\n16,242,1\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "cubic"}))
+    argv = ["-m", "shearlab.cli", "fit", "--out", "fit.json"]
+    argv += ["--model", "cubic"] if how == "flag" else ["--config",
+                                                        str(config)]
+    out = child(argv, tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "cubic" in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                          "counts.csv"]
+
+
+def test_package_exports_resolve_on_first_access():
+    assert len(set(shearlab.__all__)) == len(shearlab.__all__) == 61
+    for name, mod in shearlab._HOME.items():
+        home = importlib.import_module(f"shearlab.{mod}")
+        assert getattr(shearlab, name) is getattr(home, name), name
+    star = {}
+    exec("from shearlab import *", star)
+    assert set(shearlab.__all__) <= set(star)
+    assert set(shearlab.__all__) <= set(dir(shearlab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        shearlab.no_such_name
+    assert not hasattr(shearlab, "no_such_name")

@@ -27,16 +27,16 @@ _EXPORTS = {
         "UTBPoint", "compose", "hyperbolic_distance", "iwasawa_decompose",
         "iwasawa_recompose", "mobius_act", "shear_element", "spin_cover"),
     "groups": (
-        "Cusp", "GroupSpec", "PSL2Z", "THIN4", "WordBudget", "reduce_points"),
+        "Cusp", "GroupSpec", "PSL2Z", "THIN4", "TestFunction", "WordBudget",
+        "reduce_points"),
     "counting": (
         "CountResult", "FitResult", "InsufficientDataError", "OrbitQuery",
         "StabilizerError", "coset_disparity", "count_orbit",
         "fit_counting_law", "identity_coset_factor"),
     "measures": (
-        "RegressionResult", "ShearSample", "TestFunction",
-        "equidistribution_regression", "fourier_coefficient", "haar_mean",
-        "horocycle_average", "make_lattice_bump", "make_thin_bump", "mu_T",
-        "mu_T_strip"),
+        "RegressionResult", "ShearSample", "equidistribution_regression",
+        "fourier_coefficient", "haar_mean", "horocycle_average",
+        "make_lattice_bump", "make_thin_bump", "mu_T", "mu_T_strip"),
     "eisenstein": (
         "ConvergenceError", "EisensteinEvaluator", "EisensteinSample",
         "PairingError", "critical_exponent", "eisenstein_sample", "mu_eis",

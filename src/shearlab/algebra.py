@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +28,34 @@ def _wrap_pm_pi(t: float) -> float:
     return t - math.pi
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class _Checked:
+    """Base of a record whose __new__ checks and normalizes its fields.
+
+    Records are NamedTuples; one that checks its fields is a subclass of
+    its NamedTuple whose __new__ holds the defaults, runs the checks and
+    builds the tuple with tuple.__new__.  namedtuple's own _make calls
+    tuple.__new__ too, so it would skip them: _make here calls the class,
+    and so does _replace, which builds through _make.  Unpickling calls
+    __new__ with the fields namedtuple's __getnewargs__ saved, so it
+    checks them as well."""
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _GroupElement(NamedTuple):
     a: float
     b: float
     c: float
     d: float
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+
+class GroupElement(_Checked, _GroupElement):
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
         det = a * d - b * c
         if not det > 0:
             raise ValueError(f"element must have positive determinant, got {det}")
@@ -47,10 +66,7 @@ class GroupElement:
         ctol = 1e-13 * scale
         if c < -ctol or (abs(c) <= ctol and a < 0):
             a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        return tuple.__new__(cls, (a, b, c, d))
 
     @staticmethod
     def identity() -> "GroupElement":
@@ -94,24 +110,24 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     )
 
 
-@dataclass(frozen=True)
-class IntGroupElement:
-    """Exact integer element of PSL(2, Z), canonical sign representative."""
+class _IntGroupElement(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+
+class IntGroupElement(_Checked, _IntGroupElement):
+    """Exact integer element of PSL(2, Z), canonical sign representative.
+    g * h is the group product, not tuple repetition."""
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
         if a * d - b * c != 1:
             raise ValueError("integer element must have determinant 1")
         if c < 0 or (c == 0 and a < 0):
             a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        return tuple.__new__(cls, (a, b, c, d))
 
     @staticmethod
     def identity() -> "IntGroupElement":
@@ -140,17 +156,20 @@ INT_S = IntGroupElement(0, -1, 1, 0)
 INT_T = IntGroupElement(1, 1, 0, 1)
 
 
-@dataclass(frozen=True)
-class UTBPoint:
-    """Base point x + iy with a unit tangent direction theta."""
+class _UTBPoint(NamedTuple):
     x: float
     y: float
-    theta: float = 0.0
+    theta: float
 
-    def __post_init__(self):
-        if not self.y > 0:
+
+class UTBPoint(_Checked, _UTBPoint):
+    """Base point x + iy with a unit tangent direction theta."""
+    __slots__ = ()
+
+    def __new__(cls, x, y, theta=0.0):
+        if not y > 0:
             raise ValueError("UTBPoint needs y > 0")
-        object.__setattr__(self, "theta", _wrap_pm_pi(self.theta))
+        return tuple.__new__(cls, (x, y, _wrap_pm_pi(theta)))
 
     @property
     def z(self) -> complex:
@@ -167,8 +186,7 @@ def point_xy(z):
     return zz.real, zz.imag
 
 
-@dataclass(frozen=True)
-class IwasawaCoords:
+class IwasawaCoords(NamedTuple):
     x: float
     y: float
     theta: float
@@ -212,8 +230,7 @@ def shear_element(T: float) -> GroupElement:
                    GroupElement.n(T))
 
 
-@dataclass(frozen=True)
-class FormVector:
+class FormVector(NamedTuple):
     """Binary quadratic form p u^2 + q uv + r v^2 as a vector (p, q, r)."""
     p: float
     q: float
@@ -247,21 +264,24 @@ def spin_cover(g, v: FormVector) -> FormVector:
     )
 
 
-@dataclass(frozen=True)
-class TernaryForm:
-    """Symmetric 3x3 Gram matrix of a ternary quadratic form."""
+class _TernaryForm(NamedTuple):
     m: tuple
-    signature: tuple = (2, 1)
+    signature: tuple
 
-    def __post_init__(self):
-        arr = np.asarray(self.m, dtype=float)
+
+class TernaryForm(_Checked, _TernaryForm):
+    """Symmetric 3x3 Gram matrix of a ternary quadratic form."""
+    __slots__ = ()
+
+    def __new__(cls, m, signature=(2, 1)):
+        arr = np.asarray(m, dtype=float)
         if arr.shape != (3, 3) or not np.allclose(arr, arr.T, atol=1e-12):
             raise ValueError("need a symmetric 3x3 matrix")
         ev = np.linalg.eigvalsh(arr)
         sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-        if sig != tuple(self.signature):
-            raise ValueError(f"declared signature {self.signature}, got {sig}")
-        object.__setattr__(self, "m", tuple(map(tuple, arr)))
+        if sig != tuple(signature):
+            raise ValueError(f"declared signature {signature}, got {sig}")
+        return tuple.__new__(cls, (tuple(map(tuple, arr)), signature))
 
     @staticmethod
     def canonical() -> "TernaryForm":

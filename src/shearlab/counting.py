@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import FormVector
+from .algebra import FormVector, _Checked
 from .groups import (CosetLabel, GroupSpec, WordBudget, check_level,
                      coset_labels, coset_space, label_codes, label_entries)
 
@@ -36,53 +35,67 @@ class StabilizerError(RuntimeError):
     behind per-coset counts has failed for this orbit."""
 
 
-@dataclass(frozen=True)
-class OrbitQuery:
+_BUDGET = WordBudget(4096, 10 ** 7)
+
+
+class _OrbitQuery(NamedTuple):
     spec: GroupSpec
     x0: FormVector
     t_list: tuple
-    norm: str = "sup"
-    q: Optional[int] = None
-    budget: WordBudget = field(default_factory=lambda: WordBudget(4096, 10 ** 7))
+    norm: str
+    q: Optional[int]
+    budget: WordBudget
 
-    def __post_init__(self):
-        object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
+
+class OrbitQuery(_Checked, _OrbitQuery):
+    __slots__ = ()
+
+    def __new__(cls, spec, x0, t_list, norm="sup", q=None, budget=_BUDGET):
+        t_list = tuple(float(t) for t in t_list)
         try:
-            ints = tuple(int(v) for v in self.x0.entries())
+            ints = tuple(int(v) for v in x0.entries())
         except (TypeError, ValueError, OverflowError):
             ints = None
-        if ints != self.x0.entries():
+        if ints != x0.entries():
             raise ValueError(f"x0 must be an integer form vector, "
-                             f"got {self.x0.entries()}")
+                             f"got {x0.entries()}")
         if ints == (0, 0, 0):
             raise ValueError("x0 must be nonzero")
-        if not self.t_list:
+        if not t_list:
             raise ValueError("t_list must hold at least one radius")
-        if any(b >= a for a, b in zip(self.t_list[1:], self.t_list)):
+        if any(b >= a for a, b in zip(t_list[1:], t_list)):
             raise ValueError("t_list must be strictly increasing")
-        if not all(math.isfinite(t) for t in self.t_list):
+        if not all(math.isfinite(t) for t in t_list):
             raise ValueError("radii must be finite")
-        if self.norm not in ("sup", "euclidean"):
-            raise ValueError(f"unknown norm tag {self.norm!r}")
-        if self.q is not None:
-            check_level(self.q)
+        if norm not in ("sup", "euclidean"):
+            raise ValueError(f"unknown norm tag {norm!r}")
+        if q is not None:
+            check_level(q)
+        return tuple.__new__(cls, (spec, x0, t_list, norm, q, budget))
 
 
-@dataclass
-class CountResult:
+class _CountResult(NamedTuple):
     t_list: tuple
     counts: tuple
     saturated: tuple
     wall_time: float
-    x0_norm: float = 1.0
-    q: Optional[int] = None
-    breakdown: Optional[dict] = None  # CosetLabel -> per-T counts, code order
-    search_nodes: int = 0  # group elements the walk collected
-    search_depth: int = 0  # syllable layers the walk reached
+    x0_norm: float
+    q: Optional[int]
+    breakdown: Optional[dict]  # CosetLabel -> per-T counts, code order
+    search_nodes: int  # group elements the walk collected
+    search_depth: int  # syllable layers the walk reached
 
-    def __post_init__(self):
-        if any(b > a for a, b in zip(self.counts[1:], self.counts)):
+
+class CountResult(_Checked, _CountResult):
+    __slots__ = ()
+
+    def __new__(cls, t_list, counts, saturated, wall_time, x0_norm=1.0,
+                q=None, breakdown=None, search_nodes=0, search_depth=0):
+        if any(b > a for a, b in zip(counts[1:], counts)):
             raise ValueError("counts must be nondecreasing in T")
+        return tuple.__new__(cls, (t_list, counts, saturated, wall_time,
+                                   x0_norm, q, breakdown, search_nodes,
+                                   search_depth))
 
     def largest_saturated_index(self) -> int:
         idx = [i for i, s in enumerate(self.saturated) if s]
@@ -578,8 +591,7 @@ def count_orbit(query: OrbitQuery) -> CountResult:
 FIT_MODELS = ("t_log_t", "linear", "pure_t_log_t", "power", "t_plus_t_delta")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     model: str
     coefficients: tuple
     residual_norm: float

@@ -55,12 +55,12 @@ rows at every node took 0.35-0.42 s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import INT_S, UTBPoint, mobius_act, point_xy
+from .algebra import INT_S, UTBPoint, _Checked, mobius_act, point_xy
 from .groups import GroupSpec, PSL2Z, _ragged, bottom_rows, reduce_points
 from .quadrature import gl_nodes, integrate_fd, refine
 from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
@@ -116,8 +116,15 @@ def critical_exponent(spec: GroupSpec) -> float:
     return float(slope) / 2.0
 
 
-@dataclass(frozen=True)
-class EisensteinEvaluator:
+class _EisensteinEvaluator(NamedTuple):
+    spec: GroupSpec
+    cusp_index: int
+    route: str
+    max_mode: int
+    max_height: float
+
+
+class EisensteinEvaluator(_Checked, _EisensteinEvaluator):
     """Frozen evaluation setup: group, cusp, route, truncation controls.
 
     route "auto" resolves to fourier for psl2z (omega = 1) and coset
@@ -126,33 +133,31 @@ class EisensteinEvaluator:
     max_mode caps the Fourier mode count; max_height cuts the coset sums
     at bottom-row norm (omega >= 2) or at |cz + d| (psl2z).
     """
-    spec: GroupSpec = PSL2Z
-    cusp_index: int = 0
-    route: str = "auto"
-    max_mode: int = 4000
-    max_height: float = 1024.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.route not in ("auto", "fourier", "coset"):
-            raise ValueError(f"unknown route {self.route!r}")
+    def __new__(cls, spec=PSL2Z, cusp_index=0, route="auto", max_mode=4000,
+                max_height=1024.0):
+        if route not in ("auto", "fourier", "coset"):
+            raise ValueError(f"unknown route {route!r}")
         # bool is an int subclass; True is no index or mode count
-        if type(self.cusp_index) is not int \
-                or not 0 <= self.cusp_index < len(self.spec.cusps):
-            raise ValueError(f"cusp index {self.cusp_index!r} out of range: "
-                             f"{self.spec.name!r} has "
-                             f"{len(self.spec.cusps)} cusp(s)")
-        if not 32 <= self.max_height < math.inf:
-            raise ValueError(f"max_height {self.max_height!r} not in [32, inf)")
-        if type(self.max_mode) is not int or self.max_mode < 1:
+        if type(cusp_index) is not int \
+                or not 0 <= cusp_index < len(spec.cusps):
+            raise ValueError(f"cusp index {cusp_index!r} out of range: "
+                             f"{spec.name!r} has "
+                             f"{len(spec.cusps)} cusp(s)")
+        if not 32 <= max_height < math.inf:
+            raise ValueError(f"max_height {max_height!r} not in [32, inf)")
+        if type(max_mode) is not int or max_mode < 1:
             raise ValueError(f"max_mode must be an integer >= 1, got "
-                             f"{self.max_mode!r}")
+                             f"{max_mode!r}")
+        return tuple.__new__(cls, (spec, cusp_index, route, max_mode,
+                                   max_height))
 
     def value(self, z, s: float) -> float:
         return eisenstein_sample(self, z, s).value
 
 
-@dataclass(frozen=True)
-class EisensteinSample:
+class EisensteinSample(NamedTuple):
     value: float
     route: str
     est_error: float

@@ -15,39 +15,46 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import INT_S, IntGroupElement
+from .algebra import INT_S, IntGroupElement, _Checked
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Cusp:
+class _Cusp(NamedTuple):
     point: float  # boundary point, INF allowed
     width: float
 
-    def __post_init__(self):
-        if not self.width > 0:
+
+class Cusp(_Checked, _Cusp):
+    __slots__ = ()
+
+    def __new__(cls, point, width):
+        if not width > 0:
             raise ValueError("cusp width must be positive")
+        return tuple.__new__(cls, (point, width))
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """The group <T^omega, S>.  lattice (finite covolume) iff omega <= 2."""
+class _GroupSpec(NamedTuple):
     name: str
     omega: int
 
-    def __post_init__(self):
+
+class GroupSpec(_Checked, _GroupSpec):
+    """The group <T^omega, S>.  lattice (finite covolume) iff omega <= 2."""
+    __slots__ = ()
+
+    def __new__(cls, name, omega):
         # bool is an int subclass; True is no width
-        if type(self.omega) is not int or self.omega < 1:
-            raise ValueError(f"group {self.name!r}: omega must be an integer "
-                             f">= 1, got {self.omega!r}")
+        if type(omega) is not int or omega < 1:
+            raise ValueError(f"group {name!r}: omega must be an integer "
+                             f">= 1, got {omega!r}")
+        return tuple.__new__(cls, (name, omega))
 
     @property
     def lattice(self) -> bool:
@@ -87,15 +94,66 @@ THIN4 = GroupSpec("thin4", 4)
 BUILTINS = {"psl2z": PSL2Z, "thin4": THIN4}
 
 
-@dataclass(frozen=True)
-class WordBudget:
-    max_depth: int = 512
-    max_nodes: int = 4_000_000
+class _WordBudget(NamedTuple):
+    max_depth: int
+    max_nodes: int
 
-    def __post_init__(self):
+
+class WordBudget(_Checked, _WordBudget):
+    __slots__ = ()
+
+    def __new__(cls, max_depth=512, max_nodes=4_000_000):
+        self = tuple.__new__(cls, (max_depth, max_nodes))
         # bool is an int subclass; True is no budget
-        if not all(type(v) is int and v >= 0 for v in vars(self).values()):
+        if not all(type(v) is int and v >= 0 for v in self):
             raise ValueError(f"word budgets must be integers >= 0: {self}")
+        return self
+
+
+class _TestFunction(NamedTuple):
+    name: str
+    spec: GroupSpec
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    c_psi: float
+    alpha_psi: float
+    support: Optional[tuple]
+    profiles: Optional[tuple]
+    peak: float
+
+
+class TestFunction(_Checked, _TestFunction):
+    """Automorphic observable with declared decay and support data.
+
+    batch takes (x, y) arrays and is the one way to evaluate the function;
+    every integrator reads it through batch.  A function of (x, y) alone
+    is right-K-invariant by construction: the direction on the unit
+    tangent bundle never enters.  support is a fundamental-domain bounding
+    box (x_lo, x_hi, y_lo, y_hi) for compactly supported functions, None for
+    cusp-decaying ones.  profiles, set by the bump factories, holds the
+    (P_x, P_y) product factors, the bump on each side of support: it lets
+    the unfolded engines rebuild the single-translate profile instead of
+    sampling the folded sum.  spec, the group the function is automorphic
+    under, gives every route its rows and its period omega; anything but a
+    GroupSpec raises TypeError.  The measures live in measures, which
+    re-exports this class; it sits here so that modforms can build one
+    without loading them.
+    """
+    __slots__ = ()
+
+    def __new__(cls, name, spec, batch, c_psi=2.5, alpha_psi=2.0,
+                support=None, profiles=None, peak=1.0):
+        if not isinstance(spec, GroupSpec):
+            raise TypeError(f"spec must be a GroupSpec, got {spec!r}")
+        return tuple.__new__(cls, (name, spec, batch, c_psi, alpha_psi,
+                                   support, profiles, peak))
+
+    @property
+    def omega(self) -> float:
+        return float(self.spec.omega)
+
+    @property
+    def mode(self) -> str:  # a label for reports; no route reads it
+        return "lattice" if self.spec.lattice else "thin"
 
 
 class BudgetExceeded(Exception):

@@ -22,13 +22,12 @@ cusp-decaying functions, and as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec, _ragged,
-                     coset_row_chunks, reduce_points)
+from .groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec, TestFunction,
+                     _ragged, coset_row_chunks, reduce_points)
 from .quadrature import (InsufficientConvergenceError, adaptive, gl_nodes,
                          integrate_fd, refine)
 
@@ -77,44 +76,6 @@ def bump_profile(t):
 
 class RegistrationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Automorphic observable with declared decay and support data.
-
-    batch takes (x, y) arrays and is the one way to evaluate the function;
-    every integrator reads it through batch.  A function of (x, y) alone
-    is right-K-invariant by construction: the direction on the unit
-    tangent bundle never enters.  support is a fundamental-domain bounding
-    box (x_lo, x_hi, y_lo, y_hi) for compactly supported functions, None for
-    cusp-decaying ones.  profiles, set by the bump factories, holds the
-    (P_x, P_y) product factors, the bump on each side of support: it lets
-    the unfolded engines rebuild the single-translate profile instead of
-    sampling the folded sum.  spec, the group the function is automorphic
-    under, gives every route its rows and its period omega; anything but a
-    GroupSpec raises TypeError.
-    """
-    name: str
-    spec: GroupSpec
-    batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    c_psi: float = 2.5
-    alpha_psi: float = 2.0
-    support: Optional[tuple] = None
-    profiles: Optional[tuple] = None
-    peak: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.spec, GroupSpec):
-            raise TypeError(f"spec must be a GroupSpec, got {self.spec!r}")
-
-    @property
-    def omega(self) -> float:
-        return float(self.spec.omega)
-
-    @property
-    def mode(self) -> str:  # a label for reports; no route reads it
-        return "lattice" if self.spec.lattice else "thin"
 
 
 def _register(tf: TestFunction, n_samples: int = 1000,
@@ -217,8 +178,7 @@ def make_thin_bump(box=THIN_BOX, name: str = "thin_bump") -> TestFunction:
 
 # -- mu_T --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShearSample:
+class ShearSample(NamedTuple):
     T: float
     value: float
     est_error: float
@@ -792,8 +752,7 @@ def haar_mean(psi: TestFunction) -> float:
 
 # -- regression against the equidistribution law -----------------------------
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     slope: float
     intercept: float
     decay_exponent: float

@@ -28,15 +28,13 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .algebra import point_xy
-from .groups import PSL2Z, _ragged, _walk, reduce_points
-from .measures import TestFunction
+from .groups import PSL2Z, TestFunction, _ragged, _walk, reduce_points
 from .quadrature import (InsufficientConvergenceError, adaptive, integrate_fd,
                          refine)
 from .specfun import (EULER_GAMMA, digamma, gamma_fn, log_abs_eta_arr,
@@ -50,24 +48,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class QExpansion:
-    """Normalized cusp form data: weight and a(1..N), with a(1) = 1."""
-    weight: int
-    coeffs: tuple
+    """Normalized cusp form data: weight and a(1..N), with a(1) = 1.
 
-    def __post_init__(self):
-        if self.weight % 2 or self.weight < 4:
+    An immutable record but not a tuple: len(f) counts the coefficients,
+    and the hash is taken once, here."""
+    __slots__ = ("weight", "coeffs", "_hash")
+
+    def __init__(self, weight: int, coeffs: tuple):
+        if weight % 2 or weight < 4:
             raise ValueError("weight must be an even integer >= 4")
-        if not self.coeffs or self.coeffs[0] != 1:
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("normalization requires a(1) = 1")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        coeffs = tuple(coeffs)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "coeffs", coeffs)
         # every lru_cache keyed on f hashes it per call: hash the 4,000
         # big-integer coefficients once here, not there
-        object.__setattr__(self, "_hash", hash((self.weight, self.coeffs)))
+        object.__setattr__(self, "_hash", hash((weight, coeffs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QExpansion is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QExpansion is immutable: cannot delete "
+                             f"{name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not QExpansion:
+            return NotImplemented
+        return (self.weight, self.coeffs) == (other.weight, other.coeffs)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"QExpansion(weight={self.weight!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return QExpansion, (self.weight, self.coeffs)
+
+    def _replace(self, **changes):
+        return QExpansion(**{"weight": self.weight, "coeffs": self.coeffs,
+                             **changes})
 
     def a(self, n: int):
         return self.coeffs[n - 1]
@@ -332,8 +355,7 @@ def hecke_L(f: QExpansion, s: float) -> float:
     return val
 
 
-@dataclass(frozen=True)
-class LSeriesValue:
+class LSeriesValue(NamedTuple):
     s: float
     value: float
     completed: float

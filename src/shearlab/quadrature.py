@@ -12,8 +12,8 @@ modules share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class InsufficientConvergenceError(RuntimeError):
     disagree, or a ray, strip or domain quadrature does not converge."""
 
 
-@dataclass
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     est_error: float
     n_evals: int

@@ -11,9 +11,11 @@ For D = 1 and odd |q| >= 3 the points are (d, q, m / d) and
 ((q - 1) / 2) ((q + 1) / 2), whose two coprime factors a
 smallest-prime-factor sieve up to T / 2 factors.  For q = +-1, p r = 0,
 so p = 0 or r = 0.  For D < 0 the points are the same two over the
-divisors of m = (q^2 - D) / 4, for every q = D mod 2, and the sieve runs
-up to T^2 / 4.  The cost is about T log^2 T, against T^2 for a scan of
-the box."""
+divisors of m = (q^2 - D) / 4, for every q = D mod 2: every m is divided
+at once by each prime up to T / 2, the square root of the largest, so
+memory stays linear in T (a sieve up to T^2 / 4 took about 20 GB at
+T = 1e5).  The cost is about T log^2 T for D = 1 and T^2 / log T array
+element operations for D < 0, against T^2 for a scan of the box."""
 
 import math
 from bisect import bisect_left
@@ -31,13 +33,42 @@ def _smallest_prime_factors(n):
     return spf
 
 
-def _divisors(n, spf, divs):
-    """Every product of an entry of divs and a divisor of n."""
+def _factor(n, spf):
+    """[(p, e), ...] over the prime powers p^e exactly dividing n."""
+    out = []
     while n > 1:
         p, e = int(spf[n]), 0
         while n % p == 0:
             n //= p
             e += 1
+        out.append((p, e))
+    return out
+
+
+def _factor_all(ms):
+    """_factor of every entry of the int64 array ms, by trial division of
+    the whole array by each prime up to sqrt(max(ms)); what is left above
+    1 is one more prime."""
+    rest = np.array(ms, dtype=np.int64)
+    out = [[] for _ in range(len(rest))]
+    spf = _smallest_prime_factors(math.isqrt(int(rest.max(initial=1))))
+    for p in np.flatnonzero(spf == np.arange(len(spf)))[2:].tolist():
+        for i in np.flatnonzero(rest % p == 0).tolist():
+            n, e = int(rest[i]), 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            rest[i] = n
+            out[i].append((p, e))
+    for i in np.flatnonzero(rest > 1).tolist():
+        out[i].append((int(rest[i]), 1))
+    return out
+
+
+def _divisors(factors, divs):
+    """Every product of an entry of divs and a divisor of the number whose
+    _factor is factors."""
+    for p, e in factors:
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return divs
 
@@ -56,15 +87,15 @@ def quadric_counts(t_list, norm="sup", disc=1):
             (two if s == 0 else four).append(key)
         qs = range(3, lim + 1, 2)
     else:
-        spf = _smallest_prime_factors((lim * lim - disc) // 4)
         qs = range(-disc % 2, lim + 1, 2)
-    for q in qs:  # (+-d, +-q, +-m / d), p and r alike
+        facs = _factor_all([(q * q - disc) // 4 for q in qs])
+    for k, q in enumerate(qs):  # (+-d, +-q, +-m / d), p and r alike
         m = (q * q - disc) // 4
         if disc == 1:
-            low = _divisors((q - 1) // 2, spf, [1])
-            divs = _divisors((q + 1) // 2, spf, low)
+            low = _divisors(_factor((q - 1) // 2, spf), [1])
+            divs = _divisors(_factor((q + 1) // 2, spf), low)
         else:
-            divs = _divisors(m, spf, [1])
+            divs = _divisors(facs[k], [1])
         for d in divs:
             e = m // d
             key = max(d, e, q) if sup else d * d + e * e + q * q

@@ -642,14 +642,19 @@ COUNTING = {"shearlab.cli", "shearlab.algebra", "shearlab.groups",
                               "numpy.random"}),
     (["eisenstein"], {"shearlab.counting", "shearlab.measures",
                       "shearlab.modforms"}),
+    # TestFunction lives in groups, so the form's observable needs no
+    # measures
     (["moment", "--T", "20", "--qexp-n", "1500"],
-     {"shearlab.counting", "shearlab.eisenstein"}),
+     {"shearlab.counting", "shearlab.eisenstein", "shearlab.measures"}),
+    (["kronecker", "--qexp-n", "1500"],
+     {"shearlab.counting", "shearlab.eisenstein", "shearlab.measures"}),
 ], ids=["import", "count", "coset-count", "fit", "shear", "eisenstein",
-        "moment"])
+        "moment", "kronecker"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     # the package resolves its exports on first access and each runner
     # imports what it uses, so a process compiles only its subcommand's
-    # modules
+    # modules; records are NamedTuples, so none loads dataclasses, whose
+    # decorators exec about six generated methods a class
     (tmp_path / "counts.csv").write_text("T,count,saturated\n"
                                          "4,34,1\n8,98,1\n16,242,1\n")
     code = ("import json, sys\n"
@@ -662,7 +667,16 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     out = child(["-c", code, *(argv or [])], tmp_path)
     rc, loaded = json.loads(out.stdout.splitlines()[-1])
     assert rc == (None if argv is None else 0), out.stderr
-    assert unloaded & set(loaded) == set()
+    assert (unloaded | {"dataclasses"}) & set(loaded) == set()
+
+
+def test_modules_load_no_dataclasses(tmp_path):
+    # numpy loads inspect on its own, so only dataclasses is asserted
+    code = ("import sys\n"
+            f"import {', '.join(sorted(SUBMODULES - {'shearlab.cli'}))}\n"
+            "print('dataclasses' in sys.modules)\n")
+    out = child(["-c", code], tmp_path)
+    assert out.stdout.split() == ["False"], out.stderr
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -441,6 +442,28 @@ def test_definite_orbit_counts_match_divisor_count(norm, disc):
             assert all(res.saturated)
             total = [a + b for a, b in zip(total, res.counts)]
     assert tuple(total) == quadric_counts(t_list, norm, disc)
+
+
+@pytest.mark.parametrize("norm, pinned", [("sup", 48812),
+                                          ("euclidean", 40876)])
+def test_definite_divisor_count_stays_small_at_1e4(norm, pinned):
+    # m = (q^2 + 7) / 4 reaches 2.5e7 at T = 1e4: a smallest-prime-factor
+    # sieve that far held about 300 MB, and about 20 GB at T = 1e5;
+    # trial division by the primes up to T / 2 holds about 4 MB
+    t_list = (100.0, 1000.0, 3000.0, 10000.0)
+    tracemalloc.start()
+    try:
+        got = quadric_counts(t_list, norm, -7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    total = [0, 0, 0, 0]
+    for sign in (1, -1):
+        res = count_orbit(OrbitQuery(PSL2Z, FormVector(sign, sign, 2 * sign),
+                                     t_list, norm=norm))
+        total = [a + b for a, b in zip(total, res.counts)]
+    assert got == tuple(total) and got[-1] == pinned
 
 
 # -- the walk against the word search ----------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import time
@@ -158,7 +157,7 @@ def test_registration_is_two_batch_calls(lattice_bump, thin_bump):
             calls.append(len(x))
             return batch(x, y)
 
-        measures._register(dataclasses.replace(tf, batch=counted))
+        measures._register(tf._replace(batch=counted))
         assert calls == [1000, 1000]
 
 
@@ -179,7 +178,7 @@ def test_spec_attachment(lattice_bump, thin_bump):
 def test_mu_T_routes_agree(lattice_bump):
     # the spike engine takes over at |T| >= 8; force the generic panel
     # integrator on the same function and compare
-    generic_only = dataclasses.replace(lattice_bump, profiles=None)
+    generic_only = lattice_bump._replace(profiles=None)
     for t in (12.0, 35.0, -12.0, -35.0):
         a = mu_T(lattice_bump, t, tol=1e-7)
         b = mu_T(generic_only, t, tol=1e-9)
@@ -189,7 +188,7 @@ def test_mu_T_routes_agree(lattice_bump):
 
 
 def test_mu_T_routes_agree_thin(thin_bump):
-    generic_only = dataclasses.replace(thin_bump, profiles=None)
+    generic_only = thin_bump._replace(profiles=None)
     for t in (12.0, -12.0):
         a = mu_T(thin_bump, t, tol=1e-9)
         b = mu_T(generic_only, t, tol=1e-9)
@@ -537,8 +536,7 @@ def test_mu_T_rejects_non_finite_T_and_bad_tol(lattice_bump, T, tol):
 def test_mu_T_strip_rejects_non_finite_or_non_positive_T(lattice_bump, T):
     # inf used to raise OverflowError from the strip rows (unfolded route)
     # and numpy's "Geometric sequence cannot include zero" (direct route)
-    for psi in (lattice_bump, dataclasses.replace(lattice_bump,
-                                                  profiles=None)):
+    for psi in (lattice_bump, lattice_bump._replace(profiles=None)):
         with pytest.raises(ValueError, match="strip measure needs"):
             mu_T_strip(psi, T)
 
@@ -546,7 +544,7 @@ def test_mu_T_strip_rejects_non_finite_or_non_positive_T(lattice_bump, T):
 def test_mu_T_strip_routes_agree(lattice_bump):
     # without profiles the strip measure takes the literal 2-d quadrature
     auto = mu_T_strip(lattice_bump, 20.0)
-    direct = mu_T_strip(dataclasses.replace(lattice_bump, profiles=None), 20.0)
+    direct = mu_T_strip(lattice_bump._replace(profiles=None), 20.0)
     assert auto == pytest.approx(direct, abs=1e-6)
 
 
@@ -555,7 +553,7 @@ def test_direct_strip_refines_its_x_grid(lattice_bump, thin_bump, T):
     # near y = 1/T the translates are features a fixed 1024-point x grid
     # misses: that grid was 8.1e-8 (lattice) and 1.1e-6 (thin) off at T = 20
     for psi in (lattice_bump, thin_bump):
-        direct = mu_T_strip(dataclasses.replace(psi, profiles=None), T)
+        direct = mu_T_strip(psi._replace(profiles=None), T)
         assert direct == pytest.approx(mu_T_strip(psi, T), rel=0.0, abs=1e-8)
 
 
@@ -567,7 +565,7 @@ def test_direct_strip_raises_when_its_x_grids_never_agree(lattice_bump,
 
     monkeypatch.setattr(measures, "refine", unconverged)
     with pytest.raises(InsufficientConvergenceError, match="x grids"):
-        mu_T_strip(dataclasses.replace(lattice_bump, profiles=None), 20.0)
+        mu_T_strip(lattice_bump._replace(profiles=None), 20.0)
 
 
 @pytest.fixture(scope="module", params=[3, 5])
@@ -589,7 +587,7 @@ def test_unfolded_mu_T_at_new_widths(width_bump, T):
 
 @pytest.mark.parametrize("T", [10.0, 40.0])
 def test_strip_routes_agree_at_new_widths(width_bump, T):
-    direct = mu_T_strip(dataclasses.replace(width_bump, profiles=None), T)
+    direct = mu_T_strip(width_bump._replace(profiles=None), T)
     assert mu_T_strip(width_bump, T) == pytest.approx(direct, rel=0.0,
                                                       abs=1e-8)
 
@@ -705,11 +703,11 @@ def test_mu_T_strip_raises_when_refinement_does_not_converge(
 def test_direct_strip_raises_when_its_pass_does_not_converge(
         lattice_bump, monkeypatch):
     def unconverged(*args, **kwargs):
-        return dataclasses.replace(adaptive(*args, **kwargs), converged=False)
+        return adaptive(*args, **kwargs)._replace(converged=False)
 
     monkeypatch.setattr(measures, "adaptive", unconverged)
     with pytest.raises(InsufficientConvergenceError, match="direct strip"):
-        mu_T_strip(dataclasses.replace(lattice_bump, profiles=None), 20.0)
+        mu_T_strip(lattice_bump._replace(profiles=None), 20.0)
 
 
 def test_mu_T_strip_rejects_tolerances_below_its_floor(lattice_bump):
@@ -721,7 +719,7 @@ def test_mu_T_strip_rejects_tolerances_below_its_floor(lattice_bump):
 def test_haar_mean_raises_when_its_domain_pass_does_not_converge(
         delta_psi, monkeypatch):
     def unconverged(*args, **kwargs):
-        return dataclasses.replace(adaptive(*args, **kwargs), converged=False)
+        return adaptive(*args, **kwargs)._replace(converged=False)
 
     monkeypatch.setattr(quadrature, "adaptive", unconverged)
     with pytest.raises(InsufficientConvergenceError, match="haar mean"):
@@ -742,8 +740,7 @@ def test_mu_T_strip_when_no_translate_clears_the_cut(lattice_bump):
                                              * (1.0 + xg)))
     y = 1.0 / T + 0.5 * (y_hi - 1.0 / T) * (1.0 + xg)
     iy = 0.5 * (y_hi - 1.0 / T) * float(wg @ (py(y) / y))
-    for psi in (lattice_bump, dataclasses.replace(lattice_bump,
-                                                  profiles=None)):
+    for psi in (lattice_bump, lattice_bump._replace(profiles=None)):
         assert mu_T_strip(psi, T) == pytest.approx(ix * iy / psi.omega,
                                                    rel=0.0, abs=1e-9)
 

@@ -8,7 +8,7 @@ harness (`measures`), Eisenstein series with two evaluation routes and
 the regularized value at the spectral edge (`eisenstein`), the
 discriminant cusp form with its symmetric-square L-data and the second
 moment (`modforms`), shared special functions and quadrature
-(`specfun`, `quadrature`), and a batch CLI (`cli`).
+(`specfun`, `quadrature`), and a batch CLI (`cli`, `selftest`).
 
 Each public name is imported from its module on first access (PEP 562),
 so `import shearlab` loads no submodule and a CLI process compiles only
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": (
         "FormVector", "GroupElement", "IntGroupElement", "IwasawaCoords",
-        "UTBPoint", "compose", "hyperbolic_distance", "iwasawa_decompose",
-        "iwasawa_recompose", "mobius_act", "shear_element", "spin_cover"),
+        "UTBPoint", "compose", "iwasawa_decompose", "iwasawa_recompose",
+        "mobius_act", "spin_cover"),
     "groups": (
         "Cusp", "GroupSpec", "PSL2Z", "THIN4", "TestFunction", "WordBudget",
         "reduce_points"),

@@ -10,13 +10,9 @@ of the tangent vector measured counterclockwise from upward vertical,
 normalized to [-pi, pi).
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 DET_TOL = 1e-12
 
@@ -89,9 +85,6 @@ class GroupElement(_Checked, _GroupElement):
     def k(theta: float) -> "GroupElement":
         return GroupElement(math.cos(theta), -math.sin(theta),
                             math.sin(theta), math.cos(theta))
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -222,14 +215,6 @@ def iwasawa_recompose(iw: IwasawaCoords) -> GroupElement:
                    GroupElement.k(iw.theta))
 
 
-def shear_element(T: float) -> GroupElement:
-    """a_{1/sqrt(T^2+1)} n_T: contract toward the axis, then shear by T."""
-    if not math.isfinite(T):
-        raise ValueError("shear parameter must be finite")
-    return compose(GroupElement.a_diag(1.0 / math.sqrt(T * T + 1.0)),
-                   GroupElement.n(T))
-
-
 class FormVector(NamedTuple):
     """Binary quadratic form p u^2 + q uv + r v^2 as a vector (p, q, r)."""
     p: float
@@ -263,37 +248,3 @@ def spin_cover(g, v: FormVector) -> FormVector:
         p * b * b + q * b * d + r * d * d,
     )
 
-
-class _TernaryForm(NamedTuple):
-    m: tuple
-    signature: tuple
-
-
-class TernaryForm(_Checked, _TernaryForm):
-    """Symmetric 3x3 Gram matrix of a ternary quadratic form."""
-    __slots__ = ()
-
-    def __new__(cls, m, signature=(2, 1)):
-        arr = np.asarray(m, dtype=float)
-        if arr.shape != (3, 3) or not np.allclose(arr, arr.T, atol=1e-12):
-            raise ValueError("need a symmetric 3x3 matrix")
-        ev = np.linalg.eigvalsh(arr)
-        sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-        if sig != tuple(signature):
-            raise ValueError(f"declared signature {signature}, got {sig}")
-        return tuple.__new__(cls, (tuple(map(tuple, arr)), signature))
-
-    @staticmethod
-    def canonical() -> "TernaryForm":
-        """Gram matrix of (p, q, r) -> q^2 - 4pr, signature (2, 1)."""
-        return TernaryForm(((0.0, 0.0, -2.0), (0.0, 1.0, 0.0), (-2.0, 0.0, 0.0)))
-
-    def value(self, v: FormVector) -> float:
-        vec = np.array(v.entries())
-        return float(vec @ np.asarray(self.m) @ vec)
-
-
-def hyperbolic_distance(p1: UTBPoint, p2: UTBPoint) -> float:
-    """Distance between the base points, cosh d = 1 + |z1-z2|^2/(2 y1 y2)."""
-    dz2 = (p1.x - p2.x) ** 2 + (p1.y - p2.y) ** 2
-    return math.acosh(1.0 + dz2 / (2.0 * p1.y * p2.y))

@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -346,134 +345,15 @@ def _cmd_kronecker(ns) -> int:
     return EXIT_OK
 
 
-# -- selftest ----------------------------------------------------------------
-
-
-def _suite_algebra(rng):
-    from .algebra import (INT_S, INT_T, FormVector, iwasawa_decompose,
-                          iwasawa_recompose, spin_cover)
-    gens = [INT_S, INT_S.inverse(), INT_T, INT_T.inverse()]
-    x0 = FormVector(0.0, 1.0, 0.0)
-    for _ in range(500):
-        g = INT_S.identity()
-        for k in rng.integers(0, 4, size=int(rng.integers(1, 12))):
-            g = g * gens[k]
-        gr = g.to_real()
-        back = iwasawa_recompose(iwasawa_decompose(gr))
-        if not back.isclose(gr, 1e-12):
-            raise AssertionError(f"iwasawa round trip failed at {g.entries()}")
-        v = spin_cover(g, x0)
-        if abs(v.disc() - x0.disc()) > 1e-9:
-            raise AssertionError("spin cover moved the discriminant")
-        h = gens[int(rng.integers(0, 4))]
-        lhs, rhs = spin_cover(g * h, x0), spin_cover(h, spin_cover(g, x0))
-        if max(abs(a - b) for a, b in zip(lhs.entries(), rhs.entries())) > 1e-9:
-            raise AssertionError("right-action law failed")
-
-
-def _suite_counting(_rng):
-    from .algebra import FormVector
-    from .counting import OrbitQuery, count_orbit
-    from .groups import PSL2Z
-    res = count_orbit(OrbitQuery(PSL2Z, FormVector(0.0, 1.0, 0.0),
-                                 (4.0, 8.0)))
-    if not all(res.saturated):
-        raise AssertionError("small lattice count did not saturate")
-    if res.counts[0] >= res.counts[1] or res.counts[0] < 1:
-        raise AssertionError(f"implausible counts {res.counts}")
-
-
-def _suite_specfun(_rng):
-    from .specfun import zeta
-    if abs(zeta(2.0) - math.pi ** 2 / 6.0) > 1e-12:
-        raise AssertionError("zeta(2) off")
-    if abs(zeta(4.0) - math.pi ** 4 / 90.0) > 1e-12:
-        raise AssertionError("zeta(4) off")
-
-
-def _suite_eisenstein(rng):
-    import numpy as np
-    from .algebra import UTBPoint
-    from .eisenstein import (EisensteinEvaluator, _em_threshold, _row_sums,
-                             eisenstein_sample, regularized_E1)
-
-    def eps_reg(ev, z, eps):
-        return eisenstein_sample(ev, z, 1.0 + eps).value - 3.0 / (math.pi * eps)
-
-    p = UTBPoint(0.0, 1.0)
-    a = eisenstein_sample(EisensteinEvaluator(route="fourier"), p, 2.0)
-    b = eisenstein_sample(EisensteinEvaluator(route="coset"), p, 2.0)
-    if abs(a.value - b.value) > 1e-8:
-        raise AssertionError(f"route gap {abs(a.value - b.value):.2e}")
-    # the coset route's Euler-Maclaurin rows against their direct sums
-    s = 1.7
-    n = rng.integers(1, 2049, size=16)
-    cx = rng.uniform(-0.5, 0.5, size=16)
-    d_lo = -np.floor(0.5 * n)
-    a2 = _em_threshold(s) ** 2 * rng.uniform(1.0, 4.0, size=16)
-    rows = _row_sums(cx, d_lo, n, a2, s)
-    for got, c, d, k, h2 in zip(rows, cx, d_lo, n, a2):
-        u = c + np.arange(d, d + k)
-        want = math.fsum(((u * u + h2) ** -s).tolist())
-        if abs(got - want) > 1e-13 * want:
-            raise AssertionError(f"Euler-Maclaurin row of {k} points off "
-                                 f"its direct sum by {abs(got / want - 1):.1e}")
-    z = UTBPoint(0.3, 1.7)
-    ev = EisensteinEvaluator(route="fourier")
-    eps = 1e-3
-    lim = 2.0 * eps_reg(ev, z, eps) - eps_reg(ev, z, 2.0 * eps)
-    if abs(lim - regularized_E1(z)) > 1e-5:
-        raise AssertionError("regularized value vs small-eps limit")
-
-
-def _suite_modforms(_rng):
-    from .modforms import delta_qexp, petersson_norm, sym2_L
-    from .specfun import zeta
-    f = delta_qexp(1500)
-    if f.coeffs[:7] != (1, -24, 252, -1472, 4830, -6048, -16744):
-        raise AssertionError("tau table mismatch")
-    pet = petersson_norm(f)
-    ell = sym2_L(f, 1.0)
-    resid = (math.pi / 3.0) * ell.completed / zeta(2.0)
-    if abs(pet - resid) > 1e-5 * pet:
-        raise AssertionError("residue identity failed across routes")
-
-
-SELFTEST_SUITES = (
-    ("algebra", _suite_algebra),
-    ("counting", _suite_counting),
-    ("specfun", _suite_specfun),
-    ("eisenstein", _suite_eisenstein),
-    ("modforms", _suite_modforms),
-)
-
-
 def _cmd_selftest(ns) -> int:
-    import numpy as np
-    # the suites' modules, all loaded before the first suite allocates:
-    # compiled between suites they raised the peak RSS from 40.4 to 41.8 MB
-    from . import counting, eisenstein, modforms, specfun  # noqa: F401
-    rng = np.random.default_rng(ns.seed)
-    failures = 0
-    report = {}
-    t_all = time.perf_counter()
-    for name, suite in SELFTEST_SUITES:
-        t0 = time.perf_counter()
-        try:
-            suite(rng)
-            dt = time.perf_counter() - t0
-            print(f"PASS {name} ({dt:.1f}s)")
-            report[name] = "pass"
-        except Exception as e:
-            dt = time.perf_counter() - t0
-            print(f"FAIL {name} ({dt:.1f}s): {e}")
-            report[name] = f"fail: {e}"
-            failures += 1
+    from .selftest import run_suites
+    t0 = time.perf_counter()
+    report = run_suites(ns.seed)
+    failed = any(v != "pass" for v in report.values())
     if ns.out:
         _write_json(ns.out, report)
-        _write_manifest(ns, {k: "suite outcome" for k in report}, t_all,
-                        failures > 0)
-    return EXIT_OK if failures == 0 else 1
+        _write_manifest(ns, {k: "suite outcome" for k in report}, t0, failed)
+    return 1 if failed else EXIT_OK
 
 
 # -- argument plumbing -------------------------------------------------------

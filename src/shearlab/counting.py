@@ -13,8 +13,6 @@ so vectors, group elements, and congruence cosets are in bijection and
 per-coset counts are well defined.
 """
 
-from __future__ import annotations
-
 import math
 import time
 from typing import NamedTuple, Optional

@@ -52,8 +52,6 @@ with log|eta| at each of its 13,312 nodes, and summing all 5,238 thin
 rows at every node took 0.35-0.42 s.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -61,7 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import INT_S, UTBPoint, _Checked, mobius_act, point_xy
-from .groups import GroupSpec, PSL2Z, _ragged, bottom_rows, reduce_points
+from .groups import (PSL2Z, BudgetExceeded, GroupSpec, _ragged, bottom_rows,
+                     reduce_points)
 from .quadrature import gl_nodes, integrate_fd, refine
 from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
                       log_abs_eta_arr, zeta, zeta_prime)
@@ -130,8 +129,9 @@ class EisensteinEvaluator(_Checked, _EisensteinEvaluator):
     route "auto" resolves to fourier for psl2z (omega = 1) and coset
     otherwise.  cusp_index 0 is infinity and 1, where the group lists it,
     is 0 = S infinity.
-    max_mode caps the Fourier mode count; max_height cuts the coset sums
-    at bottom-row norm (omega >= 2) or at |cz + d| (psl2z).
+    max_mode caps the Fourier mode count (BudgetExceeded past it);
+    max_height cuts the coset sums at bottom-row norm (omega >= 2) or at
+    |cz + d| (psl2z).
     """
     __slots__ = ()
 
@@ -176,7 +176,7 @@ def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
     """E(z, s) by the evaluator's route.  ValueError for a non-finite x,
     y or s or for y <= 0; ConvergenceError where the route cannot
     evaluate s, its value or error estimate among them leaving the float
-    range."""
+    range; BudgetExceeded where the Fourier modes outlast max_mode."""
     x, y = point_xy(z)
     if not (math.isfinite(x) and 0.0 < y < math.inf and math.isfinite(s)):
         raise ValueError(f"Eisenstein value needs finite x, y > 0 and s: "
@@ -271,7 +271,7 @@ def _fourier_value(x, y, s, cap):
             break
         top = min(cap, 2 * top)
     if not len(cut) and env[-1] >= 1e-12 * scale:
-        raise ConvergenceError(
+        raise BudgetExceeded(
             f"mode cap {cap} too small at y = {y:.4g}; raise max_mode")
     m = cut[0] + 2 if len(cut) else top
     total += float(terms[:m] @ np.cos(2.0 * math.pi * x * n[:m]))

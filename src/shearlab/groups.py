@@ -11,8 +11,6 @@ limit-set complement.  For omega >= 2 the group is the free product of
 and from omega = 3 on the covolume is infinite.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from functools import lru_cache
@@ -157,7 +155,8 @@ class TestFunction(_Checked, _TestFunction):
 
 
 class BudgetExceeded(Exception):
-    """Raised when a row table hits its budget."""
+    """A resource ceiling was reached: a row table's height cap, a row
+    region of mu_T or the strip measure, or the Fourier mode cap."""
 
 
 # -- fundamental domains -----------------------------------------------------

@@ -19,8 +19,6 @@ thin as 1e-6 (T = 1000); the adaptive path remains for small |T|,
 cusp-decaying functions, and as an independent cross-check.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

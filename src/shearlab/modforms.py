@@ -23,8 +23,6 @@ leading X^-2 term is removed by a two-cutoff Richardson step, and the
 discarded difference doubles as the error estimate.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import operator

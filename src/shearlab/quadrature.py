@@ -10,8 +10,6 @@ grid-refinement loop (refine) and the one fundamental-domain integrator
 modules share.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import NamedTuple
 

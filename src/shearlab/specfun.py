@@ -10,8 +10,6 @@ Domains are the ones the rest of the package actually visits: real s > 0
 arguments 1e-3 <= x <= 600 (smaller/larger degrade gracefully).
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
-from shearlab.algebra import (FormVector, IntGroupElement, UTBPoint,
-                              iwasawa_decompose, iwasawa_recompose,
-                              mobius_act, spin_cover)
+from shearlab.algebra import FormVector, UTBPoint, mobius_act
 from shearlab.counting import (OrbitQuery, coset_disparity, count_orbit,
                                fit_counting_law, identity_coset_factor)
 from shearlab.eisenstein import (EisensteinEvaluator, eisenstein_sample,
@@ -28,21 +26,12 @@ from shearlab.measures import (equidistribution_regression,
 from shearlab.modforms import (kronecker_check, petersson_norm,
                                second_moment_lhs, second_moment_prediction,
                                sym2_L)
+from shearlab.selftest import algebra_sweep, random_word
 from shearlab.specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
                               zeta, zeta_prime)
 from specfun_oracles import dedekind_eta, dedekind_eta_series, log_abs_eta
 
 X0 = FormVector(0.0, 1.0, 0.0)
-
-GENS = (IntGroupElement(1, 1, 0, 1), IntGroupElement(1, -1, 0, 1),
-        IntGroupElement(0, -1, 1, 0), IntGroupElement(0, 1, -1, 0))
-
-
-def _word(rng, max_len=10):
-    g = IntGroupElement(1, 0, 0, 1)
-    for i in rng.integers(0, 4, size=int(rng.integers(1, max_len + 1))):
-        g = g * GENS[i]
-    return g
 
 
 def _report(num, name, ok, detail=""):
@@ -53,22 +42,8 @@ def _report(num, name, ok, detail=""):
 def test_accept_01_algebra_sweep():
     rng = np.random.default_rng(20250214)
     t0 = time.perf_counter()
-    worst_iw = worst_disc = worst_law = 0.0
-    for _ in range(10_000):
-        g = _word(rng)
-        gr = g.to_real()
-        back = iwasawa_recompose(iwasawa_decompose(gr))
-        worst_iw = max(worst_iw, abs(back.a - gr.a), abs(back.b - gr.b),
-                       abs(back.c - gr.c), abs(back.d - gr.d))
-        v0 = FormVector(float(rng.integers(-3, 4)), float(rng.integers(-3, 4)),
-                        float(rng.integers(-3, 4)))
-        worst_disc = max(worst_disc,
-                         abs(spin_cover(g, v0).disc() - v0.disc()))
-        h = _word(rng)
-        lhs = spin_cover(g * h, v0)
-        rhs = spin_cover(h, spin_cover(g, v0))
-        worst_law = max(worst_law, max(abs(a - b) for a, b in
-                                       zip(lhs.entries(), rhs.entries())))
+    # the sweep selftest runs at 500 draws
+    worst_iw, worst_disc, worst_law = algebra_sweep(rng, 10_000)
     dt = time.perf_counter() - t0
     ok = worst_iw < 1e-12 and worst_disc < 1e-9 and worst_law < 1e-9 \
         and dt < 10.0
@@ -297,7 +272,7 @@ def test_accept_12_special_functions(delta):
                           for _ in range(100)))
     e_inv = 0.0
     for _ in range(1000):
-        g = _word(rng, max_len=6)
+        g = random_word(rng, max_len=6)
         p = UTBPoint(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0), 0.0)
         q = mobius_act(g, p)
         e_inv = max(e_inv, abs(

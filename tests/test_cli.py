@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import shearlab
-from shearlab import cli, measures, modforms
+from shearlab import cli, measures, modforms, selftest
 from shearlab.algebra import FormVector
 from shearlab.cli import main
 from shearlab.counting import OrbitQuery, StabilizerError, count_orbit
@@ -188,7 +188,7 @@ def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys,
         raise AssertionError("ran before the output path was checked")
 
     monkeypatch.setattr(measures, "mu_T", work)
-    monkeypatch.setattr(cli, "SELFTEST_SUITES", (("work", work),))
+    monkeypatch.setattr(selftest, "SELFTEST_SUITES", (("work", work),))
     out = tmp_path / "missing" / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "not a writable directory" in capsys.readouterr().err
@@ -356,6 +356,19 @@ def test_shear_past_the_row_ceiling_is_partial(tmp_path, capsys, T):
     assert "past the ceiling" in capsys.readouterr().err
     man = read_manifest(out)
     assert man["partial"] is True and man["outputs"] == []
+    assert not out.exists()
+
+
+def test_mode_cap_is_partial(tmp_path, capsys):
+    # a resource ceiling like the row-height cap: this exited 2 with no
+    # manifest
+    out = tmp_path / "eis.csv"
+    assert main(["eisenstein", "--z", "0.1+0.002j", "--max-mode", "50",
+                 "--out", str(out)]) == 3
+    assert "mode cap 50" in capsys.readouterr().err
+    man = read_manifest(out)
+    assert man["partial"] is True and man["outputs"] == []
+    assert "mode cap 50" in man["error"]
     assert not out.exists()
 
 
@@ -590,7 +603,7 @@ def test_config_file_sets_selftest_seed(tmp_path):
 def test_manifest_config_is_the_subcommand_flags(tmp_path, monkeypatch):
     # every flag the parser takes is echoed, and nothing else: a default or
     # a config key declared beside the parser would show here
-    monkeypatch.setattr(cli, "SELFTEST_SUITES", ())
+    monkeypatch.setattr(selftest, "SELFTEST_SUITES", ())
     counts = tmp_path / "counts.csv"
     runs = {
         "count": ["--T", "4"],
@@ -625,7 +638,7 @@ def child(args, cwd):
 
 SUBMODULES = {f"shearlab.{m}" for m in (
     "algebra", "groups", "counting", "measures", "eisenstein", "modforms",
-    "quadrature", "specfun", "cli")}
+    "quadrature", "specfun", "cli", "selftest")}
 COUNTING = {"shearlab.cli", "shearlab.algebra", "shearlab.groups",
             "shearlab.counting"}
 
@@ -654,7 +667,8 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     # the package resolves its exports on first access and each runner
     # imports what it uses, so a process compiles only its subcommand's
     # modules; records are NamedTuples, so none loads dataclasses, whose
-    # decorators exec about six generated methods a class
+    # decorators exec about six generated methods a class; only selftest
+    # compiles its suites
     (tmp_path / "counts.csv").write_text("T,count,saturated\n"
                                          "4,34,1\n8,98,1\n16,242,1\n")
     code = ("import json, sys\n"
@@ -667,7 +681,8 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     out = child(["-c", code, *(argv or [])], tmp_path)
     rc, loaded = json.loads(out.stdout.splitlines()[-1])
     assert rc == (None if argv is None else 0), out.stderr
-    assert (unloaded | {"dataclasses"}) & set(loaded) == set()
+    assert (unloaded | {"dataclasses", "shearlab.selftest"}) \
+        & set(loaded) == set()
 
 
 def test_modules_load_no_dataclasses(tmp_path):
@@ -696,7 +711,7 @@ def test_unknown_fit_model_exits_2(tmp_path, how):
 
 
 def test_package_exports_resolve_on_first_access():
-    assert len(set(shearlab.__all__)) == len(shearlab.__all__) == 61
+    assert len(set(shearlab.__all__)) == len(shearlab.__all__) == 59
     for name, mod in shearlab._HOME.items():
         home = importlib.import_module(f"shearlab.{mod}")
         assert getattr(shearlab, name) is getattr(home, name), name

@@ -19,7 +19,8 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  _thin_partial_heights, _zeta_2s,
                                  completed_zeta, critical_exponent,
                                  eisenstein_sample, mu_eis, regularized_E1)
-from shearlab.groups import PSL2Z, THIN4, GroupSpec, WordBudget, bottom_rows
+from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec,
+                             WordBudget, bottom_rows)
 from shearlab.measures import (DEFAULT_BOX, THIN_BOX, _reduced_bump,
                                make_lattice_bump, make_thin_bump)
 from shearlab.quadrature import gl_nodes, refine
@@ -417,8 +418,9 @@ def test_evaluator_takes_only_int_modes_and_cusps():
 
 
 def test_mode_cap_failure_is_loud():
+    # a resource ceiling, like the row-height cap: the CLI exits 3
     e = EisensteinEvaluator(route="fourier", max_mode=3)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(BudgetExceeded, match="mode cap 3"):
         eisenstein_sample(e, 0.3 + 0.05j, 0.9)
 
 

@@ -3,12 +3,13 @@ checks however it is built: by the class, by _make and _replace, and by
 unpickling."""
 
 import pickle
+import typing
 
 import numpy as np
 import pytest
 
 from shearlab.algebra import (FormVector, GroupElement, IntGroupElement,
-                              IwasawaCoords, TernaryForm, UTBPoint)
+                              IwasawaCoords, UTBPoint)
 from shearlab.counting import CountResult, FitResult, OrbitQuery
 from shearlab.eisenstein import EisensteinEvaluator, EisensteinSample
 from shearlab import groups
@@ -27,8 +28,6 @@ RECORDS = {
     "UTBPoint": (lambda: UTBPoint(0.0, 1.0, 0.5), {"y": -1.0}, ValueError),
     "IwasawaCoords": (lambda: IwasawaCoords(0.0, 1.0, 0.0), None, None),
     "FormVector": (lambda: FormVector(0, 1, 0), None, None),
-    "TernaryForm": (TernaryForm.canonical, {"signature": (3, 0)},
-                    ValueError),
     "Cusp": (lambda: Cusp(INF, 1), {"width": 0}, ValueError),
     "GroupSpec": (lambda: GroupSpec("psl2z", 1), {"omega": 0}, ValueError),
     "WordBudget": (lambda: WordBudget(64, 1000), {"max_nodes": -1},
@@ -80,8 +79,7 @@ def test_every_public_record_is_listed():
     records = {name for name in shearlab.__all__
                if isinstance(getattr(shearlab, name), type)
                and not issubclass(getattr(shearlab, name), Exception)}
-    assert records == set(RECORDS) - {"TernaryForm", "CosetLabel",
-                                      "QuadResult"}
+    assert records == set(RECORDS) - {"CosetLabel", "QuadResult"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -108,6 +106,17 @@ def test_replace_runs_the_checks(name):
     if isinstance(rec, tuple):
         with pytest.raises(error):
             type(rec)._make(forge(rec, bad))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_field_annotations_are_evaluated(name):
+    # a postponed annotation (from __future__ import annotations) reaches a
+    # NamedTuple as a string, which it compiles into a ForwardRef on every
+    # import
+    for cls in type(RECORDS[name][0]()).__mro__:
+        for field, ann in vars(cls).get("__annotations__", {}).items():
+            assert not isinstance(ann, (str, typing.ForwardRef)), \
+                (cls.__name__, field, ann)
 
 
 @pytest.mark.parametrize("name", RECORDS)

@@ -27,7 +27,7 @@ _EXPORTS = {
         "UTBPoint", "compose", "iwasawa_decompose", "iwasawa_recompose",
         "mobius_act", "spin_cover"),
     "groups": (
-        "Cusp", "GroupSpec", "PSL2Z", "THIN4", "TestFunction", "WordBudget",
+        "GroupSpec", "PSL2Z", "THIN4", "TestFunction", "WordBudget",
         "reduce_points"),
     "counting": (
         "CountResult", "FitResult", "InsufficientDataError", "OrbitQuery",

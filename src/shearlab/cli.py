@@ -163,7 +163,7 @@ def _cmd_count(ns) -> int:
     x0 = _x0(ns.x0)
     t_list = _floats(ns.T)
     budget = WordBudget(ns.budget_words, ns.budget_nodes)
-    q = None if ns.q is None else int(ns.q)
+    q = ns.q if ns.cmd == "coset-count" else None
     t0 = time.perf_counter()
     try:
         query = OrbitQuery(spec, x0, t_list, norm=ns.norm, q=q, budget=budget)
@@ -174,13 +174,12 @@ def _cmd_count(ns) -> int:
     except OverflowError as e:
         raise ConfigError(f"orbit outgrows the exact int64 tally: {e}")
 
-    per_coset = ns.cmd == "coset-count"
     columns = {
         "T": f"ball radius, {ns.norm} norm on form vectors",
         "count": "exact number of orbit points x0*gamma in the open ball",
         "saturated": "1 if the syllable walk closed within its budget",
     }
-    labels = list(res.breakdown) if per_coset else []  # in entry order
+    labels = [] if q is None else list(res.breakdown)  # in entry order
     for lab in labels:
         tag = "coset_" + "_".join(str(v) for v in lab.entries)
         columns[tag] = (f"orbit points in the congruence class "
@@ -220,7 +219,7 @@ def _cmd_fit(ns) -> int:
     try:
         counts = CountResult(tuple(t for t, _ in data),
                              tuple(c for _, c in data),
-                             tuple(True for _ in data), 0.0)
+                             tuple(True for _ in data))
     except ValueError as e:
         raise ConfigError(f"counts file is not a valid growth table: {e}")
     models = FIT_MODELS if ns.model == "all" else (ns.model,)
@@ -277,8 +276,8 @@ def _cmd_eisenstein(ns) -> int:
     spec = _group(ns.group)
     zs = _complexes(ns.z)
     ss = _floats(ns.s)
-    ev = EisensteinEvaluator(spec=spec, cusp_index=ns.cusp, route=ns.route,
-                             max_mode=ns.max_mode, max_height=ns.max_height)
+    ev = EisensteinEvaluator(spec=spec, route=ns.route, max_mode=ns.max_mode,
+                             max_height=ns.max_height)
     t0 = time.perf_counter()
     rows = []
     for z in zs:
@@ -374,21 +373,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=out, help="output path")
         return p
 
-    for name, out, radii, q, help_text in (
-            ("count", "counts.csv", "4,8,16", None, "orbit ball counts"),
-            ("coset-count", "coset_counts.csv", "10,20,40", 3,
+    for name, out, radii, help_text in (
+            ("count", "counts.csv", "4,8,16", "orbit ball counts"),
+            ("coset-count", "coset_counts.csv", "10,20,40",
              "orbit counts split by congruence coset")):
         p = add(name, _cmd_count, out, help_text)
         p.add_argument("--group", default="psl2z")
         p.add_argument("--x0", default="0,1,0", help="form vector p,q,r")
         p.add_argument("--T", default=radii, help="radii, comma separated")
         p.add_argument("--norm", choices=("sup", "euclidean"), default="sup")
-        p.add_argument("--q", type=int, default=q, help="congruence level")
         p.add_argument("--budget-words", type=int, default=4096,
                        help="most search layers, each one syllable "
                             "S T^(w k)")
         p.add_argument("--budget-nodes", type=int, default=10 ** 7,
                        help="most group elements the search collects")
+    # p is coset-count's parser: only it writes a breakdown mod q
+    p.add_argument("--q", type=int, default=3, help="congruence level")
 
     p = add("fit", _cmd_fit, "fit.json", "growth-law fits on a counts CSV")
     p.add_argument("--in", dest="infile", default="counts.csv")
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", default="2", help="spectral parameters")
     p.add_argument("--route", choices=("auto", "fourier", "coset"),
                    default="auto")
-    p.add_argument("--cusp", type=int, default=0)
     p.add_argument("--max-mode", type=int, default=4000)
     p.add_argument("--max-height", type=float, default=1024.0)
 

@@ -14,7 +14,6 @@ per-coset counts are well defined.
 """
 
 import math
-import time
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -76,7 +75,6 @@ class _CountResult(NamedTuple):
     t_list: tuple
     counts: tuple
     saturated: tuple
-    wall_time: float
     x0_norm: float
     q: Optional[int]
     breakdown: Optional[dict]  # CosetLabel -> per-T counts, code order
@@ -87,13 +85,12 @@ class _CountResult(NamedTuple):
 class CountResult(_Checked, _CountResult):
     __slots__ = ()
 
-    def __new__(cls, t_list, counts, saturated, wall_time, x0_norm=1.0,
-                q=None, breakdown=None, search_nodes=0, search_depth=0):
+    def __new__(cls, t_list, counts, saturated, x0_norm=1.0, q=None,
+                breakdown=None, search_nodes=0, search_depth=0):
         if any(b > a for a, b in zip(counts[1:], counts)):
             raise ValueError("counts must be nondecreasing in T")
-        return tuple.__new__(cls, (t_list, counts, saturated, wall_time,
-                                   x0_norm, q, breakdown, search_nodes,
-                                   search_depth))
+        return tuple.__new__(cls, (t_list, counts, saturated, x0_norm, q,
+                                   breakdown, search_nodes, search_depth))
 
     def largest_saturated_index(self) -> int:
         idx = [i for i, s in enumerate(self.saturated) if s]
@@ -557,7 +554,6 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     that do not fit int64 raise OverflowError, and so do walk vectors with
     an entry past 2^20 where the walk deduplicates.
     """
-    t0 = time.perf_counter()
     q = query.q
     space = None
     if q is not None:
@@ -579,9 +575,8 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     if q is not None:
         breakdown = dict(zip(labels, zip(*table.T.tolist())))
     return CountResult(query.t_list, tuple(int(n) for n in table.sum(axis=0)),
-                       tuple(saturated for _ in query.t_list),
-                       time.perf_counter() - t0, x0n, q, breakdown,
-                       nodes, depth)
+                       tuple(saturated for _ in query.t_list), x0n, q,
+                       breakdown, nodes, depth)
 
 
 # -- growth-law fitting ------------------------------------------------------
@@ -596,7 +591,6 @@ class FitResult(NamedTuple):
     rel_residual_top_octave: float
     delta_hat: Optional[float] = None
     t_used: tuple = ()
-    n_points: int = 0
 
     def predict(self, t):
         t = np.asarray(t, dtype=float)
@@ -680,7 +674,7 @@ def fit_counting_law(result: CountResult, model: str) -> FitResult:
     top = t >= max(t) / 2.0
     rel_top = float(np.max(np.abs(resid[top]) / np.maximum(y[top], 1.0)))
     return FitResult(model, coeffs, float(math.sqrt(resid @ resid)), rel_top,
-                     delta, tuple(t.tolist()), len(keep))
+                     delta, tuple(t.tolist()))
 
 
 # -- congruence coset statistics ---------------------------------------------

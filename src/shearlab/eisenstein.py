@@ -58,12 +58,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import INT_S, UTBPoint, _Checked, mobius_act, point_xy
+from .algebra import _Checked, point_xy
 from .groups import (PSL2Z, BudgetExceeded, GroupSpec, _ragged, bottom_rows,
                      reduce_points)
 from .quadrature import gl_nodes, integrate_fd, refine
-from .specfun import (EULER_GAMMA, bessel_k, divisor_sigma, gamma_fn,
-                      log_abs_eta_arr, zeta, zeta_prime)
+from .specfun import (_BERN, EULER_GAMMA, bessel_k, divisor_sigma,
+                      gamma_fn, log_abs_eta_arr, zeta, zeta_prime)
 
 __all__ = [
     "EisensteinEvaluator", "EisensteinSample", "ConvergenceError",
@@ -117,41 +117,35 @@ def critical_exponent(spec: GroupSpec) -> float:
 
 class _EisensteinEvaluator(NamedTuple):
     spec: GroupSpec
-    cusp_index: int
     route: str
     max_mode: int
     max_height: float
 
 
 class EisensteinEvaluator(_Checked, _EisensteinEvaluator):
-    """Frozen evaluation setup: group, cusp, route, truncation controls.
+    """Frozen evaluation setup: group, route, truncation controls.
 
+    The series is the one at the cusp at infinity.  Every group here holds
+    S, so 0 = S infinity is that cusp too: E at S z is E at -1/z.
     route "auto" resolves to fourier for psl2z (omega = 1) and coset
-    otherwise.  cusp_index 0 is infinity and 1, where the group lists it,
-    is 0 = S infinity.
+    otherwise.
     max_mode caps the Fourier mode count (BudgetExceeded past it);
     max_height cuts the coset sums at bottom-row norm (omega >= 2) or at
     |cz + d| (psl2z).
     """
     __slots__ = ()
 
-    def __new__(cls, spec=PSL2Z, cusp_index=0, route="auto", max_mode=4000,
+    def __new__(cls, spec=PSL2Z, route="auto", max_mode=4000,
                 max_height=1024.0):
         if route not in ("auto", "fourier", "coset"):
             raise ValueError(f"unknown route {route!r}")
-        # bool is an int subclass; True is no index or mode count
-        if type(cusp_index) is not int \
-                or not 0 <= cusp_index < len(spec.cusps):
-            raise ValueError(f"cusp index {cusp_index!r} out of range: "
-                             f"{spec.name!r} has "
-                             f"{len(spec.cusps)} cusp(s)")
         if not 32 <= max_height < math.inf:
             raise ValueError(f"max_height {max_height!r} not in [32, inf)")
+        # bool is an int subclass; True is no mode count
         if type(max_mode) is not int or max_mode < 1:
             raise ValueError(f"max_mode must be an integer >= 1, got "
                              f"{max_mode!r}")
-        return tuple.__new__(cls, (spec, cusp_index, route, max_mode,
-                                   max_height))
+        return tuple.__new__(cls, (spec, route, max_mode, max_height))
 
     def value(self, z, s: float) -> float:
         return eisenstein_sample(self, z, s).value
@@ -163,15 +157,6 @@ class EisensteinSample(NamedTuple):
     est_error: float
 
 
-def _at_cusp(e: EisensteinEvaluator, x: float, y: float):
-    """The point as the selected cusp sees it.  S sends the cusp at 0 to
-    infinity and lies in the group, so the group's own rows serve it."""
-    if e.cusp_index == 0:
-        return x, y
-    p = mobius_act(INT_S, UTBPoint(x, y, 0.0))
-    return p.x, p.y
-
-
 def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
     """E(z, s) by the evaluator's route.  ValueError for a non-finite x,
     y or s or for y <= 0; ConvergenceError where the route cannot
@@ -181,12 +166,10 @@ def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
     if not (math.isfinite(x) and 0.0 < y < math.inf and math.isfinite(s)):
         raise ValueError(f"Eisenstein value needs finite x, y > 0 and s: "
                          f"got z = {complex(x, y)}, s = {s}")
-    z0 = complex(x, y)
     route = e.route
     omega = e.spec.omega
     if route == "auto":
         route = "fourier" if omega == 1 else "coset"
-    x, y = _at_cusp(e, x, y)
     if route == "fourier":
         if omega != 1:
             raise ConvergenceError("fourier route is psl2z-only (omega = 1)")
@@ -214,8 +197,8 @@ def eisenstein_sample(e: EisensteinEvaluator, z, s: float) -> EisensteinSample:
         val = err = math.inf
     if not (math.isfinite(val) and math.isfinite(err)):
         raise ConvergenceError(
-            f"{route} route cannot evaluate E at z = {z0}, s = {s}: value "
-            f"{val!r}, est. error {err!r}")
+            f"{route} route cannot evaluate E at z = {complex(x, y)}, "
+            f"s = {s}: value {val!r}, est. error {err!r}")
     return EisensteinSample(val, route, err)
 
 
@@ -366,9 +349,8 @@ def _em_threshold(s):
 
 
 # B_2j / (2j)! for j = 1..8
-_EM_WEIGHTS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
-    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-     -3617 / 510), start=1))
+_EM_WEIGHTS = tuple(b / math.factorial(2 * j)
+                    for j, b in enumerate(_BERN[:8], start=1))
 
 
 def _em_row_sums(u_lo, u_hi, a2, s):

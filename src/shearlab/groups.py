@@ -21,23 +21,6 @@ import numpy as np
 
 from .algebra import INT_S, IntGroupElement, _Checked
 
-INF = float("inf")
-
-
-class _Cusp(NamedTuple):
-    point: float  # boundary point, INF allowed
-    width: float
-
-
-class Cusp(_Checked, _Cusp):
-    __slots__ = ()
-
-    def __new__(cls, point, width):
-        if not width > 0:
-            raise ValueError("cusp width must be positive")
-        return tuple.__new__(cls, (point, width))
-
-
 class _GroupSpec(NamedTuple):
     name: str
     omega: int
@@ -57,13 +40,6 @@ class GroupSpec(_Checked, _GroupSpec):
     @property
     def lattice(self) -> bool:
         return self.omega <= 2
-
-    @property
-    def cusps(self) -> tuple:
-        """infinity, of width omega; groups of infinite covolume also list
-        0 = S infinity, the same cusp seen through S."""
-        inf = Cusp(INF, self.omega)
-        return (inf,) if self.lattice else (inf, Cusp(0.0, self.omega))
 
     def gen_set(self):
         """Generators and inverses: T^omega, T^-omega and S."""

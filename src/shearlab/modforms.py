@@ -334,11 +334,15 @@ def _smoothed_pair(coeffs: np.ndarray, s: float, x_cut: float,
     return (4.0 * hi - lo) / 3.0, hi, lo
 
 
-def _dirichlet_value(coeffs, s, log_weight=False, rel_gate=1e-4):
+# most relative gap between the two smoothing cutoffs of an L-value
+_REL_GATE = 1e-4
+
+
+def _dirichlet_value(coeffs, s, log_weight=False):
     x_cut = len(coeffs) / 6.5
     val, hi, lo = _smoothed_pair(coeffs, s, x_cut, log_weight)
     scale = max(abs(hi), 1e-3)
-    if abs(hi - lo) > rel_gate * scale:
+    if abs(hi - lo) > _REL_GATE * scale:
         raise InsufficientConvergenceError(
             f"cutoffs {x_cut / 2:.0f} and {x_cut:.0f} disagree by "
             f"{abs(hi - lo):.3e} at s = {s}; supply more coefficients")

@@ -117,7 +117,16 @@ def test_thin_counts_are_a_sub_orbit(lattice_small):
 def test_counts_monotone_and_result_validates(lattice_small):
     assert lattice_small.counts == tuple(sorted(lattice_small.counts))
     with pytest.raises(ValueError):
-        CountResult((4.0, 8.0), (10, 9), (True, True), 0.0)
+        CountResult((4.0, 8.0), (10, 9), (True, True))
+
+
+def test_one_query_counted_twice_gives_equal_results():
+    # the result carried the walk's wall time, so two counts of one query
+    # compared unequal
+    for spec in (PSL2Z, THIN4):
+        for q in (None, 3):
+            query = OrbitQuery(spec, X0, (4.0, 8.0, 16.0), q=q)
+            assert count_orbit(query) == count_orbit(query)
 
 
 def test_budget_overrun_downgrades_saturation():
@@ -711,7 +720,7 @@ def test_label_codes_match_coset_label(exps, q, negate):
 def synthetic_counts(model_fn, t_list):
     return CountResult(tuple(t_list),
                        tuple(int(round(model_fn(t))) for t in t_list),
-                       tuple(True for _ in t_list), 0.0)
+                       tuple(True for _ in t_list))
 
 
 def test_fit_recovers_planted_t_log_t_law():

@@ -368,15 +368,14 @@ def test_critical_exponent_counts_the_norm_balls():
 
 
 def test_thin_value_at_the_cusp_at_zero():
-    # the cusp at 0 has normalizer S, a generator, so the rows are thin4's
-    # own; the values are those the conjugated word search gave
+    # the cusp at 0 has normalizer S, a generator, so the series there is
+    # E at S z = -1/z; the values are those the conjugated word search gave
     z, s = 0.21 + 1.3j, 1.0
-    e0 = EisensteinEvaluator(spec=THIN4, max_height=1024.0)
-    e1 = EisensteinEvaluator(spec=THIN4, cusp_index=1, max_height=1024.0)
-    a, b = eisenstein_sample(e0, z, s), eisenstein_sample(e1, z, s)
+    e = EisensteinEvaluator(spec=THIN4, max_height=1024.0)
+    a, b = eisenstein_sample(e, z, s), eisenstein_sample(e, -1 / z, s)
     assert b.value == 0.6394280252369889
-    assert eisenstein_sample(e1, 1j, 1.3).value == 0.5359228425072019
-    # S is in the group, so both cusps see the same series
+    assert eisenstein_sample(e, -1 / 1j, 1.3).value == 0.5359228425072019
+    # S is in the group, so 0 and infinity are one cusp with one series
     assert abs(a.value - b.value) <= min(a.est_error, b.est_error)
 
 
@@ -390,10 +389,6 @@ def test_route_guards():
         eisenstein_sample(EisensteinEvaluator(route="coset"), 1j, 1.0)
     with pytest.raises(ValueError):
         EisensteinEvaluator(route="spectral")
-    for spec, bad in ((PSL2Z, 1), (PSL2Z, -1), (THIN4, 2),
-                      (GroupSpec("theta", 2), 1)):
-        with pytest.raises(ValueError, match="cusp index"):
-            EisensteinEvaluator(spec=spec, cusp_index=bad)
     for bad in (8.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="max_height"):
             EisensteinEvaluator(max_height=bad)
@@ -404,17 +399,11 @@ def test_route_guards():
 
 
 def test_evaluator_takes_only_int_modes_and_cusps():
-    # a float mode count failed later in arange or a comparison, and a
-    # fractional cusp index passed the range check and read as cusp 1
+    # a float mode count failed later in arange or a comparison
     for bad in (2.5, 4000.0, math.nan, math.inf, True, "40"):
         with pytest.raises(ValueError, match="max_mode"):
             EisensteinEvaluator(max_mode=bad)
-    for spec, bad in ((THIN4, 0.5), (THIN4, 1.0), (THIN4, True),
-                      (PSL2Z, False), (PSL2Z, math.nan)):
-        with pytest.raises(ValueError, match="cusp index"):
-            EisensteinEvaluator(spec=spec, cusp_index=bad)
-    ev = EisensteinEvaluator(spec=THIN4, cusp_index=1, max_mode=1)
-    assert (ev.cusp_index, ev.max_mode) == (1, 1)
+    assert EisensteinEvaluator(spec=THIN4, max_mode=1).max_mode == 1
 
 
 def test_mode_cap_failure_is_loud():

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from shearlab import groups
 from shearlab.algebra import INT_S, INT_T, IntGroupElement
 from shearlab.groups import (MAX_COSETS, PSL2Z, THIN4, BudgetExceeded,
-                             Cusp, GroupSpec, WordBudget, bottom_rows,
-                             check_level, coset_row_chunks, coset_space,
-                             label_codes, label_entries, psl2_order,
-                             reduce_points)
+                             GroupSpec, WordBudget, bottom_rows, check_level,
+                             coset_row_chunks, coset_space, label_codes,
+                             label_entries, psl2_order, reduce_points)
 from coset_oracle import coset_closure
 from word_search import SearchBudgetExceeded, enumerate_words
 
@@ -23,8 +22,6 @@ from word_search import SearchBudgetExceeded, enumerate_words
 
 def test_psl2z_is_lattice_thin4_is_not():
     assert PSL2Z.lattice and not THIN4.lattice
-    assert PSL2Z.cusps[0].width == 1.0
-    assert THIN4.cusps[0].width == 4.0
 
 
 def test_spec_json_round_trip():
@@ -47,10 +44,6 @@ def test_spec_facts_follow_from_the_width():
         assert spec.lattice is lattice
         assert spec.gen_set() == (IntGroupElement(1, omega, 0, 1),
                                   IntGroupElement(1, -omega, 0, 1), INT_S)
-        # infinity of width omega; without finite covolume also 0 = S inf
-        points = [c.point for c in spec.cusps]
-        assert points == ([math.inf] if lattice else [math.inf, 0.0])
-        assert all(c.width == omega for c in spec.cusps)
     for bad in (0, -1, 2.0, True, "4", None):
         with pytest.raises(ValueError, match="omega"):
             GroupSpec("bad", bad)
@@ -511,8 +504,3 @@ def test_bottom_rows_thin_subset_of_lattice():
     # thin rows repeat under left translation by the width-4 shear, so the
     # row (c, d) determines a coset of the cusp stabilizer
     assert len(thin) < len(full)
-
-
-def test_cusp_validation():
-    with pytest.raises(ValueError):
-        Cusp(0.0, -1.0)

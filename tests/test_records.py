@@ -13,7 +13,7 @@ from shearlab.algebra import (FormVector, GroupElement, IntGroupElement,
 from shearlab.counting import CountResult, FitResult, OrbitQuery
 from shearlab.eisenstein import EisensteinEvaluator, EisensteinSample
 from shearlab import groups
-from shearlab.groups import INF, PSL2Z, CosetLabel, Cusp, GroupSpec, WordBudget
+from shearlab.groups import PSL2Z, CosetLabel, GroupSpec, WordBudget
 from shearlab.measures import RegressionResult, ShearSample
 from shearlab.modforms import LSeriesValue, QExpansion
 from shearlab.quadrature import QuadResult
@@ -28,7 +28,6 @@ RECORDS = {
     "UTBPoint": (lambda: UTBPoint(0.0, 1.0, 0.5), {"y": -1.0}, ValueError),
     "IwasawaCoords": (lambda: IwasawaCoords(0.0, 1.0, 0.0), None, None),
     "FormVector": (lambda: FormVector(0, 1, 0), None, None),
-    "Cusp": (lambda: Cusp(INF, 1), {"width": 0}, ValueError),
     "GroupSpec": (lambda: GroupSpec("psl2z", 1), {"omega": 0}, ValueError),
     "WordBudget": (lambda: WordBudget(64, 1000), {"max_nodes": -1},
                    ValueError),
@@ -38,8 +37,7 @@ RECORDS = {
                      {"spec": "psl2z"}, TypeError),
     "OrbitQuery": (lambda: OrbitQuery(PSL2Z, FormVector(0, 1, 0), (4, 8)),
                    {"t_list": (8.0, 4.0)}, ValueError),
-    "CountResult": (lambda: CountResult((4.0, 8.0), (34, 98), (True, True),
-                                        0.0),
+    "CountResult": (lambda: CountResult((4.0, 8.0), (34, 98), (True, True)),
                     {"counts": (98, 34)}, ValueError),
     "FitResult": (lambda: FitResult("linear", (1.0,), 0.0, 0.0), None, None),
     "ShearSample": (lambda: ShearSample(10.0, 0.5, 1e-9, 100, True,

@@ -36,6 +36,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 
@@ -494,6 +495,13 @@ def _loaded(*names: str) -> tuple:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -0.12+0.75j or -1,1,0 as an option, so
+    # one that starts with a minus and a digit or dot joins its flag first
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1] in ("--z", "--x0", "--T", "--s")
+                and re.match(r"-[0-9.]", argv[i])):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     ns = parser.parse_args(argv)
     t0 = time.perf_counter()

@@ -2,8 +2,8 @@
 
 Exact integer q-expansion of Delta: the cube of eta by Jacobi's
 identity, its sixth, ninth and twelfth powers as sparse-times-dense
-int64 products, then one squaring by Kronecker substitution, a single
-big-integer square.  Around it: weight-aware evaluation anywhere in the
+int64 products, then one exact square by FFT on limbs, its rounding
+error bounded first.  Around it: weight-aware evaluation anywhere in the
 upper half plane by reduction, the Petersson norm, the symmetric-square
 L-function at and right of the edge, the archimedean weight for the
 shear transform, the geometric second-moment integral along the ray
@@ -97,32 +97,57 @@ class QExpansion:
         return len(self.coeffs)
 
 
-def _square_series(arr, n_terms):
-    """First n_terms coefficients of the square of the integer series
-    arr, exactly, by Kronecker substitution: one big-integer square.
+_UNIT_ROUNDOFF = 2.0 ** -53  # of float64
 
-    Each coefficient becomes a w-bit digit of one integer, w a whole
-    number of bytes with room for the bound m A^2 (A = max |a_i|, m
-    terms) and a sign bit, so the digits of the square never carry into
-    each other.  Biasing every low digit by 2^(w-1) before reducing mod
-    2^(n w) makes them all non-negative, and byte slices read them off.
-    """
-    arr = arr[:n_terms]
-    amax = max((abs(a) for a in arr), default=0)
-    if amax == 0:
-        return [0] * n_terms
-    nb = (len(arr) * amax * amax).bit_length() // 8 + 1
-    w = 8 * nb
-    pos = b"".join((a if a > 0 else 0).to_bytes(nb, "little") for a in arr)
-    neg = b"".join((-a if a < 0 else 0).to_bytes(nb, "little") for a in arr)
-    packed = (int.from_bytes(pos, "little")
-              - int.from_bytes(neg, "little"))
-    half = 1 << (w - 1)
-    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n_terms, "little")
-    sq = (packed * packed + bias) & ((1 << (n_terms * w)) - 1)
-    raw = sq.to_bytes(n_terms * nb, "little")
-    return [int.from_bytes(raw[k:k + nb], "little") - half
-            for k in range(0, n_terms * nb, nb)]
+
+def _series_product(a, b, n):
+    """The first n coefficients of the product of the int64 series a and
+    b, exactly, as Python ints: FFT convolution on limbs of sign times
+    w = ceil(bits / L) bits of |a|, for the fewest L (the widest w) whose
+    error Percival's bound, from the limbs' l2 norms, keeps below 1/4,
+    or OverflowError before any transform.  The bound is proved for the
+    radix-2 complex transform, so a value 1/4 off its integer raises too.
+    One rfft per limb (one set when a is b); the shifts go back one at a
+    time, joined with carries in 62-bit chunks."""
+    a, b, same = a[:n], b[:n], a is b
+    mags = [np.abs(x).view(np.uint64) for x in ((a,) if same else (a, b))]
+    bits = max(int(x.max(initial=0)).bit_length() for x in mags)
+    if min(len(a), len(b)) == 0 or bits == 0:
+        return [0] * n
+    m = min(n, len(a) + len(b) - 1)
+    size = 1 << (len(a) + len(b) - 2).bit_length()
+    k, u = size.bit_length() - 1, _UNIT_ROUNDOFF
+    # (1+u)^3k (1+sqrt5 u)^(3k+1) (1+beta)^3k - 1, roots off by beta <= u,
+    # 1+u per spectrum summed at a shift, 1 + 4nu for the norms' rounding
+    grow = math.expm1((6 * k + bits) * math.log1p(u) + (3 * k + 1)
+                      * math.log1p(math.sqrt(5) * u)) * (1 + 4 * n * u)
+    for n_limbs in range(1, bits + 1):
+        w = -(-bits // n_limbs)
+        limbs = [[np.sign(x) * (mag >> w * i & (1 << w) - 1)
+                  for i in range(n_limbs)] for x, mag in zip((a, b), mags)]
+        norm = [[math.sqrt(v @ v) for v in ls] for ls in limbs]
+        pairs = [[(i, s - i) for i in range(n_limbs) if 0 <= s - i < n_limbs]
+                 for s in range(2 * n_limbs - 1)]
+        if grow * max(sum(norm[0][i] * norm[-1][j] for i, j in p)
+                      for p in pairs) < 0.25:
+            break
+    else:
+        raise OverflowError(f"no limb width keeps {n} terms exact")
+    spec = [[np.fft.rfft(v, size) for v in ls] for ls in limbs]
+    del limbs, mags  # from here on only the spectra are kept
+    total, carry, chunk, per = 0, 0, 0, 62 // w
+    for s, p in enumerate(pairs):
+        y = np.fft.irfft(sum(spec[0][i] * spec[-1][j] for i, j in p), size)
+        z = np.rint(y[:m])
+        if np.abs(y[:m] - z).max() >= 0.25:
+            raise OverflowError(f"a product of {n} terms rounded off")
+        z = z.astype(np.int64) + carry
+        carry, chunk = z >> w, chunk | (z & (1 << w) - 1) << w * (s % per)
+        if s % per == per - 1 or s == len(pairs) - 1:
+            total += chunk.astype(object) << w * (s - s % per)
+            chunk = 0
+    total += carry.astype(object) << w * len(pairs)
+    return total.tolist() + [0] * (n - m)
 
 
 def _sparse_times(t, c, dense):
@@ -144,7 +169,7 @@ def _sparse_times(t, c, dense):
 def _tau_tuple(n_max: int) -> tuple:
     # Delta / q = (eta-cube)^8, eta-cube sum (-1)^k (2k+1) q^(k(k+1)/2) by
     # Jacobi's identity: its about sqrt(2 n) terms multiply 1 up to
-    # eta^12 in int64, and one squaring finishes the job
+    # eta^12 in int64, and one exact FFT square finishes the job
     k = np.arange(math.isqrt(2 * n_max) + 1, dtype=np.int64)
     t = k * (k + 1) // 2
     c = np.where(k % 2 == 1, -(2 * k + 1), 2 * k + 1)
@@ -152,11 +177,12 @@ def _tau_tuple(n_max: int) -> tuple:
     j[0] = 1
     for _ in range(4):
         j = _sparse_times(t, c, j)
-    return tuple(_square_series(j.tolist(), n_max))
+    return tuple(_series_product(j, j, n_max))
 
 
 def delta_qexp(n: int) -> QExpansion:
-    """tau(1..n) of q prod (1-q^m)^24, exact integers."""
+    """tau(1..n) of q prod (1-q^m)^24, exact integers: eta^12 by four
+    sparse int64 steps, then its square by limb-split FFT."""
     try:
         n = operator.index(n)
     except TypeError:

@@ -286,6 +286,44 @@ def test_eisenstein_coset_value_at_very_large_s(tmp_path):
         assert float(rows[0][3]) == 2.0, s
 
 
+@pytest.mark.parametrize("argv", [
+    ["eisenstein", "--z", "-0.12+0.75j,-.5+1.1j", "--s", "2"],
+    ["count", "--x0", "-1,1,0", "--T", "10,20"],
+    ["count", "--T", "-5,10"],
+], ids=["z", "x0", "T"])
+def test_minus_value_as_its_own_token(tmp_path, argv):
+    # -0.12+0.75j and -1,1,0 exited 2 with "expected one argument" unless
+    # written --z=-0.12+0.75j; both forms now run the same configuration
+    runs = {}
+    for form in ("token", "equals"):
+        args = list(argv)
+        if form == "equals":
+            args = [f"{a}={args[i + 1]}" if a.startswith("--") else a
+                    for i, a in enumerate(args) if not
+                    (i and args[i - 1].startswith("--"))]
+        (tmp_path / form).mkdir()
+        out = tmp_path / form / "run.csv"
+        rc = main(args + ["--out", str(out)])
+        man = read_manifest(out)
+        for key in ("wall_time_s", "timestamp"):
+            del man[key]
+        del man["config"]["out"]
+        runs[form] = rc, out.read_bytes(), man
+    assert runs["token"] == runs["equals"]
+    assert runs["token"][0] == 0
+
+
+@pytest.mark.parametrize("argv", [["count", "--x0", "-q"],
+                                  ["count", "--bogus", "-1"],
+                                  ["eisenstein", "--z", "-j"]])
+def test_minus_token_that_is_no_value_still_exits_2(tmp_path, argv):
+    out = tmp_path / "run.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"T": "4,8", "group": "psl2z"}))
@@ -632,16 +670,18 @@ COUNTING = {"shearlab.cli", "shearlab.algebra", "shearlab.groups",
 
 @pytest.mark.parametrize("argv, unloaded", [
     (None, SUBMODULES),
-    (["count", "--T", "4,8,16"], SUBMODULES - COUNTING),
-    (["coset-count", "--T", "4,8"], SUBMODULES - COUNTING),
-    (["fit", "--in", "counts.csv"], SUBMODULES - COUNTING),
+    # only the q-expansion's exact product reaches numpy.fft, which numpy
+    # loads on first access (1.6 ms and about 0.7 MB)
+    (["count", "--T", "4,8,16"], SUBMODULES - COUNTING | {"numpy.fft"}),
+    (["coset-count", "--T", "4,8"], SUBMODULES - COUNTING | {"numpy.fft"}),
+    (["fit", "--in", "counts.csv"], SUBMODULES - COUNTING | {"numpy.fft"}),
     # bump registration draws its points from a fixed sequence; loading
     # numpy.random costs a fresh process 12-18 ms
     (["shear", "--T", "10"], {"shearlab.counting", "shearlab.eisenstein",
                               "shearlab.modforms", "shearlab.specfun",
-                              "numpy.random"}),
+                              "numpy.random", "numpy.fft"}),
     (["eisenstein"], {"shearlab.counting", "shearlab.measures",
-                      "shearlab.modforms"}),
+                      "shearlab.modforms", "numpy.fft"}),
     # TestFunction lives in groups, so the form's observable needs no
     # measures
     (["moment", "--T", "20", "--qexp-n", "1500"],

@@ -8,7 +8,8 @@ import pytest
 
 import shearlab.modforms
 import shearlab.quadrature
-from qexp_oracle import (mobius_by_spf, qexp_forward, sym2_coeffs_by_loop,
+from qexp_oracle import (_square_series, mobius_by_spf, qexp_forward,
+                         sym2_coeffs_by_loop, tau_by_kronecker,
                          tau_by_squarings)
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import mu_eis
@@ -16,7 +17,7 @@ from shearlab.groups import PSL2Z, reduce_points
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
                                _fd_pairing, _mobius, _qexp_eval, _ray_tail,
-                               _sparse_times, _square_series, _sym2_coeffs,
+                               _series_product, _sparse_times, _sym2_coeffs,
                                _tau_tuple,
                                delta_qexp,
                                eval_form, eval_psi_f, form_observable, hecke_L,
@@ -163,7 +164,7 @@ def test_delta_qexp_needs_an_integer(bad):
         delta_qexp(bad)
 
 
-# -- the Kronecker-substitution square ---------------------------------------
+# -- the Kronecker-substitution square, the oracle of the FFT product ------
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 17, 500])
@@ -188,6 +189,123 @@ def test_square_series_small_cases():
     assert _square_series((1, -1), 4) == [1, -2, 1, 0]
 
 
+# -- the exact FFT product ---------------------------------------------------
+
+
+def random_series(rng, length):
+    # both signs, runs of zeros, and magnitudes of every size up to 2^40
+    out = []
+    while len(out) < length:
+        if rng.random() < 0.15:
+            out += [0] * rng.randint(1, 20)
+        else:
+            size = 1 << rng.randint(0, 40)
+            out.append(rng.choice((-1, 1)) * rng.randint(0, size))
+    return out[:length]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_series_product_matches_cauchy(seed):
+    rng = random.Random(seed)
+    la, lb = {0: (0, 5), 1: (1, 1), 2: (300, 300), 3: (7, 0)}.get(
+        seed, (rng.randint(0, 300), rng.randint(0, 300)))
+    a, b = random_series(rng, la), random_series(rng, lb)
+    if seed == 2:
+        a[0], b[-1] = 1 << 40, -(1 << 40)
+    for x, y in ((a, b), (a, a)):
+        full = poly_mul(x, y, len(x) + len(y) + 5)
+        xs = np.array(x, dtype=np.int64)
+        ys = xs if y is x else np.array(y, dtype=np.int64)
+        for n in {0, 1, min(len(x), len(y)), len(x) + len(y) - 1,
+                  len(x) + len(y) + 5}:
+            if n >= 0:
+                assert _series_product(xs, ys, n) == full[:n], (x is y, n)
+
+
+def test_series_product_builds_the_level_one_eigenforms():
+    # E4 = 1 + 240 sum sigma3(n) q^n and E6 = 1 - 504 sum sigma5(n) q^n give
+    # E8 = E4^2, E10 = E4 E6 and E14 = E4^2 E6 (every space M_k of weight
+    # 8, 10 and 14 is one-dimensional), and Delta times each of E4, E6,
+    # E8, E10 and E14 the normalized eigenform of weight 16, 18, 20, 22
+    # and 26, each space S_k one-dimensional too
+    n = 7
+    e4 = np.array([1] + [240 * sigma(3, m) for m in range(1, n)], np.int64)
+    e6 = np.array([1] + [-504 * sigma(5, m) for m in range(1, n)], np.int64)
+    delta = np.array((0,) + TAU[:n - 1], dtype=np.int64)
+
+    def times(x, y):
+        return np.array(_series_product(x, y, n), dtype=np.int64)
+
+    e8, e10 = times(e4, e4), times(e4, e6)
+    e14 = times(e8, e6)
+    for e, k, c in ((e8, 7, 480), (e10, 9, -264), (e14, 13, -24)):
+        assert e.tolist() == [1] + [c * sigma(k, m) for m in range(1, n)]
+    assert int(np.abs(e14).max()) == 24 * sigma(13, 6) == 313495116768
+    forms = {16: e4, 18: e6, 20: e8, 22: e10, 26: e14}
+    forms = {k: _series_product(e, delta, n) for k, e in forms.items()}
+    assert {k: f[2] for k, f in forms.items()} == {
+        16: 216, 18: -528, 20: 456, 22: -288, 26: -48}
+    for k, a in forms.items():
+        assert a[:2] == [0, 1]
+        assert a[2] * a[3] == a[6]
+        assert a[4] == a[2] ** 2 - 2 ** (k - 1)
+
+
+def bound_cut(u, k, n):
+    """The fewest nonzeros m of two +-1 series (one limb each) for which
+    Percival's bound, m (1+u)^(6k+1) (1+sqrt5 u)^(3k+1) (1 + 4 n u) - m
+    at transform length 2^k, reaches 1/4."""
+    grow = math.expm1((6 * k + 1) * math.log1p(u) + (3 * k + 1)
+                      * math.log1p(math.sqrt(5) * u)) * (1 + 4 * n * u)
+    cut = math.ceil(0.25 / grow)
+    assert (cut - 1) * grow < 0.25 * (1 - 1e-9) < 0.25 * (1 + 1e-9) \
+        < cut * grow
+    return cut
+
+
+def test_series_product_bound_refuses_before_any_transform(monkeypatch):
+    # float64's bound never refuses a series that fits in memory, so the
+    # unit roundoff is taken as 2^-20: two +-1 series of length 2048 go to
+    # transforms of length 4096, and the bound is their nonzero count
+    # times a factor near 1.5e-4
+    u, length = 2.0 ** -20, 2048
+    n = 2 * length - 1
+    cut = bound_cut(u, 12, n)
+    assert 1000 < cut < length
+    monkeypatch.setattr(shearlab.modforms, "_UNIT_ROUNDOFF", u)
+    rng = np.random.default_rng(5)
+
+    def series(nnz):
+        x = np.zeros(length, dtype=np.int64)
+        x[rng.choice(length, nnz, replace=False)] = rng.choice([-1, 1], nnz)
+        return x
+
+    def transform(*_, **__):
+        raise AssertionError("a transform ran past the bound")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "rfft", transform)
+        with pytest.raises(OverflowError):
+            _series_product(series(cut), series(cut), n)
+    # one nonzero fewer is just inside the bound, and rounds exactly
+    a, b = series(cut - 1), series(cut - 1)
+    assert _series_product(a, b, n) == np.convolve(a, b).tolist()
+
+
+def test_series_product_raises_on_a_value_off_its_integer(monkeypatch):
+    x = np.array(TAU, dtype=np.int64)
+    want = poly_mul(TAU, TAU, 12)
+    irfft = np.fft.irfft
+    for off, exact in ((0.2, True), (0.3, False)):
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *a, **k: irfft(*a, **k) + off)
+        if exact:
+            assert _series_product(x, x, 12) == want
+        else:
+            with pytest.raises(OverflowError):
+                _series_product(x, x, 12)
+
+
 BIT_IDENTITY_SIZES = [1, 2, 3, 10, 1500, 4000, 6000]
 
 
@@ -196,6 +314,11 @@ def test_tau_matches_the_three_squarings(n):
     # the int64 sparse steps and one squaring give the very integers of
     # three squarings on Python integers
     assert _tau_tuple(n) == tau_by_squarings(n)
+
+
+def test_tau_20k_matches_the_kronecker_square():
+    # the FFT square gives the very integers of the big-integer square
+    assert _tau_tuple(20000) == tau_by_kronecker(20000)
 
 
 @pytest.mark.parametrize("n", BIT_IDENTITY_SIZES)

@@ -20,10 +20,11 @@ randomized sweep.  Each flag's default is declared once, in the parser.
 A --config JSON file, keyed by the flags' dest names, sets the
 subcommand's defaults and may set every flag it takes, selftest's seed
 included; a flag given on the command line beats the file.  Exit codes:
-0 success, 2 bad configuration, an unreadable --in file or an --out that
-names a directory or lies in a missing or unwritable one (nothing
-written), 3 budget or tolerance exhausted (manifest flagged partial; a
-run stopped by the error lists no outputs and records the error text).
+0 success, 1 a failed selftest suite, 2 bad configuration, an unreadable
+--in file or an --out that names a directory or lies in a missing or
+unwritable one (nothing written), 3 budget or tolerance exhausted
+(manifest flagged partial; a run stopped by the error lists no outputs
+and records the error text).
 
 Each runner imports what it uses, so a process loads only its
 subcommand's modules (`count`: algebra, groups and counting), which
@@ -211,24 +212,26 @@ def _cmd_fit(ns) -> int:
     if "T" not in header or "count" not in header:
         raise ConfigError(f"{ns.infile!r} lacks T/count columns")
     it, ic = header.index("T"), header.index("count")
+    js = header.index("saturated") if "saturated" in header else None
     try:
-        data = [(float(r[it]), int(r[ic])) for r in rows[1:]]
+        data = [(float(r[it]), int(r[ic]), "1" if js is None else r[js])
+                for r in rows[1:]]
     except (IndexError, ValueError) as e:
         raise ConfigError(f"bad row in counts file {ns.infile!r}: {e}")
     if len(data) < 2:
         raise ConfigError("need at least two count rows to fit")
+    if any(s not in ("0", "1") for _, _, s in data):
+        raise ConfigError(f"saturated in {ns.infile!r} must be 0 or 1")
+    t_list, counts, saturated = zip(*data)
     try:
-        counts = CountResult(tuple(t for t, _ in data),
-                             tuple(c for _, c in data),
-                             tuple(True for _ in data))
+        table = CountResult(t_list, counts, tuple(s == "1" for s in saturated))
     except ValueError as e:
         raise ConfigError(f"counts file is not a valid growth table: {e}")
     models = FIT_MODELS if ns.model == "all" else (ns.model,)
-    doc = {"t_list": [t for t, _ in data], "counts": [c for _, c in data],
-           "models": {}}
+    doc = {"t_list": list(t_list), "counts": list(counts), "models": {}}
     for m in models:
         try:
-            fit = fit_counting_law(counts, m)
+            fit = fit_counting_law(table, m)
         except InsufficientDataError as e:
             # a short table is still a valid artifact; the report says why
             # no law could be fitted from it

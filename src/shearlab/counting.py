@@ -32,9 +32,6 @@ class StabilizerError(RuntimeError):
     behind per-coset counts has failed for this orbit."""
 
 
-_BUDGET = WordBudget(4096, 10 ** 7)
-
-
 class _OrbitQuery(NamedTuple):
     spec: GroupSpec
     x0: FormVector
@@ -47,7 +44,8 @@ class _OrbitQuery(NamedTuple):
 class OrbitQuery(_Checked, _OrbitQuery):
     __slots__ = ()
 
-    def __new__(cls, spec, x0, t_list, norm="sup", q=None, budget=_BUDGET):
+    def __new__(cls, spec, x0, t_list, norm="sup", q=None,
+                budget=WordBudget()):
         t_list = tuple(float(t) for t in t_list)
         try:
             ints = tuple(int(v) for v in x0.entries())
@@ -87,6 +85,10 @@ class CountResult(_Checked, _CountResult):
 
     def __new__(cls, t_list, counts, saturated, x0_norm=1.0, q=None,
                 breakdown=None, search_nodes=0, search_depth=0):
+        if any(b >= a for a, b in zip(t_list[1:], t_list)):
+            raise ValueError("t_list must be strictly increasing")
+        if not all(math.isfinite(t) for t in t_list):
+            raise ValueError("radii must be finite")
         if any(b > a for a, b in zip(counts[1:], counts)):
             raise ValueError("counts must be nondecreasing in T")
         return tuple.__new__(cls, (t_list, counts, saturated, x0_norm, q,

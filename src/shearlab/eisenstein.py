@@ -61,7 +61,7 @@ import numpy as np
 from .algebra import _Checked, point_xy
 from .groups import (PSL2Z, BudgetExceeded, GroupSpec, _ragged, bottom_rows,
                      reduce_points)
-from .quadrature import gl_nodes, integrate_fd, refine
+from .quadrature import gl_nodes, integrate_fd, refine, settled
 from .specfun import (_BERN, EULER_GAMMA, bessel_k, divisor_sigma,
                       gamma_fn, log_abs_eta_arr, zeta, zeta_prime)
 
@@ -504,7 +504,9 @@ def mu_eis(psi, regularized: bool) -> float:
     of either kind read the series off one cached Chebyshev grid per
     group and box (module docstring).  A test function reads only (x, y),
     so the pairing is fibered over the base point by construction and
-    needs no check of direction independence.
+    needs no check of direction independence.  PairingError where a
+    precondition fails; InsufficientConvergenceError where the pairing
+    does not converge.
     """
     if psi.spec.omega == 1:
         if not regularized:
@@ -535,9 +537,8 @@ def _pair_fd_lattice(psi):
     def f(xa, ys):
         return psi.batch(xa, ys) * _regularized_E1_arr(xa, ys) / ys ** 2
 
-    res = integrate_fd(f, y_top, nx=64, n_edges=40, abs_tol=1e-12,
-                       rel_tol=1e-10)
-    return _converged((res.value, res.est_error, res.converged), "domain")
+    return settled(integrate_fd(f, y_top, nx=64, n_edges=40, abs_tol=1e-12,
+                                rel_tol=1e-10), "domain pairing")
 
 
 @lru_cache(maxsize=8)
@@ -584,18 +585,8 @@ def _pair_box(psi):
         vals = [float(np.sum(fold * e)) for e in grids]
         return vals[0] if len(vals) == 1 else _geometric_limit(*vals)
 
-    return _converged(refine(run, (60, 90, 135), abs_tol=1e-9,
-                             rel_tol=1e-9), f"{psi.spec.name} box")
-
-
-def _converged(result, what):
-    """The value of a (value, err, converged) result; PairingError if it
-    did not converge."""
-    value, err, ok = result
-    if not ok:
-        raise PairingError(f"{what} pairing did not converge: last value "
-                           f"{value!r}, est. error {err:.2e}")
-    return value
+    return settled(refine(run, (60, 90, 135), abs_tol=1e-9, rel_tol=1e-9),
+                   f"{psi.spec.name} box pairing")
 
 
 def _cheb_size(r):

@@ -76,7 +76,7 @@ class _WordBudget(NamedTuple):
 class WordBudget(_Checked, _WordBudget):
     __slots__ = ()
 
-    def __new__(cls, max_depth=512, max_nodes=4_000_000):
+    def __new__(cls, max_depth=4096, max_nodes=10 ** 7):
         self = tuple.__new__(cls, (max_depth, max_nodes))
         # bool is an int subclass; True is no budget
         if not all(type(v) is int and v >= 0 for v in self):
@@ -132,7 +132,8 @@ class TestFunction(_Checked, _TestFunction):
 
 class BudgetExceeded(Exception):
     """A resource ceiling was reached: a row table's height cap, a row
-    region of mu_T or the strip measure, or the Fourier mode cap."""
+    region of mu_T or the strip measure, the Fourier mode cap, or the
+    second moment's MAX_SEED_PANELS seed panels."""
 
 
 # -- fundamental domains -----------------------------------------------------

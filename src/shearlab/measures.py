@@ -26,8 +26,7 @@ import numpy as np
 
 from .groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec, TestFunction,
                      _ragged, coset_row_chunks, reduce_points)
-from .quadrature import (InsufficientConvergenceError, adaptive, gl_nodes,
-                         integrate_fd, refine)
+from .quadrature import adaptive, gl_nodes, integrate_fd, refine, settled
 
 __all__ = [
     "TestFunction", "ShearSample", "RegistrationError", "bump_profile",
@@ -504,19 +503,13 @@ def _strip_direct(psi: TestFunction, T: float, tol: float) -> float:
             seen.update(zip(y.tolist(), zip(n.tolist(), total.tolist())))
             return total / (n * y)
 
-        res = adaptive(f, y_bot, y_top, abs_tol=tol, rel_tol=tol,
-                       initial_edges=np.geomspace(y_bot, y_top, 200))
-        if not res.converged:
-            raise InsufficientConvergenceError(
-                f"direct strip measure at T = {T:g}, {nx} x nodes: {res}")
-        return res.value
+        return settled(adaptive(f, y_bot, y_top, abs_tol=tol, rel_tol=tol,
+                                initial_edges=np.geomspace(y_bot, y_top, 200)),
+                       f"direct strip measure at T = {T:g}, {nx} x nodes")
 
-    val, err, ok = refine(run, [1 << k for k in range(10, 17)], abs_tol=tol)
-    if not ok:
-        raise InsufficientConvergenceError(
-            f"direct strip measure at T = {T:g}: the last two x grids "
-            f"differ by {err:.2e} > tol {tol:g}")
-    return val
+    return settled(refine(run, [1 << k for k in range(10, 17)], abs_tol=tol),
+                   f"direct strip measure at T = {T:g} over x grids to tol "
+                   f"{tol:g}")
 
 
 def _strip_rows(psi: TestFunction, T: float):
@@ -669,12 +662,8 @@ def _strip_unfolded(psi: TestFunction, T: float, tol: float) -> float:
     # every panel's integrand is smooth, so Gauss-Legendre converges fast,
     # and refinement is the error handle: at tol 1e-8 the fixed-grid
     # references are met within 1.3e-10
-    val, err, ok = refine(run, _STRIP_RUNGS, abs_tol=tol)
-    if not ok:
-        raise InsufficientConvergenceError(
-            f"strip measure at T = {T:g}: the last two grids differ by "
-            f"{err:.2e} > tol {tol:g}")
-    return val
+    return settled(refine(run, _STRIP_RUNGS, abs_tol=tol),
+                   f"strip measure at T = {T:g} to tol {tol:g}")
 
 
 # -- horocycle data ----------------------------------------------------------
@@ -694,7 +683,8 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
         vals = psi.batch(xs, np.full(n, float(y)))
         return complex(np.mean(vals * np.exp((-2j * np.pi * m / omega) * xs)))
 
-    cur = _settled(run, 10, tol, f"fourier coefficient {m} at y = {y:g}")
+    cur = settled(refine(run, [1 << k for k in range(10, 22)], abs_tol=tol,
+                         rel_tol=tol), f"fourier coefficient {m} at y = {y:g}")
     return cur.real if m == 0 else cur
 
 
@@ -710,17 +700,8 @@ def horocycle_average(psi: TestFunction, y: float, interval,
         xs = x0 + (np.arange(n) + 0.5) * ((x1 - x0) / n)
         return float(np.mean(psi.batch(xs, np.full(n, float(y)))))
 
-    return _settled(run, 11, tol, f"horocycle average at y = {y:g}")
-
-
-def _settled(run, k0: int, tol: float, what: str):
-    """run(n) on n = 2^k0 ... 2^21 points until two grids agree to tol."""
-    val, err, ok = refine(run, [1 << k for k in range(k0, 22)], abs_tol=tol,
-                          rel_tol=tol)
-    if not ok:
-        raise InsufficientConvergenceError(
-            f"{what}: the last two grids differ by {err:.2e} > tol {tol:g}")
-    return val
+    return settled(refine(run, [1 << k for k in range(11, 22)], abs_tol=tol,
+                          rel_tol=tol), f"horocycle average at y = {y:g}")
 
 
 def haar_mean(psi: TestFunction) -> float:
@@ -740,12 +721,10 @@ def haar_mean(psi: TestFunction) -> float:
         ix = 0.5 * (x_hi - x_lo) * float(wg @ px(xm))
         iy = 0.5 * (y_hi - y_lo) * float(wg @ (py(ym) / (ym * ym)))
         return 3.0 / math.pi * ix * iy
-    res = integrate_fd(lambda x, y: psi.batch(x, y) / (y * y),
-                       _y_top(psi, 1e-10), nx=64, n_edges=40,
-                       abs_tol=1e-11, rel_tol=1e-10)
-    if not res.converged:
-        raise InsufficientConvergenceError(f"haar mean: {res}")
-    return 3.0 / math.pi * res.value
+    return 3.0 / math.pi * settled(
+        integrate_fd(lambda x, y: psi.batch(x, y) / (y * y),
+                     _y_top(psi, 1e-10), nx=64, n_edges=40, abs_tol=1e-11,
+                     rel_tol=1e-10), "haar mean")
 
 
 # -- regression against the equidistribution law -----------------------------

@@ -32,9 +32,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import point_xy
-from .groups import PSL2Z, TestFunction, _ragged, _walk, reduce_points
+from .groups import (PSL2Z, BudgetExceeded, TestFunction, _ragged, _walk,
+                     reduce_points)
 from .quadrature import (InsufficientConvergenceError, adaptive, integrate_fd,
-                         refine)
+                         refine, settled)
 from .specfun import (EULER_GAMMA, digamma, gamma_fn, log_abs_eta_arr,
                       zeta, zeta_prime)
 
@@ -286,11 +287,8 @@ def _fd_pairing(f: QExpansion, weight_fn, nx: int = 64):
     def g(xa, ys):
         return weight_fn(xa, ys) * _psi(f, xa, ys) / ys ** 2
 
-    res = integrate_fd(g, 5.0, nx=nx, n_edges=24, abs_tol=1e-16,
-                       rel_tol=1e-11)
-    if not res.converged:
-        raise InsufficientConvergenceError(f"domain pairing: {res}")
-    return res.value
+    return settled(integrate_fd(g, 5.0, nx=nx, n_edges=24, abs_tol=1e-16,
+                                rel_tol=1e-11), "domain pairing")
 
 
 @lru_cache(maxsize=8)
@@ -299,12 +297,8 @@ def petersson_norm(f: QExpansion) -> float:
     the convergence check, the finer value is returned, and
     InsufficientConvergenceError is raised if the counts disagree."""
     one = lambda xa, ys: 1.0
-    val, err, ok = refine(lambda nx: _fd_pairing(f, one, nx), (48, 72, 108),
-                          rel_tol=1e-8)
-    if not ok:
-        raise InsufficientConvergenceError(
-            f"petersson norm: the last two column counts differ by {err:.2e}")
-    return val
+    return settled(refine(lambda nx: _fd_pairing(f, one, nx), (48, 72, 108),
+                          rel_tol=1e-8), "petersson norm over column counts")
 
 
 # -- L-functions through Gaussian-smoothed Dirichlet series ------------------
@@ -367,12 +361,11 @@ _REL_GATE = 1e-4
 def _dirichlet_value(coeffs, s, log_weight=False):
     x_cut = len(coeffs) / 6.5
     val, hi, lo = _smoothed_pair(coeffs, s, x_cut, log_weight)
-    scale = max(abs(hi), 1e-3)
-    if abs(hi - lo) > _REL_GATE * scale:
-        raise InsufficientConvergenceError(
-            f"cutoffs {x_cut / 2:.0f} and {x_cut:.0f} disagree by "
-            f"{abs(hi - lo):.3e} at s = {s}; supply more coefficients")
-    return val, abs(hi - lo) / 3.0 + 1e-14 * abs(val)
+    gap = abs(hi - lo)
+    settled((val, gap, not gap > _REL_GATE * max(abs(hi), 1e-3)),
+            f"L-value at s = {s} (cutoffs {x_cut / 2:.0f} and {x_cut:.0f}; "
+            f"supply more coefficients)")
+    return val, gap / 3.0 + 1e-14 * abs(val)
 
 
 def hecke_L(f: QExpansion, s: float) -> float:
@@ -508,9 +501,9 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
     neighbours p/q and r/s, of radius 1/(2qs): at height y a period
     meets the arcs with qs < 1/(2y), about (3/pi^2) log(1/y) / y of
     them.  So each period is split into ceil(1/y) equal panels, at most
-    64.  More than MAX_SEED_PANELS seed panels raise
-    InsufficientConvergenceError before any is built, and so does an
-    unconverged pass.
+    64.  More than MAX_SEED_PANELS seed panels raise BudgetExceeded
+    before any is built; an unconverged pass raises
+    InsufficientConvergenceError.
     """
     if not math.isfinite(t):
         raise ValueError(f"T must be finite, got {t}")
@@ -522,7 +515,7 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
     if u0 < _SPLIT:
         n_lo, n_hi = math.ceil(u0 * t - 0.5), math.ceil(_SPLIT * t - 0.5)
         if n_hi - n_lo > MAX_SEED_PANELS:
-            raise InsufficientConvergenceError(
+            raise BudgetExceeded(
                 f"second moment at T = {t}: {n_hi - n_lo} periods below "
                 f"y = {_SPLIT} pass the ceiling of {MAX_SEED_PANELS} seed "
                 f"panels")
@@ -532,7 +525,7 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
         # ceil(1/y) panels for the Farey arcs a period [lo, hi] meets
         m = np.minimum(np.ceil(1.0 / lo), 64).astype(int)
         if m.sum() > MAX_SEED_PANELS:
-            raise InsufficientConvergenceError(
+            raise BudgetExceeded(
                 f"second moment at T = {t}: {m.sum()} seed panels below "
                 f"y = {_SPLIT} pass the ceiling of {MAX_SEED_PANELS}")
         i, j = _ragged(np.zeros(len(m), dtype=int), m)
@@ -546,17 +539,12 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
         res = adaptive(ray, u0, _SPLIT, abs_tol=tol * 1e-3, rel_tol=tol,
                        initial_edges=lo[i] + (hi - lo)[i] * (j / m[i]),
                        max_panels=20000 + int(20.0 * t))
-        if not res.converged:
-            raise InsufficientConvergenceError(
-                f"second moment at T = {t}: ray quadrature error "
-                f"{res.est_error:.3e} over {res.n_panels} panels misses "
-                f"tol {tol:.0e}")
-        head = res.value
-    if not tail_err <= tol * abs(head + tail):
-        raise InsufficientConvergenceError(
-            f"second moment at T = {t}: the closed form's rounding bound "
-            f"{tail_err:.3e} misses tol {tol:.0e}")
-    return 2.0 * (head + tail)
+        head = settled(res, f"second moment at T = {t}: ray quadrature over "
+                            f"{res.n_panels} panels to tol {tol:.0e}")
+    return 2.0 * settled(
+        (head + tail, tail_err, tail_err <= tol * abs(head + tail)),
+        f"second moment at T = {t}: closed form to tol {tol:.0e} under its "
+        f"rounding bound")
 
 
 def second_moment_prediction(f: QExpansion, t: float) -> float:

@@ -44,16 +44,29 @@ _FD_BLOCK = 1 << 11
 
 
 class InsufficientConvergenceError(RuntimeError):
-    """A value misses its tolerance: two smoothing cutoffs of an L-series
-    disagree, or a ray, strip or domain quadrature does not converge."""
+    """An estimate missed its tolerance: two smoothing cutoffs of an
+    L-series disagree, or a ray, strip, domain or pairing quadrature does
+    not converge.  Raised by settled alone."""
 
 
 class QuadResult(NamedTuple):
     value: float
     est_error: float
-    n_evals: int
     converged: bool
+    n_evals: int
     n_panels: int
+
+
+def settled(result, what: str):
+    """result[0], the value of a (value, est. error, converged, ...)
+    result such as adaptive's or refine's, once it has converged;
+    InsufficientConvergenceError naming what otherwise."""
+    value, err, ok = result[:3]
+    if not ok:
+        raise InsufficientConvergenceError(
+            f"{what} did not converge: last value {value!r}, est. error "
+            f"{err:.2e}")
+    return value
 
 
 def _panel_eval(f, lo: np.ndarray, hi: np.ndarray):
@@ -119,7 +132,7 @@ def adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
         vals = np.concatenate([vals, nvals[n:]])
         errs = np.concatenate([errs, nerrs[n:]])
 
-    return QuadResult(total, toterr, n_evals, toterr <= tol, len(lo))
+    return QuadResult(total, toterr, toterr <= tol, n_evals, len(lo))
 
 
 @lru_cache(maxsize=64)
@@ -133,7 +146,8 @@ def refine(run, sizes, abs_tol: float = 0.0, rel_tol: float = 0.0):
     agree, |cur - prev| <= abs_tol + rel_tol * |cur|.
 
     Returns (value, err, converged): the last value computed, its distance
-    from the one before, and whether that distance met the tolerance.  The
+    from the one before, and whether that distance met the tolerance: a
+    QuadResult's first three fields, so settled reads either.  The
     grid-refinement loops of measures, eisenstein and modforms all go
     through here; each keeps its own sizes and threshold.
     """

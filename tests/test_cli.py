@@ -14,7 +14,7 @@ from shearlab import cli, measures, modforms, selftest
 from shearlab.algebra import FormVector
 from shearlab.cli import main
 from shearlab.counting import OrbitQuery, StabilizerError, count_orbit
-from shearlab.groups import PSL2Z, BudgetExceeded
+from shearlab.groups import PSL2Z, BudgetExceeded, WordBudget
 from shearlab.modforms import InsufficientConvergenceError
 from shearlab.quadrature import refine
 
@@ -161,6 +161,43 @@ def test_fit_rejects_non_monotone(tmp_path):
     bad.write_text("T,count\r\n10,50\r\n20,40\r\n30,60\r\n40,70\r\n")
     assert main(["fit", "--in", str(bad), "--model", "linear",
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_fit_leaves_out_unsaturated_radii(tmp_path):
+    # the file's saturated column was read as all 1, so the cut radius
+    # T = 800 was fitted with the rest
+    counts = tmp_path / "counts.csv"
+    counts.write_text("T,count,saturated\n50,994,1\n100,2266,1\n"
+                      "200,5162,1\n400,11362,1\n800,12000,0\n")
+    report = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(counts), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["t_list"] == [50.0, 100.0, 200.0, 400.0, 800.0]
+    for m in doc["models"].values():
+        assert m["t_used"] == [50.0, 100.0, 200.0, 400.0]
+
+
+@pytest.mark.parametrize("rows", [
+    "50,994,1\nnan,1500,1\n100,2266,1\n200,5162,1\n400,11362,1\n",
+    "50,994,1\n200,2266,1\n100,5162,1\n400,11362,1\n",
+    "50,994,1\n100,2266,1\n200,5162,yes\n400,11362,1\n",
+], ids=["nan-radius", "decreasing-radii", "saturated-not-0-or-1"])
+def test_fit_rejects_a_malformed_table(tmp_path, capsys, rows):
+    # the NaN row was dropped without a word and the other two fitted,
+    # exit 0
+    counts = tmp_path / "counts.csv"
+    counts.write_text("T,count,saturated\n" + rows)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(counts), "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv"]
+
+
+def test_budget_flag_defaults_are_the_records():
+    ns = cli.build_parser().parse_args(["count"])
+    assert WordBudget(ns.budget_words, ns.budget_nodes) == WordBudget()
+    assert OrbitQuery(PSL2Z, FormVector(0, 1, 0), (4.0,)).budget \
+        is OrbitQuery(PSL2Z, FormVector(0, 1, 0), (8.0,)).budget
 
 
 @pytest.mark.parametrize("text", [None, "T,count\n10,5\n20\n", ""],

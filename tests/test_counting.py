@@ -118,6 +118,13 @@ def test_counts_monotone_and_result_validates(lattice_small):
     assert lattice_small.counts == tuple(sorted(lattice_small.counts))
     with pytest.raises(ValueError):
         CountResult((4.0, 8.0), (10, 9), (True, True))
+    # the radii take OrbitQuery's checks
+    for t_list, match in [((8.0, 4.0), "strictly increasing"),
+                          ((4.0, 4.0), "strictly increasing"),
+                          ((4.0, math.nan), "finite"),
+                          ((4.0, math.inf), "finite")]:
+        with pytest.raises(ValueError, match=match):
+            CountResult(t_list, (9, 10), (True, True))
 
 
 def test_one_query_counted_twice_gives_equal_results():

@@ -23,7 +23,8 @@ from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec,
                              WordBudget, bottom_rows)
 from shearlab.measures import (DEFAULT_BOX, THIN_BOX, _reduced_bump,
                                make_lattice_bump, make_thin_bump)
-from shearlab.quadrature import gl_nodes, refine
+from shearlab.quadrature import (InsufficientConvergenceError, gl_nodes,
+                                 refine)
 from shearlab.specfun import bessel_k, divisor_sigma, zeta
 from specfun_oracles import em_integral_G
 from word_search import enumerate_words
@@ -796,7 +797,7 @@ def test_domain_pairing_raises_when_unconverged():
     # without registration, which would reject the NaN
     psi = shearlab.measures.TestFunction(
         "nan", PSL2Z, batch=lambda x, y: np.full(np.shape(x), np.nan))
-    with pytest.raises(PairingError, match="did not converge"):
+    with pytest.raises(InsufficientConvergenceError, match="did not converge"):
         mu_eis(psi, regularized=True)
 
 
@@ -809,5 +810,6 @@ def test_box_pairing_raises_when_refinement_does_not_converge(
 
     monkeypatch.setattr(shearlab.eisenstein, "refine", unconverged)
     psi = lattice_bump if which == "lattice" else thin_bump
-    with pytest.raises(PairingError, match="did not converge: last value"):
+    with pytest.raises(InsufficientConvergenceError,
+                       match="did not converge: last value"):
         mu_eis(psi, regularized=which == "lattice")

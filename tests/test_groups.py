@@ -93,7 +93,7 @@ def test_word_budget_takes_ints_at_least_zero():
         for kw in ({"max_depth": bad}, {"max_nodes": bad}):
             with pytest.raises(ValueError, match="integers >= 0"):
                 WordBudget(**kw)
-    assert WordBudget(0) == WordBudget(0, 4_000_000)
+    assert WordBudget(0) == WordBudget(0, 10 ** 7)
     assert WordBudget(0, 0).max_nodes == 0
 
 

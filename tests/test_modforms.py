@@ -13,7 +13,7 @@ from qexp_oracle import (_square_series, mobius_by_spf, qexp_forward,
                          tau_by_squarings)
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import mu_eis
-from shearlab.groups import PSL2Z, reduce_points
+from shearlab.groups import PSL2Z, BudgetExceeded, reduce_points
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
                                _fd_pairing, _mobius, _qexp_eval, _ray_tail,
@@ -788,11 +788,11 @@ def test_second_moment_needs_a_finite_t(delta, t):
 def test_second_moment_seed_ceiling(delta, monkeypatch):
     # 1e12 asks for 2e11 periods: refused before anything is built
     monkeypatch.setattr(shearlab.modforms, "adaptive", _no_quadrature)
-    with pytest.raises(InsufficientConvergenceError, match="ceiling"):
+    with pytest.raises(BudgetExceeded, match="ceiling"):
         second_moment_lhs(delta, 1e12)
     # 600 periods split into 10,935 seed panels at T = 3000
     monkeypatch.setattr(shearlab.modforms, "MAX_SEED_PANELS", 10934)
-    with pytest.raises(InsufficientConvergenceError, match="10935 seed"):
+    with pytest.raises(BudgetExceeded, match="10935 seed"):
         second_moment_lhs(delta, 3000.0)
 
 

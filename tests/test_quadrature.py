@@ -10,14 +10,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearlab import modforms, quadrature
-from shearlab.quadrature import (InsufficientConvergenceError, adaptive,
-                                 gl_nodes, integrate_fd, refine)
+from shearlab.quadrature import (InsufficientConvergenceError, QuadResult,
+                                 adaptive, gl_nodes, integrate_fd, refine,
+                                 settled)
 
 
 def test_modforms_reexports_the_convergence_error():
     # imports from either module catch the strip measure's raise
     assert modforms.InsufficientConvergenceError is \
         InsufficientConvergenceError
+
+
+def test_settled_returns_the_value_or_raises():
+    value = object()
+    assert settled((value, 0.5, True), "x") is value
+    assert settled(QuadResult(2.5, 1e-13, True, 15, 1), "x") == 2.5
+    with pytest.raises(InsufficientConvergenceError,
+                       match=r"^ray sum did not converge: last value 0\.25, "
+                             r"est\. error 1\.00e-03$"):
+        settled(QuadResult(0.25, 1e-3, False, 15, 1), "ray sum")
+    vals = {1: 1.0, 2: 2.0}
+    with pytest.raises(InsufficientConvergenceError, match="last value 2.0"):
+        settled(refine(vals.__getitem__, (1, 2), abs_tol=1e-3), "grid")
+
+
+def test_settled_is_the_one_convergence_raise():
+    # every estimate that misses its tolerance fails through settled
+    src = Path(quadrature.__file__).parent
+    raises = [p.name for p in sorted(src.glob("*.py"))
+              for line in p.read_text().splitlines()
+              if "raise InsufficientConvergenceError" in line]
+    assert raises == ["quadrature.py"]
 
 
 def test_adaptive_smooth_exponential():

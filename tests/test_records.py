@@ -53,7 +53,7 @@ RECORDS = {
                    ValueError),
     "LSeriesValue": (lambda: LSeriesValue(1.0, 0.6, 0.1, 1e-12, 100.0),
                      None, None),
-    "QuadResult": (lambda: QuadResult(1.0, 1e-12, 15, True, 1), None, None),
+    "QuadResult": (lambda: QuadResult(1.0, 1e-12, True, 15, 1), None, None),
 }
 
 

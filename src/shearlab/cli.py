@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -180,6 +181,8 @@ def _cmd_count(ns) -> int:
         "T": f"ball radius, {ns.norm} norm on form vectors",
         "count": "exact number of orbit points x0*gamma in the open ball",
         "saturated": "1 if the syllable walk closed within its budget",
+        "x0_norm": f"{ns.norm} norm of x0, below 10 times which fit "
+                   f"leaves a radius out",
     }
     labels = [] if q is None else list(res.breakdown)  # in entry order
     for lab in labels:
@@ -188,7 +191,7 @@ def _cmd_count(ns) -> int:
                         f"{lab.entries} mod {q}")
     rows = []
     for i, t in enumerate(res.t_list):
-        row = [t, res.counts[i], res.saturated[i]]
+        row = [t, res.counts[i], res.saturated[i], repr(float(res.x0_norm))]
         row += [res.breakdown[lab][i] for lab in labels]
         rows.append(row)
     return _write_table(ns, columns, rows, t0, not all(res.saturated),
@@ -213,18 +216,23 @@ def _cmd_fit(ns) -> int:
         raise ConfigError(f"{ns.infile!r} lacks T/count columns")
     it, ic = header.index("T"), header.index("count")
     js = header.index("saturated") if "saturated" in header else None
+    jn = header.index("x0_norm") if "x0_norm" in header else None
     try:
-        data = [(float(r[it]), int(r[ic]), "1" if js is None else r[js])
-                for r in rows[1:]]
+        data = [(float(r[it]), int(r[ic]), "1" if js is None else r[js],
+                 1.0 if jn is None else float(r[jn])) for r in rows[1:]]
     except (IndexError, ValueError) as e:
         raise ConfigError(f"bad row in counts file {ns.infile!r}: {e}")
     if len(data) < 2:
         raise ConfigError("need at least two count rows to fit")
-    if any(s not in ("0", "1") for _, _, s in data):
+    if any(s not in ("0", "1") for _, _, s, _ in data):
         raise ConfigError(f"saturated in {ns.infile!r} must be 0 or 1")
-    t_list, counts, saturated = zip(*data)
+    t_list, counts, saturated, norms = zip(*data)
+    if len(set(norms)) != 1 or not 0.0 < norms[0] < math.inf:
+        raise ConfigError(f"x0_norm in {ns.infile!r} must be one positive "
+                          f"number on every row, got {sorted(set(norms))}")
     try:
-        table = CountResult(t_list, counts, tuple(s == "1" for s in saturated))
+        table = CountResult(t_list, counts, tuple(s == "1" for s in saturated),
+                            norms[0])
     except ValueError as e:
         raise ConfigError(f"counts file is not a valid growth table: {e}")
     models = FIT_MODELS if ns.model == "all" else (ns.model,)

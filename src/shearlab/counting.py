@@ -157,20 +157,18 @@ def _element(x0, vec, col):
     return a, b + n * a, c, d + n * c
 
 
-def _word_order(lo: np.ndarray, hi: np.ndarray, start: int, stop: int):
+def _word_order(starts, m, long, start, stop):
     """(run, k) of the candidates start..stop-1 of the runs lo..hi, in walk
     order: run by run, and within a run by word length, k = 0, 1, -1, ...,
-    m, -m for m = min(hi, -lo), then the longer side alone."""
-    n = hi - lo + 1
-    ends = np.cumsum(n)
+    m, -m for m = min(hi, -lo), then the longer side, of sign long, alone.
+    starts holds each run's first candidate."""
     i = np.arange(start, stop)
-    run = np.searchsorted(ends, i, side="right")
-    j = i - ends[run] + n[run]
-    m = np.minimum(hi, -lo)[run]
+    run = np.searchsorted(starts, i, side="right") - 1
+    j = i - starts[run]
+    m = m[run]
     half = (j + 1) >> 1
-    side = np.where(hi > -lo, 1, -1)[run]
     return run, np.where(j <= 2 * m, np.where(j & 1, half, -half),
-                         side * (j - m))
+                         long[run] * (j - m))
 
 
 def _elements(els: np.ndarray, cols: np.ndarray, wk: np.ndarray) -> np.ndarray:
@@ -234,12 +232,18 @@ class _Walk:
     test of every end and of the k one step past it confirms them, and
     only the ends it rejects then move one step at a time.
 
-    Vectors and elements are held as columns of (3, n) and (4, n) arrays.
-    A layer is a fixed sequence of whole-array passes over its candidates,
-    in blocks of _BLOCK that bound the memory of huge layers.  Each block
-    tallies its collected elements as it finishes, by the bucket of their
-    tally key and, when a level q is set, the row of their coset label
-    code, so no per-element array outlives its layer.
+    Vectors are held as columns of a (3, n) array.  Elements, as columns
+    of a (4, n) array beside them, are carried only where something reads
+    them: the label codes when a level q is set, and the dedup index, its
+    clash test and its messages where D is not a positive square.  The
+    walk is depth-first over blocks: a block holds at most _BLOCK bases of
+    one layer, and the walk expands the next _BLOCK candidates of the
+    deepest pending block, in one fixed sequence of whole-array passes,
+    tallies them by the bucket of their tally key (and the row of their
+    coset label code), and pushes the bases they yield as a block of the
+    next layer.  So memory follows depth times _BLOCK, not the widest
+    layer, and where every layer's candidates fit in one block the walk
+    is breadth-first, layer by layer.
 
     With each element reached once, two candidates share a vector only
     when an element of the group other than 1 fixes x0.  Where D is a
@@ -256,10 +260,12 @@ class _Walk:
     T^omega fixes, before its run would be endless.  Packing needs every
     entry below 2^20 and raises OverflowError past it.
 
-    Candidates are checked in walk order, a block at a time: a block
-    checks element size, then the dedup range, then clashes, then the node
-    budget, and the walk stops in the first block where a check fails, on
-    the first check that failed there.
+    Candidates are checked in walk order, _BLOCK at a time: each checks
+    element size, then the dedup range, then clashes, then the node
+    budget, and the walk stops at the first where a check fails, on the
+    first check that failed there.  A cut by the node budget keeps the
+    first max_nodes elements in that order; a cut by the depth budget
+    keeps every element of the layers below it.
     """
 
     def __init__(self, x0: tuple, omega: int, gate: int, sup: bool,
@@ -303,17 +309,7 @@ class _Walk:
         """(lo, hi, gap, k) for the in-gate columns of vecs: the run around
         k = 0 of each, clipped to k >= 0 where side is 1 and to k <= 0
         where it is -1, an end more than self.cap from 0 clipped there, and
-        the columns whose hole is the single integer k.  _BLOCK columns at
-        a time, which bounds the temporaries."""
-        if vecs.shape[1] <= _BLOCK:
-            return self._runs(vecs, side, 0)
-        parts = [self._runs(vecs[:, s:s + _BLOCK],
-                            None if side is None else side[s:s + _BLOCK], s)
-                 for s in range(0, vecs.shape[1], _BLOCK)]
-        return tuple(np.concatenate(v, axis=-1) for v in zip(*parts))
-
-    def _runs(self, vecs, side, offset):
-        """runs of one block of columns, the first at column offset."""
+        the columns whose hole is the single integer k."""
         # now p > 0, or p = 0 < q
         p, q, r = vecs * np.sign(2 * vecs[0] + np.sign(vecs[1]))
         w, g, d = self.omega, self.gate_f, self.disc
@@ -370,7 +366,7 @@ class _Walk:
                 sel = sel[self.in_gate(vecs[:, row[sel]], e[sel] + step[sel])]
                 e[sel] += step[sel]
             ends[idx] = e
-        return ends[n:], ends[:n], gap + offset, near[gap]
+        return ends[n:], ends[:n], gap, near[gap]
 
     def unseen(self, index, base_el, base_vec, par, k, vec, fails):
         """(new, index): the candidates (par, k) of a block whose vector
@@ -421,6 +417,39 @@ class _Walk:
         return new, _inserted(index, at[fresh], uk[fresh],
                               col[:, par[first[fresh]]])
 
+    def expand(self, vec: np.ndarray, side, el, gaps: list):
+        """(par, k, big) for each next _BLOCK candidates of the runs of the
+        bases (vec, side, el), in walk order; big where their elements may
+        pass int64.  A vector that T^omega fixes raises first, since its
+        run would be endless (p = q = 0 makes D = 0, so only where the walk
+        deduplicates).  Once every candidate is out, the vectors in the
+        bases' single-integer holes join gaps with their elements."""
+        w = self.omega
+        if self.dedup:
+            moved = (vec[0] | vec[1]) != 0
+            if not moved.all():
+                i = np.argmin(moved)
+                a, b, c, d = el[:, i]
+                raise _stabilizer(vec[:, i], (a, b, c, d),
+                                  (a, b + a * w, c, d + c * w))
+        lo, hi, gap, gap_k = self.runs(vec, side)
+        n = hi - lo + 1
+        starts, total = np.cumsum(n) - n, int(n.sum())
+        m, long = np.minimum(hi, -lo), np.where(hi > -lo, 1, -1)
+        big = el is not None and int(np.abs(el).max()) * (
+            1 + w * int(np.maximum(hi, -lo).max())) >= _SAFE
+        del side, lo, hi, n  # a block may wait long: hold what it reads
+        for c0 in range(0, total, _BLOCK):
+            yield (*_word_order(starts, m, long, c0, min(c0 + _BLOCK, total)),
+                   big)
+        if self.dedup:
+            for i, k in zip(gap.tolist(), gap_k.tolist()):
+                a, b, c, d = el[:, i].tolist()
+                vp, vq, vr = vec[:, i].tolist()
+                wk = w * k
+                gaps.append(((vp, vq + 2 * vp * wk, vr + wk * (vq + vp * wk)),
+                             (a, b + a * wk, c, d + c * wk)))
+
     def walk(self, thresholds: np.ndarray, q: Optional[int] = None,
              space: Optional[np.ndarray] = None):
         """(table, saturated, nodes, depth): table[i, j] counts the
@@ -431,86 +460,74 @@ class _Walk:
         width = len(thresholds) + 1
         table = np.zeros((1 if q is None else len(space)) * width,
                          dtype=np.int64)
-        base_el = np.array([[1], [0], [0], [1]], dtype=np.int64)
-        base_vec = np.array(self.x0, dtype=np.int64)[:, None]
-        # for omega = 1, the sign of k each base's run keeps: opposite to
-        # its parent's last exponent (either sign for the identity's run)
-        base_side = np.zeros(1, dtype=np.int64) if w == 1 else None
+        # the elements are read only by the label codes and by the dedup
+        # index, its clash test and its messages
+        carry = q is not None or self.dedup
         # the packed vectors kept so far, sorted, over their elements' (a, c)
         index = np.zeros((3, 0), dtype=np.int64)
         gaps = []  # (vector, element) in single-integer holes
         nodes = depth = 0
-        saturated = True
-        while base_el.shape[1]:
-            if depth >= budget.max_depth:
+        saturated = budget.max_depth > 0
+        # the blocks being expanded, deepest last, as (layer, vectors,
+        # elements, candidates); for omega = 1, the sign of k each base's
+        # run keeps is opposite to its parent's last exponent (either sign
+        # for the identity's run)
+        vec = np.array(self.x0, dtype=np.int64)[:, None]
+        el = np.array([[1], [0], [0], [1]], dtype=np.int64) if carry else None
+        side = np.zeros(1, dtype=np.int64) if w == 1 else None
+        pending = [(0, vec, el, self.expand(vec, side, el, gaps))
+                   ] if saturated else []
+        while pending:
+            layer, base_vec, base_el, blocks = pending[-1]
+            block = next(blocks, None)
+            if block is None:
+                pending.pop()
+                continue
+            par, k, big = block
+            depth = max(depth, layer + 1)
+            vec = np.array(_shift(base_vec[:, par], k, w))
+            # check -> error of each check that fails: 0 element size,
+            # 1 dedup range, 2 clash and 3 budget, which cuts the walk
+            # without an error
+            fails = {}
+            if big and int(np.abs(base_el[:, par]).max()) * (
+                    1 + w * int(np.abs(k).max())) >= _SAFE:
+                fails[0] = lambda: OverflowError(
+                    "group elements outgrow int64")
+            if self.dedup:
+                new, index = self.unseen(index, base_el, base_vec, par, k,
+                                         vec, fails)
+                par, k, vec = par[new], k[new], vec[:, new]
+            room = budget.max_nodes - nodes
+            if len(k) > room:
+                fails[3] = None
+            if fails:
+                error = fails[min(fails)]
+                if error is not None:
+                    raise error()
+                par, k, vec = par[:room], k[:room], vec[:, :room]
+            nodes += len(k)
+            cell = np.searchsorted(thresholds, _key(*vec, self.sup))
+            if q is not None:
+                codes = label_codes(_elements(base_el, par, w * k).T, q)
+                cell += np.searchsorted(space, codes) * width
+            np.add.at(table, cell, 1)
+            if fails:
                 saturated = False
                 break
-            moved = (base_vec[0] | base_vec[1]) != 0  # by T^omega
-            if not moved.all():
-                i = np.argmin(moved)
-                a, b, c, d = base_el[:, i]
-                raise _stabilizer(base_vec[:, i], (a, b, c, d),
-                                  (a, b + a * w, c, d + c * w))
-            lo, hi, gap, gap_k = self.runs(base_vec, base_side)
-            total = int((hi - lo + 1).sum())
-            top = int(np.abs(base_el).max()) * (
-                1 + w * int(np.maximum(hi, -lo).max()))
-            next_el, next_vec, next_side = [], [], []
-            for c0 in range(0, total, _BLOCK):
-                par, k = _word_order(lo, hi, c0, min(c0 + _BLOCK, total))
-                vec = np.array(_shift(base_vec[:, par], k, w))
-                # check -> error of each check that fails: 0 element size,
-                # 1 dedup range, 2 clash and 3 budget, which cuts the walk
-                # without an error
-                fails = {}
-                if top >= _SAFE and int(np.abs(base_el[:, par]).max()) * (
-                        1 + w * int(np.abs(k).max())) >= _SAFE:
-                    fails[0] = lambda: OverflowError(
-                        "group elements outgrow int64")
-                if self.dedup:
-                    new, index = self.unseen(index, base_el, base_vec, par,
-                                             k, vec, fails)
-                    par, k, vec = par[new], k[new], vec[:, new]
-                room = budget.max_nodes - nodes
-                if len(k) > room:
-                    fails[3] = None
-                if fails:
-                    error = fails[min(fails)]
-                    if error is not None:
-                        raise error()
-                    saturated = False
-                    par, k, vec = par[:room], k[:room], vec[:, :room]
-                nodes += len(k)
-                cell = np.searchsorted(thresholds, _key(*vec, self.sup))
-                if q is not None:
-                    codes = label_codes(_elements(base_el, par, w * k).T, q)
-                    cell += np.searchsorted(space, codes) * width
-                np.add.at(table, cell, 1)
-                if not saturated:
-                    break
-                grow = (k != 0) | (depth == 0)
-                pg, kg = par[grow], k[grow]
-                next_el.append(_times_s(base_el, pg, w * kg))
-                v = vec[::-1, grow]  # (p, q, r) S = (r, -q, p)
-                v *= _S_SIGN
-                next_vec.append(v)
-                if w == 1:
-                    next_side.append(-np.sign(kg))
-            depth += 1
-            if not saturated:
-                break
-            if self.dedup:
-                for i, k in zip(gap.tolist(), gap_k.tolist()):
-                    a, b, c, d = base_el[:, i].tolist()
-                    vp, vq, vr = base_vec[:, i].tolist()
-                    wk = w * k
-                    gaps.append(((vp, vq + 2 * vp * wk,
-                                  vr + wk * (vq + vp * wk)),
-                                 (a, b + a * wk, c, d + c * wk)))
-            base_el = np.concatenate(next_el, axis=1)
-            base_vec = np.concatenate(next_vec, axis=1)
-            if w == 1:
-                base_side = np.concatenate(next_side)
+            grow = (k != 0) | (layer == 0)
+            if not grow.any():
+                continue
+            if layer + 1 >= budget.max_depth:
+                saturated = False
+                continue
+            pg, kg = par[grow], k[grow]
+            vec = vec[::-1, grow]  # (p, q, r) S = (r, -q, p)
+            vec *= _S_SIGN
+            el = _times_s(base_el, pg, w * kg) if carry else None
+            side = -np.sign(kg) if w == 1 else None
+            pending.append((layer + 1, vec, el,
+                            self.expand(vec, side, el, gaps)))
         # a vector in a one-integer hole lies just outside the gate between
         # two runs; a search one letter at a time reaches it from both,
         # so two different elements there are a stabilizer too
@@ -534,8 +551,10 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     stabilizer.
     search_nodes and search_depth count the elements it collects and its
     layers, budget.max_nodes and max_depth cap them, a cut walk keeps
-    exactly its first max_nodes elements in walk order, and a budget
-    overrun downgrades every radius to saturated=False.
+    exactly its first max_nodes elements in walk order (depth-first over
+    blocks of _BLOCK candidates, so a count cut by max_nodes depends on
+    _BLOCK), and a budget overrun downgrades every radius to
+    saturated=False.
 
     Why the ball suffices for D <= 1: along a run p is fixed, and with
     Q = q + 2 p w k, |r| = (Q^2 - D) / (4 |p|) (Q is odd when D = 1) never

@@ -370,7 +370,7 @@ def _dirichlet_value(coeffs, s, log_weight=False):
 
 def hecke_L(f: QExpansion, s: float) -> float:
     """L(f, s) = sum lambda(n) n^-s in the analytic normalization."""
-    if s < 1.0:
+    if not s >= 1.0:  # NaN too
         raise ValueError("right of the critical strip only")
     val, _ = _dirichlet_value(_lambda_norm(f), s)
     return val
@@ -390,7 +390,7 @@ def sym2_L(f: QExpansion, s: float, want_derivative: bool = False
            ) -> LSeriesValue:
     """L(sym2 f, s) for s >= 1, optionally with the completed logarithmic
     derivative assembled from the exact digamma term plus L'/L."""
-    if s < 1.0:
+    if not s >= 1.0:  # NaN too
         raise ValueError("sym2_L needs s >= 1")
     c = _sym2_coeffs(f)
     val, err = _dirichlet_value(c, s)

@@ -1,9 +1,11 @@
 """The invariant suites of `shearlab selftest`: each draws from the run's
-numpy Generator and raises AssertionError where an invariant fails.  Only
+random.Random, so no run loads numpy.random, and raises AssertionError
+where an invariant fails.  Only
 the CLI's selftest runner imports them.  The algebra suite runs
 `algebra_sweep`, which acceptance check [01] runs at 10^4 draws."""
 
 import math
+import random
 import time
 
 import numpy as np
@@ -24,8 +26,8 @@ GENS = (INT_T, INT_T.inverse(), INT_S, INT_S.inverse())
 def random_word(rng, max_len=10):
     """A product of 1 to max_len generators drawn from GENS."""
     g = IntGroupElement.identity()
-    for i in rng.integers(0, 4, size=int(rng.integers(1, max_len + 1))):
-        g = g * GENS[i]
+    for _ in range(rng.randint(1, max_len)):
+        g = g * GENS[rng.randrange(4)]
     return g
 
 
@@ -40,7 +42,7 @@ def algebra_sweep(rng, n):
         gr = g.to_real()
         back = iwasawa_recompose(iwasawa_decompose(gr))
         worst_iw = max(worst_iw, *(abs(a - b) for a, b in zip(back, gr)))
-        v = FormVector(*(float(rng.integers(-3, 4)) for _ in range(3)))
+        v = FormVector(*(float(rng.randint(-3, 3)) for _ in range(3)))
         worst_disc = max(worst_disc, abs(spin_cover(g, v).disc() - v.disc()))
         h = random_word(rng)
         lhs, rhs = spin_cover(g * h, v), spin_cover(h, spin_cover(g, v))
@@ -83,10 +85,11 @@ def _suite_eisenstein(rng):
         raise AssertionError(f"route gap {abs(a.value - b.value):.2e}")
     # the coset route's Euler-Maclaurin rows against their direct sums
     s = 1.7
-    n = rng.integers(1, 2049, size=16)
-    cx = rng.uniform(-0.5, 0.5, size=16)
+    n = np.array([rng.randint(1, 2048) for _ in range(16)])
+    cx = np.array([rng.uniform(-0.5, 0.5) for _ in range(16)])
     d_lo = -np.floor(0.5 * n)
-    a2 = _em_threshold(s) ** 2 * rng.uniform(1.0, 4.0, size=16)
+    a2 = _em_threshold(s) ** 2 * np.array([rng.uniform(1.0, 4.0)
+                                            for _ in range(16)])
     rows = _row_sums(cx, d_lo, n, a2, s)
     for got, c, d, k, h2 in zip(rows, cx, d_lo, n, a2):
         u = c + np.arange(d, d + k)
@@ -125,7 +128,7 @@ SELFTEST_SUITES = (
 def run_suites(seed) -> dict:
     """Each suite's outcome, "pass" or "fail: <reason>", in run order, with
     one line printed as each suite ends; seed picks the random draws."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     report = {}
     for name, suite in SELFTEST_SUITES:
         t0 = time.perf_counter()

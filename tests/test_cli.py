@@ -36,9 +36,10 @@ def test_count_small_ball(tmp_path):
                "--T", "4,8,16", "--out", str(out)])
     assert rc == 0
     header, rows = read_csv(out)
-    assert header == ["T", "count", "saturated"]
-    assert [(r[0], r[1], r[2]) for r in rows] == [
-        ("4", "34", "1"), ("8", "98", "1"), ("16", "242", "1")]
+    assert header == ["T", "count", "saturated", "x0_norm"]
+    assert [tuple(r) for r in rows] == [
+        ("4", "34", "1", "1.0"), ("8", "98", "1", "1.0"),
+        ("16", "242", "1", "1.0")]
     man = read_manifest(out)
     assert man["partial"] is False
     assert man["config"]["subcommand"] == "count"
@@ -175,6 +176,31 @@ def test_fit_leaves_out_unsaturated_radii(tmp_path):
     assert doc["t_list"] == [50.0, 100.0, 200.0, 400.0, 800.0]
     for m in doc["models"].values():
         assert m["t_used"] == [50.0, 100.0, 200.0, 400.0]
+
+
+def test_fit_reads_the_norm_of_x0(tmp_path, capsys):
+    # fit built its table with x0_norm 1, so it kept the radii from 10
+    # rather than from 10 * ||x0||_sup = 70
+    counts = tmp_path / "counts.csv"
+    assert main(["count", "--x0", "3,5,7", "--T", "20,40,80,160,320,640",
+                 "--out", str(counts)]) == 0
+    header, rows = read_csv(counts)
+    assert {r[header.index("x0_norm")] for r in rows} == {"7.0"}
+    report = tmp_path / "fit.json"
+    assert main(["fit", "--in", str(counts), "--model", "power",
+                 "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["models"]["power"]["t_used"] == [80.0, 160.0, 320.0, 640.0]
+    # rows that disagree on the norm are no one count's table
+    report.unlink()
+    report.with_suffix(".manifest.json").unlink()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("T,count,saturated,x0_norm\n50,994,1,1.0\n"
+                   "100,2266,1,7.0\n200,5162,1,1.0\n400,11362,1,1.0\n")
+    assert main(["fit", "--in", str(bad), "--out", str(report)]) == 2
+    assert "x0_norm" in capsys.readouterr().err
+    assert not report.exists()
+    assert not report.with_suffix(".manifest.json").exists()
 
 
 @pytest.mark.parametrize("rows", [
@@ -725,8 +751,11 @@ COUNTING = {"shearlab.cli", "shearlab.algebra", "shearlab.groups",
      {"shearlab.counting", "shearlab.eisenstein", "shearlab.measures"}),
     (["kronecker", "--qexp-n", "1500"],
      {"shearlab.counting", "shearlab.eisenstein", "shearlab.measures"}),
+    # the suites draw from random.Random; numpy.random alone costs a fresh
+    # process about 5 MB
+    (["selftest"], {"numpy.random"}),
 ], ids=["import", "count", "coset-count", "fit", "shear", "eisenstein",
-        "moment", "kronecker"])
+        "moment", "kronecker", "selftest"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     # the package resolves its exports on first access and each runner
     # imports what it uses, so a process compiles only its subcommand's
@@ -745,8 +774,9 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     out = child(["-c", code, *(argv or [])], tmp_path)
     rc, loaded = json.loads(out.stdout.splitlines()[-1])
     assert rc == (None if argv is None else 0), out.stderr
-    assert (unloaded | {"dataclasses", "shearlab.selftest"}) \
-        & set(loaded) == set()
+    if argv != ["selftest"]:
+        unloaded = unloaded | {"shearlab.selftest"}
+    assert (unloaded | {"dataclasses"}) & set(loaded) == set()
 
 
 def test_modules_load_no_dataclasses(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shearlab import counting
 from shearlab.algebra import INT_S, FormVector, IntGroupElement
 from shearlab.counting import (CountResult, FitResult, InsufficientDataError,
                                OrbitQuery, StabilizerError, coset_disparity,
@@ -934,10 +935,13 @@ def test_definite_form_with_a_stabilizer_raises(x0, spec, message):
 @pytest.mark.parametrize("spec", [PSL2Z, THIN4, GroupSpec("w3", 3)])
 @pytest.mark.parametrize("norm", ["sup", "euclidean"])
 def test_walks_with_and_without_labels_count_alike(spec, norm):
-    # the walk keeps label codes only when q is set; nothing else moves
-    # D = 1, -11 and 529, none with a stabilizer; the last has holes
-    for x0 in ((0, 1, 0), (1, 1, 3), (0, 23, 4)):
-        t_list = (60.0, 150.0, 400.0)
+    # the walk keeps label codes only when q is set; nothing else moves.
+    # D = 1, -11 and 529, none with a stabilizer; the last has holes.  For
+    # D = 1 and no level the walk holds vectors alone; with a level it
+    # carries every element beside its vector
+    for x0, t_list in itertools.product(
+            ((0, 1, 0), (1, 1, 3), (0, 23, 4)),
+            ((60.0, 150.0, 400.0), (700.0, 1500.0, 3000.0))):
         bare = count_orbit(OrbitQuery(spec, FormVector(*x0), t_list, norm=norm))
         for q in (2, 5):
             lab = count_orbit(OrbitQuery(spec, FormVector(*x0), t_list,
@@ -946,6 +950,63 @@ def test_walks_with_and_without_labels_count_alike(spec, norm):
             assert (lab.search_nodes, lab.search_depth, lab.saturated) == (
                 bare.search_nodes, bare.search_depth, bare.saturated)
             assert tuple(map(sum, zip(*lab.breakdown.values()))) == bare.counts
+
+
+@pytest.mark.parametrize("x0, q, carried", [
+    ((0, 1, 0), None, False), ((0, 23, 4), None, False),  # D = 1, 23^2
+    ((0, 1, 0), 2, True), ((1, 1, 3), None, True), ((2, 1, 3), None, True)])
+def test_elements_are_carried_exactly_where_read(monkeypatch, x0, q,
+                                                 carried):
+    # the label codes read them when q is set, and the dedup index where
+    # D (here -11 and -23) is not a positive square; elsewhere the walk
+    # moves vectors alone and never forms z S
+    calls = []
+
+    def times_s(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = counting._times_s
+    monkeypatch.setattr(counting, "_times_s", times_s)
+    res = count_orbit(OrbitQuery(PSL2Z, FormVector(*x0), (60.0,), q=q))
+    assert all(res.saturated) and res.search_depth > 1
+    assert bool(calls) == carried
+
+
+@pytest.mark.parametrize("block", [5, 64, 4096])
+@pytest.mark.parametrize("x0, q", [((0, 1, 0), None), ((0, 1, 0), 3),
+                                   ((1, 1, 3), None), ((0, 23, 4), None)])
+def test_depth_first_blocks_leave_saturated_counts_alone(monkeypatch, block,
+                                                         x0, q):
+    # blocks far smaller than a layer send the walk depth-first through
+    # many of them, on vectors alone, with labels, and (D = -11 and 529)
+    # through the dedup index; a saturated count does not see the order
+    query = OrbitQuery(PSL2Z, FormVector(*x0), (30.0, 90.0, 240.0), q=q)
+    whole = count_orbit(query)
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    assert count_orbit(query) == whole
+
+
+@pytest.mark.parametrize("block", [7, 1 << 17])
+def test_a_cut_walk_keeps_a_prefix_of_its_walk_order(monkeypatch, block):
+    # a walk cut by max_nodes collects its first max_nodes elements in
+    # walk order, so a larger budget collects a superset: no count falls,
+    # the top radius gains at most the extra budget, and a budget of
+    # every element saturates
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    t_list = (40.0, 120.0, 240.0)
+    full = count_orbit(OrbitQuery(PSL2Z, X0, t_list))
+    before = (0,) * len(t_list)
+    for n in (1, 100, 1000, 5000, full.search_nodes - 1):
+        cut = count_orbit(OrbitQuery(PSL2Z, X0, t_list,
+                                     budget=WordBudget(4096, n)))
+        assert not any(cut.saturated) and cut.search_nodes == n
+        assert cut.counts[-1] == n  # D = 1: the walk collects the ball
+        assert all(a <= b <= c for a, b, c in
+                   zip(before, cut.counts, full.counts))
+        before = cut.counts
+    assert count_orbit(OrbitQuery(
+        PSL2Z, X0, t_list, budget=WordBudget(4096, full.search_nodes))) == full
 
 
 def test_query_rejects_an_empty_radius_list():

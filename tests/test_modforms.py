@@ -620,6 +620,18 @@ def test_l_guards(delta):
         sym2_L(delta, 0.5)
 
 
+def test_hecke_L_refuses_nan(delta):
+    # the guard s < 1 is false for NaN, which then ran to a NaN value
+    with pytest.raises(ValueError):
+        hecke_L(delta, math.nan)
+
+
+@pytest.mark.parametrize("want_derivative", [False, True])
+def test_sym2_L_refuses_nan(delta, want_derivative):
+    with pytest.raises(ValueError):
+        sym2_L(delta, math.nan, want_derivative=want_derivative)
+
+
 def test_hecke_integral_identity(delta):
     # Mellin transform of f on the imaginary axis against the Dirichlet
     # series times its archimedean factor, independent quadrature route

@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("auto", "fourier", "coset"),
                    default="auto")
     p.add_argument("--max-mode", type=int, default=4000)
-    p.add_argument("--max-height", type=float, default=1024.0)
+    p.add_argument("--max-height", type=float, default=1024.0,
+                   help="coset route's cut: |cz + d| for psl2z, bottom-row "
+                        "norm for thin groups, which sum to max(this, 128)")
 
     p = add("moment", _cmd_moment, "moment.csv",
             "second moment vs prediction over a T grid")

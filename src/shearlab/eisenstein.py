@@ -30,8 +30,9 @@ translation subgroup, omega the cusp width.  Two evaluation routes:
   parts in 1e15, and takes no Poisson or K-Bessel step.  For omega >= 2
   the bottom-row tables are summed at four nested height cutoffs and the
   geometric decay of the block sums is extrapolated; each table is
-  cached as floats with the rows under each cutoff, so a value is one
-  power pass and four sums.  For the thin group the series converges
+  cached as floats sorted by norm, so every cutoff's rows are a prefix
+  and a value is one power pass and four block sums.  The same kernel
+  sums the pairing grid below.  For the thin group the series converges
   at s = 1 outright because the critical exponent sits below 1.
 
 The regularized value at s = 1 (lattice) subtracts the pole and lands on
@@ -130,8 +131,10 @@ class EisensteinEvaluator(_Checked, _EisensteinEvaluator):
     route "auto" resolves to fourier for psl2z (omega = 1) and coset
     otherwise.
     max_mode caps the Fourier mode count (BudgetExceeded past it);
-    max_height cuts the coset sums at bottom-row norm (omega >= 2) or at
-    |cz + d| (psl2z).
+    max_height cuts the coset sums at |cz + d| (psl2z) or at bottom-row
+    norm (omega >= 2).  There the four nested cuts are top / 8, top / 4,
+    top / 2 and top with top = max(max_height, 128), so every max_height
+    up to 128 gives the same value.
     """
     __slots__ = ()
 
@@ -455,23 +458,45 @@ def _geometric_limit(v1, v2, v3):
 
 @lru_cache(maxsize=8)
 def _thin_rows(spec: GroupSpec, heights: tuple):
-    """(c, d, picks): the bottom rows of spec up to heights[-1] as floats,
-    and for each height the positions of the rows of norm <= it, all
-    read-only, so a value is one power pass and a sum per height."""
+    """(c, d, cuts): the bottom rows of spec up to heights[-1] as read-only
+    floats, stably sorted by norm, and for each height the number of rows
+    of norm <= it, so every height's rows are a prefix of the table."""
     rows = bottom_rows(spec, heights[-1])
-    c = rows[:, 2].astype(float)
-    d = rows[:, 3].astype(float)
-    n2 = c * c + d * d
-    out = (c, d, *(np.flatnonzero(n2 <= h * h) for h in heights))
-    for a in out:
-        a.flags.writeable = False
-    return out[0], out[1], out[2:]
+    n2 = rows[:, 2] * rows[:, 2] + rows[:, 3] * rows[:, 3]
+    order = np.argsort(n2, kind="stable")
+    c = rows[order, 2].astype(float)
+    d = rows[order, 3].astype(float)
+    c.flags.writeable = d.flags.writeable = False
+    cuts = np.searchsorted(n2[order], np.square(heights), side="right")
+    return c, d, tuple(cuts.tolist())
+
+
+def _thin_sums(spec, heights, xs, ys, s):
+    """S_h(x, y; s) = sum of ((cx + d)^2 + (cy)^2)^-s over the bottom rows
+    of norm <= h, shape (heights, points).
+
+    A point's sum at each cut adds the pairwise sum of the rows since the
+    cut before, so its bits do not depend on the other points.  The points
+    go in blocks of about 2^16 terms (one point at least)."""
+    c, d, cuts = _thin_rows(spec, heights)
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    out = np.empty((len(cuts), len(xs)))
+    step = max(1, 2 ** 16 // len(c))
+    for lo in range(0, len(xs), step):
+        t = np.multiply.outer(xs[lo:lo + step], c)
+        t += d
+        np.square(t, out=t)
+        v = np.multiply.outer(ys[lo:lo + step], c)
+        t += np.square(v, out=v)
+        np.power(t, -s, out=t)
+        out[:, lo:lo + step] = np.cumsum(
+            [t[:, a:b].sum(axis=1) for a, b in zip((0,) + cuts, cuts)], axis=0)
+    return out
 
 
 def _thin_coset_value(spec, x, y, s, max_height):
-    c, d, picks = _thin_rows(spec, _thin_partial_heights(max_height))
-    term = ((c * x + d) ** 2 + c * c * y * y) ** (-s)
-    partial = [float(term[p].sum()) for p in picks]
+    partial = _thin_sums(spec, _thin_partial_heights(max_height), [x], [y],
+                         s)[:, 0].tolist()
     lim_lo = _geometric_limit(*partial[:3])
     lim_hi = _geometric_limit(*partial[1:])
     val = y ** s * lim_hi / spec.omega
@@ -555,12 +580,13 @@ def _box_grid(spec: GroupSpec, box: tuple):
     ty = _cheb_points(_cheb_size(math.pi / (ly - lx)))
     xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * tx
     ys = np.exp(0.5 * (lx + ly) + 0.5 * (ly - lx) * ty)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
     if spec.omega == 1:
-        grids = [_regularized_E1_arr(*np.meshgrid(xs, ys, indexing="ij"))]
+        grids = [_regularized_E1_arr(X, Y)]
     else:
-        heights = _thin_partial_heights(1024.0)[1:]
-        grids = [s * (ys / spec.omega) for s in _thin_row_sums(
-            bottom_rows(spec, heights[-1]), heights, xs, ys)]
+        sums = _thin_sums(spec, _thin_partial_heights(1024.0), X.ravel(),
+                          Y.ravel(), 1.0)
+        grids = [h.reshape(X.shape) * (Y / spec.omega) for h in sums[1:]]
     for a in (tx, ty, *grids):
         a.flags.writeable = False
     return tx, ty, tuple(grids)
@@ -617,33 +643,3 @@ def _bary_matrix(t, s):
     out[i, j] = 1.0
     return out
 
-
-def _thin_row_sums(rows, heights, xs, ys):
-    """S_h(x, y) = sum of 1 / ((cx + d)^2 + (cy)^2) over the rows (c, d)
-    with c^2 + d^2 <= h^2, on the grid xs x ys, one array per height.
-
-    Sorted by norm, each height's rows are a prefix of the table, so one
-    running sum over blocks of at most 256 rows passes every cutoff.
-    """
-    c = rows[:, 2]
-    d = rows[:, 3]
-    n2 = c * c + d * d
-    order = np.argsort(n2, kind="stable")
-    cuts = np.searchsorted(n2[order], np.square(heights), side="right")
-    c = c[order].astype(float)
-    d = d[order].astype(float)
-    step = max(1, min(256, 2 ** 16 // (len(xs) * len(ys))))
-    acc = np.zeros((len(xs), len(ys)))
-    out = []
-    start = 0
-    for stop in cuts:
-        for lo in range(start, stop, step):
-            cc = c[lo:min(lo + step, stop), None]
-            u2 = np.square(cc * xs + d[lo:min(lo + step, stop), None])
-            v2 = np.square(cc * ys)
-            # one block-sized temporary, inverted in place
-            t = u2[:, :, None] + v2[:, None, :]
-            acc += np.reciprocal(t, out=t).sum(axis=0)
-        out.append(acc.copy())
-        start = stop
-    return out

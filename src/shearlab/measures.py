@@ -20,6 +20,7 @@ cusp-decaying functions, and as an independent cross-check.
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -138,7 +139,8 @@ def _reduced_bump(box, name: str, spec: GroupSpec) -> TestFunction:
     reduced point: no other translate meets the box."""
     omega = spec.omega
     x_lo, x_hi, y_lo, y_hi = box
-    if not (-omega / 2.0 < x_lo < x_hi < omega / 2.0 and 1.0 < y_lo < y_hi):
+    if not (-omega / 2.0 < x_lo < x_hi < omega / 2.0
+            and 1.0 < y_lo < y_hi < math.inf):
         raise ValueError(f"box must sit strictly inside the fundamental "
                          f"domain |x| < {omega / 2.0:g}, y > 1")
     px, py = _box_profiles(box)
@@ -674,8 +676,14 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
 
     Trapezoid in x, spectrally accurate for smooth psi, grid doubling
     until stable.  Returns a float for m = 0, complex otherwise;
-    InsufficientConvergenceError if the grids never settle.
+    ValueError unless m is an integer; InsufficientConvergenceError if
+    the grids never settle.
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"Fourier mode must be an integer, "
+                         f"got {m!r}") from None
     omega = psi.omega
 
     def run(n):

@@ -412,7 +412,7 @@ def sym2_L(f: QExpansion, s: float, want_derivative: bool = False
 def weight_W(k: int, s, t: float) -> complex:
     """(2 pi)^-sigma Gamma(sigma) (1 - iT)^-sigma with sigma = s+(k-1)/2."""
     sigma = complex(s) + (k - 1) / 2.0
-    if sigma.real <= 0:
+    if not sigma.real > 0:
         raise ValueError("need Re(s + (k-1)/2) > 0")
     g = gamma_fn(sigma)
     return (cmath.exp(-sigma * math.log(2.0 * math.pi)) * complex(g)
@@ -503,12 +503,15 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
     them.  So each period is split into ceil(1/y) equal panels, at most
     64.  More than MAX_SEED_PANELS seed panels raise BudgetExceeded
     before any is built; an unconverged pass raises
-    InsufficientConvergenceError.
+    InsufficientConvergenceError.  ValueError unless T > 1 is finite and
+    0 < tol < inf, before any work.
     """
     if not math.isfinite(t):
         raise ValueError(f"T must be finite, got {t}")
     if not t > 1.0:
         raise ValueError("the split needs T > 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"second moment needs 0 < tol < inf, got {tol}")
     u0 = 1.0 / math.sqrt(t * t + 1.0)
     tail, tail_err = _ray_tail(f, t, max(u0, _SPLIT))
     head = 0.0

@@ -16,8 +16,8 @@ from shearlab.eisenstein import (ConvergenceError, EisensteinEvaluator,
                                  _geometric_limit, _lattice_coset_value,
                                  _regularized_E1_arr, _row_sums,
                                  _sigma_vector, _thin_coset_value,
-                                 _thin_partial_heights, _zeta_2s,
-                                 completed_zeta, critical_exponent,
+                                 _thin_partial_heights, _thin_sums,
+                                 _zeta_2s, completed_zeta, critical_exponent,
                                  eisenstein_sample, mu_eis, regularized_E1)
 from shearlab.groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec,
                              WordBudget, bottom_rows)
@@ -324,11 +324,16 @@ def test_thin_truncations_agree_at_reported_scale():
 
 
 def test_thin_partial_sums_cut_at_max_height():
-    # the four cuts are max_height / 8, / 4, / 2 and max_height itself:
+    # the four cuts are top / 8, / 4, / 2 and top = max(max_height, 128):
     # the default keeps its power-of-two cuts, 2800 sums the rows that
-    # 2048 leaves out, and 3000 stays below the row-height cap
+    # 2048 leaves out, 3000 stays below the row-height cap, and every
+    # height the evaluator admits up to 128 gives the value at 128
     assert _thin_partial_heights(1024.0) == (128.0, 256.0, 512.0, 1024.0)
     assert _thin_partial_heights(2800.0) == (350.0, 700.0, 1400.0, 2800.0)
+    assert _thin_partial_heights(32.0) == _thin_partial_heights(128.0)
+    assert {eisenstein_sample(EisensteinEvaluator(spec=THIN4, max_height=h),
+                              0.1 + 1.2j, 2.0).value
+            for h in (32.0, 64.0, 128.0)} == {0.5352038455771742}
 
     def at(height):
         e = EisensteinEvaluator(spec=THIN4, max_height=height)
@@ -374,8 +379,8 @@ def test_thin_value_at_the_cusp_at_zero():
     z, s = 0.21 + 1.3j, 1.0
     e = EisensteinEvaluator(spec=THIN4, max_height=1024.0)
     a, b = eisenstein_sample(e, z, s), eisenstein_sample(e, -1 / z, s)
-    assert b.value == 0.6394280252369889
-    assert eisenstein_sample(e, -1 / 1j, 1.3).value == 0.5359228425072019
+    assert b.value == 0.6394280252369884
+    assert eisenstein_sample(e, -1 / 1j, 1.3).value == 0.535922842507202
     # S is in the group, so 0 and infinity are one cusp with one series
     assert abs(a.value - b.value) <= min(a.est_error, b.est_error)
 
@@ -526,8 +531,8 @@ def test_per_s_constants_give_the_bits_of_a_cold_call():
 
 
 def masked_thin_value(spec, x, y, s, max_height):
-    """The thin coset value as it was summed before the row table was
-    cached: the table cast to floats and masked by norm at every call."""
+    """The thin coset value as it was summed before the rows were sorted
+    by norm: the table in (c, d) order, masked by norm at every height."""
     heights = _thin_partial_heights(max_height)
     rows = bottom_rows(spec, heights[-1])
     c = rows[:, 2].astype(float)
@@ -541,16 +546,76 @@ def masked_thin_value(spec, x, y, s, max_height):
     return val, y ** s * abs(lim_hi - lim_lo) / spec.omega + 1e-15 * abs(val)
 
 
+def sorted_thin_partials(spec, x, y, s, heights):
+    """The partial sums S_h at one point, summed test-side: the rows stably
+    sorted by norm, each cut's new rows summed pairwise and added on."""
+    rows = bottom_rows(spec, heights[-1])
+    n2 = rows[:, 2] * rows[:, 2] + rows[:, 3] * rows[:, 3]
+    order = np.argsort(n2, kind="stable")
+    c = rows[order, 2].astype(float)
+    d = rows[order, 3].astype(float)
+    term = np.power(np.square(x * c + d) + np.square(y * c), -s)
+    cuts = np.searchsorted(n2[order], np.square(heights), side="right")
+    partial, total, start = [], 0.0, 0
+    for stop in cuts:
+        total += float(term[start:stop].sum())
+        partial.append(total)
+        start = stop
+    return partial, term, cuts
+
+
 def test_thin_values_keep_the_masked_sums():
-    # 200 random (z, s) at both table heights: the cached table sums the
-    # same rows in the same order, so the values keep their bits
+    # 200 random (z, s) at both table heights: the value is the one the
+    # norm-ordered rows give, bit for bit, and the reordering moves it off
+    # the sum masked by norm in table order by rounding alone, well inside
+    # its error estimate
     rng = np.random.default_rng(22)
     for k in range(200):
         x, y = rng.uniform(-2.0, 2.0), math.exp(rng.uniform(-1.0, 1.5))
         s = rng.uniform(0.85, 3.0)
         h = (512.0, 1024.0)[k % 2]
-        assert _thin_coset_value(THIN4, x, y, s, h) == masked_thin_value(
-            THIN4, x, y, s, h), (x, y, s, h)
+        val, err = _thin_coset_value(THIN4, x, y, s, h)
+        partial, _, _ = sorted_thin_partials(THIN4, x, y, s,
+                                             _thin_partial_heights(h))
+        lim_hi = _geometric_limit(*partial[1:])
+        assert val == y ** s * lim_hi / THIN4.omega, (x, y, s, h)
+        old, _ = masked_thin_value(THIN4, x, y, s, h)
+        assert abs(val - old) <= 2e-14 * abs(old), (x, y, s, h)
+        assert abs(val - old) <= err, (x, y, s, h)
+
+
+def test_thin_partial_sums_are_near_exact():
+    # every partial sum of the kernel lies within 2e-15 of the exactly
+    # rounded sum of the same rows
+    rng = np.random.default_rng(5)
+    heights = _thin_partial_heights(1024.0)
+    for _ in range(40):
+        x, y = rng.uniform(-2.0, 2.0), math.exp(rng.uniform(-1.0, 1.5))
+        s = rng.uniform(0.85, 3.0)
+        got = _thin_sums(THIN4, heights, [x], [y], s)[:, 0]
+        _, term, cuts = sorted_thin_partials(THIN4, x, y, s, heights)
+        for g, stop in zip(got, cuts):
+            exact = math.fsum(term[:stop])
+            assert abs(g - exact) <= 2e-15 * exact, (x, y, s, stop)
+
+
+@pytest.mark.parametrize("spec,box", [(THIN4, THIN_BOX),
+                                      (THIN4, (-1.8, 1.8, 1.05, 3.0)),
+                                      (GroupSpec("w5", 5), THIN_BOX)])
+def test_thin_grid_is_the_point_kernel(spec, box):
+    # the pairing grid is y / omega times the point values' partial sums
+    # at s = 1, bit for bit, at every node and each of the three top cuts
+    tx, ty, grids = shearlab.eisenstein._box_grid(spec, box)
+    x_lo, x_hi, y_lo, y_hi = box
+    lx, ly = math.log(y_lo), math.log(y_hi)
+    xs = 0.5 * (x_lo + x_hi) + 0.5 * (x_hi - x_lo) * tx
+    ys = np.exp(0.5 * (lx + ly) + 0.5 * (ly - lx) * ty)
+    heights = _thin_partial_heights(1024.0)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            at = _thin_sums(spec, heights, [x], [y], 1.0)[1:, 0]
+            assert [g[i, j] for g in grids] == [
+                v * (y / spec.omega) for v in at], (x, y)
 
 
 @pytest.mark.parametrize("route", ["fourier", "coset"])
@@ -772,7 +837,7 @@ def test_warm_thin_pairing_reuses_its_row_sums(thin_bump, monkeypatch):
     def resum(*args):
         raise AssertionError("the row sums were summed again")
 
-    monkeypatch.setattr(shearlab.eisenstein, "_thin_row_sums", resum)
+    monkeypatch.setattr(shearlab.eisenstein, "_thin_sums", resum)
     assert mu_eis(thin_bump, regularized=False) == cold
     _, _, sums = shearlab.eisenstein._box_grid(thin_bump.spec,
                                                thin_bump.support)

@@ -790,6 +790,23 @@ def test_horocycle_data_raise_when_refinement_does_not_converge(
         call(lattice_bump)
 
 
+@pytest.mark.parametrize("m", [0.5, "1", None])
+def test_fourier_mode_must_be_an_integer(lattice_bump, m):
+    # a non-integer mode is no Fourier coefficient (0.5 gave a value)
+    with pytest.raises(ValueError, match="Fourier mode"):
+        fourier_coefficient(lattice_bump, m, 1.5)
+
+
+@pytest.mark.parametrize("edge", [math.inf, math.nan])
+def test_box_edges_must_be_finite(edge):
+    # y_hi = inf passed the box check and failed registration with
+    # "automorphy violated by nan"
+    for box in ((-0.2, 0.4, 1.3, edge), (-0.2, edge, 1.3, 1.6),
+                (edge, 0.4, 1.3, 1.6)):
+        with pytest.raises(ValueError, match="strictly inside"):
+            measures.make_lattice_bump(box=box)
+
+
 def test_fourier_against_dense_fft(lattice_bump):
     y = 1.6
     n = 1 << 14

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -656,6 +657,11 @@ def test_weight_closed_form_and_decay():
     assert abs(weight_W(12, 2.0, 50.0)) < 1e-3 * abs(weight_W(12, 2.0, 0.0))
     with pytest.raises(ValueError):
         weight_W(12, -6.0, 0.0)
+    # NaN is no real part > 0: refused, with no warning from the gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            weight_W(12, math.nan, 1.0)
 
 
 # -- the shear second moment -------------------------------------------------
@@ -723,6 +729,16 @@ def test_second_moment_converges_at_t_2e4(delta, monkeypatch):
 def test_second_moment_raises_when_unconverged(delta):
     with pytest.raises(InsufficientConvergenceError):
         second_moment_lhs(delta, 2.0, tol=1e-300)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_second_moment_refuses_a_bad_tol_before_any_work(delta, monkeypatch,
+                                                         tol):
+    # a tol of 0 ran the ray quadrature out to 20,600 panels before it
+    # raised, and NaN 85 panels
+    monkeypatch.setattr(shearlab.modforms, "adaptive", _no_quadrature)
+    with pytest.raises(ValueError, match="tol"):
+        second_moment_lhs(delta, 30.0, tol=tol)
 
 
 # the moment by one adaptive pass over [u0, 5] at the default tol

@@ -6,11 +6,11 @@ balls.  The group <T^omega, S> is enumerated by a numpy walk over
 syllables S T^(omega k), one layer per S, each layer emitting whole runs
 along T^omega.  The walk spells every element in one normal form, so it
 visits each element once; a vector can then repeat only through a
-stabilizer of x0, and the exact dedup that reports one runs only where
-x0 can have one.  The two built-in scenarios (full modular group and the
-thin subgroup, both acting on x0 = (0, 1, 0)) have trivial stabilizer,
-so vectors, group elements, and congruence cosets are in bijection and
-per-coset counts are well defined.
+stabilizer of x0, and the exact vector index that reports one is kept
+only where x0 can have one.  The two built-in scenarios (full modular
+group and the thin subgroup, both acting on x0 = (0, 1, 0)) have
+trivial stabilizer, so vectors, group elements, and congruence cosets
+are in bijection and per-coset counts are well defined.
 """
 
 import math
@@ -234,34 +234,33 @@ class _Walk:
 
     Vectors are held as columns of a (3, n) array.  Elements, as columns
     of a (4, n) array beside them, are carried only where something reads
-    them: the label codes when a level q is set, and the dedup index, its
-    clash test and its messages where D is not a positive square.  The
-    walk is depth-first over blocks: a block holds at most _BLOCK bases of
-    one layer, and the walk expands the next _BLOCK candidates of the
-    deepest pending block, in one fixed sequence of whole-array passes,
-    tallies them by the bucket of their tally key (and the row of their
-    coset label code), and pushes the bases they yield as a block of the
-    next layer.  So memory follows depth times _BLOCK, not the widest
-    layer, and where every layer's candidates fit in one block the walk
-    is breadth-first, layer by layer.
+    them: the label codes when a level q is set, and the vector index's
+    messages where D is not a positive square.  The walk is depth-first
+    over blocks: a block holds at most _BLOCK bases of one layer, and the
+    walk expands the next _BLOCK candidates of the deepest pending block,
+    in one fixed sequence of whole-array passes, tallies them by the
+    bucket of their tally key (and the row of their coset label code),
+    and pushes the bases they yield as a block of the next layer.  So
+    memory follows depth times _BLOCK, not the widest layer, and where
+    every layer's candidates fit in one block the walk is breadth-first,
+    layer by layer.
 
     With each element reached once, two candidates share a vector only
     when an element of the group other than 1 fixes x0.  Where D is a
     positive square, Pell's t^2 - D u^2 = 4 has only t = +-2, u = 0, so
     x0's stabilizer in PSL2(Z) is trivial and the walk keeps no record of
-    its vectors.  Elsewhere it deduplicates exactly: each block's packed
-    vectors are sorted once, looked up in one sorted index of every vector
-    kept so far, and the new ones are merged into it.  Beside each vector
-    the index holds the first column (a, c) of its element, which decides
-    the clash test exactly: two elements with one vector and one first
-    column differ by a power of T, which fixes only vectors with
-    p = q = 0, and the walk never keeps one.  A vector reached by two
-    different elements raises StabilizerError, and so does a vector that
-    T^omega fixes, before its run would be endless.  Packing needs every
+    its vectors.  Elsewhere an exact index detects a stabilizer, and never
+    deduplicates: each block's packed vectors are sorted once, looked up
+    in one sorted index of every vector collected so far, and merged into
+    it.  Any repeat, within the block or of the index, is two different
+    elements with one vector, and raises StabilizerError; so does a
+    vector that T^omega fixes, before its run would be endless.  Beside
+    each vector the index holds the first column (a, c) of its element,
+    which the message reads to rebuild that element.  Packing needs every
     entry below 2^20 and raises OverflowError past it.
 
     Candidates are checked in walk order, _BLOCK at a time: each checks
-    element size, then the dedup range, then clashes, then the node
+    element size, then the index range, then clashes, then the node
     budget, and the walk stops at the first where a check fails, on the
     first check that failed there.  A cut by the node budget keeps the
     first max_nodes elements in that order; a cut by the depth budget
@@ -278,11 +277,11 @@ class _Walk:
         disc = q0 * q0 - 4 * p0 * r0
         self.wide = disc > 1
         self.disc = float(disc)
-        self.dedup = disc <= 0 or math.isqrt(disc) ** 2 != disc
+        self.indexed = disc <= 0 or math.isqrt(disc) ** 2 != disc
         self.gate = min(gate, _INT64_MAX)
         self.gate_f = float(gate)
         # every entry of an in-gate vector is at most this; below 2^20 the
-        # runs' vectors fit the dedup key without a float check first
+        # runs' vectors fit the index key without a float check first
         self.small = (gate if sup else math.isqrt(max(gate, 0))) < _HALF
         # only at such a gate can in_gate's overflow guard fire; the runs
         # then probe as for D > 1 and confirm no end at once
@@ -368,64 +367,51 @@ class _Walk:
             ends[idx] = e
         return ends[n:], ends[:n], gap, near[gap]
 
-    def unseen(self, index, base_el, base_vec, par, k, vec, fails):
-        """(new, index): the candidates (par, k) of a block whose vector
-        neither the index nor an earlier candidate holds, in walk order,
-        and the index with them merged in.  Enters the dedup range and
-        clash checks' failures in fails."""
+    def merged(self, index, base_el, base_vec, par, k, vec, fails):
+        """The index with the vectors of the block's candidates (par, k)
+        merged in.  Enters the index range check's failure in fails, and a
+        clash at the first candidate in walk order whose vector an earlier
+        candidate or the index holds: the walk reaches each element once,
+        so every repeat is a stabilizer."""
         w = self.omega
         col = base_el[::2]  # (a, c), shared along each run
         key = _pack(vec)
         order = np.argsort(key, kind="stable")
         sk = key[order]
-        head = np.empty(len(sk), dtype=bool)
-        head[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=head[1:])
-        first, uk = order[head], sk[head]  # each vector's first holder
         seen = index[0]
-        at = np.searchsorted(seen, uk)
-        hit = (seen.take(at, mode="clip") == uk if len(seen)
-               else np.zeros(len(uk), dtype=bool))
-        fresh = ~hit
-        new = np.sort(first[fresh])  # in walk order
+        at = np.searchsorted(seen, sk)
+        rep = (seen.take(at, mode="clip") == sk if len(seen)
+               else np.zeros(len(sk), dtype=bool))
+        # a later holder of a block vector; a first holder repeats only
+        # what the index holds
+        rep[1:] |= sk[1:] == sk[:-1]
         if not self.small and (np.abs(np.array(_shift(
                 base_vec[:, par].astype(float), k.astype(float), w)))
                 >= _HALF).any():
             fails[1] = lambda: OverflowError(
                 "orbit vectors outgrow the exact dedup key (entries past 2^20)")
-        # a clash: a later holder's (a, c) differs from the one before it
-        # in key order, or a first holder's from the index
-        later = np.flatnonzero(~head) if len(uk) < len(k) else new[:0]
-        hits = np.flatnonzero(hit) if len(new) < len(uk) else new[:0]
-        if ((len(later) and (col[:, par[order[later]]]
-                             != col[:, par[order[later - 1]]]).any())
-                or (len(hits) and (col[:, par[first[hits]]]
-                                   != index[1:, at[hits]]).any())):
-            ref = col[:, par[first]]
-            ref[:, hits] = index[1:, at[hits]]
-            bad = order[(col[:, par[order]] != ref[:, np.cumsum(head) - 1])
-                        .any(axis=0)].min()
+        if rep.any():
+            bad = order[rep].min()
 
             def clash():
-                g = np.searchsorted(uk, key[bad])
-                two = np.array([first[g], bad])
+                g = np.searchsorted(sk, key[bad])  # the vector's first holder
+                two = np.array([order[g], bad])
                 el = _elements(base_el, par[two], w * k[two])
                 return _stabilizer(vec[:, bad], _element(
-                    self.x0, vec[:, bad], ref[:, g]) if hit[g]
+                    self.x0, vec[:, bad], index[1:, at[g]]) if rep[g]
                     else el[:, 0], el[:, 1])
             fails[2] = clash
-        return new, _inserted(index, at[fresh], uk[fresh],
-                              col[:, par[first[fresh]]])
+        return _inserted(index, at, sk, col[:, par[order]])
 
     def expand(self, vec: np.ndarray, side, el, gaps: list):
         """(par, k, big) for each next _BLOCK candidates of the runs of the
         bases (vec, side, el), in walk order; big where their elements may
         pass int64.  A vector that T^omega fixes raises first, since its
         run would be endless (p = q = 0 makes D = 0, so only where the walk
-        deduplicates).  Once every candidate is out, the vectors in the
+        keeps an index).  Once every candidate is out, the vectors in the
         bases' single-integer holes join gaps with their elements."""
         w = self.omega
-        if self.dedup:
+        if self.indexed:
             moved = (vec[0] | vec[1]) != 0
             if not moved.all():
                 i = np.argmin(moved)
@@ -442,7 +428,7 @@ class _Walk:
         for c0 in range(0, total, _BLOCK):
             yield (*_word_order(starts, m, long, c0, min(c0 + _BLOCK, total)),
                    big)
-        if self.dedup:
+        if self.indexed:
             for i, k in zip(gap.tolist(), gap_k.tolist()):
                 a, b, c, d = el[:, i].tolist()
                 vp, vq, vr = vec[:, i].tolist()
@@ -460,9 +446,9 @@ class _Walk:
         width = len(thresholds) + 1
         table = np.zeros((1 if q is None else len(space)) * width,
                          dtype=np.int64)
-        # the elements are read only by the label codes and by the dedup
-        # index, its clash test and its messages
-        carry = q is not None or self.dedup
+        # the elements are read only by the label codes and by the vector
+        # index and its messages
+        carry = q is not None or self.indexed
         # the packed vectors kept so far, sorted, over their elements' (a, c)
         index = np.zeros((3, 0), dtype=np.int64)
         gaps = []  # (vector, element) in single-integer holes
@@ -487,17 +473,16 @@ class _Walk:
             depth = max(depth, layer + 1)
             vec = np.array(_shift(base_vec[:, par], k, w))
             # check -> error of each check that fails: 0 element size,
-            # 1 dedup range, 2 clash and 3 budget, which cuts the walk
+            # 1 index range, 2 clash and 3 budget, which cuts the walk
             # without an error
             fails = {}
             if big and int(np.abs(base_el[:, par]).max()) * (
                     1 + w * int(np.abs(k).max())) >= _SAFE:
                 fails[0] = lambda: OverflowError(
                     "group elements outgrow int64")
-            if self.dedup:
-                new, index = self.unseen(index, base_el, base_vec, par, k,
-                                         vec, fails)
-                par, k, vec = par[new], k[new], vec[:, new]
+            if self.indexed:
+                index = self.merged(index, base_el, base_vec, par, k, vec,
+                                    fails)
             room = budget.max_nodes - nodes
             if len(k) > room:
                 fails[3] = None
@@ -546,9 +531,9 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     gate: the ball of radius B = max(largest radius, |x0| + 1) when x0's
     discriminant D = q0^2 - 4 p0 r0 is at most 1 (the walk then collects
     exactly that ball's points), and three times that ball when D > 1.
-    It spells each element in one normal form, and deduplicates vectors
-    only where D is not a positive square: only such x0 can have a
-    stabilizer.
+    It spells each element in one normal form, so it never deduplicates;
+    only where D is not a positive square, as only such x0 can have a
+    stabilizer, it keeps an index of its vectors to detect one.
     search_nodes and search_depth count the elements it collects and its
     layers, budget.max_nodes and max_depth cap them, a cut walk keeps
     exactly its first max_nodes elements in walk order (depth-first over
@@ -573,7 +558,7 @@ def count_orbit(query: OrbitQuery) -> CountResult:
     (one searchsorted in coset_space) and key together; the breakdown
     lists every label of the image (coset_labels) in code order.  Entries
     that do not fit int64 raise OverflowError, and so do walk vectors with
-    an entry past 2^20 where the walk deduplicates.
+    an entry past 2^20 where the walk keeps its vector index.
     """
     q = query.q
     space = None

@@ -550,8 +550,9 @@ def mu_eis(psi, regularized: bool) -> float:
             raise PairingError(
                 "the thin series is already finite at s = 1; nothing to "
                 "regularize")
-        if psi.profiles is None:
-            raise PairingError("thin pairing needs a seed-profile function")
+        if psi.profiles is None or psi.support is None:
+            raise PairingError("thin pairing needs a seed-profile function "
+                               "on a box")
         return _pair_box(psi)
     raise PairingError("theta-group functions pair with neither functional")
 

@@ -462,13 +462,15 @@ def mu_T_strip(psi: TestFunction, T: float, tol: float = 1e-8) -> float:
     Gauss-Legendre pass.  Functions without profiles or support, such as
     the form observables, take the literal 2-d quadrature instead.
     InsufficientConvergenceError if either route misses tol; ValueError
-    unless T is finite and positive, or for a tol below 1e-12.
+    unless T is finite and positive, or unless tol is finite and at least
+    1e-12.
     """
     if not 0.0 < T < math.inf:
         raise ValueError(f"strip measure needs finite T > 0: got {T}")
-    if not tol >= 1e-12:
+    if not 1e-12 <= tol < math.inf:
         # below it the finest grids differ by summation rounding alone
-        raise ValueError(f"strip tol {tol:g} is below the 1e-12 floor")
+        raise ValueError(f"strip tol {tol:g} must be finite and at least "
+                         f"the 1e-12 floor")
     if psi.profiles is None or psi.support is None:
         return _strip_direct(psi, T, tol)
     return _strip_unfolded(psi, T, tol)
@@ -676,14 +678,17 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
 
     Trapezoid in x, spectrally accurate for smooth psi, grid doubling
     until stable.  Returns a float for m = 0, complex otherwise;
-    ValueError unless m is an integer; InsufficientConvergenceError if
-    the grids never settle.
+    ValueError unless m is an integer and 0 < tol < inf;
+    InsufficientConvergenceError if the grids never settle.
     """
     try:
         m = operator.index(m)
     except TypeError:
         raise ValueError(f"Fourier mode must be an integer, "
                          f"got {m!r}") from None
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"fourier coefficient needs 0 < tol < inf, "
+                         f"got {tol}")
     omega = psi.omega
 
     def run(n):
@@ -699,10 +704,14 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
 def horocycle_average(psi: TestFunction, y: float, interval,
                       tol: float = 1e-9) -> float:
     """Mean of psi over x in interval at height y, by the midpoint rule
-    doubled until stable; InsufficientConvergenceError if it never is."""
+    doubled until stable; InsufficientConvergenceError if it never is,
+    ValueError unless x0 < x1 and 0 < tol < inf."""
     x0, x1 = interval
     if not x1 > x0:
         raise ValueError("need x0 < x1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"horocycle average needs 0 < tol < inf, "
+                         f"got {tol}")
 
     def run(n):
         xs = x0 + (np.arange(n) + 0.5) * ((x1 - x0) / n)

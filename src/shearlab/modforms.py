@@ -1,8 +1,7 @@
 """The discriminant cusp form and the sheared second moment.
 
 Exact integer q-expansion of Delta: the cube of eta by Jacobi's
-identity, its sixth, ninth and twelfth powers as sparse-times-dense
-int64 products, then one exact square by FFT on limbs, its rounding
+identity, squared three times by FFT on limbs, each square's rounding
 error bounded first.  Around it: weight-aware evaluation anywhere in the
 upper half plane by reduction, the Petersson norm, the symmetric-square
 L-function at and right of the edge, the archimedean weight for the
@@ -151,39 +150,23 @@ def _series_product(a, b, n):
     return total.tolist() + [0] * (n - m)
 
 
-def _sparse_times(t, c, dense):
-    """The first len(dense) coefficients of (sum c_k q^t_k) * dense, exactly
-    in int64: one slice-add per sparse term.  Raises OverflowError unless
-    max |dense| * sum |c_k| < 2^63, which bounds every partial sum."""
-    n = len(dense)
-    keep = t < n
-    t, c = t[keep], c[keep]
-    if int(np.abs(dense).max()) * int(np.abs(c).sum()) >= 1 << 63:
-        raise OverflowError(f"a sparse product of {n} terms may pass int64")
-    out = np.zeros(n, dtype=np.int64)
-    for tk, ck in zip(t.tolist(), c.tolist()):
-        out[tk:] += ck * dense[:n - tk]
-    return out
-
-
 @lru_cache(maxsize=8)
 def _tau_tuple(n_max: int) -> tuple:
     # Delta / q = (eta-cube)^8, eta-cube sum (-1)^k (2k+1) q^(k(k+1)/2) by
-    # Jacobi's identity: its about sqrt(2 n) terms multiply 1 up to
-    # eta^12 in int64, and one exact FFT square finishes the job
+    # Jacobi's identity: three exact FFT squarings, eta^6 and eta^12 back
+    # in int64, where a coefficient past it raises OverflowError at once
     k = np.arange(math.isqrt(2 * n_max) + 1, dtype=np.int64)
-    t = k * (k + 1) // 2
-    c = np.where(k % 2 == 1, -(2 * k + 1), 2 * k + 1)
+    k = k[k * (k + 1) // 2 < n_max]
     j = np.zeros(n_max, dtype=np.int64)
-    j[0] = 1
-    for _ in range(4):
-        j = _sparse_times(t, c, j)
+    j[k * (k + 1) // 2] = np.where(k % 2 == 1, -(2 * k + 1), 2 * k + 1)
+    for _ in range(2):
+        j = np.asarray(_series_product(j, j, n_max), dtype=np.int64)
     return tuple(_series_product(j, j, n_max))
 
 
 def delta_qexp(n: int) -> QExpansion:
-    """tau(1..n) of q prod (1-q^m)^24, exact integers: eta^12 by four
-    sparse int64 steps, then its square by limb-split FFT."""
+    """tau(1..n) of q prod (1-q^m)^24, exact integers: eta^3 by Jacobi's
+    identity, squared three times by limb-split FFT."""
     try:
         n = operator.index(n)
     except TypeError:
@@ -369,9 +352,10 @@ def _dirichlet_value(coeffs, s, log_weight=False):
 
 
 def hecke_L(f: QExpansion, s: float) -> float:
-    """L(f, s) = sum lambda(n) n^-s in the analytic normalization."""
-    if not s >= 1.0:  # NaN too
-        raise ValueError("right of the critical strip only")
+    """L(f, s) = sum lambda(n) n^-s in the analytic normalization, for
+    finite s >= 1."""
+    if not 1.0 <= s < math.inf:  # NaN too
+        raise ValueError(f"hecke_L needs 1 <= s < inf, got {s}")
     val, _ = _dirichlet_value(_lambda_norm(f), s)
     return val
 
@@ -388,10 +372,11 @@ class LSeriesValue(NamedTuple):
 
 def sym2_L(f: QExpansion, s: float, want_derivative: bool = False
            ) -> LSeriesValue:
-    """L(sym2 f, s) for s >= 1, optionally with the completed logarithmic
-    derivative assembled from the exact digamma term plus L'/L."""
-    if not s >= 1.0:  # NaN too
-        raise ValueError("sym2_L needs s >= 1")
+    """L(sym2 f, s) for finite s >= 1, optionally with the completed
+    logarithmic derivative assembled from the exact digamma term plus
+    L'/L."""
+    if not 1.0 <= s < math.inf:  # NaN too
+        raise ValueError(f"sym2_L needs 1 <= s < inf, got {s}")
     c = _sym2_coeffs(f)
     val, err = _dirichlet_value(c, s)
     k = f.weight
@@ -410,10 +395,14 @@ def sym2_L(f: QExpansion, s: float, want_derivative: bool = False
 
 
 def weight_W(k: int, s, t: float) -> complex:
-    """(2 pi)^-sigma Gamma(sigma) (1 - iT)^-sigma with sigma = s+(k-1)/2."""
+    """(2 pi)^-sigma Gamma(sigma) (1 - iT)^-sigma with sigma = s+(k-1)/2;
+    ValueError unless sigma is finite with Re(sigma) > 0 and T is finite."""
     sigma = complex(s) + (k - 1) / 2.0
-    if not sigma.real > 0:
-        raise ValueError("need Re(s + (k-1)/2) > 0")
+    if not (sigma.real > 0 and cmath.isfinite(sigma)):
+        raise ValueError(f"need a finite sigma = s + (k-1)/2 with "
+                         f"Re(sigma) > 0, got {sigma}")
+    if not math.isfinite(t):
+        raise ValueError(f"weight_W needs a finite T, got {t}")
     g = gamma_fn(sigma)
     return (cmath.exp(-sigma * math.log(2.0 * math.pi)) * complex(g)
             * cmath.exp(-sigma * cmath.log(1.0 - 1j * t)))
@@ -552,7 +541,10 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
 
 def second_moment_prediction(f: QExpansion, t: float) -> float:
     """2 (||f||^2 / vol)(log T + Lambda'/Lambda(sym2 f, 1) + gamma
-    - 2 zeta'(2)/zeta(2)), the main term the moment settles on."""
+    - 2 zeta'(2)/zeta(2)), the main term the moment settles on, for
+    finite T > 1 as second_moment_lhs takes it."""
+    if not 1.0 < t < math.inf:  # NaN too
+        raise ValueError(f"the prediction needs 1 < T < inf, got {t}")
     pet = petersson_norm(f)
     ell = sym2_L(f, 1.0, want_derivative=True)
     vol = math.pi / 3.0

@@ -6,10 +6,9 @@ n, stopping where the same tail bound the kernel uses is met.
 
 _square_series is the Kronecker-substitution square the library used
 before its FFT product: one big-integer square per series.
-tau_by_squarings is the earlier route to Delta: the cube of eta by
-Jacobi's identity, then three such squarings on Python integers, and
-tau_by_kronecker the route before the FFT product: the library's four
-int64 sparse steps to eta^12, then one such squaring.
+tau_by_squarings is the same route to Delta as the library's, with no
+library code: the cube of eta by Jacobi's identity, then three such
+squarings on Python integers.
 The Moebius function by a smallest-prime-factor sieve and the sym2
 coefficients summed one squarefree d at a time are the earlier loops;
 the library's whole-array passes must match them bit for bit."""
@@ -18,7 +17,7 @@ import math
 
 import numpy as np
 
-from shearlab.modforms import _lambda_norm, _sparse_times
+from shearlab.modforms import _lambda_norm
 
 
 def qexp_forward(f, x, y):
@@ -78,18 +77,6 @@ def tau_by_squarings(n_max):
     j6 = _square_series(j3, n_max)
     j12 = _square_series(j6, n_max)
     return tuple(_square_series(j12, n_max))
-
-
-def tau_by_kronecker(n_max):
-    """tau(1..n_max) as a tuple: eta^12 by the four int64 sparse steps by
-    eta^3, then its square by Kronecker substitution."""
-    k = np.arange(math.isqrt(2 * n_max) + 1, dtype=np.int64)
-    c = np.where(k % 2 == 1, -(2 * k + 1), 2 * k + 1)
-    j = np.zeros(n_max, dtype=np.int64)
-    j[0] = 1
-    for _ in range(4):
-        j = _sparse_times(k * (k + 1) // 2, c, j)
-    return tuple(_square_series(j.tolist(), n_max))
 
 
 def _spf_sieve(m):

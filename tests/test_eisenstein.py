@@ -727,6 +727,14 @@ def test_mu_eis_guards(lattice_bump, thin_bump):
             mu_eis(theta_bump, regularized=regularized)
 
 
+def test_thin_pairing_needs_a_box(thin_bump):
+    # the pairing integrates over support: without one it raised TypeError
+    for psi in (thin_bump._replace(support=None),
+                thin_bump._replace(profiles=None)):
+        with pytest.raises(PairingError, match="on a box"):
+            mu_eis(psi, regularized=False)
+
+
 def direct_lattice_pairing(psi):
     """The lattice box pairing with the regularized series evaluated at
     every Gauss-Legendre node, refined on (64, 96, 144): the reference for

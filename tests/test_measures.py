@@ -716,6 +716,12 @@ def test_mu_T_strip_rejects_tolerances_below_its_floor(lattice_bump):
             mu_T_strip(lattice_bump, 20.0, tol)
 
 
+def test_mu_T_strip_rejects_an_infinite_tol(lattice_bump):
+    # tol = inf returned the first rung's value, where mu_T refuses it
+    with pytest.raises(ValueError, match="must be finite"):
+        mu_T_strip(lattice_bump, 30.0, math.inf)
+
+
 def test_haar_mean_raises_when_its_domain_pass_does_not_converge(
         delta_psi, monkeypatch):
     def unconverged(*args, **kwargs):
@@ -788,6 +794,24 @@ def test_horocycle_data_raise_when_refinement_does_not_converge(
     monkeypatch.setattr(measures, "refine", unconverged)
     with pytest.raises(InsufficientConvergenceError, match=what):
         call(lattice_bump)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("call, what", [
+    (lambda psi, tol: fourier_coefficient(psi, 1, 1.6, tol),
+     "fourier coefficient"),
+    (lambda psi, tol: horocycle_average(psi, 1.6, (0.0, 1.0), tol),
+     "horocycle average"),
+])
+def test_horocycle_data_refuse_a_bad_tol_before_any_work(
+        lattice_bump, monkeypatch, call, what, tol):
+    # NaN and -1 ran the whole grid ladder before they failed to converge
+    def no_work(*args, **kwargs):
+        raise AssertionError("a grid ran")
+
+    monkeypatch.setattr(measures, "refine", no_work)
+    with pytest.raises(ValueError, match=f"{what} needs 0 < tol < inf"):
+        call(lattice_bump, tol)
 
 
 @pytest.mark.parametrize("m", [0.5, "1", None])

@@ -10,15 +10,14 @@ import pytest
 import shearlab.modforms
 import shearlab.quadrature
 from qexp_oracle import (_square_series, mobius_by_spf, qexp_forward,
-                         sym2_coeffs_by_loop, tau_by_kronecker,
-                         tau_by_squarings)
+                         sym2_coeffs_by_loop, tau_by_squarings)
 from shearlab.algebra import UTBPoint, compose, mobius_act
 from shearlab.eisenstein import mu_eis
 from shearlab.groups import PSL2Z, BudgetExceeded, reduce_points
 from shearlab.measures import haar_mean, mu_T
 from shearlab.modforms import (InsufficientConvergenceError, QExpansion,
                                _fd_pairing, _mobius, _qexp_eval, _ray_tail,
-                               _series_product, _sparse_times, _sym2_coeffs,
+                               _series_product, _sym2_coeffs,
                                _tau_tuple,
                                delta_qexp,
                                eval_form, eval_psi_f, form_observable, hecke_L,
@@ -312,14 +311,14 @@ BIT_IDENTITY_SIZES = [1, 2, 3, 10, 1500, 4000, 6000]
 
 @pytest.mark.parametrize("n", BIT_IDENTITY_SIZES)
 def test_tau_matches_the_three_squarings(n):
-    # the int64 sparse steps and one squaring give the very integers of
-    # three squarings on Python integers
+    # three FFT squarings give the very integers of three squarings on
+    # Python integers
     assert _tau_tuple(n) == tau_by_squarings(n)
 
 
 def test_tau_20k_matches_the_kronecker_square():
-    # the FFT square gives the very integers of the big-integer square
-    assert _tau_tuple(20000) == tau_by_kronecker(20000)
+    # the FFT squares give the very integers of the big-integer squares
+    assert _tau_tuple(20000) == tau_by_squarings(20000)
 
 
 @pytest.mark.parametrize("n", BIT_IDENTITY_SIZES)
@@ -333,31 +332,28 @@ def test_sym2_coeffs_match_the_loop(n):
     assert got.tobytes() == want.tobytes()
 
 
-def test_sparse_step_refuses_int64_overflow():
-    t = np.array([0, 1, 3], dtype=np.int64)
-    c = np.array([1, -3, 4], dtype=np.int64)
-    # max |dense| * sum |c| = 2^63 exactly: refused before any slice-add
-    dense = np.array([1 << 60, -(1 << 59), 7, 0], dtype=np.int64)
-    with pytest.raises(OverflowError):
-        _sparse_times(t, c, dense)
-    # just below the bound: the exact product, whose last term reaches
-    # 2^63 - 8 with nothing wrapped
-    m = (1 << 60) - 1
-    dense = np.array([m, -5, -m, m], dtype=np.int64)
-    want = [0] * 4
-    for tk, ck in zip(t.tolist(), c.tolist()):
-        for i in range(tk, 4):
-            want[i] += ck * int(dense[i - tk])
-    assert want[3] == (1 << 63) - 8
-    assert _sparse_times(t, c, dense).tolist() == want
-    # a sparse term past the dense length neither counts toward the bound
-    # nor adds anything
-    far = np.array([0, 10], dtype=np.int64)
-    dense = np.array([(1 << 62) + 1, 3], dtype=np.int64)
-    assert _sparse_times(far, np.array([1, 1], dtype=np.int64),
-                         dense).tolist() == dense.tolist()
-    with pytest.raises(OverflowError):
-        _sparse_times(far, np.array([2, 1], dtype=np.int64), dense)
+def test_tau_refuses_an_eta_power_past_int64(monkeypatch):
+    # a coefficient of eta^6 at 2^63 raises as it goes back to int64, and
+    # the next squaring never runs; -2^63 still fits
+    calls = []
+
+    def square(a, b, n):
+        calls.append(n)
+        return [1, edge, 0, 0, 0]
+
+    monkeypatch.setattr(shearlab.modforms, "_series_product", square)
+    try:
+        for edge, squarings in ((1 << 63, 1), (-(1 << 63), 3)):
+            calls.clear()
+            _tau_tuple.cache_clear()
+            if squarings == 1:
+                with pytest.raises(OverflowError):
+                    _tau_tuple(5)
+            else:
+                _tau_tuple(5)
+            assert calls == [5] * squarings
+    finally:
+        _tau_tuple.cache_clear()
 
 
 def test_tau_prefix_is_stable():
@@ -622,15 +618,21 @@ def test_l_guards(delta):
 
 
 def test_hecke_L_refuses_nan(delta):
-    # the guard s < 1 is false for NaN, which then ran to a NaN value
-    with pytest.raises(ValueError):
-        hecke_L(delta, math.nan)
+    # the guard s < 1 is false for NaN, which then ran to a NaN value;
+    # s = inf summed to a value near 1
+    for s in (math.nan, math.inf, -math.inf, 0.5):
+        with pytest.raises(ValueError):
+            hecke_L(delta, s)
 
 
 @pytest.mark.parametrize("want_derivative", [False, True])
 def test_sym2_L_refuses_nan(delta, want_derivative):
-    with pytest.raises(ValueError):
-        sym2_L(delta, math.nan, want_derivative=want_derivative)
+    # s = inf completed to NaN through the gamma function, with warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (math.nan, math.inf, 0.5):
+            with pytest.raises(ValueError):
+                sym2_L(delta, s, want_derivative=want_derivative)
 
 
 def test_hecke_integral_identity(delta):
@@ -660,8 +662,14 @@ def test_weight_closed_form_and_decay():
     # NaN is no real part > 0: refused, with no warning from the gamma
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            weight_W(12, math.nan, 1.0)
+        for s in (math.nan, math.inf, complex(2.0, math.inf),
+                  complex(math.inf, 1.0)):
+            with pytest.raises(ValueError):
+                weight_W(12, s, 1.0)
+        # and a T that is not finite gave NaN
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                weight_W(12, 2.0, t)
 
 
 # -- the shear second moment -------------------------------------------------
@@ -841,6 +849,16 @@ def test_second_moment_prediction_formula(delta):
 def test_second_moment_guard(delta):
     with pytest.raises(ValueError):
         second_moment_lhs(delta, 1.0)
+
+
+def test_second_moment_prediction_guard(delta):
+    # the prediction takes the T the moment takes: it returned NaN at NaN,
+    # inf at inf and a value at 0.5
+    for t in (math.nan, math.inf, -math.inf, 1.0, 0.5):
+        with pytest.raises(ValueError):
+            second_moment_lhs(delta, t)
+        with pytest.raises(ValueError):
+            second_moment_prediction(delta, t)
 
 
 # -- the eta pairing ---------------------------------------------------------

@@ -678,9 +678,11 @@ def fourier_coefficient(psi: TestFunction, m: int, y: float,
 
     Trapezoid in x, spectrally accurate for smooth psi, grid doubling
     until stable.  Returns a float for m = 0, complex otherwise;
-    ValueError unless m is an integer and 0 < tol < inf;
+    ValueError unless 0 < y < inf, m is an integer and 0 < tol < inf;
     InsufficientConvergenceError if the grids never settle.
     """
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"fourier coefficient needs 0 < y < inf, got {y}")
     try:
         m = operator.index(m)
     except TypeError:
@@ -705,7 +707,9 @@ def horocycle_average(psi: TestFunction, y: float, interval,
                       tol: float = 1e-9) -> float:
     """Mean of psi over x in interval at height y, by the midpoint rule
     doubled until stable; InsufficientConvergenceError if it never is,
-    ValueError unless x0 < x1 and 0 < tol < inf."""
+    ValueError unless 0 < y < inf, x0 < x1 and 0 < tol < inf."""
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"horocycle average needs 0 < y < inf, got {y}")
     x0, x1 = interval
     if not x1 > x0:
         raise ValueError("need x0 < x1")

@@ -414,10 +414,10 @@ def weight_W(k: int, s, t: float) -> complex:
 # height from which the moment is summed termwise on the ray, in closed
 # form; below it the ray meets the cusps and is integrated adaptively
 _SPLIT = 0.2
-# seed panels one moment may lay below _SPLIT, 3.64 T of them: this
-# admits T up to 5.75e5, where the pass peaks at 873 MB in 34 s (about
-# 1.47 KB per unit of T past the 31 MB import)
-MAX_SEED_PANELS = 1 << 21
+# seed panels one moment may lay below _SPLIT, about T log(0.2 T) of
+# them: this admits T up to 5.75e5 (6.70 M seeds), where the pass peaks
+# at 289 MB in 11 s
+MAX_SEED_PANELS = 6_701_000
 
 
 @lru_cache(maxsize=8)
@@ -484,16 +484,15 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
     a = 0.2.  Its rounding bound, at most 4e-14 of the moment, raises
     InsufficientConvergenceError when it exceeds tol times the moment.
 
-    Below a the panels are seeded at the period crossings y =
-    (n + 1/2)/T, where Ty passes a half-integer.  There the ray crosses
-    the edges of the domain's translates, the Farey arcs between
-    neighbours p/q and r/s, of radius 1/(2qs): at height y a period
-    meets the arcs with qs < 1/(2y), about (3/pi^2) log(1/y) / y of
-    them.  So each period is split into ceil(1/y) equal panels, at most
-    64.  More than MAX_SEED_PANELS seed panels raise BudgetExceeded
-    before any is built; an unconverged pass raises
-    InsufficientConvergenceError.  ValueError unless T > 1 is finite and
-    0 < tol < inf, before any work.
+    Below a the pass is seeded with n = ceil(sqrt(T^2+1) log(a/u0))
+    panels y_i = u0 (a/u0)^(i/n), each one unit of hyperbolic arclength
+    ds = sqrt(T^2+1) dy/y.  A period 1/T of the ray at height y meets the
+    Farey arcs of neighbours p/q, r/s with qs < 1/(2y), and ceil(1/y)
+    panels per period, one unit of arclength, settled them; capped at 64,
+    that density had to be rebuilt by bisection rounds below y = 1/64.
+    More than MAX_SEED_PANELS seeds raise BudgetExceeded before any is
+    built; an unconverged pass raises InsufficientConvergenceError.
+    ValueError unless T > 1 is finite and 0 < tol < inf, before any work.
     """
     if not math.isfinite(t):
         raise ValueError(f"T must be finite, got {t}")
@@ -505,31 +504,19 @@ def second_moment_lhs(f: QExpansion, t: float, tol: float = 1e-8) -> float:
     tail, tail_err = _ray_tail(f, t, max(u0, _SPLIT))
     head = 0.0
     if u0 < _SPLIT:
-        n_lo, n_hi = math.ceil(u0 * t - 0.5), math.ceil(_SPLIT * t - 0.5)
-        if n_hi - n_lo > MAX_SEED_PANELS:
+        n = math.ceil(math.sqrt(t * t + 1.0) * math.log(_SPLIT / u0))
+        if n > MAX_SEED_PANELS:
             raise BudgetExceeded(
-                f"second moment at T = {t}: {n_hi - n_lo} periods below "
-                f"y = {_SPLIT} pass the ceiling of {MAX_SEED_PANELS} seed "
-                f"panels")
-        crossings = (np.arange(n_lo, n_hi) + 0.5) / t
-        lo = np.concatenate([[u0], crossings[crossings > u0]])
-        hi = np.append(lo[1:], _SPLIT)
-        # ceil(1/y) panels for the Farey arcs a period [lo, hi] meets
-        m = np.minimum(np.ceil(1.0 / lo), 64).astype(int)
-        if m.sum() > MAX_SEED_PANELS:
-            raise BudgetExceeded(
-                f"second moment at T = {t}: {m.sum()} seed panels below "
+                f"second moment at T = {t}: {n} seed panels below "
                 f"y = {_SPLIT} pass the ceiling of {MAX_SEED_PANELS}")
-        i, j = _ragged(np.zeros(len(m), dtype=int), m)
         psi = form_observable(f)
 
         def ray(ys):
             return psi.batch(t * ys, ys) / ys
 
-        # the ray needs about 10 panels per unit of T (9.1 at T = 3e3 and
-        # 11.3 at 3e4, slowly growing like log T); the cap allows twice that
+        # the cap, 20 T, clears the T log(0.2 T) seeds: 11.7 T at the ceiling
         res = adaptive(ray, u0, _SPLIT, abs_tol=tol * 1e-3, rel_tol=tol,
-                       initial_edges=lo[i] + (hi - lo)[i] * (j / m[i]),
+                       initial_edges=np.geomspace(u0, _SPLIT, n + 1),
                        max_panels=20000 + int(20.0 * t))
         head = settled(res, f"second moment at T = {t}: ray quadrature over "
                             f"{res.n_panels} panels to tol {tol:.0e}")

@@ -4,10 +4,10 @@ Everything here works on vectorized integrands: f(x) takes a numpy array of
 nodes and returns an array of values.  The adaptive driver refines in
 whole-array rounds: each round bisects the largest-error panels that
 together carry the error in excess of half the tolerance, and evaluates
-all their halves in one integrand call.  On top of it sit the one
-grid-refinement loop (refine) and the one fundamental-domain integrator
-(integrate_fd, a single adaptive pass over all its columns) the other
-modules share.
+all their halves in one integrand call per _PANEL_BLOCK panels.  On top
+sit the one grid-refinement loop (refine) and the one fundamental-domain
+integrator (integrate_fd, a single adaptive pass over all its columns)
+the other modules share.
 """
 
 from functools import lru_cache
@@ -41,6 +41,8 @@ _WG = np.array([
 _GIDX = np.arange(1, 15, 2)
 # points per call of f in integrate_fd, bounding f's temporaries
 _FD_BLOCK = 1 << 11
+# panels per call of f in _panel_eval, bounding adaptive's temporaries
+_PANEL_BLOCK = 1 << 12
 
 
 class InsufficientConvergenceError(RuntimeError):
@@ -70,7 +72,13 @@ def settled(result, what: str):
 
 
 def _panel_eval(f, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate G7/K15 on a batch of panels.  Returns (k15, |k15-g7|)."""
+    """(k15, |k15-g7|) of G7/K15 on panels, _PANEL_BLOCK per call of f."""
+    if len(lo) > _PANEL_BLOCK:
+        out = np.empty((2, len(lo)))
+        for i in range(0, len(lo), _PANEL_BLOCK):
+            b = slice(i, i + _PANEL_BLOCK)
+            out[0, b], out[1, b] = _panel_eval(f, lo[b], hi[b])
+        return out[0], out[1]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
@@ -99,7 +107,7 @@ def adaptive(f, a: float, b: float, abs_tol: float = 1e-12,
 
     Each round bisects the fewest largest-error panels whose errors
     together reach toterr - tol/2, where tol = max(abs_tol, rel_tol
-    |total|), and evaluates all their halves in one call of f.  Rounds
+    |total|), and evaluates their halves, _PANEL_BLOCK per call of f.  Rounds
     stop once toterr <= tol, or when the panel count reaches max_panels;
     converged reports whether the first of these held.
     """

@@ -814,6 +814,25 @@ def test_horocycle_data_refuse_a_bad_tol_before_any_work(
         call(lattice_bump, tol)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("call, what", [
+    (lambda psi, y: fourier_coefficient(psi, 1, y), "fourier coefficient"),
+    (lambda psi, y: horocycle_average(psi, y, (0.0, 1.0)),
+     "horocycle average"),
+])
+def test_horocycle_data_refuse_a_bad_height_before_any_work(
+        lattice_bump, monkeypatch, call, what, y):
+    # these y reached reduce_points, whose ValueError named neither the
+    # caller nor y
+    def no_work(*args, **kwargs):
+        raise AssertionError("a grid ran")
+
+    monkeypatch.setattr(measures, "refine", no_work)
+    with pytest.raises(ValueError, match=f"^{what} needs 0 < y < inf, "
+                                         f"got {y}$"):
+        call(lattice_bump, y)
+
+
 @pytest.mark.parametrize("m", [0.5, "1", None])
 def test_fourier_mode_must_be_an_integer(lattice_bump, m):
     # a non-integer mode is no Fourier coefficient (0.5 gave a value)

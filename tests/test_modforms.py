@@ -692,7 +692,8 @@ def _ray_midpoints(psi, t, n):
 
 
 def test_second_moment_lhs_matches_fixed_grid_at_large_t(delta, delta_psi):
-    # geometric seed panels alone let the refinement stop 1.6e-5 off here
+    # a few geometric seed panels under a 20,000-panel cap let the
+    # refinement stop 1.6e-5 off here
     t = 674.4
     ref = _ray_midpoints(delta_psi, t, 1 << 17)
     assert abs(ref - _ray_midpoints(delta_psi, t, 1 << 16)) < 1e-9 * ref
@@ -808,6 +809,17 @@ def test_second_moment_meets_the_references(delta):
             ref, rel=1e-8, abs=0.0), t
 
 
+def test_second_moment_meets_the_references_within_1e_12(delta):
+    # the same 51 moments, 9.6e-15 off at worst here (2.7e-9 before the
+    # pass was seeded at one unit of arclength per panel)
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "refs.json").read_text())["moment"]
+    assert len(refs) == 51
+    for t, (ref, _) in refs.items():
+        assert second_moment_lhs(delta, float(t)) == pytest.approx(
+            ref, rel=1e-12, abs=0.0), t
+
+
 def test_second_moment_split_saves_evaluations(delta, monkeypatch):
     # the pass over [u0, 5] took 528,450 evaluations here
     _, res = _moment_pass(delta, 3000.0, monkeypatch)
@@ -822,14 +834,60 @@ def test_second_moment_needs_a_finite_t(delta, t):
 
 
 def test_second_moment_seed_ceiling(delta, monkeypatch):
-    # 1e12 asks for 2e11 periods: refused before anything is built
+    # 1e12 asks for 2.6e13 seed panels: refused before anything is built
     monkeypatch.setattr(shearlab.modforms, "adaptive", _no_quadrature)
     with pytest.raises(BudgetExceeded, match="ceiling"):
         second_moment_lhs(delta, 1e12)
-    # 600 periods split into 10,935 seed panels at T = 3000
-    monkeypatch.setattr(shearlab.modforms, "MAX_SEED_PANELS", 10934)
-    with pytest.raises(BudgetExceeded, match="10935 seed"):
+    # one unit of arclength per seed: 19,191 seed panels at T = 3000
+    monkeypatch.setattr(shearlab.modforms, "MAX_SEED_PANELS", 19190)
+    with pytest.raises(BudgetExceeded, match="19191 seed"):
         second_moment_lhs(delta, 3000.0)
+
+
+class _PassReached(Exception):
+    pass
+
+
+def _nothing_built(*args, **kwargs):
+    raise AssertionError("the seeds or the observable were built")
+
+
+def test_second_moment_ceiling_admits_t_5_75e5(delta, monkeypatch):
+    # T = 5.75e5 lays 6,700,296 seed panels and reaches the pass
+    seeds = []
+
+    def reached(f, a, b, initial_edges, **kwargs):
+        seeds.append(len(initial_edges) - 1)
+        raise _PassReached
+
+    monkeypatch.setattr(shearlab.modforms, "adaptive", reached)
+    with pytest.raises(_PassReached):
+        second_moment_lhs(delta, 5.75e5)
+    assert seeds == [6700296]
+    # the next T on a grid of 100 needs 6,701,561: refused before the
+    # observable or a seed is built
+    monkeypatch.setattr(shearlab.modforms, "form_observable", _nothing_built)
+    monkeypatch.setattr(np, "geomspace", _nothing_built)
+    with pytest.raises(BudgetExceeded, match="6701561 seed"):
+        second_moment_lhs(delta, 5.751e5)
+    assert seeds == [6700296]
+
+
+def test_second_moment_needs_no_refinement_round(delta, monkeypatch):
+    # the 19,191 unit-arclength seeds alone, 287,865 evaluations here;
+    # ceil(1/y) panels per period, capped at 64, took 385,335
+    _, res = _moment_pass(delta, 3000.0, monkeypatch)
+    assert res.converged
+    assert res.n_evals <= 300000
+
+
+def test_second_moment_benchmark_radii_evaluations(delta, monkeypatch):
+    # perfbench/grids.py's moment radii MOMENT_T[::PHASES]: 496,605
+    # evaluations together here, 616,350 with the capped per-period seeds
+    radii = [float(f"{v:.4g}") for v in np.geomspace(20.0, 3000.0, 48)][::4]
+    results = [_moment_pass(delta, t, monkeypatch)[1] for t in radii]
+    assert all(res.converged for res in results)
+    assert sum(res.n_evals for res in results) <= 500000
 
 
 def test_second_moment_grows_with_t(delta):

@@ -184,6 +184,27 @@ def test_adaptive_many_periods_in_few_calls():
     assert abs(res.value - math.sin(k) / k) <= 1e-12
 
 
+def test_panel_eval_in_blocks_is_one_call_bit_for_bit(monkeypatch):
+    # 2.5 blocks of panels: three calls of f, none past a block's nodes,
+    # and the same (k15, err) as one call over every panel
+    block = quadrature._PANEL_BLOCK
+    edges = np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 5 * block // 2))
+    lo, hi = edges[:-1], edges[1:]
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return np.exp(np.sin(7.0 * x)) / (1.0 + x * x)
+
+    blocked = quadrature._panel_eval(f, lo, hi)
+    assert sizes == [15 * block, 15 * block, 15 * (len(lo) - 2 * block)]
+    monkeypatch.setattr(quadrature, "_PANEL_BLOCK", len(lo))
+    whole = quadrature._panel_eval(f, lo, hi)
+    assert sizes[3:] == [15 * len(lo)]
+    for a, b in zip(blocked, whole):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_gl_nodes_integrate_polynomials_exactly():
     x, w = gl_nodes(8)
     # degree 15 is the exactness edge for 8 nodes

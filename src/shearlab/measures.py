@@ -6,14 +6,13 @@ u -> u*(T + i), u >= 1/sqrt(T^2+1), of an automorphic test function.  For
 box bumps it is computed by unfolding: the bump is a Poincare series of
 one compactly supported profile, so the integral is a finite sum over the
 translates whose image meets the box, each a short smooth "spike" whose
-ends solve a quadratic (a spike that ends at a cut is given that cut
-exactly, so the spikes tile the support).  The rows come in chunks of
-a few thousand, and one pass builds each chunk's spikes and integrates
-them on the 22- and 34-node Gauss-Legendre rules at once, in reused
-buffers, evaluating the box bump as one exponential; 60 and then 100
-nodes take a pass each only if the rules before disagree.  The lattice
-bump reaches T = 1e5 in about 1.5 s and 50 MB, and T = 1e6 in about 40 s
-and 100 MB.  Blind
+ends solve a quadratic and are zeros of the bump, so the spikes tile
+the support.  The rows come in chunks of a few thousand, and one pass
+builds each chunk's spikes and integrates them on the 19- and 37-node
+levels of the nested tanh rule at once, in reused buffers, evaluating
+the box bump as one exponential; 73 and then 145 nodes take a pass each
+only if the rules before disagree.  The lattice bump reaches T = 1e5 in
+about 1 s and 45 MB, and T = 1e6 in 10-13 s and 90 MB.  Blind
 quadrature cannot find a support of tens of thousands of intervals as
 thin as 1e-6 (T = 1000); the adaptive path remains for small |T|,
 cusp-decaying functions, and as an independent cross-check.
@@ -27,7 +26,8 @@ import numpy as np
 
 from .groups import (PSL2Z, THIN4, BudgetExceeded, GroupSpec, TestFunction,
                      _ragged, coset_row_chunks, reduce_points)
-from .quadrature import adaptive, gl_nodes, integrate_fd, refine, settled
+from .quadrature import (adaptive, gl_nodes, integrate_fd, refine, settled,
+                         tanh_levels)
 
 __all__ = [
     "TestFunction", "ShearSample", "RegistrationError", "bump_profile",
@@ -255,10 +255,17 @@ def _window_rows(psi: TestFunction, T: float, y_lo: float):
 def _spikes(psi: TestFunction, T: float, c, d, ac):
     """The spikes of one chunk of _window_rows, (c, d, a/c), as arrays:
     the u-intervals where one translate's folded x lands in the box
-    shifted by k_offset, as columns (u_a, u_b, a/c - k_offset, d/c, A, B,
-    C).  With D(u) = A u^2 + B u + C = |c u (T + i) + d|^2 the point in
-    the box is (a/c - k_offset - (u T + d/c) / D, u / D).  The spikes of
-    every chunk and the _crossings tile the ray's part of the support."""
+    shifted by k_offset, as columns (u_a, u_b, a/c - k_offset, d/c, c^2).
+    With w = u T + d/c and D = c^2 (w^2 + u^2) = |c u (T + i) + d|^2 the
+    point in the box is (a/c - k_offset - w / D, u / D), free of the
+    cancellation of D's expanded form, whose terms reach c^2 T^2 u^2 where
+    D is about 1.  The spikes of every chunk and the _crossings tile the
+    ray's part of the support, one spike per translate: the pieces that a
+    turning point of x cuts are joined again, so every spike ends where
+    the bump vanishes, at an edge of the box.  The ray's start u_min ends
+    none: u_min (T + i) lies on the unit circle, which S maps to itself,
+    so each of its translates lies on the boundary of a translate of the
+    fundamental domain, and _reduced_bump boxes sit strictly inside it."""
     x_lo, x_hi, y_lo, y_hi = psi.support
     omega = psi.omega
     t2p1 = T * T + 1.0
@@ -297,9 +304,15 @@ def _spikes(psi: TestFunction, T: float, c, d, ac):
     g_lo, g_hi = np.minimum(gp, gq), np.maximum(gp, gq)
     # one spike per period offset k whose box meets x = ac - g on the piece
     k0 = np.ceil((ac - g_hi - x_hi) / omega)
-    n = np.floor((ac - g_lo - x_lo) / omega) - k0 + 1
-    i, kk = _ragged(k0, np.maximum(n, 0).astype(int))
-    kk = kk * omega
+    n = np.maximum(np.floor((ac - g_lo - x_lo) / omega) - k0 + 1, 0)
+    n = n.astype(int)
+    # the next piece, which goes on from q if it is of the same row and
+    # starts there, and where its spikes start among all spikes
+    nxt = np.minimum(np.arange(1, len(p) + 1), len(p) - 1)
+    goes_on = (row[nxt] == row) & (p[nxt] == q)
+    first = np.cumsum(n) - n
+    i, k = _ragged(k0, n)
+    kk = k * omega
     p, q, gp, gq, g_lo, g_hi, c, d, ac, A, B, C = (
         v[i] for v in (p, q, gp, gq, g_lo, g_hi, c, d, ac, A, B, C))
 
@@ -325,7 +338,42 @@ def _spikes(psi: TestFunction, T: float, c, d, ac):
     ua = g_inverse(np.where(rising, xi0, xi1))
     ub = g_inverse(np.where(rising, xi1, xi0))
     keep = (xi1 > xi0) & (ub > ua)
-    return tuple(v[keep] for v in (ua, ub, ac - kk, d / c, A, B, C))
+    # a spike that ends at q, where the next piece goes on, goes on as
+    # that piece's spike of the same k if it starts at q
+    ends = np.flatnonzero(keep & (ub == q) & goes_on[i])
+    j, kj = nxt[i[ends]], k[ends]
+    at = first[j] + (kj - k0[j]).astype(int)
+    ok = (k0[j] <= kj) & (kj < k0[j] + n[j])
+    ends, at = ends[ok], at[ok]
+    ok = keep[at] & (ua[at] == ub[ends])
+    ends, at = ends[ok], at[ok]
+    # following the links twice reaches the last of up to five pieces (a
+    # row has six cuts)
+    last = np.arange(len(ua))
+    last[ends] = at
+    last = last[last]
+    last = last[last]
+    keep[at] = False
+    return (ua[keep], ub[last[keep]], (ac - kk)[keep], (d / c)[keep],
+            (c * c)[keep])
+
+
+def _spike_point(u, T, off, dc, c2, x, y, tmp):
+    """x, y <- the box point of the ray at u on a spike of _spikes, (off -
+    w / D, u / D) with w = u T + d/c and D = c^2 (w^2 + u^2), in as many
+    passes as D's expanded form takes.  off, dc and c2 are the spike's
+    columns, broadcast against u; tmp is scratch of u's shape."""
+    np.multiply(u, T, out=x)
+    x += dc
+    np.multiply(x, x, out=y)
+    np.multiply(u, u, out=tmp)
+    y += tmp
+    y *= c2
+    np.reciprocal(y, out=y)     # and multiplying: faster than two divisions
+    x *= y
+    np.subtract(off, x, out=x)
+    y *= u
+    return x, y
 
 
 # nodes per evaluated block.  A pass allocates its few block buffers once
@@ -367,20 +415,23 @@ def _blocks(chunks, size):
         yield left
 
 
-def _ray_sums(psi: TestFunction, T: float, ns):
-    """The unfolded ray integral at T on each Gauss-Legendre rule of sizes
-    ns, all in one pass over the row chunks and the crossings, with the
-    number of spikes and crossings it integrated: (values, pieces).  Each
-    block's sums come from numpy's own reductions and are added exactly,
-    so the values do not depend on the row chunks."""
+def _ray_sums(psi: TestFunction, T: float, levels):
+    """The unfolded ray integral at T on the given levels of the nested
+    tanh rule, all in one pass over the row chunks and the crossings, with
+    the number of spikes and crossings it integrated: (sums, pieces).  A
+    level's sum is over its new nodes alone, so h times the sum over
+    levels 0..j is the integral on level j's rule.  Each block's sums come
+    from numpy's own reductions and are added exactly, so the values do
+    not depend on the row chunks."""
     box = psi.support
-    # the rules side by side: one row of nodes and weights, and where each
-    # rule starts in it
-    xg, wg = (np.concatenate(v) for v in zip(*map(gl_nodes, ns)))
-    starts = np.cumsum((0,) + tuple(ns[:-1]))
+    # the levels side by side: one row of nodes and weights, and where
+    # each level starts in it
+    table = [tanh_levels()[j] for j in levels]
+    xg, wg = (np.concatenate(v) for v in zip(*(t[1:] for t in table)))
+    starts = np.cumsum([0] + [len(t[1]) for t in table[:-1]])
     step = max(1, _BLOCK // len(xg))    # pieces per block
     bufs = np.empty((4, step, len(xg)))
-    parts = [np.zeros(len(ns))]         # per block, a sum for each rule
+    parts = [np.zeros(len(table))]      # per block, a sum for each level
 
     def nodes(ua, ub):
         # the pieces' nodes U and the buffers for the box point (X, Y)
@@ -391,7 +442,7 @@ def _ray_sums(psi: TestFunction, T: float, ns):
         return U, X, Y, tmp, half
 
     def add(U, X, Y, tmp, half):
-        # half * bump / U at every node, summed over the block and each rule
+        # half * bump / U at every node, summed over the block and each level
         X = _box_bump(X, Y, box, tmp)
         X /= U
         X *= half[:, None]
@@ -399,19 +450,10 @@ def _ray_sums(psi: TestFunction, T: float, ns):
 
     spikes = (_spikes(psi, T, *rows) for rows in _window_rows(psi, T, box[2]))
     pieces = 0
-    for ua, ub, off, dc, A, B, C in _blocks(spikes, step):
-        U, X, R, tmp, half = nodes(ua, ub)
-        np.multiply(A[:, None], U, out=R)
-        R += B[:, None]
-        R *= U
-        R += C[:, None]
-        np.reciprocal(R, out=R)
-        np.multiply(U, T, out=X)
-        X += dc[:, None]
-        X *= R
-        np.subtract(off[:, None], X, out=X)
-        R *= U
-        add(U, X, R, tmp, half)
+    for ua, ub, off, dc, c2 in _blocks(spikes, step):
+        U, X, Y, tmp, half = nodes(ua, ub)
+        _spike_point(U, T, off[:, None], dc[:, None], c2[:, None], X, Y, tmp)
+        add(U, X, Y, tmp, half)
         pieces += len(ua)
     for ua, ub, kk in _blocks(_crossings(psi, T), step):
         U, X, Y, tmp, half = nodes(ua, ub)
@@ -424,27 +466,30 @@ def _ray_sums(psi: TestFunction, T: float, ns):
 
 
 def _mu_T_unfolded(psi: TestFunction, T: float, tol: float) -> ShearSample:
-    """mu_T by unfolding: the ladder (22, 34, 60, 100) of refine, whose
-    first two rules share one pass of _ray_sums over the row chunks; 60
-    and then 100 nodes stream the chunks again while |I34 - I22|, then
-    |I60 - I34|, exceed tol.  n_nodes counts every rule run."""
-    ladder = (22, 34, 60, 100)
-    nodes = [0]         # summed over every rule run
-    ready = {}          # values of a pass that refine has not asked for
+    """mu_T by unfolding: refine over the nested tanh rule of
+    tanh_levels, 19, 37, 73 and 145 nodes a spike.  One pass of _ray_sums
+    over the row chunks runs levels 0 and 1; each later pass streams the
+    chunks again for one new level while the last two rules differ by
+    more than tol.  n_nodes counts the evaluations."""
+    table = tanh_levels()
+    sums = []           # each level's sum, as its pass gives it
+    nodes = [0]
 
-    def total(n):
-        if n not in ready:
-            # refine always asks for the first two rules: one pass runs both
-            ns = ladder[:2] if n == ladder[0] else (n,)
-            vals, pieces = _ray_sums(psi, T, ns)
-            nodes[0] += sum(ns) * pieces
-            ready.update(zip(ns, vals))
-        return ready.pop(n)
+    def total(j):
+        if j == len(sums):
+            levels = (0, 1) if j == 0 else (j,)
+            vals, pieces = _ray_sums(psi, T, levels)
+            nodes[0] += pieces * sum(len(table[i][1]) for i in levels)
+            sums.extend(vals)
+        return table[j][0] * math.fsum(sums[:j + 1])
 
     # each spike is the box bump through a near-affine map, so a rung's
-    # error is T-free: |GL14 - GL22| is 1.0-1.5e-5 (lattice), 2.4-2.6e-6
-    # (thin) at T = 10-3000, and a 14-point rung settles no smaller tol
-    val, err, ok = refine(total, ladder, abs_tol=tol)
+    # error does not grow with T: |I37 - I19| is 1e-9 to 7e-7 (lattice,
+    # |T| = 10-2000 and 1e4-1e5) and 1.5e-10 to 7e-7 (thin, |T| = 10-950),
+    # while the 37-node rule lands within 3e-10 of the 145-node one (1e-11
+    # at T = 1e5-1e6) and the 73-node one within rounding.  Tol 1e-6 and
+    # up settles on the first pass
+    val, err, ok = refine(total, range(len(table)), abs_tol=tol)
     return ShearSample(T, val, max(err, 1e-16), nodes[0], ok, "unfolded")
 
 

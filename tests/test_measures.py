@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,40 +228,41 @@ def test_mu_T_lattice_matches_ray_reference(lattice_bump, T):
 
 
 def test_mu_T_lattice_meets_tol_1e9(lattice_bump):
-    # 34 Gauss-Legendre nodes per spike stop about 1e-9 short of the ray
-    # integral at T = 300; the 60-node pass that tol 1e-9 asks for reaches it
+    # the 19- and 37-node rules differ by 8.4e-8 at T = 300, so tol 1e-9
+    # asks for the 73-node pass, 1.1e-12 from the 37-node value
     s = mu_T(lattice_bump, 300.0, tol=1e-9)
     assert s.route == "unfolded" and s.tol_met and s.est_error <= 1e-9
     assert abs(s.value - _ray_reference(lattice_bump, 300.0)) < 1e-9
 
 
 def test_mu_T_lattice_ladder_runs_every_rung(lattice_bump):
-    # tol 1e-13 is below what the 100-node rung settles at T = 300: the
-    # 22/34 pass, then 60 and 100 nodes, and tol_met stays False.  n_nodes
-    # and est_error are those of the rung-by-rung passes before the 22- and
-    # 34-node rules shared one
+    # the 73-node rule settles 1.1e-12 from the 37-node one at T = 300, so
+    # tol 1e-13 runs every level: the 19/37 pass, then 73 and 145 nodes
+    # on the 1178 spikes and crossings, and the last two agree to rounding.
+    # A tol below that rounding runs the same passes and stops unsettled
     s = mu_T(lattice_bump, 300.0, tol=1e-13)
-    assert s.route == "unfolded" and not s.tol_met
-    assert s.n_nodes == 276048 == (22 + 34 + 60 + 100) * 1278
-    assert abs(s.est_error - 6.691869280928131e-13) <= 1e-14
-    assert abs(s.value - _ray_reference(lattice_bump, 300.0)) < 1e-9
+    assert s.route == "unfolded" and s.tol_met
+    assert s.n_nodes == 170810 == (19 + 18 + 36 + 72) * 1178
+    assert s.est_error <= 1e-15
+    assert abs(s.value - _ray_reference(lattice_bump, 300.0)) < 1e-14
+    unsettled = mu_T(lattice_bump, 300.0, tol=1e-17)
+    assert not unsettled.tol_met
+    assert (unsettled.value, unsettled.n_nodes) == (s.value, s.n_nodes)
 
 
 @pytest.mark.parametrize("size", [3, 50])
 def test_mu_T_does_not_depend_on_the_row_chunks(lattice_bump, thin_bump,
                                                size, monkeypatch):
     # chunks of 3 and 50 rows split the row region inside c and leave
-    # chunks without spikes; the spikes are still summed in the same fixed
-    # blocks, so the results come out bitwise equal, well inside these bounds
+    # chunks without spikes; a row's pieces are joined inside its chunk
+    # and the spikes are summed in the same fixed blocks, so every field
+    # comes out bitwise equal
     cases = [(lattice_bump, T) for T in (300.0, -500.0, 1000.0)]
     cases.append((thin_bump, 500.0))
     want = [mu_T(psi, T) for psi, T in cases]
     monkeypatch.setattr(groups, "ROW_CHUNK", size)
     for (psi, T), w in zip(cases, want):
-        s = mu_T(psi, T)
-        assert s.n_nodes == w.n_nodes
-        assert abs(s.value - w.value) <= 1e-15 * abs(w.value)
-        assert abs(s.est_error - w.est_error) <= 1e-16
+        assert mu_T(psi, T) == w
 
 
 def test_mu_T_of_a_ray_that_misses_every_translate_is_zero():
@@ -301,6 +303,61 @@ def test_spikes_tile_the_support(lattice_bump, thin_bump):
         assert not np.any(vals > 0.0), (
             f"{psi.name} T={T}: {np.count_nonzero(vals > 0.0)} uncovered "
             f"points where the function reaches {vals.max():.3g}")
+
+
+@pytest.mark.parametrize("T", [1e6, -1e6])
+def test_spike_points_match_mpmath(lattice_bump, T):
+    # the box point of every first-pass node on the spikes of 20 rows with
+    # c = 1 near the box's middle height, against 50 digits.  D's expanded
+    # form c^2 (T^2 + 1) u^2 + 2 c d T u + d^2 sums terms of 1e11-1e12 to
+    # D of about 1 here and lost up to 1.8e-4 of it; w = u T + d/c loses
+    # only the rounding of u T, about 8e-11 of D
+    d = -np.sign(T) * (round(abs(T) / 1.7) + np.arange(-10, 10))
+    ua, ub, off, dc, c2 = measures._spikes(lattice_bump, T, np.ones(20, int),
+                                           d.astype(int), np.zeros(20))
+    assert len(ua) == 40 and np.all(c2 == 1.0)
+    x = np.concatenate([quadrature.tanh_levels()[j][1] for j in (0, 1)])
+    u = 0.5 * (ua + ub)[:, None] + 0.5 * (ub - ua)[:, None] * x
+    X, Y, tmp = np.empty((3,) + u.shape)
+    measures._spike_point(u, T, off[:, None], dc[:, None], c2[:, None],
+                          X, Y, tmp)
+    with mpmath.workdps(50):
+        for i, j in np.ndindex(u.shape):
+            uu = mpmath.mpf(u[i, j])
+            w = uu * T + dc[i]
+            D = c2[i] * (w * w + uu * uu)
+            assert abs(uu / Y[i, j] / D - 1) < 1e-9
+            assert abs(Y[i, j] / (uu / D) - 1) < 1e-9
+            assert abs(X[i, j] - (off[i] - w / D)) < 1e-9
+
+
+def _end_values(psi, T, frac):
+    """The integrand bump/u at frac of every spike's and crossing's length
+    from its start."""
+    out = []
+    for rows in measures._window_rows(psi, T, psi.support[2]):
+        ua, ub, off, dc, c2 = measures._spikes(psi, T, *rows)
+        u = ua + frac * (ub - ua)
+        X, Y, tmp = np.empty((3, len(u)))
+        measures._spike_point(u, T, off, dc, c2, X, Y, tmp)
+        out.append(measures._box_bump(X, Y, psi.support, tmp) / u)
+    for ua, ub, kk in measures._crossings(psi, T):
+        u = ua + frac * (ub - ua)
+        out.append(measures._box_bump(u * T - kk, u.copy(), psi.support,
+                                      np.empty(len(u))) / u)
+    return np.concatenate(out)
+
+
+def test_spikes_end_where_the_bump_vanishes(lattice_bump, thin_bump):
+    # the pieces that a turning point of x cut are joined, so no spike ends
+    # inside the box; the split lattice pieces reached 9.3e3 there at
+    # T = 1e4.  The tanh rule's convergence rests on this
+    for psi, T in ((lattice_bump, 300.0), (lattice_bump, -300.0),
+                   (lattice_bump, 1e4), (lattice_bump, -1e4),
+                   (thin_bump, 500.0)):
+        for frac in (1e-7, 1.0 - 1e-7):
+            v = _end_values(psi, T, frac)
+            assert len(v) > 50 and v.max() < 1e-30, (psi.name, T, frac)
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,32 +550,47 @@ def test_mu_T_stable_under_tolerance(lattice_bump):
     assert abs(loose - tight) < 1e-6
 
 
-def test_mu_T_at_tol_1e5_runs_the_34_point_pass(lattice_bump):
-    # at tol 1e-5 the ladder used to stop at the 22-point pass, 2.0e-8
-    # from the tol-1e-9 value; it now goes on to 34 points, 8.2e-10 off
+def test_mu_T_at_tol_1e5_runs_the_37_node_pass(lattice_bump):
+    # tol 1e-5 stops after the first pass, levels 0 and 1 on the 85 spikes
+    # and crossings at T = 30, which lands 1.3e-15 from the 73-node value
+    # that tol 1e-12 asks for (the 34-point Gauss-Legendre pass it used to
+    # stop on was 8.2e-10 off)
     loose = mu_T(lattice_bump, 30.0, tol=1e-5)
-    tight = mu_T(lattice_bump, 30.0, tol=1e-9)
+    tight = mu_T(lattice_bump, 30.0, tol=1e-12)
     assert loose.tol_met and tight.tol_met
-    assert abs(loose.value - tight.value) < 5e-9
+    assert loose.n_nodes == 37 * 85 and tight.n_nodes == (37 + 36) * 85
+    assert abs(loose.value - tight.value) < 1e-13
 
 
-# lattice mu_T at tol 1e-7 on the (14, 22, 34, 60, 100) ladder: value,
-# est_error and n_nodes; every one settled at 34
-LADDER_14 = [(300.0, 0.4669351442930376, 2.80754525183724e-09, 89460),
-             (1000.0, 0.5346333977587947, 1.6478671760467023e-09, 349230),
-             (-500.0, 0.4916653069084711, 8.284654351431442e-09, 161840)]
+# lattice mu_T at tol 1e-7, settled on the first pass: value, est_error
+# (|I37 - I19|) and n_nodes (37 a spike or crossing)
+FIRST_PASS = [(300.0, 0.4669351432338889, 8.395444989206524e-08, 43586),
+              (1000.0, 0.5346333966699848, 5.899091304328863e-08, 169719),
+              (-500.0, 0.49166530562500643, 9.325253141900802e-08, 78810)]
 
 
-@pytest.mark.parametrize("T, value, err, nodes", LADDER_14)
-def test_mu_T_ladder_starts_at_22(lattice_bump, T, value, err, nodes):
-    # the 14-point pass misses by 1e-5 at every T, so dropping it keeps the
-    # value and the estimate and spends 22 + 34 of every 70 nodes a spike
-    # took
+@pytest.mark.parametrize("T, value, err, nodes", FIRST_PASS,
+                         ids=["300", "1000", "-500"])
+def test_mu_T_first_pass_runs_levels_0_and_1(lattice_bump, T, value, err,
+                                             nodes):
+    # the 37-node rule lands within 7e-12 of the ray reference, where the
+    # 34-point Gauss-Legendre one that tol 1e-7 stopped on missed by 1e-9
     s = mu_T(lattice_bump, T, tol=1e-7)
     assert s.route == "unfolded" and s.tol_met
     assert s.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert s.est_error == pytest.approx(err, rel=0.0, abs=1e-14)
-    assert s.n_nodes * 5 == nodes * 4
+    assert s.n_nodes == nodes and nodes % 37 == 0
+    assert abs(s.value - _ray_reference(lattice_bump, T)) < 1e-11
+
+
+def test_mu_T_lattice_at_3e5_lands_on_the_converged_value(lattice_bump):
+    # with D in its expanded form A u^2 + B u + C, whose terms cancel on
+    # the low-c rows, the value landed 1.6e-7 off here with tol_met; the
+    # reference is where the 73- and 145-node rules and Gauss-Legendre 100
+    # and 160 on the joined spikes land, within 2e-12 of it
+    s = mu_T(lattice_bump, 3e5, tol=1e-7)
+    assert s.route == "unfolded" and s.tol_met
+    assert abs(s.value - 0.875540238177) < 1e-9
 
 
 @pytest.mark.parametrize("T, tol", [
